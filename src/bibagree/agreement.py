@@ -68,6 +68,17 @@ class AgreementResult:
     skips: list[SkipEntry]
 
 
+def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
+    """Closed-form least squares as (intercept, slope), or None when the
+    predictor variance is exactly 0."""
+    xbar = x.mean()
+    var = float(((x - xbar) ** 2).mean())
+    if var == 0.0:
+        return None
+    slope = float(((x - xbar) * (y - y.mean())).mean()) / var
+    return float(y.mean()) - slope * xbar, slope
+
+
 def fit_calibration(
     points: list[tuple[float, float]], area_id: str, metric_label: str
 ) -> CalibrationFit:
@@ -76,14 +87,12 @@ def fit_calibration(
         raise DegeneratePredictorError(
             f"{area_id}/{metric_label}: {len(points)} points, need >= 3"
         )
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
-    xbar = x.mean()
-    var = float(((x - xbar) ** 2).mean())
-    if var == 0.0:
+    line = ols_line(
+        np.array([p[0] for p in points], dtype=float), np.array([p[1] for p in points], dtype=float)
+    )
+    if line is None:
         raise DegeneratePredictorError(f"{area_id}/{metric_label}: zero predictor variance")
-    slope = float(((x - xbar) * (y - y.mean())).mean()) / var
-    intercept = float(y.mean()) - slope * xbar
+    intercept, slope = line
     return CalibrationFit(
         area_id=area_id,
         metric_label=metric_label,
@@ -166,12 +175,17 @@ def run_agreement(
                     (agg.mean_score[baseline_label], fit.predict(agg.mean_score[metric]), agg.pub_count)
                     for agg in area_aggs
                 ]
-                stats.append(
-                    AgreementStatistic(
-                        area_id, metric, LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT,
-                        mapd(dep_units), len(dep_units),
+                try:
+                    value = mapd(dep_units)
+                except AgreementError as exc:
+                    skips.append(SkipEntry(area_id, metric, LEVEL_INSTITUTION, str(exc)))
+                else:
+                    stats.append(
+                        AgreementStatistic(
+                            area_id, metric, LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT,
+                            value, len(dep_units),
+                        )
                     )
-                )
 
             # Publication level: separate per-area fit, MAD only.
             if metric not in pub_scores or baseline_label not in pub_scores:

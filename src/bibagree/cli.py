@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, SynthError) as exc:
+    except (CorpusError, SynthError, pipeline.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

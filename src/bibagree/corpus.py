@@ -212,6 +212,12 @@ def _record_from_row(row: dict, where: str) -> PublicationRecord:
 
 
 def _record_from_json(obj: dict, where: str) -> PublicationRecord:
+    def integral(key):
+        value = obj[key]
+        if isinstance(value, float) and not value.is_integer():
+            raise CorpusParseError(f"{where}: non-integral {key} {value!r}")
+        return int(value)
+
     def score(key):
         sub = obj.get(key)
         if sub is None:
@@ -229,8 +235,8 @@ def _record_from_json(obj: dict, where: str) -> PublicationRecord:
             pub_id=str(obj["pub_id"]),
             institution_id=str(obj["institution_id"]),
             area_id=str(obj["area_id"]),
-            year=int(obj["year"]),
-            citations=int(obj["citations"]),
+            year=integral("year"),
+            citations=integral("citations"),
             journal_id=str(obj["journal_id"]),
             category_weights=weights,
             ref_category_weights=refs,

@@ -6,7 +6,7 @@ import csv
 import functools
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import agreement as agr
@@ -14,6 +14,7 @@ from .aggregation import InstitutionAggregate, ScoreSeries, aggregate
 from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus, overall_score
 from .indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
 from .resampling import BootstrapResult, CoverageDiagnostic, StatKey, bootstrap_statistics, coverage_report
+from .table import build_table, table_statistics
 
 SERIES_LABELS = (
     "reviewer1",
@@ -32,6 +33,10 @@ class PipelineError(Exception):
         self.stage = stage
 
 
+class ConfigError(ValueError):
+    """A pipeline config key or value is invalid."""
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
@@ -44,10 +49,30 @@ class PipelineConfig:
     metric_labels: tuple[str, ...] = DEFAULT_METRICS
     assign_roles: bool = True
 
+    def __post_init__(self):
+        for name in ("min_pubs", "n_workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.bootstrap and self.n_replicates < 1:
+            raise ConfigError(f"n_replicates must be >= 1 when bootstrap is on, got {self.n_replicates}")
+        for name, label in [("baseline_label", self.baseline_label)] + [
+            ("metric_labels", label) for label in self.metric_labels
+        ]:
+            if label not in SERIES_LABELS:
+                raise ConfigError(f"{name}: unknown series {label!r}, expected one of {', '.join(SERIES_LABELS)}")
+
     @staticmethod
     def from_file(path: str | Path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(PipelineConfig)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
         if "metric_labels" in raw:
             raw["metric_labels"] = tuple(raw["metric_labels"])
         return PipelineConfig(**raw)
@@ -143,12 +168,21 @@ def statistic_values(corpus: Corpus, config: PipelineConfig) -> dict[StatKey, fl
     return {s.key(): s.value for s in compute_pipeline_stats(corpus, config).statistics}
 
 
-def run_bootstrap(corpus: Corpus, config: PipelineConfig) -> list[BootstrapResult]:
-    """Spec-shaped wrapper: resample, rerun the whole pipeline, collect intervals."""
-    points = statistic_values(corpus, config)
-    fn = functools.partial(statistic_values, config=config)
+def run_bootstrap(
+    corpus: Corpus, config: PipelineConfig, points: dict[StatKey, float] | None = None
+) -> list[BootstrapResult]:
+    """Bootstrap intervals around the point statistics.
+
+    The corpus is coded once into a publication table, and each replicate
+    is a vector of copy counts over it (see table.py). points are the
+    statistic_values of the corpus; they are computed when not given.
+    """
+    if points is None:
+        points = statistic_values(corpus, config)
+    table = build_table(corpus, config.multidisciplinary_label)
+    fn = functools.partial(table_statistics, config=config)
     return bootstrap_statistics(
-        corpus, fn, points, config.n_replicates, config.seed, config.n_workers
+        table, fn, points, config.n_replicates, config.seed, config.n_workers
     )
 
 
@@ -176,7 +210,8 @@ def run(
     stats = timed("statistics", compute_pipeline_stats, corpus, config)
     boot: list[BootstrapResult] = []
     if config.bootstrap:
-        boot = timed("bootstrap", run_bootstrap, corpus, config)
+        points = {s.key(): s.value for s in stats.statistics}
+        boot = timed("bootstrap", run_bootstrap, corpus, config, points)
     coverage: list[CoverageDiagnostic] = []
     if corpus.population_counts:
         coverage = timed("coverage", coverage_report, corpus, corpus.population_counts)
@@ -292,18 +327,3 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> list[Path]:
         written.append(cov)
     return written
 
-
-def export_aggregates(aggregates: list[InstitutionAggregate], path: str | Path) -> None:
-    """Aggregate table: one row per institution x area, mean and total per label."""
-    labels = sorted({lab for a in aggregates for lab in a.mean_score})
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["institution_id", "area_id", "pub_count"]
-        for lab in labels:
-            header += [f"mean_{lab}", f"total_{lab}"]
-        writer.writerow(header)
-        for a in sorted(aggregates, key=lambda a: (a.area_id, a.institution_id)):
-            row = [a.institution_id, a.area_id, a.pub_count]
-            for lab in labels:
-                row += [_fmt(a.mean_score.get(lab)), _fmt(a.total_score.get(lab))]
-            writer.writerow(row)

@@ -1,21 +1,25 @@
 """Bootstrap intervals, stratified sampling, coverage diagnostics.
 
 Replicates resample publications with replacement within each research-area
-stratum and rerun the whole statistic computation; intervals are empirical
-2.5/97.5 percentiles under the mid-rank convention. Replicate k draws from
-a generator seeded by (seed, k), so output does not depend on worker count
-or scheduling.
+stratum; intervals are empirical 2.5/97.5 percentiles under the mid-rank
+convention. Replicate k draws from a generator seeded by (seed, k), so
+output does not depend on worker count or scheduling. The bootstrap
+represents a replicate by its copy count per publication (replicate_counts);
+resample_within_areas materialises the same draw as a corpus and is kept as
+the reference the count path is tested against.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Corpus, PublicationRecord
+from .table import PublicationTable
 
 StatKey = tuple[str, str, str, str]  # (area, metric, level, view)
 
@@ -97,8 +101,37 @@ def _replicate_values(args) -> tuple[int, dict[StatKey, float]]:
     return k, statistic_fn(resample_within_areas(corpus, rng))
 
 
+def replicate_counts(area_sizes: Sequence[int], seed: int, k: int) -> np.ndarray:
+    """Copy count per row of replicate k, for rows grouped by area in sorted
+    area order and by pub_id within an area.
+
+    The draw is the one resample_within_areas makes: for each area in turn,
+    rng.integers(0, n_area, n_area) from np.random.default_rng([seed, k]).
+    """
+    rng = np.random.default_rng([seed, k])
+    return np.concatenate(
+        [np.bincount(rng.integers(0, n, size=n), minlength=n) for n in area_sizes]
+    )
+
+
+def _count_values(table: PublicationTable, statistic_fn, seed: int, k: int) -> tuple[int, dict[StatKey, float]]:
+    return k, statistic_fn(table, replicate_counts(table.area_sizes, seed, k))
+
+
+_worker_args: tuple | None = None  # (table, statistic_fn, seed), set once per pool worker
+
+
+def _init_worker(table: PublicationTable, statistic_fn, seed: int) -> None:
+    global _worker_args
+    _worker_args = (table, statistic_fn, seed)
+
+
+def _worker_values(k: int) -> tuple[int, dict[StatKey, float]]:
+    return _count_values(*_worker_args, k)
+
+
 def bootstrap_statistics(
-    corpus: Corpus,
+    corpus: PublicationTable,
     statistic_fn,
     point_values: dict[StatKey, float],
     n_replicates: int,
@@ -107,19 +140,24 @@ def bootstrap_statistics(
 ) -> list[BootstrapResult]:
     """Percentile intervals for every statistic in point_values.
 
-    statistic_fn maps a Corpus to {key: value}; keys absent from a
-    replicate (degenerate fits, vanished institutions) count as missing for
-    that replicate. Statistics missing in more than 10% of replicates are
-    flagged with a warning.
+    corpus is the publication table the replicates reweight, and
+    statistic_fn maps (table, copy counts) to {key: value}; keys absent from
+    a replicate (degenerate fits, vanished institutions) count as missing
+    for that replicate. Statistics missing in more than 10% of replicates
+    are flagged with a warning. With n_workers > 1 the table goes to each
+    worker process once, and each task carries only its replicate number.
     """
     if n_replicates < 1:
         raise ResamplingError("n_replicates must be >= 1")
-    tasks = [(corpus, statistic_fn, seed, k) for k in range(n_replicates)]
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            raw = list(pool.map(_replicate_values, tasks, chunksize=max(1, n_replicates // (4 * n_workers))))
+        with ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_init_worker, initargs=(corpus, statistic_fn, seed)
+        ) as pool:
+            raw = list(
+                pool.map(_worker_values, range(n_replicates), chunksize=max(1, n_replicates // (4 * n_workers)))
+            )
     else:
-        raw = [_replicate_values(t) for t in tasks]
+        raw = [_count_values(corpus, statistic_fn, seed, k) for k in range(n_replicates)]
     raw.sort(key=lambda kv: kv[0])
 
     collected: dict[StatKey, list[float]] = {key: [] for key in point_values}

@@ -155,3 +155,29 @@ def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
     code = main(["run", "--corpus", str(corpus_file), "--out", str(blocker / "sub"),
                  "--no-bootstrap"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "extra, config, named",
+    [
+        ([], {"seeed": 1}, "seeed"),
+        (["--replicates", "0"], None, "n_replicates"),
+        (["--workers", "0"], None, "n_workers"),
+        (["--min-pubs", "0"], None, "min_pubs"),
+        ([], {"baseline_label": "reviewer3"}, "reviewer3"),
+        ([], {"metric_labels": ["ncs", "h_index"]}, "h_index"),
+    ],
+    ids=["unknown-key", "replicates", "workers", "min-pubs", "baseline-label", "metric-label"],
+)
+def test_invalid_config_fails_before_load(tmp_path, capsys, extra, config, named):
+    # The corpus does not exist: a config checked only after load would
+    # report the load failure instead.
+    args = ["run", "--corpus", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out")] + extra
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "[load]" not in err

@@ -1,5 +1,6 @@
 """Corpus loading, validation, serialization and reviewer role assignment."""
 
+import json
 import random
 
 import pytest
@@ -160,3 +161,16 @@ def test_missing_review_rejected(small_corpus):
     corpus = Corpus(tuple(broken), small_corpus.census_year)
     with pytest.raises(CorpusValidationError, match="missing reviewer score"):
         assign_reviewer_roles(corpus, seed=0)
+
+
+@pytest.mark.parametrize("field", ["year", "citations"])
+def test_jsonl_non_integral_number_rejected(tmp_path, field):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate(SynthConfig(n_institutions=2, seed=5)), path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj[field] += 0.7
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusParseError, match=f"line 2: non-integral {field}"):
+        load_corpus(path)
