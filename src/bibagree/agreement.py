@@ -68,38 +68,40 @@ class AgreementResult:
     skips: list[SkipEntry]
 
 
-def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """Closed-form least squares as (intercept, slope), or None when the
-    predictor variance is exactly 0."""
+def fit_line(x: np.ndarray, y: np.ndarray, area_id: str, metric_label: str) -> CalibrationFit:
+    """Closed-form least squares of y on x: slope = cov(x,y)/var(x),
+    intercept = ybar - slope*xbar."""
+    if len(x) < 3:
+        raise DegeneratePredictorError(f"{area_id}/{metric_label}: {len(x)} points, need >= 3")
     xbar = x.mean()
     var = float(((x - xbar) ** 2).mean())
     if var == 0.0:
-        return None
+        raise DegeneratePredictorError(f"{area_id}/{metric_label}: zero predictor variance")
     slope = float(((x - xbar) * (y - y.mean())).mean()) / var
-    return float(y.mean()) - slope * xbar, slope
+    return CalibrationFit(
+        area_id=area_id,
+        metric_label=metric_label,
+        intercept=float(y.mean()) - slope * xbar,
+        slope=slope,
+        n_points=len(x),
+    )
 
 
 def fit_calibration(
     points: list[tuple[float, float]], area_id: str, metric_label: str
 ) -> CalibrationFit:
-    """Closed-form least squares: slope = cov(x,y)/var(x), intercept = ybar - slope*xbar."""
-    if len(points) < 3:
-        raise DegeneratePredictorError(
-            f"{area_id}/{metric_label}: {len(points)} points, need >= 3"
-        )
-    line = ols_line(
-        np.array([p[0] for p in points], dtype=float), np.array([p[1] for p in points], dtype=float)
+    """fit_line over (x, y) points."""
+    return fit_line(
+        np.array([p[0] for p in points], dtype=float),
+        np.array([p[1] for p in points], dtype=float),
+        area_id,
+        metric_label,
     )
-    if line is None:
-        raise DegeneratePredictorError(f"{area_id}/{metric_label}: zero predictor variance")
-    intercept, slope = line
-    return CalibrationFit(
-        area_id=area_id,
-        metric_label=metric_label,
-        intercept=intercept,
-        slope=slope,
-        n_points=len(points),
-    )
+
+
+def nonpositive_score(y: float) -> str:
+    """Why MAPD is undefined when an observed score is not positive."""
+    return f"mapd: nonpositive observed score {y}"
 
 
 def mad(units: list[tuple[float, float]]) -> float:
@@ -122,7 +124,7 @@ def mapd(units: list[tuple[float, float, int]]) -> float:
     devs = []
     for y, y_hat, p in units:
         if y <= 0:
-            raise AgreementError(f"mapd: nonpositive observed score {y}")
+            raise AgreementError(nonpositive_score(y))
         if p <= 0:
             raise AgreementError(f"mapd: nonpositive publication count {p}")
         devs.append(abs(y - y_hat) / y)

@@ -10,20 +10,11 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import agreement as agr
-from .aggregation import InstitutionAggregate, ScoreSeries, aggregate
-from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus, overall_score
-from .indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
+from .aggregation import InstitutionAggregate
+from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus
 from .resampling import BootstrapResult, CoverageDiagnostic, StatKey, bootstrap_statistics, coverage_report
-from .table import build_table, table_statistics
+from .table import SERIES_LABELS, PublicationTable, build_table, point_statistics, table_statistics
 
-SERIES_LABELS = (
-    "reviewer1",
-    "reviewer2",
-    "ncs",
-    "njs",
-    "citation_percentile",
-    "journal_percentile",
-)
 DEFAULT_METRICS = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
 
 
@@ -35,6 +26,11 @@ class PipelineError(Exception):
 
 class ConfigError(ValueError):
     """A pipeline config key or value is invalid."""
+
+
+# PipelineConfig field annotation (a string under postponed evaluation) ->
+# the type its value must have.
+_FIELD_TYPES = {"int": int, "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -50,6 +46,14 @@ class PipelineConfig:
     assign_roles: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple[str, ...]":
+                if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+                    raise ConfigError(f"{f.name} must be a list of strings, got {value!r}")
+                object.__setattr__(self, f.name, tuple(value))
+            elif not isinstance(value, _FIELD_TYPES[f.type]) or (f.type == "int" and isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in ("min_pubs", "n_workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -73,14 +77,13 @@ class PipelineConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(PipelineConfig)})
         if unknown:
             raise ConfigError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
-        if "metric_labels" in raw:
-            raw["metric_labels"] = tuple(raw["metric_labels"])
         return PipelineConfig(**raw)
 
 
 @dataclass
 class PipelineStats:
-    """Everything computed from one (possibly resampled) corpus."""
+    """Everything computed from one corpus, and the publication table its
+    bootstrap replicates reweight."""
 
     statistics: list[agr.AgreementStatistic]
     skips: list[agr.SkipEntry]
@@ -88,6 +91,7 @@ class PipelineStats:
     aggregates: list[InstitutionAggregate]
     flagged_records: dict[str, int]
     excluded_below_min_pubs: list[tuple[str, str]]
+    table: PublicationTable | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -102,87 +106,42 @@ class RunReport:
     timing: dict[str, float] = field(default_factory=dict)  # not serialized
 
 
-def build_series(corpus: Corpus, config: PipelineConfig) -> tuple[list[ScoreSeries], dict[str, int]]:
-    """Per-publication score series for the six standard labels.
-
-    Records flagged during indicator computation are dropped from every
-    series so downstream aggregation sees a consistent publication set.
-    """
-    baselines = compute_baselines(corpus)
-    table = build_indicator_table(corpus, baselines)
-    keep = sorted(table.ncs)
-    rev1 = {}
-    rev2 = {}
-    for rec in corpus.records:
-        if rec.pub_id in table.ncs:
-            rev1[rec.pub_id] = float(overall_score(rec.review_a))
-            rev2[rec.pub_id] = float(overall_score(rec.review_b))
-    series = [
-        ScoreSeries("reviewer1", rev1),
-        ScoreSeries("reviewer2", rev2),
-        ScoreSeries("ncs", {p: table.ncs[p] for p in keep}),
-        ScoreSeries("njs", {p: table.njs[p] for p in keep}),
-        ScoreSeries("citation_percentile", {p: table.citation_percentile[p] for p in keep}),
-        ScoreSeries("journal_percentile", {p: table.journal_percentile[p] for p in keep}),
-    ]
-    flag_counts: dict[str, int] = {}
-    for reason in table.flagged.values():
-        flag_counts[reason] = flag_counts.get(reason, 0) + 1
-    return series, flag_counts
-
-
 def compute_pipeline_stats(corpus: Corpus, config: PipelineConfig) -> PipelineStats:
-    """Reassignment, indicators, aggregation and agreement on one corpus."""
-    corpus, unredistributable = reassign_multidisciplinary(corpus, config.multidisciplinary_label)
-    series, flag_counts = build_series(corpus, config)
-    if unredistributable:
-        flag_counts["unredistributable_multidisciplinary"] = len(unredistributable)
-    aggregates, excluded = aggregate(corpus, series, config.min_pubs)
-    if excluded:
-        flag_counts["below_min_pubs"] = len(excluded)
-
-    by_series = {s.label: s.values for s in series}
-    pub_scores: dict[str, dict[str, dict[str, float]]] = {}
-    for rec in corpus.records:
-        if rec.pub_id not in by_series[config.baseline_label]:
-            continue
-        area = pub_scores.setdefault(rec.area_id, {label: {} for label in by_series})
-        for label, values in by_series.items():
-            area[label][rec.pub_id] = values[rec.pub_id]
-
-    result = agr.run_agreement(
-        aggregates, pub_scores, config.baseline_label, list(config.metric_labels)
-    )
+    """Reassignment, indicators, aggregation and agreement on one corpus,
+    coded once into a publication table."""
+    table = build_table(corpus, config.multidisciplinary_label)
+    result, aggregates, excluded, flagged = point_statistics(table, config)
     return PipelineStats(
         statistics=result.statistics,
         skips=result.skips,
         calibrations=result.calibrations,
         aggregates=aggregates,
-        flagged_records=flag_counts,
+        flagged_records=flagged,
         excluded_below_min_pubs=excluded,
+        table=table,
     )
 
 
 def statistic_values(corpus: Corpus, config: PipelineConfig) -> dict[StatKey, float]:
-    """Flat {(area, metric, level, view): value} view, used by the bootstrap."""
+    """Flat {(area, metric, level, view): value} view of the statistics."""
     return {s.key(): s.value for s in compute_pipeline_stats(corpus, config).statistics}
 
 
 def run_bootstrap(
-    corpus: Corpus, config: PipelineConfig, points: dict[StatKey, float] | None = None
+    corpus: Corpus, config: PipelineConfig, stats: PipelineStats | None = None
 ) -> list[BootstrapResult]:
     """Bootstrap intervals around the point statistics.
 
-    The corpus is coded once into a publication table, and each replicate
-    is a vector of copy counts over it (see table.py). points are the
-    statistic_values of the corpus; they are computed when not given.
+    Each replicate is a vector of copy counts over the publication table of
+    the point pass (see table.py). stats are the compute_pipeline_stats of
+    the corpus; they are computed when not given.
     """
-    if points is None:
-        points = statistic_values(corpus, config)
-    table = build_table(corpus, config.multidisciplinary_label)
+    if stats is None:
+        stats = compute_pipeline_stats(corpus, config)
+    points = {s.key(): s.value for s in stats.statistics}
     fn = functools.partial(table_statistics, config=config)
     return bootstrap_statistics(
-        table, fn, points, config.n_replicates, config.seed, config.n_workers
+        stats.table, fn, points, config.n_replicates, config.seed, config.n_workers
     )
 
 
@@ -210,8 +169,7 @@ def run(
     stats = timed("statistics", compute_pipeline_stats, corpus, config)
     boot: list[BootstrapResult] = []
     if config.bootstrap:
-        points = {s.key(): s.value for s in stats.statistics}
-        boot = timed("bootstrap", run_bootstrap, corpus, config, points)
+        boot = timed("bootstrap", run_bootstrap, corpus, config, stats)
     coverage: list[CoverageDiagnostic] = []
     if corpus.population_counts:
         coverage = timed("coverage", coverage_report, corpus, corpus.population_counts)

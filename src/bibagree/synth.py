@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, PublicationRecord, ReviewerScore
+from .indicators import percentile_normalize
 
 
 class SynthError(Exception):
@@ -188,23 +189,11 @@ def generate(config: SynthConfig) -> Corpus:
 
 def _attach_ext_percentiles(records: list[PublicationRecord]) -> list[PublicationRecord]:
     # Mid-rank percentiles of citations within area stand in for externally
-    # supplied metrics; journal percentile ranks the journal bin.
-    from dataclasses import replace
-
-    from scipy.stats import rankdata
-
-    out = list(records)
-    by_area: dict[str, list[int]] = {}
-    for idx, rec in enumerate(records):
-        by_area.setdefault(rec.area_id, []).append(idx)
-    for idxs in by_area.values():
-        n = len(idxs)
-        cit_ranks = rankdata([records[i].citations for i in idxs], method="average")
-        jou_ranks = rankdata([records[i].journal_id for i in idxs], method="average")
-        for i, rc, rj in zip(idxs, cit_ranks, jou_ranks):
-            out[i] = replace(
-                out[i],
-                ext_citation_percentile=float(100.0 * (rc - 0.5) / n),
-                ext_journal_percentile=float(100.0 * (rj - 0.5) / n),
-            )
-    return out
+    # supplied metrics; journal percentile ranks the journal id, which within
+    # an area sorts by journal bin.
+    area = {r.pub_id: r.area_id for r in records}
+    cit = percentile_normalize([(r.pub_id, r.citations) for r in records], area)
+    jou = percentile_normalize([(r.pub_id, r.journal_id) for r in records], area)
+    return [
+        replace(r, ext_citation_percentile=cit[r.pub_id], ext_journal_percentile=jou[r.pub_id]) for r in records
+    ]

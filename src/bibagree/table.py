@@ -1,37 +1,50 @@
-"""Integer-coded publication table and count-vector bootstrap replicates.
+"""Integer-coded publication table, from which the point statistics and the
+count-vector bootstrap replicates are computed.
 
-The stratified bootstrap resamples publications with replacement within each
-area, so a replicate is fully described by a vector of copy counts, one per
-publication: the frequency-weight form of the nonparametric bootstrap
-(Hanley & MacGibbon 2006). ``table_statistics`` computes from such a vector
-every statistic that ``pipeline.statistic_values`` computes from the
-materialised resample, without copying a record.
+A run codes the corpus once, after multidisciplinary reassignment, into a
+table with one row per publication. The stratified bootstrap resamples
+publications with replacement within each area, so a replicate is fully
+described by a vector of copy counts, one per publication: the
+frequency-weight form of the nonparametric bootstrap (Hanley & MacGibbon
+2006). The corpus itself is the vector of all ones. ``point_statistics``
+and ``table_statistics`` compute indicators, institution x area aggregates
+and agreement statistics from such a vector with numpy group-bys, without
+copying a record.
 
-Each sum runs over the copies in the order the materialised replicate holds
-them (ascending pub_id of the copies), with ``np.bincount``, which
-accumulates sequentially like the loops and ``sum()`` calls of the record
-path. Field-year baselines, NCS, NJS, unit means and fits are therefore
-bit-identical to the record path (on Python up to 3.11; from 3.12 ``sum()``
-compensates rounding), so exact ties between publications, which set
-mid-rank percentiles, and a predictor variance of exactly 0, which skips a
-fit, come out the same on both paths. Ranks and medians, which do not
-depend on order, are taken over the distinct publications, weighted by their
-copy counts.
+Each sum runs over the copies in the order a record-by-record computation
+sums them: ascending pub_id for the corpus itself, and for a replicate
+ascending pub_id of the copies, which a materialised replicate names
+"<pub_id>~<draw number>". ``np.bincount`` accumulates sequentially like a
+loop or ``sum()``, so field-year baselines, NCS, NJS, unit means and fits
+are bit-identical to that computation (on Python up to 3.11; from 3.12
+``sum()`` compensates rounding; ``tests/record_pipeline.py`` keeps it as
+the reference). Exact ties between publications, which set mid-rank
+percentiles, and a predictor variance of exactly 0, which skips a fit,
+therefore come out the same. Ranks and medians, which do not depend on
+order, are taken over the distinct publications, weighted by their copy
+counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .aggregation import InstitutionAggregate
 from .agreement import (
     LEVEL_INSTITUTION,
     LEVEL_PUBLICATION,
     VIEW_SIZE_DEPENDENT,
     VIEW_SIZE_INDEPENDENT,
-    ols_line,
+    AgreementResult,
+    AgreementStatistic,
+    CalibrationFit,
+    DegeneratePredictorError,
+    SkipEntry,
+    fit_line,
+    nonpositive_score,
 )
 from .corpus import Corpus, overall_score
 from .indicators import reassign_multidisciplinary
@@ -39,6 +52,15 @@ from .indicators import reassign_multidisciplinary
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
     from .resampling import StatKey
+
+SERIES_LABELS = (
+    "reviewer1",
+    "reviewer2",
+    "ncs",
+    "njs",
+    "citation_percentile",
+    "journal_percentile",
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +76,7 @@ class PublicationTable:
     area: np.ndarray  # row -> area code
     unit: np.ndarray  # row -> institution x area code, in (area, institution) order
     unit_area: np.ndarray  # unit code -> area code
+    unit_institution: tuple[str, ...]  # unit code -> institution_id
     journal_year: np.ndarray  # row -> journal x year code
     n_journal_years: int
     citations: np.ndarray
@@ -61,8 +84,9 @@ class PublicationTable:
     reviewer2: np.ndarray
     ext_citation_percentile: np.ndarray  # NaN where absent
     ext_journal_percentile: np.ndarray  # NaN where absent
-    # Rows in the order their copies take in a materialised replicate, where
-    # copy pub_ids are "<pub_id>~<draw number>".
+    # Rows in ascending pub_id order, the order of the point pass, and in the
+    # order their copies take in a materialised replicate.
+    pub_order: np.ndarray
     copy_order: np.ndarray
     # One entry per (row, field) of the category weights, rows ascending and
     # fields sorted within a row.
@@ -70,65 +94,82 @@ class PublicationTable:
     entry_cell: np.ndarray  # (field, year) cell code
     entry_weight: np.ndarray
     entry_cited: np.ndarray  # weight times the row's citations
+    pub_entries: np.ndarray  # entry indices, rows in pub_id order
     copy_entries: np.ndarray  # entry indices, rows in copy order
     n_cells: int
+    n_unredistributable: int  # multidisciplinary records without a reference profile
 
 
-def _codes(keys) -> dict:
-    return {k: i for i, k in enumerate(sorted(set(keys)))}
+def _codes(values: list) -> tuple[list, np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    distinct = sorted(set(values))
+    code = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _pair_codes(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of the (first, second) code pairs in sorted order: each pair
+    code's first and second code, and each row's pair code."""
+    n = int(second.max(initial=-1)) + 1
+    pairs, codes = np.unique(first * n + second, return_inverse=True)
+    return pairs // n, pairs % n, codes.reshape(-1)
 
 
 def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTable:
     """Integer-code the corpus after multidisciplinary reassignment."""
-    corpus, _ = reassign_multidisciplinary(corpus, multidisciplinary_label)
-    records = sorted(corpus.records, key=lambda r: (r.area_id, r.pub_id))
-    area_code = _codes(r.area_id for r in records)
-    unit_code = _codes((r.area_id, r.institution_id) for r in records)
-    jy_code = _codes((r.journal_id, r.year) for r in records)
-    cell_code = _codes((f, r.year) for r in records for f in r.category_weights)
+    corpus, unredistributable = reassign_multidisciplinary(corpus, multidisciplinary_label)
+    area_ids, area = _codes([r.area_id for r in corpus.records])
+    pub_ids = np.array([r.pub_id for r in corpus.records], dtype=str)
+    rows = np.lexsort((pub_ids, area))
+    records = [corpus.records[i] for i in rows]
+    area, pub_ids = area[rows], pub_ids[rows]
+    institution_ids, institution = _codes([r.institution_id for r in records])
+    unit_area, unit_institution, unit = _pair_codes(area, institution)
+    year = _codes([r.year for r in records])[1]
+    journal_year = _pair_codes(_codes([r.journal_id for r in records])[1], year)[2]
+    citations = np.array([r.citations for r in records], dtype=float)
 
-    entry_row: list[int] = []
-    entry_cell: list[int] = []
-    entry_weight: list[float] = []
-    entry_cited: list[float] = []
-    for row, rec in enumerate(records):
-        for field_label, w in sorted(rec.category_weights.items()):
-            entry_row.append(row)
-            entry_cell.append(cell_code[(field_label, rec.year)])
-            entry_weight.append(w)
-            entry_cited.append(w * rec.citations)
-    entry_row_arr = np.array(entry_row, dtype=np.intp)
-    copy_order = np.array(sorted(range(len(records)), key=lambda i: records[i].pub_id + "~"), dtype=np.intp)
-    position = np.empty(len(records), dtype=np.intp)
-    position[copy_order] = np.arange(len(records))
+    # Category weight entries, fields sorted within a record. Flat lists
+    # only: a list per record would keep tens of thousands of containers
+    # alive and set off full garbage collections.
+    entry_row = np.repeat(np.arange(len(records)), [len(r.category_weights) for r in records])
+    entry_field = _codes([f for r in records for f in sorted(r.category_weights)])[1]
+    entry_weight = np.array([r.category_weights[f] for r in records for f in sorted(r.category_weights)], dtype=float)
+    cell = _pair_codes(entry_field, year[entry_row])[2]
 
-    def floats(values) -> np.ndarray:
-        return np.array([np.nan if v is None else float(v) for v in values], dtype=float)
+    def order_by(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows by ascending ids, and the entries in that row order."""
+        order = np.argsort(ids, kind="stable")
+        position = np.empty(len(records), dtype=np.intp)
+        position[order] = np.arange(len(records))
+        return order, np.argsort(position[entry_row], kind="stable")
 
-    area = np.array([area_code[r.area_id] for r in records], dtype=np.intp)
-    unit_area = np.empty(len(unit_code), dtype=np.intp)
-    for (area_id, _), code in unit_code.items():
-        unit_area[code] = area_code[area_id]
+    pub_order, pub_entries = order_by(pub_ids)
+    copy_order, copy_entries = order_by(np.char.add(pub_ids, "~"))
     return PublicationTable(
-        area_ids=tuple(area_code),
-        area_sizes=tuple(int(n) for n in np.bincount(area, minlength=len(area_code))),
+        area_ids=tuple(area_ids),
+        area_sizes=tuple(np.bincount(area, minlength=len(area_ids)).tolist()),
         area=area,
-        unit=np.array([unit_code[(r.area_id, r.institution_id)] for r in records], dtype=np.intp),
+        unit=unit,
         unit_area=unit_area,
-        journal_year=np.array([jy_code[(r.journal_id, r.year)] for r in records], dtype=np.intp),
-        n_journal_years=len(jy_code),
-        citations=floats(r.citations for r in records),
-        reviewer1=floats(overall_score(r.review_a) for r in records),
-        reviewer2=floats(overall_score(r.review_b) for r in records),
-        ext_citation_percentile=floats(r.ext_citation_percentile for r in records),
-        ext_journal_percentile=floats(r.ext_journal_percentile for r in records),
+        unit_institution=tuple(institution_ids[i] for i in unit_institution),
+        journal_year=journal_year,
+        n_journal_years=int(journal_year.max(initial=-1)) + 1,
+        citations=citations,
+        reviewer1=np.array([overall_score(r.review_a) for r in records], dtype=float),
+        reviewer2=np.array([overall_score(r.review_b) for r in records], dtype=float),
+        ext_citation_percentile=np.array([r.ext_citation_percentile for r in records], dtype=float),
+        ext_journal_percentile=np.array([r.ext_journal_percentile for r in records], dtype=float),
+        pub_order=pub_order,
         copy_order=copy_order,
-        entry_row=entry_row_arr,
-        entry_cell=np.array(entry_cell, dtype=np.intp),
-        entry_weight=np.array(entry_weight, dtype=float),
-        entry_cited=np.array(entry_cited, dtype=float),
-        copy_entries=np.argsort(position[entry_row_arr], kind="stable"),
-        n_cells=len(cell_code),
+        entry_row=entry_row,
+        entry_cell=cell,
+        entry_weight=entry_weight,
+        entry_cited=entry_weight * citations[entry_row],
+        pub_entries=pub_entries,
+        copy_entries=copy_entries,
+        n_cells=int(cell.max(initial=-1)) + 1,
+        n_unredistributable=len(unredistributable),
     )
 
 
@@ -170,29 +211,37 @@ def _weighted_median(values: np.ndarray, counts: np.ndarray) -> float:
     return float(v[lo]) if lo == hi else float((v[lo] + v[hi]) / 2)
 
 
-def table_statistics(
-    table: PublicationTable, counts: np.ndarray, config: "PipelineConfig"
-) -> "dict[StatKey, float]":
-    """Every agreement statistic of the replicate holding counts[row] copies
-    of each row, keyed (area, metric, level, view).
 
-    A statistic whose fit is degenerate (fewer than 3 points or a predictor
-    variance of exactly 0), or whose MAPD meets a nonpositive observed score,
-    is left out, as the record path skips it.
-    """
+
+class _Scores(NamedTuple):
+    keep: np.ndarray  # rows with copies and a baseline on every cell they map to
+    kept: np.ndarray  # copies of kept rows, in summation order
+    series: dict[str, np.ndarray]  # series label -> score per row
+    unit_copies: np.ndarray  # kept copies per unit
+    unit_total: dict[str, np.ndarray]  # series label -> score summed per unit
+    entry_undefined: np.ndarray  # the entry's cell has no positive weight mass
+    entry_zero: np.ndarray  # the entry's cell has mean citations 0
+
+
+def _scores(table: PublicationTable, counts: np.ndarray, order: np.ndarray, entries: np.ndarray) -> _Scores:
+    """Scores of the corpus holding counts[row] copies of each row, summed
+    over the copies in the given order of rows and of their entries."""
     n_rows = len(counts)
-    copies = np.repeat(table.copy_order, counts[table.copy_order])
-    entries = np.repeat(table.copy_entries, counts[table.entry_row[table.copy_entries]])
+    copies = np.repeat(order, counts[order])
+    entries = np.repeat(entries, counts[table.entry_row[entries]])
 
-    # Field-year baselines and NCS; a row on a zero-mean cell is flagged.
+    # Field-year baselines and NCS; a row on a cell without a baseline, or
+    # on a zero-mean cell, is flagged.
     cells = table.entry_cell[entries]
     mass = np.bincount(cells, weights=table.entry_weight[entries], minlength=table.n_cells)
     cited = np.bincount(cells, weights=table.entry_cited[entries], minlength=table.n_cells)
     with np.errstate(divide="ignore", invalid="ignore"):
         entry_mean = (cited / mass)[table.entry_cell]
         ratio = table.citations[table.entry_row] / entry_mean
-    zero_cell = np.bincount(table.entry_row, weights=entry_mean == 0.0, minlength=n_rows)
-    keep = (counts > 0) & (zero_cell == 0)
+    entry_undefined = (mass <= 0)[table.entry_cell]
+    entry_zero = entry_mean == 0.0
+    bad = np.bincount(table.entry_row, weights=entry_undefined | entry_zero, minlength=n_rows)
+    keep = (counts > 0) & (bad == 0)
     kept = copies[keep[copies]]
     w = np.where(keep, counts, 0)
     ncs = np.where(keep, np.bincount(table.entry_row, weights=table.entry_weight * ratio, minlength=n_rows), 0.0)
@@ -210,47 +259,137 @@ def table_statistics(
     else:
         cit_pct = _midrank_percentiles(table.area, ncs, w)
         jou_pct = _midrank_percentiles(table.area, njs, w)
-    series = {
-        "reviewer1": table.reviewer1,
-        "reviewer2": table.reviewer2,
-        "ncs": ncs,
-        "njs": njs,
-        "citation_percentile": cit_pct,
-        "journal_percentile": jou_pct,
-    }
+    series = dict(zip(SERIES_LABELS, (table.reviewer1, table.reviewer2, ncs, njs, cit_pct, jou_pct)))
 
-    # Institution x area units with at least min_pubs copies.
     n_units = len(table.unit_area)
     kept_unit = table.unit[kept]
-    unit_copies = np.bincount(kept_unit, minlength=n_units)
+    return _Scores(
+        keep=keep,
+        kept=kept,
+        series=series,
+        unit_copies=np.bincount(kept_unit, minlength=n_units),
+        unit_total={
+            label: np.bincount(kept_unit, weights=values[kept], minlength=n_units) for label, values in series.items()
+        },
+        entry_undefined=entry_undefined,
+        entry_zero=entry_zero,
+    )
+
+
+def _agreement(table: PublicationTable, scores: _Scores, counts: np.ndarray, config: "PipelineConfig") -> AgreementResult:
+    """MAD and MAPD per (area, metric) at both levels, in the order and
+    with the skip reasons of agreement.run_agreement.
+
+    Institutions count as units when they have at least min_pubs copies; a
+    replicate's copies of one publication count once each at the
+    publication level.
+    """
+    result = AgreementResult(statistics=[], calibrations=[], skips=[])
+
+    def fit(x, y, level) -> CalibrationFit | None:
+        try:
+            line = fit_line(x, y, area_id, metric)
+        except DegeneratePredictorError as exc:
+            result.skips.append(SkipEntry(area_id, metric, level, str(exc)))
+            return None
+        result.calibrations.append(line)
+        return line
+
+    def add(level, view, value, n_units) -> None:
+        result.statistics.append(AgreementStatistic(area_id, metric, level, view, value, n_units))
+
     with np.errstate(divide="ignore", invalid="ignore"):
         unit_mean = {
-            label: np.bincount(kept_unit, weights=series[label][kept], minlength=n_units) / unit_copies
+            label: scores.unit_total[label] / scores.unit_copies
             for label in (config.baseline_label, *config.metric_labels)
         }
-    unit_ok = unit_copies >= config.min_pubs
-
-    out: dict[StatKey, float] = {}
-    kept_area = table.area[kept]
+    unit_ok = scores.unit_copies >= config.min_pubs
+    kept_area = table.area[scores.kept]
+    y_pub = scores.series[config.baseline_label]
     for a, area_id in enumerate(table.area_ids):
-        area_copies = kept[kept_area == a]
+        area_copies = scores.kept[kept_area == a]
         if not len(area_copies):
             continue
         units = np.flatnonzero(unit_ok & (table.unit_area == a))
+        rows = np.flatnonzero(scores.keep & (table.area == a))
         y_unit = unit_mean[config.baseline_label][units]
-        rows = np.flatnonzero(keep & (table.area == a))
-        y_pub = series[config.baseline_label]
+        nonpositive = y_unit[y_unit <= 0]
         for metric in config.metric_labels:
             x_unit = unit_mean[metric][units]
-            line = ols_line(x_unit, y_unit) if len(units) >= 3 else None
+            line = fit(x_unit, y_unit, LEVEL_INSTITUTION)
             if line is not None:
-                dev = np.abs(y_unit - (line[0] + line[1] * x_unit))
-                out[(area_id, metric, LEVEL_INSTITUTION, VIEW_SIZE_INDEPENDENT)] = float(np.median(dev))
-                if (y_unit > 0).all():
-                    out[(area_id, metric, LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT)] = float(100.0 * np.median(dev / y_unit))
-            x_pub = series[metric]
-            line = ols_line(x_pub[area_copies], y_pub[area_copies]) if len(area_copies) >= 3 else None
+                dev = np.abs(y_unit - line.predict(x_unit))
+                add(LEVEL_INSTITUTION, VIEW_SIZE_INDEPENDENT, float(np.median(dev)), len(units))
+                if len(nonpositive):
+                    result.skips.append(
+                        SkipEntry(area_id, metric, LEVEL_INSTITUTION, nonpositive_score(float(nonpositive[0])))
+                    )
+                else:
+                    add(LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT, float(100.0 * np.median(dev / y_unit)), len(units))
+            x_pub = scores.series[metric]
+            line = fit(x_pub[area_copies], y_pub[area_copies], LEVEL_PUBLICATION)
             if line is not None:
-                dev = np.abs(y_pub[rows] - (line[0] + line[1] * x_pub[rows]))
-                out[(area_id, metric, LEVEL_PUBLICATION, VIEW_SIZE_INDEPENDENT)] = _weighted_median(dev, counts[rows])
-    return out
+                dev = np.abs(y_pub[rows] - line.predict(x_pub[rows]))
+                add(LEVEL_PUBLICATION, VIEW_SIZE_INDEPENDENT, _weighted_median(dev, counts[rows]), len(area_copies))
+    return result
+
+
+def table_statistics(
+    table: PublicationTable, counts: np.ndarray, config: "PipelineConfig"
+) -> "dict[StatKey, float]":
+    """Every agreement statistic of the replicate holding counts[row] copies
+    of each row, keyed (area, metric, level, view); a skipped statistic is
+    left out."""
+    scores = _scores(table, counts, table.copy_order, table.copy_entries)
+    return {s.key(): s.value for s in _agreement(table, scores, counts, config).statistics}
+
+
+def point_statistics(
+    table: PublicationTable, config: "PipelineConfig"
+) -> tuple[AgreementResult, list[InstitutionAggregate], list[tuple[str, str]], dict[str, int]]:
+    """The statistics of the corpus itself, summed in ascending pub_id order.
+
+    Returns the agreement result; the institution x area aggregates of
+    every series, in (institution, area) order; the (institution, area)
+    pairs with fewer than min_pubs unflagged publications; and the number
+    of flagged records by reason.
+    """
+    ones = np.ones(len(table.area), dtype=np.intp)
+    scores = _scores(table, ones, table.pub_order, table.pub_entries)
+    result = _agreement(table, scores, ones, config)
+
+    aggregates: list[InstitutionAggregate] = []
+    excluded: list[tuple[str, str]] = []
+    copies = scores.unit_copies.tolist()
+    totals = {label: t.tolist() for label, t in scores.unit_total.items()}
+    units = sorted(
+        (table.unit_institution[u], table.area_ids[table.unit_area[u]], u) for u in np.flatnonzero(scores.unit_copies)
+    )
+    for institution_id, area_id, u in units:
+        n = copies[u]
+        if n < config.min_pubs:
+            excluded.append((institution_id, area_id))
+            continue
+        total = {label: t[u] for label, t in totals.items()}
+        aggregates.append(
+            InstitutionAggregate(
+                institution_id=institution_id,
+                area_id=area_id,
+                pub_count=n,
+                mean_score={label: t / n for label, t in total.items()},
+                total_score=total,
+            )
+        )
+
+    # A record is flagged for the first of its sorted fields whose cell has
+    # no baseline or a zero mean, as indicators.compute_ncs raises.
+    bad = np.flatnonzero(scores.entry_undefined | scores.entry_zero)
+    _, first = np.unique(table.entry_row[bad], return_index=True)
+    n_undefined = int(scores.entry_undefined[bad[first]].sum())
+    flagged = {
+        "zero_mean_cell": len(first) - n_undefined,
+        "undefined_baseline": n_undefined,
+        "unredistributable_multidisciplinary": table.n_unredistributable,
+        "below_min_pubs": len(excluded),
+    }
+    return result, aggregates, excluded, {reason: n for reason, n in flagged.items() if n}

@@ -166,8 +166,17 @@ def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
         (["--min-pubs", "0"], None, "min_pubs"),
         ([], {"baseline_label": "reviewer3"}, "reviewer3"),
         ([], {"metric_labels": ["ncs", "h_index"]}, "h_index"),
+        ([], {"bootstrap": "false"}, "bootstrap"),
+        ([], {"n_replicates": 2.5}, "n_replicates"),
+        ([], {"seed": "x"}, "seed"),
+        ([], {"seed": True}, "seed"),
+        ([], {"n_workers": 1.5}, "n_workers"),
+        ([], {"metric_labels": "ncs"}, "metric_labels"),
     ],
-    ids=["unknown-key", "replicates", "workers", "min-pubs", "baseline-label", "metric-label"],
+    ids=[
+        "unknown-key", "replicates", "workers", "min-pubs", "baseline-label", "metric-label",
+        "bootstrap-string", "replicates-float", "seed-string", "seed-bool", "workers-float", "metric-labels-string",
+    ],
 )
 def test_invalid_config_fails_before_load(tmp_path, capsys, extra, config, named):
     # The corpus does not exist: a config checked only after load would

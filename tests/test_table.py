@@ -1,17 +1,23 @@
-"""Count-vector bootstrap: the publication table against the materialised resample."""
+"""The publication table against the record-by-record point pass, on the
+corpus itself and on materialised bootstrap replicates."""
 
 import json
+import sys
 from dataclasses import asdict, replace
 
+import bibagree.indicators
+import bibagree.table
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibagree import Corpus, PublicationRecord, ReviewerScore, SynthConfig, generate, run_bootstrap
-from bibagree.agreement import LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT, VIEW_SIZE_INDEPENDENT
-from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, statistic_values
+from bibagree import Corpus, PublicationRecord, ReviewerScore, SynthConfig, generate, run_bootstrap, save_corpus
+from bibagree.agreement import LEVEL_INSTITUTION, LEVEL_PUBLICATION, VIEW_SIZE_DEPENDENT, VIEW_SIZE_INDEPENDENT
+from bibagree.indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
+from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, run
 from bibagree.resampling import resample_within_areas, replicate_counts
 from bibagree.table import build_table, table_statistics
+from record_pipeline import record_pipeline_stats, record_statistic_values
 
 METRICS_R1 = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
 METRICS_NCS = ("reviewer1", "reviewer2", "njs", "citation_percentile", "journal_percentile")
@@ -111,7 +117,7 @@ def test_replicate_counts_match_materialised_replicates(corpus, config):
             origin = rec.pub_id.split("~")[0]
             copies[origin] = copies.get(origin, 0) + 1
         assert [copies.get(r.pub_id, 0) for r in order] == counts.tolist()
-        assert_same_statistics(table_statistics(table, counts, config), statistic_values(resampled, config))
+        assert_same_statistics(table_statistics(table, counts, config), record_statistic_values(resampled, config))
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,7 +127,38 @@ def test_all_ones_counts_give_point_statistics(corpus, config):
     # order; with fixed-width ids the two orders coincide.
     table = build_table(corpus, config.multidisciplinary_label)
     ones = np.ones(len(corpus.records), dtype=np.int64)
-    assert_same_statistics(table_statistics(table, ones, config), statistic_values(corpus, config))
+    assert_same_statistics(table_statistics(table, ones, config), record_statistic_values(corpus, config))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(), CONFIGS)
+def test_point_pass_equals_record_pipeline_exactly(corpus, config):
+    # Statistics, skips, calibrations, aggregates, flag counts and
+    # exclusions, compared with ==, on ids like P1 and P10 too.
+    assert compute_pipeline_stats(corpus, config) == record_pipeline_stats(corpus, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), CONFIGS)
+def test_every_missing_statistic_has_a_skip_reason(corpus, config):
+    stats = compute_pipeline_stats(corpus, config)
+    reassigned, _ = reassign_multidisciplinary(corpus, config.multidisciplinary_label)
+    unflagged = build_indicator_table(reassigned, compute_baselines(reassigned)).ncs
+    areas = {r.area_id for r in corpus.records if r.pub_id in unflagged}
+    present = {s.key() for s in stats.statistics}
+    skipped = {(s.area_id, s.metric_label, s.level) for s in stats.skips}
+    views = [
+        (LEVEL_INSTITUTION, VIEW_SIZE_INDEPENDENT),
+        (LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT),
+        (LEVEL_PUBLICATION, VIEW_SIZE_INDEPENDENT),
+    ]
+    for area in areas:
+        for metric in config.metric_labels:
+            for level, view in views:
+                key = (area, metric, level, view)
+                assert key in present or key[:3] in skipped, key
+    assert {key[0] for key in present} <= areas
+    assert {key[0] for key in skipped} <= areas
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,3 +192,22 @@ def test_nonpositive_observed_score_is_skipped_on_both_paths():
     table = build_table(corpus, config.multidisciplinary_label)
     assert table_statistics(table, np.ones(len(corpus.records), dtype=np.int64), config).keys() == keys
     assert {b.key() for b in run_bootstrap(corpus, config)} <= keys
+
+
+def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
+    calls = {"build_table": 0, "reassign_multidisciplinary": 0}
+    for module, name in ((bibagree.table, "build_table"), (bibagree.indicators, "reassign_multidisciplinary")):
+        original = getattr(module, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("bibagree")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    corpus_path = tmp_path / "corpus.csv"
+    save_corpus(generate(SynthConfig(seed=7, multidisciplinary_share=0.2)), corpus_path)
+    run(corpus_path, tmp_path / "out", PipelineConfig(seed=7, n_replicates=3))
+    assert calls == {"build_table": 1, "reassign_multidisciplinary": 1}
