@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import pipeline
 from .corpus import CorpusError, SchemaOptions, load_corpus, save_corpus
-from .resampling import stratified_sample
+from .resampling import ResamplingError, check_fraction, stratified_sample
 from .synth import SynthConfig, SynthError, generate
 
 EXIT_OK = 0
@@ -77,6 +77,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    check_fraction(args.fraction)
     corpus = load_corpus(args.corpus, _schema_options(args))
     sample, skipped = stratified_sample(corpus, args.fraction, args.seed or 0)
     save_corpus(sample, Path(args.out))
@@ -140,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, SynthError, pipeline.ConfigError) as exc:
+    except (CorpusError, SynthError, ResamplingError, pipeline.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

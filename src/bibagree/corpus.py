@@ -30,6 +30,10 @@ CSV_COLUMNS = [
 ]
 
 
+_CRITERIA = ("originality", "rigour", "impact")
+_SCORE_COLUMNS = {prefix: tuple(f"{prefix}_{c}" for c in _CRITERIA) for prefix in ("rev_a", "rev_b")}
+
+
 class CorpusError(Exception):
     """Base class for corpus loading and validation problems."""
 
@@ -132,17 +136,15 @@ def _format_weights(weights: dict[str, float]) -> str:
 
 
 def _parse_score(row: dict, prefix: str, where: str) -> ReviewerScore | None:
-    vals = [row.get(f"{prefix}_{c}", "") for c in ("originality", "rigour", "impact")]
-    vals = ["" if v is None else str(v).strip() for v in vals]
-    if all(v == "" for v in vals):
+    vals = [(row.get(col) or "").strip() for col in _SCORE_COLUMNS[prefix]]
+    if not any(vals):
         return None
-    if any(v == "" for v in vals):
+    if not all(vals):
         raise CorpusParseError(f"{where}: incomplete reviewer score for {prefix}")
     try:
-        o, r, i = (int(v) for v in vals)
+        return ReviewerScore(*map(int, vals))
     except ValueError as exc:
         raise CorpusParseError(f"{where}: non-integer criterion score") from exc
-    return ReviewerScore(o, r, i)
 
 
 def _opt_float(value, where: str) -> float | None:
@@ -176,7 +178,7 @@ def validate_record(rec: PublicationRecord, options: SchemaOptions, census_year:
     for name, score in (("review_a", rec.review_a), ("review_b", rec.review_b)):
         if score is None:
             continue
-        for crit in ("originality", "rigour", "impact"):
+        for crit in _CRITERIA:
             v = getattr(score, crit)
             if not (1 <= v <= 10):
                 raise CorpusValidationError(f"{tag}: {name}.{crit}={v} outside 1..10")
@@ -212,10 +214,9 @@ def _record_from_row(row: dict, where: str) -> PublicationRecord:
 
 
 def _record_from_json(obj: dict, where: str) -> PublicationRecord:
-    def integral(key):
-        value = obj[key]
-        if isinstance(value, float) and not value.is_integer():
-            raise CorpusParseError(f"{where}: non-integral {key} {value!r}")
+    def integral(value, name):
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise CorpusParseError(f"{where}: non-integral {name} {value!r}")
         return int(value)
 
     def score(key):
@@ -223,7 +224,7 @@ def _record_from_json(obj: dict, where: str) -> PublicationRecord:
         if sub is None:
             return None
         try:
-            return ReviewerScore(int(sub["originality"]), int(sub["rigour"]), int(sub["impact"]))
+            return ReviewerScore(*(integral(sub[c], f"{key}.{c}") for c in _CRITERIA))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusParseError(f"{where}: bad {key} object") from exc
 
@@ -235,8 +236,8 @@ def _record_from_json(obj: dict, where: str) -> PublicationRecord:
             pub_id=str(obj["pub_id"]),
             institution_id=str(obj["institution_id"]),
             area_id=str(obj["area_id"]),
-            year=integral("year"),
-            citations=integral("citations"),
+            year=integral(obj["year"], "year"),
+            citations=integral(obj["citations"], "citations"),
             journal_id=str(obj["journal_id"]),
             category_weights=weights,
             ref_category_weights=refs,

@@ -7,9 +7,8 @@ mid-rank percentiles with mean-rank ties.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-
-from scipy.stats import rankdata
 
 from .corpus import Corpus, PublicationRecord
 
@@ -137,10 +136,10 @@ def percentile_normalize(
     out: dict[str, float] = {}
     for members in by_group.values():
         members = sorted(members)  # stable pub_id order under ties
-        ranks = rankdata([v for _, v in members], method="average")
-        n = len(members)
-        for (pub_id, _), r in zip(members, ranks):
-            out[pub_id] = float(100.0 * (r - 0.5) / n)
+        ordered = sorted(v for _, v in members)
+        for pub_id, v in members:
+            r = (bisect_left(ordered, v) + bisect_right(ordered, v) + 1) / 2  # mean of the tied 1-based ranks
+            out[pub_id] = 100.0 * (r - 0.5) / len(ordered)
     return out
 
 

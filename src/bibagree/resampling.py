@@ -195,14 +195,19 @@ def _area_stream(seed: int, area_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, int.from_bytes(digest[:4], "big")])
 
 
+def check_fraction(fraction: float) -> None:
+    """Raise ResamplingError unless 0 < fraction <= 1."""
+    if not (0.0 < fraction <= 1.0):
+        raise ResamplingError(f"fraction {fraction} outside (0,1]")
+
+
 def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, list[str]]:
     """Draw round(fraction * n) publications per area, without replacement.
 
     Seeded per area by (seed, hash(area)), so the draw is independent of
     record order. Returns the sample and any skipped (empty) strata.
     """
-    if not (0.0 < fraction <= 1.0):
-        raise ResamplingError(f"fraction {fraction} outside (0,1]")
+    check_fraction(fraction)
     by_area: dict[str, list[PublicationRecord]] = {}
     for rec in sorted(corpus.records, key=lambda r: r.pub_id):
         by_area.setdefault(rec.area_id, []).append(rec)

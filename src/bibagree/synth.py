@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +49,16 @@ class SynthConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "SynthConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "pubs_per_institution" in raw and isinstance(raw["pubs_per_institution"], dict):
-            raw["pubs_per_institution"] = PubCountSpec(**raw["pubs_per_institution"])
-        return SynthConfig(**raw)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SynthError(f"{path}: invalid JSON: {exc}") from exc
+        if isinstance(raw, dict) and "pubs_per_institution" in raw:
+            raw["pubs_per_institution"] = _from_json(
+                PubCountSpec, raw["pubs_per_institution"], f"{path}: pubs_per_institution"
+            )
+        return _from_json(SynthConfig, raw, str(path))
 
     def validate(self) -> None:
         if self.n_institutions < 1 or self.n_areas < 1 or self.n_fields_per_area < 1:
@@ -66,6 +71,16 @@ class SynthConfig:
             raise SynthError("metric_quality_correlation must lie in [0,1]")
         if self.year_min > self.year_max or self.year_max > self.census_year:
             raise SynthError("assessment window must fit below the census year")
+
+
+def _from_json(cls, raw, where: str):
+    """Build a config dataclass from a decoded JSON object, naming unknown keys."""
+    if not isinstance(raw, dict):
+        raise SynthError(f"{where}: expected a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SynthError(f"{where}: unknown config key(s) {', '.join(map(repr, unknown))}")
+    return cls(**raw)
 
 
 def _normal_cdf(z: float) -> float:

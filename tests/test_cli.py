@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bibagree
 from bibagree.cli import main
 
 CORPUS_HEADER = (
@@ -190,3 +195,51 @@ def test_invalid_config_fails_before_load(tmp_path, capsys, extra, config, named
     err = capsys.readouterr().err
     assert named in err
     assert "[load]" not in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"seeed": 1}', "seeed"),
+        ('{"pubs_per_institution": {"kind": "constant", "vaule": 3}}', "vaule"),
+        ('{"pubs_per_institution": 5}', "pubs_per_institution"),
+        ('{"seed": 1', "invalid JSON"),
+        ("[1]", "expected a JSON object"),
+    ],
+    ids=["unknown-key", "unknown-pubs-key", "pubs-not-object", "invalid-json", "not-object"],
+)
+def test_generate_invalid_config_is_validation_failure(tmp_path, capsys, text, named):
+    path = tmp_path / "synth.json"
+    path.write_text(text)
+    out = tmp_path / "corpus.csv"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "0", "-0.1", "nan"])
+def test_sample_bad_fraction_fails_before_load(tmp_path, capsys, fraction):
+    # The corpus does not exist: a fraction checked only after load would
+    # report the load failure instead.
+    args = ["sample", "--corpus", str(tmp_path / "missing.csv"), "--fraction", fraction,
+            "--out", str(tmp_path / "sub.csv")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"fraction {float(fraction)}" in err
+    assert "not found" not in err
+
+
+def test_run_does_not_import_scipy(tmp_path):
+    # numpy is the only runtime dependency; a fresh process shows what a CLI call imports.
+    code = f"""
+import sys
+import bibagree, bibagree.cli, bibagree.synth
+from bibagree import PipelineConfig, SynthConfig, generate, pipeline, save_corpus
+save_corpus(generate(SynthConfig(n_institutions=8, seed=3, with_ext_percentiles=True)), {str(tmp_path / "c.csv")!r})
+pipeline.run({str(tmp_path / "c.csv")!r}, {str(tmp_path / "out")!r}, PipelineConfig(n_replicates=3))
+assert "scipy" not in sys.modules
+"""
+    src = str(Path(bibagree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    assert (tmp_path / "out" / "report.json").exists()

@@ -163,13 +163,25 @@ def test_missing_review_rejected(small_corpus):
         assign_reviewer_roles(corpus, seed=0)
 
 
-@pytest.mark.parametrize("field", ["year", "citations"])
-def test_jsonl_non_integral_number_rejected(tmp_path, field):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("year", 2012.7),
+        ("citations", 3.7),
+        ("year", True),
+        ("citations", True),
+        ("review_a.originality", 7.5),
+        ("review_b.impact", False),
+    ],
+    ids=["year", "citations", "year-bool", "citations-bool", "score-float", "score-bool"],
+)
+def test_jsonl_non_integral_number_rejected(tmp_path, field, value):
     path = tmp_path / "corpus.jsonl"
     save_corpus(generate(SynthConfig(n_institutions=2, seed=5)), path)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
-    obj[field] += 0.7
+    *outer, key = field.split(".")
+    (obj[outer[0]] if outer else obj)[key] = value
     lines[1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusParseError, match=f"line 2: non-integral {field}"):

@@ -211,6 +211,18 @@ class TestPercentiles:
         for (p, _), e in zip(vals, expected):
             assert out[p] == pytest.approx(e, abs=1e-12)
 
+    def test_string_ties_across_groups_match_oracle(self):
+        # synth ranks journal ids within each area this way.
+        rng = random.Random(7)
+        vals = [(f"p{i}", f"AREA{rng.randint(0, 2):02d}-J{rng.randint(0, 4)}") for i in range(90)]
+        grouping = {p: v.split("-")[0] for p, v in vals}
+        out = percentile_normalize(vals, grouping)
+        expected = {}
+        for area in set(grouping.values()):
+            members = [(p, v) for p, v in vals if grouping[p] == area]
+            expected.update(zip((p for p, _ in members), oracle_percentiles([v for _, v in members])))
+        assert out == expected
+
     def test_invariant_under_monotone_transform(self):
         rng = random.Random(6)
         vals = [(f"p{i}", rng.uniform(-5, 5)) for i in range(30)]
