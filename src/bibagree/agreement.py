@@ -18,6 +18,7 @@ LEVEL_INSTITUTION = "institution"
 LEVEL_PUBLICATION = "publication"
 VIEW_SIZE_INDEPENDENT = "size_independent"
 VIEW_SIZE_DEPENDENT = "size_dependent"
+MIN_POINTS = 3  # fewest points a calibration line is fitted to
 
 
 class AgreementError(Exception):
@@ -68,23 +69,42 @@ class AgreementResult:
     skips: list[SkipEntry]
 
 
+def fit_lines(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form least squares of y on each row of x: slope =
+    cov(x,y)/var(x), intercept = ybar - slope*xbar.
+
+    Returns the intercepts, slopes and predictor variances per row. A row
+    with variance 0 has no line; its slope is 0 and its intercept ybar.
+    """
+    # A row mean sums pairwise only along contiguous rows; a Fortran-ordered
+    # x would sum sequentially and round differently from a single row.
+    x = np.ascontiguousarray(x)
+    xbar = x.mean(axis=1)
+    dx = x - xbar[:, None]
+    var = (dx**2).mean(axis=1)
+    ybar = y.mean()
+    slope = np.divide((dx * (y - ybar)).mean(axis=1), var, out=np.zeros_like(var), where=var != 0.0)
+    return ybar - slope * xbar, slope, var
+
+
+def too_few_points(area_id: str, metric_label: str, n_points: int) -> str:
+    """Why no line is fitted to fewer than MIN_POINTS points."""
+    return f"{area_id}/{metric_label}: {n_points} points, need >= {MIN_POINTS}"
+
+
+def zero_variance(area_id: str, metric_label: str) -> str:
+    """Why no line is fitted to a predictor of variance 0."""
+    return f"{area_id}/{metric_label}: zero predictor variance"
+
+
 def fit_line(x: np.ndarray, y: np.ndarray, area_id: str, metric_label: str) -> CalibrationFit:
-    """Closed-form least squares of y on x: slope = cov(x,y)/var(x),
-    intercept = ybar - slope*xbar."""
-    if len(x) < 3:
-        raise DegeneratePredictorError(f"{area_id}/{metric_label}: {len(x)} points, need >= 3")
-    xbar = x.mean()
-    var = float(((x - xbar) ** 2).mean())
+    """fit_lines for a single predictor x."""
+    if len(x) < MIN_POINTS:
+        raise DegeneratePredictorError(too_few_points(area_id, metric_label, len(x)))
+    (intercept,), (slope,), (var,) = fit_lines(x[None, :], y)
     if var == 0.0:
-        raise DegeneratePredictorError(f"{area_id}/{metric_label}: zero predictor variance")
-    slope = float(((x - xbar) * (y - y.mean())).mean()) / var
-    return CalibrationFit(
-        area_id=area_id,
-        metric_label=metric_label,
-        intercept=float(y.mean()) - slope * xbar,
-        slope=slope,
-        n_points=len(x),
-    )
+        raise DegeneratePredictorError(zero_variance(area_id, metric_label))
+    return CalibrationFit(area_id, metric_label, float(intercept), float(slope), len(x))
 
 
 def fit_calibration(

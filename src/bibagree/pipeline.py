@@ -12,6 +12,7 @@ from pathlib import Path
 from . import agreement as agr
 from .aggregation import InstitutionAggregate
 from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus
+from .jsonconfig import check_type, from_json, read_json
 from .resampling import BootstrapResult, CoverageDiagnostic, StatKey, bootstrap_statistics, coverage_report
 from .table import SERIES_LABELS, PublicationTable, build_table, point_statistics, table_statistics
 
@@ -26,11 +27,6 @@ class PipelineError(Exception):
 
 class ConfigError(ValueError):
     """A pipeline config key or value is invalid."""
-
-
-# PipelineConfig field annotation (a string under postponed evaluation) ->
-# the type its value must have.
-_FIELD_TYPES = {"int": int, "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -52,8 +48,8 @@ class PipelineConfig:
                 if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
                     raise ConfigError(f"{f.name} must be a list of strings, got {value!r}")
                 object.__setattr__(self, f.name, tuple(value))
-            elif not isinstance(value, _FIELD_TYPES[f.type]) or (f.type == "int" and isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            else:
+                check_type(f.name, f.type, value, ConfigError)
         for name in ("min_pubs", "n_workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -67,17 +63,7 @@ class PipelineConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "PipelineConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(PipelineConfig)})
-        if unknown:
-            raise ConfigError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
-        return PipelineConfig(**raw)
+        return from_json(PipelineConfig, read_json(path, ConfigError), str(path), ConfigError)
 
 
 @dataclass

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -11,6 +10,7 @@ import numpy as np
 
 from .corpus import Corpus, PublicationRecord, ReviewerScore
 from .indicators import percentile_normalize
+from .jsonconfig import SCALAR_TYPES, check_type, from_json, read_json
 
 
 class SynthError(Exception):
@@ -25,6 +25,13 @@ class PubCountSpec:
     value: int = 10
     min: int = 1
     max: int = 50
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_type(f.name, f.type, getattr(self, f.name), SynthError)
+
+
+_FIELD_TYPES = {**SCALAR_TYPES, "PubCountSpec": PubCountSpec}
 
 
 @dataclass(frozen=True)
@@ -47,18 +54,18 @@ class SynthConfig:
     with_ext_percentiles: bool = False
     population_fraction: float = 0.08
 
+    def __post_init__(self):
+        for f in fields(self):
+            check_type(f.name, f.type, getattr(self, f.name), SynthError, _FIELD_TYPES)
+
     @staticmethod
     def from_file(path: str | Path) -> "SynthConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SynthError(f"{path}: invalid JSON: {exc}") from exc
+        raw = read_json(path, SynthError)
         if isinstance(raw, dict) and "pubs_per_institution" in raw:
-            raw["pubs_per_institution"] = _from_json(
-                PubCountSpec, raw["pubs_per_institution"], f"{path}: pubs_per_institution"
+            raw["pubs_per_institution"] = from_json(
+                PubCountSpec, raw["pubs_per_institution"], f"{path}: pubs_per_institution", SynthError
             )
-        return _from_json(SynthConfig, raw, str(path))
+        return from_json(SynthConfig, raw, str(path), SynthError)
 
     def validate(self) -> None:
         if self.n_institutions < 1 or self.n_areas < 1 or self.n_fields_per_area < 1:
@@ -71,16 +78,6 @@ class SynthConfig:
             raise SynthError("metric_quality_correlation must lie in [0,1]")
         if self.year_min > self.year_max or self.year_max > self.census_year:
             raise SynthError("assessment window must fit below the census year")
-
-
-def _from_json(cls, raw, where: str):
-    """Build a config dataclass from a decoded JSON object, naming unknown keys."""
-    if not isinstance(raw, dict):
-        raise SynthError(f"{where}: expected a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise SynthError(f"{where}: unknown config key(s) {', '.join(map(repr, unknown))}")
-    return cls(**raw)
 
 
 def _normal_cdf(z: float) -> float:

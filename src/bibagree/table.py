@@ -20,9 +20,11 @@ are bit-identical to that computation (on Python up to 3.11; from 3.12
 ``sum()`` compensates rounding; ``tests/record_pipeline.py`` keeps it as
 the reference). Exact ties between publications, which set mid-rank
 percentiles, and a predictor variance of exactly 0, which skips a fit,
-therefore come out the same. Ranks and medians, which do not depend on
+therefore come out the same. Mid-rank percentiles, which do not depend on
 order, are taken over the distinct publications, weighted by their copy
-counts.
+counts; medians are selected by partition from the deviations of every
+copy. The agreement pass fits the lines of all metrics of an area at once,
+one row per metric, with ``agreement.fit_lines``.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ from .agreement import (
     VIEW_SIZE_INDEPENDENT,
     AgreementResult,
     AgreementStatistic,
+    MIN_POINTS,
     CalibrationFit,
-    DegeneratePredictorError,
     SkipEntry,
-    fit_line,
+    fit_lines,
     nonpositive_score,
+    too_few_points,
+    zero_variance,
 )
 from .corpus import Corpus, overall_score
 from .indicators import reassign_multidisciplinary
@@ -200,19 +204,6 @@ def _midrank_percentiles(group: np.ndarray, values: np.ndarray, counts: np.ndarr
     return out
 
 
-def _weighted_median(values: np.ndarray, counts: np.ndarray) -> float:
-    """Median of the copies, values[i] standing for counts[i] copies; an even
-    number of copies gives the mean of the two middle ones, as
-    statistics.median does."""
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(counts[order])
-    lo, hi = np.searchsorted(cum, [(cum[-1] - 1) // 2, cum[-1] // 2], side="right")
-    v = values[order]
-    return float(v[lo]) if lo == hi else float((v[lo] + v[hi]) / 2)
-
-
-
-
 class _Scores(NamedTuple):
     keep: np.ndarray  # rows with copies and a baseline on every cell they map to
     kept: np.ndarray  # copies of kept rows, in summation order
@@ -276,61 +267,78 @@ def _scores(table: PublicationTable, counts: np.ndarray, order: np.ndarray, entr
     )
 
 
-def _agreement(table: PublicationTable, scores: _Scores, counts: np.ndarray, config: "PipelineConfig") -> AgreementResult:
+def _agreement(table: PublicationTable, scores: _Scores, config: "PipelineConfig") -> AgreementResult:
     """MAD and MAPD per (area, metric) at both levels, in the order and
     with the skip reasons of agreement.run_agreement.
 
     Institutions count as units when they have at least min_pubs copies; a
     replicate's copies of one publication count once each at the
-    publication level.
+    publication level. All metrics of an area are fitted at once, each
+    level's scores stacked one row per metric.
     """
     result = AgreementResult(statistics=[], calibrations=[], skips=[])
-
-    def fit(x, y, level) -> CalibrationFit | None:
-        try:
-            line = fit_line(x, y, area_id, metric)
-        except DegeneratePredictorError as exc:
-            result.skips.append(SkipEntry(area_id, metric, level, str(exc)))
-            return None
-        result.calibrations.append(line)
-        return line
-
-    def add(level, view, value, n_units) -> None:
-        result.statistics.append(AgreementStatistic(area_id, metric, level, view, value, n_units))
-
+    metrics = config.metric_labels
+    if not metrics:
+        return result
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit_mean = {
-            label: scores.unit_total[label] / scores.unit_copies
-            for label in (config.baseline_label, *config.metric_labels)
-        }
+        y_unit_all = scores.unit_total[config.baseline_label] / scores.unit_copies
+        x_unit_all = np.stack([scores.unit_total[m] for m in metrics]) / scores.unit_copies
+    y_pub_all = scores.series[config.baseline_label]
+    x_pub_all = np.stack([scores.series[m] for m in metrics])
     unit_ok = scores.unit_copies >= config.min_pubs
     kept_area = table.area[scores.kept]
-    y_pub = scores.series[config.baseline_label]
+
+    def fit(x: np.ndarray, y: np.ndarray) -> tuple[list[CalibrationFit | str], np.ndarray | None]:
+        """Each metric's line, or why it has none, and the absolute
+        residuals of every metric; None when there are too few points."""
+        n = len(y)
+        if n < MIN_POINTS:
+            return [too_few_points(area_id, m, n) for m in metrics], None
+        intercept, slope, var = fit_lines(x, y)
+        lines = [
+            CalibrationFit(area_id, m, float(i), float(s), n) if v != 0.0 else zero_variance(area_id, m)
+            for m, i, s, v in zip(metrics, intercept, slope, var)
+        ]
+        return lines, np.abs(y - (intercept[:, None] + slope[:, None] * x))
+
+    def add(metric, level, view, value, n_units) -> None:
+        result.statistics.append(AgreementStatistic(area_id, metric, level, view, float(value), n_units))
+
     for a, area_id in enumerate(table.area_ids):
-        area_copies = scores.kept[kept_area == a]
-        if not len(area_copies):
+        copies = scores.kept[kept_area == a]
+        if not len(copies):
             continue
         units = np.flatnonzero(unit_ok & (table.unit_area == a))
-        rows = np.flatnonzero(scores.keep & (table.area == a))
-        y_unit = unit_mean[config.baseline_label][units]
+        y_unit = y_unit_all[units]
         nonpositive = y_unit[y_unit <= 0]
-        for metric in config.metric_labels:
-            x_unit = unit_mean[metric][units]
-            line = fit(x_unit, y_unit, LEVEL_INSTITUTION)
-            if line is not None:
-                dev = np.abs(y_unit - line.predict(x_unit))
-                add(LEVEL_INSTITUTION, VIEW_SIZE_INDEPENDENT, float(np.median(dev)), len(units))
-                if len(nonpositive):
-                    result.skips.append(
-                        SkipEntry(area_id, metric, LEVEL_INSTITUTION, nonpositive_score(float(nonpositive[0])))
-                    )
+        unit_lines, unit_dev = fit(x_unit_all[:, units], y_unit)
+        pub_lines, pub_dev = fit(x_pub_all[:, copies], y_pub_all[copies])
+        # np.median selects by partition; the medians of rows without a line go unread.
+        unit_mad = unit_mapd = pub_mad = None
+        if unit_dev is not None:
+            unit_mad = np.median(unit_dev, axis=1)
+            if not len(nonpositive):
+                unit_mapd = 100.0 * np.median(unit_dev / y_unit, axis=1)
+        if pub_dev is not None:
+            pub_mad = np.median(pub_dev, axis=1)
+        for i, metric in enumerate(metrics):
+            line = unit_lines[i]
+            if isinstance(line, str):
+                result.skips.append(SkipEntry(area_id, metric, LEVEL_INSTITUTION, line))
+            else:
+                result.calibrations.append(line)
+                add(metric, LEVEL_INSTITUTION, VIEW_SIZE_INDEPENDENT, unit_mad[i], len(units))
+                if unit_mapd is None:
+                    reason = nonpositive_score(float(nonpositive[0]))
+                    result.skips.append(SkipEntry(area_id, metric, LEVEL_INSTITUTION, reason))
                 else:
-                    add(LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT, float(100.0 * np.median(dev / y_unit)), len(units))
-            x_pub = scores.series[metric]
-            line = fit(x_pub[area_copies], y_pub[area_copies], LEVEL_PUBLICATION)
-            if line is not None:
-                dev = np.abs(y_pub[rows] - line.predict(x_pub[rows]))
-                add(LEVEL_PUBLICATION, VIEW_SIZE_INDEPENDENT, _weighted_median(dev, counts[rows]), len(area_copies))
+                    add(metric, LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT, unit_mapd[i], len(units))
+            line = pub_lines[i]
+            if isinstance(line, str):
+                result.skips.append(SkipEntry(area_id, metric, LEVEL_PUBLICATION, line))
+            else:
+                result.calibrations.append(line)
+                add(metric, LEVEL_PUBLICATION, VIEW_SIZE_INDEPENDENT, pub_mad[i], len(copies))
     return result
 
 
@@ -341,7 +349,7 @@ def table_statistics(
     of each row, keyed (area, metric, level, view); a skipped statistic is
     left out."""
     scores = _scores(table, counts, table.copy_order, table.copy_entries)
-    return {s.key(): s.value for s in _agreement(table, scores, counts, config).statistics}
+    return {s.key(): s.value for s in _agreement(table, scores, config).statistics}
 
 
 def point_statistics(
@@ -356,7 +364,7 @@ def point_statistics(
     """
     ones = np.ones(len(table.area), dtype=np.intp)
     scores = _scores(table, ones, table.pub_order, table.pub_entries)
-    result = _agreement(table, scores, ones, config)
+    result = _agreement(table, scores, config)
 
     aggregates: list[InstitutionAggregate] = []
     excluded: list[tuple[str, str]] = []

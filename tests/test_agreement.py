@@ -18,6 +18,8 @@ from bibagree.agreement import (
     VIEW_SIZE_DEPENDENT,
     VIEW_SIZE_INDEPENDENT,
     AgreementError,
+    fit_line,
+    fit_lines,
 )
 from bibagree.aggregation import InstitutionAggregate
 from oracles import oracle_mad, oracle_mapd_sizedep, oracle_median, oracle_ols
@@ -63,6 +65,35 @@ class TestFitCalibration:
         for _ in range(1000):
             da, db = rng.uniform(-0.1, 0.1, 2)
             assert best <= rss(fit.intercept + da, fit.slope + db) + 1e-12
+
+
+class TestFitLines:
+    def test_rows_of_a_fortran_ordered_matrix_equal_single_fits(self):
+        # Columns picked by fancy indexing give a Fortran-ordered matrix,
+        # whose row means would otherwise sum sequentially, not pairwise.
+        rng = np.random.default_rng(47)
+        base = rng.normal(3.0, 2.0, size=(5, 3000))
+        columns = np.sort(rng.choice(3000, size=2000))
+        x, y = base[1:, columns], base[0, columns]
+        assert x.flags.f_contiguous and not x.flags.c_contiguous
+        intercepts, slopes, variances = fit_lines(x, y)
+        for row, intercept, slope, var in zip(x, intercepts, slopes, variances):
+            fit = fit_line(row.copy(), y, "A", "m")
+            assert (fit.intercept, fit.slope) == (intercept, slope)
+            assert var > 0
+
+    def test_zero_variance_row_has_no_line_and_leaves_the_others(self):
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=(3, 50))
+        y = rng.normal(size=50)
+        constant = np.vstack([x[0], np.full(50, 2.5), x[2]])
+        intercepts, slopes, variances = fit_lines(constant, y)
+        alone = fit_lines(x, y)
+        assert variances[1] == 0.0 and slopes[1] == 0.0
+        for i in (0, 2):
+            assert (intercepts[i], slopes[i], variances[i]) == (alone[0][i], alone[1][i], alone[2][i])
+        with pytest.raises(DegeneratePredictorError, match="A/m: zero predictor variance"):
+            fit_line(constant[1], y, "A", "m")
 
 
 class TestMad:

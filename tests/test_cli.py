@@ -177,15 +177,18 @@ def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
         ([], {"seed": True}, "seed"),
         ([], {"n_workers": 1.5}, "n_workers"),
         ([], {"metric_labels": "ncs"}, "metric_labels"),
+        (["--config", "nosuch.json"], None, "nosuch.json: cannot read config"),
     ],
     ids=[
         "unknown-key", "replicates", "workers", "min-pubs", "baseline-label", "metric-label",
         "bootstrap-string", "replicates-float", "seed-string", "seed-bool", "workers-float", "metric-labels-string",
+        "missing-config",
     ],
 )
-def test_invalid_config_fails_before_load(tmp_path, capsys, extra, config, named):
+def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, config, named):
     # The corpus does not exist: a config checked only after load would
     # report the load failure instead.
+    monkeypatch.chdir(tmp_path)
     args = ["run", "--corpus", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out")] + extra
     if config is not None:
         path = tmp_path / "config.json"
@@ -205,12 +208,27 @@ def test_invalid_config_fails_before_load(tmp_path, capsys, extra, config, named
         ('{"pubs_per_institution": 5}', "pubs_per_institution"),
         ('{"seed": 1', "invalid JSON"),
         ("[1]", "expected a JSON object"),
+        ('{"n_institutions": "5"}', "n_institutions"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"seed": true}', "seed"),
+        ('{"reviewer_noise_sd": "1"}', "reviewer_noise_sd"),
+        ('{"with_ext_percentiles": 1}', "with_ext_percentiles"),
+        ('{"pubs_per_institution": {"kind": "constant", "value": "3"}}', "pubs_per_institution: value"),
+        (None, "synth.json: cannot read config"),
+        (b'\xff{"seed": 1}', "synth.json: invalid JSON"),
     ],
-    ids=["unknown-key", "unknown-pubs-key", "pubs-not-object", "invalid-json", "not-object"],
+    ids=[
+        "unknown-key", "unknown-pubs-key", "pubs-not-object", "invalid-json", "not-object",
+        "institutions-string", "seed-float", "seed-bool", "float-string", "flag-int", "pubs-value-string",
+        "missing-config", "not-utf8",
+    ],
 )
 def test_generate_invalid_config_is_validation_failure(tmp_path, capsys, text, named):
     path = tmp_path / "synth.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
     out = tmp_path / "corpus.csv"
     assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
     assert named in capsys.readouterr().err
