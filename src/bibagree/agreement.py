@@ -78,12 +78,15 @@ def fit_lines(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """
     # A row mean sums pairwise only along contiguous rows; a Fortran-ordered
     # x would sum sequentially and round differently from a single row.
+    # Each mean is the add.reduce and true_divide that np.mean runs,
+    # without its per-call overhead.
     x = np.ascontiguousarray(x)
-    xbar = x.mean(axis=1)
+    n = len(y)
+    xbar = x.sum(axis=1) / n
     dx = x - xbar[:, None]
-    var = (dx**2).mean(axis=1)
-    ybar = y.mean()
-    slope = np.divide((dx * (y - ybar)).mean(axis=1), var, out=np.zeros_like(var), where=var != 0.0)
+    var = (dx**2).sum(axis=1) / n
+    ybar = y.sum() / n
+    slope = np.divide((dx * (y - ybar)).sum(axis=1) / n, var, out=np.zeros_like(var), where=var != 0.0)
     return ybar - slope * xbar, slope, var
 
 

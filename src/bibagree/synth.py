@@ -52,7 +52,7 @@ class SynthConfig:
     multidisciplinary_share: float = 0.0
     multidisciplinary_label: str = "MULTI"
     with_ext_percentiles: bool = False
-    population_fraction: float = 0.08
+    population_fraction: float = 0.08  # mean sample-to-population ratio; 0 for no population counts
 
     def __post_init__(self):
         for f in fields(self):
@@ -74,8 +74,9 @@ class SynthConfig:
             raise SynthError("latent_quality_sd and citation_dispersion must be positive")
         if self.reviewer_noise_sd < 0:
             raise SynthError("reviewer_noise_sd must be nonnegative")
-        if not (0.0 <= self.metric_quality_correlation <= 1.0):
-            raise SynthError("metric_quality_correlation must lie in [0,1]")
+        for name in ("metric_quality_correlation", "multidisciplinary_share", "population_fraction"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise SynthError(f"{name} must lie in [0,1], got {getattr(self, name)}")
         if self.year_min > self.year_max or self.year_max > self.census_year:
             raise SynthError("assessment window must fit below the census year")
 
@@ -187,13 +188,18 @@ def generate(config: SynthConfig) -> Corpus:
     if config.with_ext_percentiles:
         records = _attach_ext_percentiles(records)
 
+    # Each institution's sample rate is uniform around population_fraction,
+    # within a quarter of its distance to the nearer of 0 and 1, so it stays
+    # in (0, 1]; the default 0.08 draws from [0.06, 0.10].
     population = None
-    if config.population_fraction > 0:
+    f = config.population_fraction
+    if f > 0:
         counts: dict[str, int] = {}
         for rec in records:
             counts[rec.institution_id] = counts.get(rec.institution_id, 0) + 1
+        half = 0.25 * min(f, 1.0 - f)
         population = {
-            inst: max(n, int(round(n / rng.uniform(0.06, 0.10))))
+            inst: max(n, int(round(n / rng.uniform(f - half, f + half))))
             for inst, n in sorted(counts.items())
         }
     return Corpus(records=tuple(records), census_year=config.census_year, population_counts=population)

@@ -20,11 +20,18 @@ are bit-identical to that computation (on Python up to 3.11; from 3.12
 ``sum()`` compensates rounding; ``tests/record_pipeline.py`` keeps it as
 the reference). Exact ties between publications, which set mid-rank
 percentiles, and a predictor variance of exactly 0, which skips a fit,
-therefore come out the same. Mid-rank percentiles, which do not depend on
-order, are taken over the distinct publications, weighted by their copy
-counts; medians are selected by partition from the deviations of every
-copy. The agreement pass fits the lines of all metrics of an area at once,
-one row per metric, with ``agreement.fit_lines``.
+therefore come out the same.
+
+Ranks and medians do not depend on summation order, so no replicate sorts
+the whole table. Mid-rank percentiles are taken over the distinct
+publications, weighted by their copy counts, each area's contiguous rows
+sorted on their own. NJS has one value per journal-year, so journal
+percentiles rank the area x journal-year cells, weighted by their kept
+copies, and each row takes its cell's rank. Medians of the deviations (of
+every copy, at the publication level) take the one or two middle order
+statistics from a single partition per row. The agreement pass fits the
+lines of all metrics of an area at once, one row per metric, with
+``agreement.fit_lines``.
 """
 
 from __future__ import annotations
@@ -83,6 +90,9 @@ class PublicationTable:
     unit_institution: tuple[str, ...]  # unit code -> institution_id
     journal_year: np.ndarray  # row -> journal x year code
     n_journal_years: int
+    journal_cell: np.ndarray  # row -> area x journal-year cell code, in area order
+    journal_cell_area: np.ndarray  # journal cell code -> area code
+    journal_cell_year: np.ndarray  # journal cell code -> journal x year code
     citations: np.ndarray
     reviewer1: np.ndarray
     reviewer2: np.ndarray
@@ -124,13 +134,15 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     corpus, unredistributable = reassign_multidisciplinary(corpus, multidisciplinary_label)
     area_ids, area = _codes([r.area_id for r in corpus.records])
     pub_ids = np.array([r.pub_id for r in corpus.records], dtype=str)
-    rows = np.lexsort((pub_ids, area))
+    by_pub_id = np.argsort(pub_ids, kind="stable")
+    rows = by_pub_id[np.argsort(area[by_pub_id], kind="stable")]
     records = [corpus.records[i] for i in rows]
     area, pub_ids = area[rows], pub_ids[rows]
     institution_ids, institution = _codes([r.institution_id for r in records])
     unit_area, unit_institution, unit = _pair_codes(area, institution)
     year = _codes([r.year for r in records])[1]
     journal_year = _pair_codes(_codes([r.journal_id for r in records])[1], year)[2]
+    journal_cell_area, journal_cell_year, journal_cell = _pair_codes(area, journal_year)
     citations = np.array([r.citations for r in records], dtype=float)
 
     # Category weight entries, fields sorted within a record. Flat lists
@@ -159,6 +171,9 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         unit_institution=tuple(institution_ids[i] for i in unit_institution),
         journal_year=journal_year,
         n_journal_years=int(journal_year.max(initial=-1)) + 1,
+        journal_cell=journal_cell,
+        journal_cell_area=journal_cell_area,
+        journal_cell_year=journal_cell_year,
         citations=citations,
         reviewer1=np.array([overall_score(r.review_a) for r in records], dtype=float),
         reviewer2=np.array([overall_score(r.review_b) for r in records], dtype=float),
@@ -183,25 +198,46 @@ def _midrank_percentiles(group: np.ndarray, values: np.ndarray, counts: np.ndarr
     A row stands for counts[row] tied copies. A run of m tied copies after c
     earlier copies of its group gets rank c + (m+1)/2; n is the group's
     number of copies. Rows with a zero count get 0.
+
+    group must be non-decreasing, so that each group's rows are one
+    contiguous slice, sorted on its own.
     """
     rows = np.flatnonzero(counts)
-    order = rows[np.lexsort((values[rows], group[rows]))]
-    g, v, cnt = group[order], values[order], counts[order]
+    g = group[rows]
+    slices = np.split(rows, np.flatnonzero(g[1:] != g[:-1]) + 1)
+    order = np.concatenate([s[np.argsort(values[s])] for s in slices])
+    v, cnt = values[order], counts[order]
     new_group = np.ones(len(order), dtype=bool)
     new_group[1:] = g[1:] != g[:-1]
     new_run = new_group.copy()
     new_run[1:] |= v[1:] != v[:-1]
     run = np.cumsum(new_run) - 1
     before = np.cumsum(cnt) - cnt  # copies of this and earlier groups before the row
-    group_start = np.zeros(len(values))
-    group_start[g[new_group]] = before[new_group]
     group_size = np.bincount(g, weights=cnt)
+    group_start = np.zeros(len(group_size))
+    group_start[g[new_group]] = before[new_group]
     run_group = g[new_run]
     run_size = np.bincount(run, weights=cnt)
     rank = (before[new_run] - group_start[run_group]) + (run_size + 1) / 2
     out = np.zeros(len(values))
     out[order] = (100.0 * (rank - 0.5) / group_size[run_group])[run]
     return out
+
+
+def _median_rows(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=1) with one partition: the same one or two middle
+    order statistics, averaged as (lower + upper) / 2.
+
+    np.median also checks for NaN; the rows here are absolute or relative
+    deviations of finite scores (validate_record rejects non-finite
+    external percentiles), so they hold none.
+    """
+    half = a.shape[1] // 2
+    part = np.partition(a, half, axis=1)
+    upper = part[:, half]
+    if a.shape[1] % 2:
+        return upper
+    return (part[:, :half].max(axis=1) + upper) / 2
 
 
 class _Scores(NamedTuple):
@@ -249,7 +285,11 @@ def _scores(table: PublicationTable, counts: np.ndarray, order: np.ndarray, entr
         cit_pct, jou_pct = ext_cit, ext_jou
     else:
         cit_pct = _midrank_percentiles(table.area, ncs, w)
-        jou_pct = _midrank_percentiles(table.area, njs, w)
+        # NJS is one value per journal-year, so its ranks are those of the
+        # area x journal-year cells, weighted by their kept copies.
+        cell_copies = np.bincount(table.journal_cell[kept], minlength=len(table.journal_cell_area))
+        cell_pct = _midrank_percentiles(table.journal_cell_area, jy_mean[table.journal_cell_year], cell_copies)
+        jou_pct = np.where(keep, cell_pct[table.journal_cell], 0.0)
     series = dict(zip(SERIES_LABELS, (table.reviewer1, table.reviewer2, ncs, njs, cit_pct, jou_pct)))
 
     n_units = len(table.unit_area)
@@ -313,14 +353,14 @@ def _agreement(table: PublicationTable, scores: _Scores, config: "PipelineConfig
         nonpositive = y_unit[y_unit <= 0]
         unit_lines, unit_dev = fit(x_unit_all[:, units], y_unit)
         pub_lines, pub_dev = fit(x_pub_all[:, copies], y_pub_all[copies])
-        # np.median selects by partition; the medians of rows without a line go unread.
+        # The medians of rows without a line go unread.
         unit_mad = unit_mapd = pub_mad = None
         if unit_dev is not None:
-            unit_mad = np.median(unit_dev, axis=1)
+            unit_mad = _median_rows(unit_dev)
             if not len(nonpositive):
-                unit_mapd = 100.0 * np.median(unit_dev / y_unit, axis=1)
+                unit_mapd = 100.0 * _median_rows(unit_dev / y_unit)
         if pub_dev is not None:
-            pub_mad = np.median(pub_dev, axis=1)
+            pub_mad = _median_rows(pub_dev)
         for i, metric in enumerate(metrics):
             line = unit_lines[i]
             if isinstance(line, str):

@@ -216,11 +216,17 @@ def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, 
         ('{"pubs_per_institution": {"kind": "constant", "value": "3"}}', "pubs_per_institution: value"),
         (None, "synth.json: cannot read config"),
         (b'\xff{"seed": 1}', "synth.json: invalid JSON"),
+        ('{"multidisciplinary_share": 1.5}', "multidisciplinary_share"),
+        ('{"multidisciplinary_share": -0.1}', "multidisciplinary_share"),
+        ('{"population_fraction": 1.5}', "population_fraction"),
+        ('{"population_fraction": -0.1}', "population_fraction"),
+        ('{"population_fraction": NaN}', "population_fraction"),
     ],
     ids=[
         "unknown-key", "unknown-pubs-key", "pubs-not-object", "invalid-json", "not-object",
         "institutions-string", "seed-float", "seed-bool", "float-string", "flag-int", "pubs-value-string",
-        "missing-config", "not-utf8",
+        "missing-config", "not-utf8", "multidisciplinary-above-1", "multidisciplinary-negative",
+        "population-above-1", "population-negative", "population-nan",
     ],
 )
 def test_generate_invalid_config_is_validation_failure(tmp_path, capsys, text, named):

@@ -1,5 +1,8 @@
 """Synthetic corpus generator: determinism, degenerate cases, coupling knobs."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,3 +89,21 @@ def test_publication_mad_weakly_decreasing_in_quality_correlation():
         mads = [_publication_mad_of_ncs(rho, seed) for rho in (0.0, 0.5, 1.0)]
         assert mads[0] >= mads[1] - 1e-9
         assert mads[1] >= mads[2] - 1e-9
+
+
+@pytest.mark.parametrize("fraction", [0.08, 0.5, 1.0])
+def test_population_fraction_sets_the_mean_sample_rate(fraction):
+    cfg = SynthConfig(n_institutions=200, pubs_per_institution=PubCountSpec("constant", value=40), seed=3)
+    corpus = generate(replace(cfg, population_fraction=fraction))
+    sample = Counter(r.institution_id for r in corpus.records)
+    rates = [n / corpus.population_counts[inst] for inst, n in sample.items()]
+    assert sum(rates) / len(rates) == pytest.approx(fraction, rel=0.05)
+    assert max(rates) <= 1.0
+
+
+def test_population_fraction_changes_population_counts_only():
+    cfg = SynthConfig(n_institutions=30, seed=3)
+    low, high = generate(cfg), generate(replace(cfg, population_fraction=0.5))
+    assert low.records == high.records
+    assert low.population_counts != high.population_counts
+    assert generate(replace(cfg, population_fraction=0.0)).population_counts is None

@@ -16,7 +16,8 @@ from bibagree.agreement import LEVEL_INSTITUTION, LEVEL_PUBLICATION, VIEW_SIZE_D
 from bibagree.indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, run
 from bibagree.resampling import resample_within_areas, replicate_counts
-from bibagree.table import build_table, table_statistics
+from bibagree.table import _median_rows, _midrank_percentiles, _scores, build_table, table_statistics
+from oracles import oracle_percentiles
 from record_pipeline import record_pipeline_stats, record_statistic_values
 
 METRICS_R1 = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
@@ -216,3 +217,65 @@ def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
     save_corpus(generate(SynthConfig(seed=7, multidisciplinary_share=0.2)), corpus_path)
     run(corpus_path, tmp_path / "out", PipelineConfig(seed=7, n_replicates=3))
     assert calls == {"build_table": 1, "reassign_multidisciplinary": 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.one_of(st.integers(1, 9), st.integers(2000, 3001)),
+    st.sampled_from([1, 2, 3, 10, None]),
+    st.integers(0, 2**32 - 1),
+)
+def test_median_rows_equals_np_median(n_rows, length, n_distinct, seed):
+    # Nonnegative rows, as deviations are: few distinct values (heavy ties,
+    # zeros among them) or continuous values with some zeros.
+    rng = np.random.default_rng(seed)
+    if n_distinct is None:
+        rows = rng.exponential(size=(n_rows, length))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+    else:
+        rows = rng.integers(0, n_distinct, size=(n_rows, length)) * 0.1
+    got = _median_rows(rows)
+    assert got.tobytes() == np.median(rows, axis=1).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.25, 1.0, 2.5, 7.0]), st.integers(0, 3)),
+        max_size=40,
+    )
+)
+def test_midrank_percentiles_of_contiguous_groups_match_oracle(rows):
+    rows = sorted(rows, key=lambda r: r[0])  # groups contiguous, values in any order
+    group = np.array([g for g, _, _ in rows], dtype=np.intp)
+    values = np.array([v for _, v, _ in rows])
+    counts = np.array([c for _, _, c in rows], dtype=np.intp)
+    got = _midrank_percentiles(group, values, counts)
+    for i, (g, v, c) in enumerate(rows):
+        if not c:
+            assert got[i] == 0.0
+            continue
+        copies = [u for h, u, n in rows if h == g for _ in range(n)]
+        assert got[i] == oracle_percentiles(copies)[copies.index(v)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.integers(0, 2**31), st.booleans())
+def test_journal_percentiles_per_cell_equal_row_ranks(corpus, seed, point):
+    # Without external percentiles the table ranks NJS itself, per
+    # area x journal-year cell weighted by its kept copies.
+    corpus = replace(
+        corpus,
+        records=tuple(replace(r, ext_citation_percentile=None, ext_journal_percentile=None) for r in corpus.records),
+    )
+    table = build_table(corpus, "MULTI")
+    if point:
+        counts = np.ones(len(table.area), dtype=np.intp)
+        scores = _scores(table, counts, table.pub_order, table.pub_entries)
+    else:
+        counts = replicate_counts(table.area_sizes, seed, 0)
+        scores = _scores(table, counts, table.copy_order, table.copy_entries)
+    w = np.where(scores.keep, counts, 0)
+    rows = _midrank_percentiles(table.area, scores.series["njs"], w)
+    assert scores.series["journal_percentile"][scores.keep].tobytes() == rows[scores.keep].tobytes()
