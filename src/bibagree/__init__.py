@@ -6,16 +6,8 @@ scores with per-area OLS, and quantifies agreement with MAD/MAPD statistics
 plus bootstrap percentile intervals.
 """
 
-from .aggregation import InstitutionAggregate, ScoreSeries, aggregate
-from .agreement import (
-    AgreementStatistic,
-    CalibrationFit,
-    DegeneratePredictorError,
-    fit_calibration,
-    mad,
-    mapd,
-    run_agreement,
-)
+from .aggregation import InstitutionAggregate
+from .agreement import AgreementStatistic, CalibrationFit
 from .corpus import (
     Corpus,
     CorpusError,

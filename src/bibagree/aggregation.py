@@ -1,4 +1,4 @@
-"""Institutional aggregation of per-publication scores.
+"""Institutional aggregates of per-publication scores.
 
 Aggregates are per (institution, area) and carry both the size-independent
 view (mean over the institution's publications) and the size-dependent view
@@ -9,22 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus
-
-
-class AggregationError(Exception):
-    pass
-
-
-class SeriesCoverageError(AggregationError):
-    """Score series do not cover the same publication set."""
-
-
-@dataclass(frozen=True)
-class ScoreSeries:
-    label: str
-    values: dict[str, float]  # pub_id -> score
-
 
 @dataclass(frozen=True)
 class InstitutionAggregate:
@@ -33,51 +17,3 @@ class InstitutionAggregate:
     pub_count: int
     mean_score: dict[str, float]
     total_score: dict[str, float]
-
-
-def aggregate(
-    corpus: Corpus, series: list[ScoreSeries], min_pubs: int = 1
-) -> tuple[list[InstitutionAggregate], list[tuple[str, str]]]:
-    """Fold publication scores into (institution, area) aggregates.
-
-    Returns (aggregates, excluded) where excluded lists the (institution,
-    area) pairs dropped by the min_pubs filter. All series must cover the
-    identical pub_id set; summation runs in ascending pub_id order.
-    """
-    if not series:
-        return [], []
-    covered = set(series[0].values)
-    for s in series[1:]:
-        if set(s.values) != covered:
-            raise SeriesCoverageError(
-                f"series {s.label!r} covers {len(s.values)} publications, "
-                f"{series[0].label!r} covers {len(covered)}"
-            )
-    groups: dict[tuple[str, str], list[str]] = {}
-    for rec in sorted(corpus.records, key=lambda r: r.pub_id):
-        if rec.pub_id in covered:
-            groups.setdefault((rec.institution_id, rec.area_id), []).append(rec.pub_id)
-
-    aggregates: list[InstitutionAggregate] = []
-    excluded: list[tuple[str, str]] = []
-    for (inst, area) in sorted(groups):
-        pubs = groups[(inst, area)]
-        if len(pubs) < min_pubs:
-            excluded.append((inst, area))
-            continue
-        means = {}
-        totals = {}
-        for s in series:
-            total = sum(s.values[p] for p in pubs)
-            totals[s.label] = total
-            means[s.label] = total / len(pubs)
-        aggregates.append(
-            InstitutionAggregate(
-                institution_id=inst,
-                area_id=area,
-                pub_count=len(pubs),
-                mean_score=means,
-                total_score=totals,
-            )
-        )
-    return aggregates, excluded

@@ -120,7 +120,10 @@ def compute_njs(corpus: Corpus, ncs: dict[str, float]) -> dict[str, float]:
             groups.setdefault((rec.journal_id, rec.year), []).append(rec.pub_id)
     njs: dict[str, float] = {}
     for members in groups.values():
-        mean = sum(ncs[p] for p in members) / len(members)
+        total = 0.0  # a left fold: sum() compensates rounding from Python 3.12 on
+        for p in members:
+            total += ncs[p]
+        mean = total / len(members)
         for p in members:
             njs[p] = mean
     return njs
@@ -184,15 +187,3 @@ def build_indicator_table(corpus: Corpus, baselines: FieldYearBaseline) -> Indic
         flagged=flagged,
     )
 
-
-def weighted_mean_ncs_by_year(corpus: Corpus, baselines: FieldYearBaseline, ncs: dict[str, float]) -> dict[int, float]:
-    """Fractionally weighted mean NCS per year (closure diagnostic; equals 1)."""
-    num: dict[int, float] = {}
-    den: dict[int, float] = {}
-    for rec in sorted(corpus.records, key=lambda r: r.pub_id):
-        if rec.pub_id not in ncs:
-            continue
-        total_w = sum(rec.category_weights.values())
-        num[rec.year] = num.get(rec.year, 0.0) + total_w * ncs[rec.pub_id]
-        den[rec.year] = den.get(rec.year, 0.0) + total_w
-    return {y: num[y] / den[y] for y in num}

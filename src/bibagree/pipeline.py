@@ -108,11 +108,6 @@ def compute_pipeline_stats(corpus: Corpus, config: PipelineConfig) -> PipelineSt
     )
 
 
-def statistic_values(corpus: Corpus, config: PipelineConfig) -> dict[StatKey, float]:
-    """Flat {(area, metric, level, view): value} view of the statistics."""
-    return {s.key(): s.value for s in compute_pipeline_stats(corpus, config).statistics}
-
-
 def run_bootstrap(
     corpus: Corpus, config: PipelineConfig, stats: PipelineStats | None = None
 ) -> list[BootstrapResult]:
@@ -245,12 +240,11 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> list[Path]:
     scatter = out_dir / "scatter_institution.csv"
     with open(scatter, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        labels = [lab for lab in SERIES_LABELS if any(lab in a.mean_score for a in report.aggregates)] or list(SERIES_LABELS)
-        writer.writerow(["institution_id", "area_id", "pub_count"] + [f"mean_{lab}" for lab in labels])
+        writer.writerow(["institution_id", "area_id", "pub_count"] + [f"mean_{lab}" for lab in SERIES_LABELS])
         for a in sorted(report.aggregates, key=lambda a: (a.area_id, a.institution_id)):
             writer.writerow(
                 [a.institution_id, a.area_id, a.pub_count]
-                + [_fmt(a.mean_score.get(lab)) for lab in labels]
+                + [_fmt(a.mean_score[lab]) for lab in SERIES_LABELS]
             )
     written.append(scatter)
 

@@ -3,10 +3,9 @@
 Replicates resample publications with replacement within each research-area
 stratum; intervals are empirical 2.5/97.5 percentiles under the mid-rank
 convention. Replicate k draws from a generator seeded by (seed, k), so
-output does not depend on worker count or scheduling. The bootstrap
-represents a replicate by its copy count per publication (replicate_counts);
-resample_within_areas materialises the same draw as a corpus and is kept as
-the reference the count path is tested against.
+output does not depend on worker count or scheduling. A replicate is its
+copy count per publication (replicate_counts), which table.py turns into
+statistics without copying a record.
 """
 
 from __future__ import annotations
@@ -76,37 +75,12 @@ def midrank_quantile(values: list[float], q: float) -> float:
     return data[i - 1] + frac * (data[i] - data[i - 1])
 
 
-def resample_within_areas(corpus: Corpus, rng: np.random.Generator) -> Corpus:
-    """One bootstrap replicate: per-area sampling with replacement.
-
-    Preserves each area's publication count; duplicated records get
-    suffix-disambiguated pub_ids so downstream uniqueness holds.
-    """
-    by_area: dict[str, list[PublicationRecord]] = {}
-    for rec in sorted(corpus.records, key=lambda r: r.pub_id):
-        by_area.setdefault(rec.area_id, []).append(rec)
-    out: list[PublicationRecord] = []
-    for area in sorted(by_area):
-        pool = by_area[area]
-        idx = rng.integers(0, len(pool), size=len(pool))
-        for copy_no, i in enumerate(idx):
-            rec = pool[int(i)]
-            out.append(replace(rec, pub_id=f"{rec.pub_id}~{copy_no}"))
-    return replace(corpus, records=tuple(out))
-
-
-def _replicate_values(args) -> tuple[int, dict[StatKey, float]]:
-    corpus, statistic_fn, seed, k = args
-    rng = np.random.default_rng([seed, k])
-    return k, statistic_fn(resample_within_areas(corpus, rng))
-
-
 def replicate_counts(area_sizes: Sequence[int], seed: int, k: int) -> np.ndarray:
     """Copy count per row of replicate k, for rows grouped by area in sorted
     area order and by pub_id within an area.
 
-    The draw is the one resample_within_areas makes: for each area in turn,
-    rng.integers(0, n_area, n_area) from np.random.default_rng([seed, k]).
+    For each area in turn, it draws rng.integers(0, n_area, n_area) from
+    np.random.default_rng([seed, k]).
     """
     rng = np.random.default_rng([seed, k])
     return np.concatenate(

@@ -15,12 +15,12 @@ Each sum runs over the copies in the order a record-by-record computation
 sums them: ascending pub_id for the corpus itself, and for a replicate
 ascending pub_id of the copies, which a materialised replicate names
 "<pub_id>~<draw number>". ``np.bincount`` accumulates sequentially like a
-loop or ``sum()``, so field-year baselines, NCS, NJS, unit means and fits
-are bit-identical to that computation (on Python up to 3.11; from 3.12
-``sum()`` compensates rounding; ``tests/record_pipeline.py`` keeps it as
-the reference). Exact ties between publications, which set mid-rank
-percentiles, and a predictor variance of exactly 0, which skips a fit,
-therefore come out the same.
+left fold, so field-year baselines, NCS, NJS, unit means and fits are
+bit-identical to that computation, which ``tests/record_pipeline.py`` keeps
+as the reference and which folds left rather than calling ``sum()``, whose
+rounding is compensated from Python 3.12 on. Exact ties between
+publications, which set mid-rank percentiles, and a predictor variance of
+exactly 0, which skips a fit, therefore come out the same.
 
 Ranks and medians do not depend on summation order, so no replicate sorts
 the whole table. Mid-rank percentiles are taken over the distinct
@@ -309,7 +309,7 @@ def _scores(table: PublicationTable, counts: np.ndarray, order: np.ndarray, entr
 
 def _agreement(table: PublicationTable, scores: _Scores, config: "PipelineConfig") -> AgreementResult:
     """MAD and MAPD per (area, metric) at both levels, in the order and
-    with the skip reasons of agreement.run_agreement.
+    with the skip reasons of the record-by-record reference.
 
     Institutions count as units when they have at least min_pubs copies; a
     replicate's copies of one publication count once each at the

@@ -15,6 +15,7 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bibagree import (
@@ -32,13 +33,10 @@ from bibagree.agreement import (
     LEVEL_PUBLICATION,
     VIEW_SIZE_DEPENDENT,
     VIEW_SIZE_INDEPENDENT,
-    mapd,
-    run_agreement,
 )
 from bibagree.aggregation import InstitutionAggregate
-from bibagree.indicators import build_indicator_table, weighted_mean_ncs_by_year
-from bibagree.pipeline import compute_pipeline_stats, run_bootstrap, statistic_values
-from bibagree.resampling import _replicate_values
+from bibagree.indicators import build_indicator_table
+from bibagree.pipeline import compute_pipeline_stats, run_bootstrap
 from oracles import (
     oracle_baselines,
     oracle_mad,
@@ -49,6 +47,7 @@ from oracles import (
     oracle_ols,
     oracle_percentiles,
 )
+from record_pipeline import mapd, predict, resample_within_areas, run_agreement, statistic_values, weighted_mean_ncs_by_year
 
 METRICS = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
 
@@ -268,7 +267,7 @@ def test_criterion_2_normalization_closure_and_cancellation(verdict):
                 dep = [
                     (
                         a.mean_score["reviewer1"],
-                        fit.predict(a.mean_score[fit.metric_label]),
+                        predict(fit, a.mean_score[fit.metric_label]),
                         a.pub_count,
                     )
                     for a in aggs[fit.area_id]
@@ -375,7 +374,7 @@ def test_criterion_4_bootstrap_correctness(verdict):
         # plain loop, then interpolate the empirical percentile curve.
         replicates = {b.key(): [] for b in boot}
         for k in range(config.n_replicates):
-            _, values = _replicate_values((corpus, statistic_fn(config), config.seed, k))
+            values = statistic_fn(config)(resample_within_areas(corpus, np.random.default_rng([config.seed, k])))
             for key in replicates:
                 if key in values:
                     replicates[key].append(values[key])

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from bibagree import Corpus, ScoreSeries, SynthConfig, aggregate, generate
-from bibagree.aggregation import SeriesCoverageError
+from bibagree import Corpus, SynthConfig, generate
+from record_pipeline import ScoreSeries, SeriesCoverageError, aggregate
 from test_indicators import corpus_of, rec
 
 

@@ -5,24 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from bibagree import (
-    DegeneratePredictorError,
-    fit_calibration,
-    mad,
-    mapd,
-    run_agreement,
-)
 from bibagree.agreement import (
     LEVEL_INSTITUTION,
     LEVEL_PUBLICATION,
     VIEW_SIZE_DEPENDENT,
     VIEW_SIZE_INDEPENDENT,
-    AgreementError,
-    fit_line,
     fit_lines,
 )
 from bibagree.aggregation import InstitutionAggregate
 from oracles import oracle_mad, oracle_mapd_sizedep, oracle_median, oracle_ols
+from record_pipeline import AgreementError, DegeneratePredictorError, fit_calibration, mad, mapd, run_agreement
 
 
 class TestFitCalibration:
@@ -78,7 +70,7 @@ class TestFitLines:
         assert x.flags.f_contiguous and not x.flags.c_contiguous
         intercepts, slopes, variances = fit_lines(x, y)
         for row, intercept, slope, var in zip(x, intercepts, slopes, variances):
-            fit = fit_line(row.copy(), y, "A", "m")
+            fit = fit_calibration(list(zip(row, y)), "A", "m")
             assert (fit.intercept, fit.slope) == (intercept, slope)
             assert var > 0
 
@@ -93,7 +85,7 @@ class TestFitLines:
         for i in (0, 2):
             assert (intercepts[i], slopes[i], variances[i]) == (alone[0][i], alone[1][i], alone[2][i])
         with pytest.raises(DegeneratePredictorError, match="A/m: zero predictor variance"):
-            fit_line(constant[1], y, "A", "m")
+            fit_calibration(list(zip(constant[1], y)), "A", "m")
 
 
 class TestMad:

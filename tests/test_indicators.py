@@ -17,13 +17,9 @@ from bibagree import (
     percentile_normalize,
     reassign_multidisciplinary,
 )
-from bibagree.indicators import (
-    FieldYearBaseline,
-    ZeroMeanCellError,
-    build_indicator_table,
-    weighted_mean_ncs_by_year,
-)
+from bibagree.indicators import FieldYearBaseline, ZeroMeanCellError, build_indicator_table
 from oracles import oracle_baselines, oracle_ncs, oracle_njs, oracle_percentiles
+from record_pipeline import weighted_mean_ncs_by_year
 
 
 def rec(pub_id, weights, citations, year=2012, journal="J1", refs=None, inst="U1", area="A"):

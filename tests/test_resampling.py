@@ -15,9 +15,10 @@ from bibagree import (
     run_bootstrap,
     stratified_sample,
 )
-from bibagree.pipeline import PipelineConfig, statistic_values
-from bibagree.resampling import ResamplingError, resample_within_areas
+from bibagree.pipeline import PipelineConfig
+from bibagree.resampling import ResamplingError
 from oracles import oracle_midrank_quantile
+from record_pipeline import resample_within_areas, statistic_values
 
 
 @pytest.fixture(scope="module")

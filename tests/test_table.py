@@ -1,7 +1,9 @@
 """The publication table against the record-by-record point pass, on the
 corpus itself and on materialised bootstrap replicates."""
 
+import builtins
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 
@@ -15,10 +17,10 @@ from bibagree import Corpus, PublicationRecord, ReviewerScore, SynthConfig, gene
 from bibagree.agreement import LEVEL_INSTITUTION, LEVEL_PUBLICATION, VIEW_SIZE_DEPENDENT, VIEW_SIZE_INDEPENDENT
 from bibagree.indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, run
-from bibagree.resampling import resample_within_areas, replicate_counts
+from bibagree.resampling import replicate_counts
 from bibagree.table import _median_rows, _midrank_percentiles, _scores, build_table, table_statistics
 from oracles import oracle_percentiles
-from record_pipeline import record_pipeline_stats, record_statistic_values
+from record_pipeline import record_pipeline_stats, record_statistic_values, resample_within_areas
 
 METRICS_R1 = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
 METRICS_NCS = ("reviewer1", "reviewer2", "njs", "citation_percentile", "journal_percentile")
@@ -141,6 +143,35 @@ def test_all_ones_counts_give_point_statistics(corpus, config):
 def test_point_pass_equals_record_pipeline_exactly(corpus, config):
     # Statistics, skips, calibrations, aggregates, flag counts and
     # exclusions, compared with ==, on ids like P1 and P10 too.
+    assert compute_pipeline_stats(corpus, config) == record_pipeline_stats(corpus, config)
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin sum() of Python 3.12 on: Neumaier-compensated over floats."""
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        elif type(total) is float and type(x) is int:
+            total += x
+        else:
+            total, c = (total + c if c else total) + x, 0.0
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_point_pass_equals_record_pipeline_under_compensated_sum(monkeypatch):
+    # Percentiles 100 * (r - 0.5) / 3 sum to 150 when compensated and to
+    # 149.99999999999997 when folded left, as np.bincount does.
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    score = ReviewerScore(1, 1, 1)
+    records = [
+        PublicationRecord(pub_id, "U0", "A1", 2011, cites, "J0", {field: 1.0}, None, score, score)
+        for pub_id, cites, field in (("P0", 1, "F0"), ("P1", 1, "F1"), ("P2", 0, "F0"))
+    ]
+    corpus = Corpus(records=tuple(records), census_year=2015)
+    config = PipelineConfig(metric_labels=(), assign_roles=False)
     assert compute_pipeline_stats(corpus, config) == record_pipeline_stats(corpus, config)
 
 
