@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -89,24 +90,17 @@ class Corpus:
 
 @dataclass(frozen=True)
 class SchemaOptions:
-    """Corpus file format configuration.
+    """Corpus load options.
 
-    fmt: "csv", "tsv", "jsonl" or "auto" (pick by file extension).
     census_year: citation census cutoff; defaults to the max record year.
-    year_min / year_max: optional assessment window bounds.
     population_path: optional CSV of institution_id,count reference-population sizes.
     """
 
-    fmt: str = "auto"
     census_year: int | None = None
-    year_min: int | None = None
-    year_max: int | None = None
     population_path: str | None = None
 
 
-def _detect_format(path: Path, fmt: str) -> str:
-    if fmt != "auto":
-        return fmt
+def _detect_format(path: Path) -> str:
     ext = path.suffix.lower()
     if ext in (".jsonl", ".ndjson", ".json"):
         return "jsonl"
@@ -156,7 +150,7 @@ def _opt_float(value, where: str) -> float | None:
         raise CorpusParseError(f"{where}: bad numeric value {value!r}") from exc
 
 
-def validate_record(rec: PublicationRecord, options: SchemaOptions, census_year: int) -> None:
+def validate_record(rec: PublicationRecord, census_year: int) -> None:
     """Raise CorpusValidationError naming the record on any invariant violation."""
     tag = f"record {rec.pub_id!r}"
     if rec.citations < 0:
@@ -171,10 +165,10 @@ def validate_record(rec: PublicationRecord, options: SchemaOptions, census_year:
             raise CorpusValidationError(f"{tag}: weight {label}={w:g} outside (0,1]")
     if rec.year > census_year:
         raise CorpusValidationError(f"{tag}: year {rec.year} after census year {census_year}")
-    if options.year_min is not None and rec.year < options.year_min:
-        raise CorpusValidationError(f"{tag}: year {rec.year} before window start {options.year_min}")
-    if options.year_max is not None and rec.year > options.year_max:
-        raise CorpusValidationError(f"{tag}: year {rec.year} after window end {options.year_max}")
+    # abs() lets one sum catch a nan or infinite weight and a positive
+    # total that overflows, either of which breaks the reassignment.
+    if rec.ref_category_weights and not math.isfinite(sum(map(abs, rec.ref_category_weights.values()))):
+        raise CorpusValidationError(f"{tag}: reference weights not finite")
     for name, score in (("review_a", rec.review_a), ("review_b", rec.review_b)):
         if score is None:
             continue
@@ -256,9 +250,14 @@ def load_population_counts(path: str | Path) -> dict[str, int]:
         reader = csv.DictReader(fh)
         for i, row in enumerate(reader, start=2):
             try:
-                counts[str(row["institution_id"]).strip()] = int(str(row["count"]).strip())
+                inst, count = str(row["institution_id"]).strip(), int(str(row["count"]).strip())
             except (KeyError, ValueError) as exc:
                 raise CorpusParseError(f"{path} row {i}: bad population count") from exc
+            if count < 0:
+                raise CorpusParseError(f"{path} row {i}: negative population count {count}")
+            if inst in counts:
+                raise CorpusParseError(f"{path} row {i}: duplicate institution {inst!r}")
+            counts[inst] = count
     return counts
 
 
@@ -267,7 +266,7 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     path = Path(path)
     if not path.exists():
         raise CorpusParseError(f"corpus file not found: {path}")
-    fmt = _detect_format(path, options.fmt)
+    fmt = _detect_format(path)
     records: list[PublicationRecord] = []
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
@@ -281,7 +280,7 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
                 except json.JSONDecodeError as exc:
                     raise CorpusParseError(f"{where}: invalid JSON: {exc}") from exc
                 records.append(_record_from_json(obj, where))
-    elif fmt in ("csv", "tsv"):
+    else:
         delim = "\t" if fmt == "tsv" else ","
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh, delimiter=delim)
@@ -290,8 +289,6 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
                 raise CorpusParseError(f"{path.name}: missing columns {sorted(missing)}")
             for lineno, row in enumerate(reader, start=2):
                 records.append(_record_from_row(row, f"{path.name} row {lineno}"))
-    else:
-        raise CorpusParseError(f"unknown corpus format {fmt!r}")
 
     if not records:
         raise CorpusParseError(f"{path.name}: no records")
@@ -303,7 +300,7 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
         if rec.pub_id in seen:
             raise CorpusValidationError(f"duplicate pub_id {rec.pub_id!r}")
         seen.add(rec.pub_id)
-        validate_record(rec, options, census_year)
+        validate_record(rec, census_year)
 
     population = None
     if options.population_path:
@@ -311,10 +308,10 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     return Corpus(records=tuple(records), census_year=census_year, population_counts=population)
 
 
-def save_corpus(corpus: Corpus, path: str | Path, fmt: str = "auto") -> None:
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus back out in the canonical column layout."""
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    fmt = _detect_format(path)
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for rec in corpus.records:

@@ -22,7 +22,6 @@ DEFAULT_METRICS = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_pe
 class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 class ConfigError(ValueError):
@@ -60,6 +59,9 @@ class PipelineConfig:
         ]:
             if label not in SERIES_LABELS:
                 raise ConfigError(f"{name}: unknown series {label!r}, expected one of {', '.join(SERIES_LABELS)}")
+        for label in self.metric_labels:
+            if self.metric_labels.count(label) > 1:
+                raise ConfigError(f"metric_labels: {label!r} listed twice")
 
     @staticmethod
     def from_file(path: str | Path) -> "PipelineConfig":
@@ -201,13 +203,11 @@ def _fmt(x) -> str:
     return "" if x is None else repr(x)
 
 
-def emit_figure_tables(report: RunReport, out_dir: str | Path) -> list[Path]:
+def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
     """Plot-ready tables: institutional MAD, institutional MAPD, publication
     MAD (each with bootstrap interval columns) and the institution scatter."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     boots = _boot_index(report)
-    written: list[Path] = []
 
     specs = [
         ("mad_institution.csv", agr.LEVEL_INSTITUTION, agr.VIEW_SIZE_INDEPENDENT, "mad"),
@@ -235,7 +235,6 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> list[Path]:
                         s.n_units,
                     ]
                 )
-        written.append(path)
 
     scatter = out_dir / "scatter_institution.csv"
     with open(scatter, "w", newline="", encoding="utf-8") as fh:
@@ -246,7 +245,6 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> list[Path]:
                 [a.institution_id, a.area_id, a.pub_count]
                 + [_fmt(a.mean_score[lab]) for lab in SERIES_LABELS]
             )
-    written.append(scatter)
 
     if report.coverage:
         cov = out_dir / "coverage.csv"
@@ -262,6 +260,3 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> list[Path]:
                         _fmt(c.coverage_ratio) if c.coverage_ratio is not None else "unavailable",
                     ]
                 )
-        written.append(cov)
-    return written
-

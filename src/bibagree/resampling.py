@@ -88,8 +88,8 @@ def replicate_counts(area_sizes: Sequence[int], seed: int, k: int) -> np.ndarray
     )
 
 
-def _count_values(table: PublicationTable, statistic_fn, seed: int, k: int) -> tuple[int, dict[StatKey, float]]:
-    return k, statistic_fn(table, replicate_counts(table.area_sizes, seed, k))
+def _count_values(table: PublicationTable, statistic_fn, seed: int, k: int) -> dict[StatKey, float]:
+    return statistic_fn(table, replicate_counts(table.area_sizes, seed, k))
 
 
 _worker_args: tuple | None = None  # (table, statistic_fn, seed), set once per pool worker
@@ -100,7 +100,7 @@ def _init_worker(table: PublicationTable, statistic_fn, seed: int) -> None:
     _worker_args = (table, statistic_fn, seed)
 
 
-def _worker_values(k: int) -> tuple[int, dict[StatKey, float]]:
+def _worker_values(k: int) -> dict[StatKey, float]:
     return _count_values(*_worker_args, k)
 
 
@@ -132,10 +132,9 @@ def bootstrap_statistics(
             )
     else:
         raw = [_count_values(corpus, statistic_fn, seed, k) for k in range(n_replicates)]
-    raw.sort(key=lambda kv: kv[0])
 
     collected: dict[StatKey, list[float]] = {key: [] for key in point_values}
-    for _, values in raw:
+    for values in raw:
         for key in collected:
             if key in values:
                 collected[key].append(values[key])

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, PublicationRecord, ReviewerScore
-from .indicators import percentile_normalize
 from .jsonconfig import SCALAR_TYPES, check_type, from_json, read_json
 
 
@@ -51,7 +50,6 @@ class SynthConfig:
     area_share_skew: float = 0.0  # >0 tilts publication mass toward later areas
     multidisciplinary_share: float = 0.0
     multidisciplinary_label: str = "MULTI"
-    with_ext_percentiles: bool = False
     population_fraction: float = 0.08  # mean sample-to-population ratio; 0 for no population counts
 
     def __post_init__(self):
@@ -185,9 +183,6 @@ def generate(config: SynthConfig) -> Corpus:
                 )
             )
 
-    if config.with_ext_percentiles:
-        records = _attach_ext_percentiles(records)
-
     # Each institution's sample rate is uniform around population_fraction,
     # within a quarter of its distance to the nearer of 0 and 1, so it stays
     # in (0, 1]; the default 0.08 draws from [0.06, 0.10].
@@ -204,14 +199,3 @@ def generate(config: SynthConfig) -> Corpus:
         }
     return Corpus(records=tuple(records), census_year=config.census_year, population_counts=population)
 
-
-def _attach_ext_percentiles(records: list[PublicationRecord]) -> list[PublicationRecord]:
-    # Mid-rank percentiles of citations within area stand in for externally
-    # supplied metrics; journal percentile ranks the journal id, which within
-    # an area sorts by journal bin.
-    area = {r.pub_id: r.area_id for r in records}
-    cit = percentile_normalize([(r.pub_id, r.citations) for r in records], area)
-    jou = percentile_normalize([(r.pub_id, r.journal_id) for r in records], area)
-    return [
-        replace(r, ext_citation_percentile=cit[r.pub_id], ext_journal_percentile=jou[r.pub_id]) for r in records
-    ]

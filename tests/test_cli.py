@@ -154,6 +154,22 @@ def test_missing_corpus_is_validation_failure(tmp_path, capsys):
     assert "[load]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, reason",
+    [("U000,-5\n", "negative population count -5"), ("U000,3\n", "duplicate institution 'U000'")],
+    ids=["negative", "duplicate"],
+)
+def test_bad_population_sidecar_is_validation_failure(corpus_file, tmp_path, capsys, rows, reason):
+    # Row 2 is a valid count for U000; row 3 is the bad one.
+    pop = tmp_path / "pop.csv"
+    pop.write_text("institution_id,count\nU000,40\n" + rows)
+    code = main(["run", "--corpus", str(corpus_file), "--out", str(tmp_path / "o"),
+                 "--no-bootstrap", "--population", str(pop)])
+    assert code == 1
+    assert f"{pop} row 3: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -177,12 +193,14 @@ def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
         ([], {"seed": True}, "seed"),
         ([], {"n_workers": 1.5}, "n_workers"),
         ([], {"metric_labels": "ncs"}, "metric_labels"),
+        ([], {"metric_labels": ["ncs", "njs", "ncs"]}, "metric_labels: 'ncs' listed twice"),
+        ([], {"bootstrap": 1}, "bootstrap"),
         (["--config", "nosuch.json"], None, "nosuch.json: cannot read config"),
     ],
     ids=[
         "unknown-key", "replicates", "workers", "min-pubs", "baseline-label", "metric-label",
         "bootstrap-string", "replicates-float", "seed-string", "seed-bool", "workers-float", "metric-labels-string",
-        "missing-config",
+        "metric-labels-duplicate", "bootstrap-int", "missing-config",
     ],
 )
 def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, config, named):
@@ -212,7 +230,6 @@ def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, 
         ('{"seed": 1.5}', "seed"),
         ('{"seed": true}', "seed"),
         ('{"reviewer_noise_sd": "1"}', "reviewer_noise_sd"),
-        ('{"with_ext_percentiles": 1}', "with_ext_percentiles"),
         ('{"pubs_per_institution": {"kind": "constant", "value": "3"}}', "pubs_per_institution: value"),
         (None, "synth.json: cannot read config"),
         (b'\xff{"seed": 1}', "synth.json: invalid JSON"),
@@ -224,7 +241,7 @@ def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, 
     ],
     ids=[
         "unknown-key", "unknown-pubs-key", "pubs-not-object", "invalid-json", "not-object",
-        "institutions-string", "seed-float", "seed-bool", "float-string", "flag-int", "pubs-value-string",
+        "institutions-string", "seed-float", "seed-bool", "float-string", "pubs-value-string",
         "missing-config", "not-utf8", "multidisciplinary-above-1", "multidisciplinary-negative",
         "population-above-1", "population-negative", "population-nan",
     ],
@@ -259,7 +276,7 @@ def test_run_does_not_import_scipy(tmp_path):
 import sys
 import bibagree, bibagree.cli, bibagree.synth
 from bibagree import PipelineConfig, SynthConfig, generate, pipeline, save_corpus
-save_corpus(generate(SynthConfig(n_institutions=8, seed=3, with_ext_percentiles=True)), {str(tmp_path / "c.csv")!r})
+save_corpus(generate(SynthConfig(n_institutions=8, seed=3)), {str(tmp_path / "c.csv")!r})
 pipeline.run({str(tmp_path / "c.csv")!r}, {str(tmp_path / "out")!r}, PipelineConfig(n_replicates=3))
 assert "scipy" not in sys.modules
 """

@@ -2,6 +2,9 @@
 
 import json
 import random
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,9 @@ from bibagree import (
     overall_score,
     save_corpus,
 )
+from bibagree.corpus import CSV_COLUMNS
+
+CORPUS_FORMAT_DOC = Path(__file__).resolve().parents[1] / "docs" / "corpus_format.md"
 
 FIXTURE_HEADER = (
     "pub_id,institution_id,area_id,year,citations,journal_id,category_weights,"
@@ -89,10 +95,42 @@ def test_ext_percentile_range_checked(tmp_path):
         load_corpus(write(tmp_path, bad))
 
 
+@pytest.mark.parametrize(
+    "refs",
+    ["PHY:inf", "PHY:nan", "PHY:1e308;CHE:1e308"],
+    ids=["inf", "nan", "sum-overflows"],
+)
+def test_non_finite_reference_weights_rejected_in_csv(tmp_path, refs):
+    bad = THREE_ROWS.replace("CHE:1.0,PHY:1.0", f"MULTI:1.0,{refs}")
+    with pytest.raises(CorpusValidationError, match="record 'p3': reference weights not finite"):
+        load_corpus(write(tmp_path, bad))
+
+
+def test_infinite_reference_weight_rejected_in_jsonl(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(load_corpus(write(tmp_path, THREE_ROWS)), path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj["category_weights"] = {"MULTI": 1.0}
+    obj["ref_category_weights"] = {"PHY": float("inf")}
+    lines[2] = json.dumps(obj)
+    assert "Infinity" in lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusValidationError, match="record 'p3': reference weights not finite"):
+        load_corpus(path)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
 def test_round_trip(tmp_path, fmt):
-    corpus = generate(SynthConfig(n_institutions=8, seed=5, multidisciplinary_share=0.1,
-                                  with_ext_percentiles=True))
+    corpus = generate(SynthConfig(n_institutions=8, seed=5, multidisciplinary_share=0.1))
+    # External percentiles on every other record, so present and absent values both round-trip.
+    n = len(corpus.records)
+    records = [
+        replace(r, ext_citation_percentile=100.0 * (i + 0.5) / n, ext_journal_percentile=100.0 / (i + 3))
+        if i % 2 == 0 else r
+        for i, r in enumerate(corpus.records)
+    ]
+    corpus = replace(corpus, records=tuple(records))
     path = tmp_path / f"corpus.{fmt}"
     save_corpus(corpus, path)
     reloaded = load_corpus(path, SchemaOptions(census_year=corpus.census_year))
@@ -186,3 +224,17 @@ def test_jsonl_non_integral_number_rejected(tmp_path, field, value):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusParseError, match=f"line 2: non-integral {field}"):
         load_corpus(path)
+
+
+def test_doc_column_table_matches_csv_columns():
+    doc = CORPUS_FORMAT_DOC.read_text()
+    section = doc.split("## Columns", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", section, flags=re.M) == CSV_COLUMNS
+
+
+def test_doc_example_csv_loads(tmp_path):
+    doc = CORPUS_FORMAT_DOC.read_text()
+    example = doc.split("## Example (CSV)", 1)[1].split("```", 2)[1].lstrip("\n")
+    corpus = load_corpus(write(tmp_path, example))
+    assert len(corpus.records) == 3
+    assert len(corpus.area_ids()) == 2

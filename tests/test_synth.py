@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bibagree import PubCountSpec, SynthConfig, assign_reviewer_roles, generate, overall_score
-from bibagree.corpus import SchemaOptions, validate_record
+from bibagree.corpus import validate_record
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats
 from bibagree.synth import SynthError
 
@@ -19,11 +19,9 @@ def test_fixed_config_is_byte_identical():
 
 
 def test_generated_records_pass_validation():
-    corpus = generate(SynthConfig(n_institutions=15, seed=2, multidisciplinary_share=0.1,
-                                  with_ext_percentiles=True))
-    opts = SchemaOptions()
+    corpus = generate(SynthConfig(n_institutions=15, seed=2, multidisciplinary_share=0.1))
     for rec in corpus.records:
-        validate_record(rec, opts, corpus.census_year)
+        validate_record(rec, corpus.census_year)
     assert len({r.pub_id for r in corpus.records}) == len(corpus.records)
 
 
