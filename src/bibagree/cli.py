@@ -91,8 +91,11 @@ def cmd_sample(args) -> int:
 def cmd_validate(args) -> int:
     corpus = load_corpus(args.corpus, _schema_options(args))
     areas = corpus.area_ids()
-    print(f"{args.corpus}: OK — {len(corpus.records)} records, "
-          f"{len(areas)} areas, census year {corpus.census_year}")
+    msg = (f"{args.corpus}: OK — {len(corpus.records)} records, "
+           f"{len(areas)} areas, census year {corpus.census_year}")
+    if corpus.population_counts is not None:
+        msg += f", population counts for {len(corpus.population_counts)} institutions"
+    print(msg)
     return EXIT_OK
 
 
@@ -133,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate", help="lint a corpus file")
     val_p.add_argument("--corpus", required=True)
     val_p.add_argument("--census-year", type=int, dest="census_year")
+    val_p.add_argument("--population", help="CSV of institution_id,count reference-population sizes")
     val_p.set_defaults(func=cmd_validate)
     return parser
 

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ CSV_COLUMNS = [
 ]
 
 
+_ID_COLUMNS = ("pub_id", "institution_id", "area_id", "journal_id")
 _CRITERIA = ("originality", "rigour", "impact")
 _SCORE_COLUMNS = {prefix: tuple(f"{prefix}_{c}" for c in _CRITERIA) for prefix in ("rev_a", "rev_b")}
 
@@ -184,20 +186,29 @@ def validate_record(rec: PublicationRecord, census_year: int) -> None:
             raise CorpusValidationError(f"{tag}: {name}={pct:g} outside [0,100]")
 
 
+def _bad_id(ids: list, where: str) -> CorpusParseError:
+    name, value = next((n, v) for n, v in zip(_ID_COLUMNS, ids) if not (isinstance(v, str) and v))
+    return CorpusParseError(f"{where}: {name} must be a non-empty string, got {value!r}")
+
+
 def _record_from_row(row: dict, where: str) -> PublicationRecord:
     try:
         year = int(str(row["year"]).strip())
         citations = int(str(row["citations"]).strip())
     except (KeyError, ValueError) as exc:
         raise CorpusParseError(f"{where}: bad year/citations") from exc
+    ids = [row[k].strip() for k in _ID_COLUMNS]
+    if "" in ids:
+        raise _bad_id(ids, where)
+    pub_id, institution_id, area_id, journal_id = ids
     refs = _parse_weights(str(row.get("ref_category_weights") or ""), where)
     return PublicationRecord(
-        pub_id=str(row["pub_id"]).strip(),
-        institution_id=str(row["institution_id"]).strip(),
-        area_id=str(row["area_id"]).strip(),
+        pub_id=pub_id,
+        institution_id=institution_id,
+        area_id=area_id,
         year=year,
         citations=citations,
-        journal_id=str(row["journal_id"]).strip(),
+        journal_id=journal_id,
         category_weights=_parse_weights(str(row["category_weights"]), where),
         ref_category_weights=refs or None,
         review_a=_parse_score(row, "rev_a", where),
@@ -223,16 +234,20 @@ def _record_from_json(obj: dict, where: str) -> PublicationRecord:
             raise CorpusParseError(f"{where}: bad {key} object") from exc
 
     try:
+        ids = [obj[k] for k in _ID_COLUMNS]
+        if not all(isinstance(v, str) and v for v in ids):
+            raise _bad_id(ids, where)
+        pub_id, institution_id, area_id, journal_id = ids
         weights = {str(k): float(v) for k, v in obj["category_weights"].items()}
         refs_raw = obj.get("ref_category_weights")
         refs = {str(k): float(v) for k, v in refs_raw.items()} if refs_raw else None
         return PublicationRecord(
-            pub_id=str(obj["pub_id"]),
-            institution_id=str(obj["institution_id"]),
-            area_id=str(obj["area_id"]),
+            pub_id=pub_id,
+            institution_id=institution_id,
+            area_id=area_id,
             year=integral(obj["year"], "year"),
             citations=integral(obj["citations"], "citations"),
-            journal_id=str(obj["journal_id"]),
+            journal_id=journal_id,
             category_weights=weights,
             ref_category_weights=refs,
             review_a=score("review_a"),
@@ -287,7 +302,12 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
             missing = set(CSV_COLUMNS) - set(reader.fieldnames or [])
             if missing:
                 raise CorpusParseError(f"{path.name}: missing columns {sorted(missing)}")
+            last = reader.fieldnames[-1]
             for lineno, row in enumerate(reader, start=2):
+                # DictReader files extra fields under None and fills missing ones with None.
+                if None in row or row[last] is None:
+                    more = "more" if None in row else "fewer"
+                    raise CorpusParseError(f"{path.name} row {lineno}: {more} fields than the header")
                 records.append(_record_from_row(row, f"{path.name} row {lineno}"))
 
     if not records:
@@ -305,6 +325,13 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     population = None
     if options.population_path:
         population = load_population_counts(options.population_path)
+        # A population is never smaller than its sample.
+        for inst, n in Counter(r.institution_id for r in records).items():
+            if inst in population and population[inst] < n:
+                raise CorpusValidationError(
+                    f"{options.population_path}: institution {inst!r} has population count "
+                    f"{population[inst]} below its {n} records in the corpus"
+                )
     return Corpus(records=tuple(records), census_year=census_year, population_counts=population)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from . import agreement as agr
 from .aggregation import InstitutionAggregate
 from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus
+from .indicators import MULTIDISCIPLINARY_LABEL
 from .jsonconfig import check_type, from_json, read_json
 from .resampling import BootstrapResult, CoverageDiagnostic, StatKey, bootstrap_statistics, coverage_report
 from .table import SERIES_LABELS, PublicationTable, build_table, point_statistics, table_statistics
@@ -32,7 +33,7 @@ class ConfigError(ValueError):
 class PipelineConfig:
     seed: int = 0
     min_pubs: int = 1
-    multidisciplinary_label: str = "MULTI"
+    multidisciplinary_label: str = MULTIDISCIPLINARY_LABEL
     n_replicates: int = 1000
     bootstrap: bool = True
     n_workers: int = 1

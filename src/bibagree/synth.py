@@ -9,11 +9,16 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, PublicationRecord, ReviewerScore
+from .indicators import MULTIDISCIPLINARY_LABEL
 from .jsonconfig import SCALAR_TYPES, check_type, from_json, read_json
 
 
 class SynthError(Exception):
     pass
+
+
+YEARS = (2011, 2012, 2013, 2014)  # publication years; citations are counted at CENSUS_YEAR
+CENSUS_YEAR = 2015
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,12 @@ class PubCountSpec:
     def __post_init__(self):
         for f in fields(self):
             check_type(f.name, f.type, getattr(self, f.name), SynthError)
+        if self.kind not in ("constant", "skewed"):
+            raise SynthError(f"kind must be 'constant' or 'skewed', got {self.kind!r}")
+        if self.kind == "constant" and self.value < 1:
+            raise SynthError(f"value must be >= 1, got {self.value}")
+        if self.kind == "skewed" and not 1 <= self.min <= self.max:
+            raise SynthError(f"min and max must satisfy 1 <= min <= max, got min={self.min}, max={self.max}")
 
 
 _FIELD_TYPES = {**SCALAR_TYPES, "PubCountSpec": PubCountSpec}
@@ -39,22 +50,27 @@ class SynthConfig:
     pubs_per_institution: PubCountSpec = field(default_factory=PubCountSpec)
     n_areas: int = 2
     n_fields_per_area: int = 3
-    latent_quality_sd: float = 1.0
-    reviewer_noise_sd: float = 1.0
+    reviewer_noise_sd: float = 1.0  # latent quality has sd 1
     citation_dispersion: float = 2.0
     metric_quality_correlation: float = 0.8
     seed: int = 0
-    year_min: int = 2011
-    year_max: int = 2014
-    census_year: int = 2015
     area_share_skew: float = 0.0  # >0 tilts publication mass toward later areas
     multidisciplinary_share: float = 0.0
-    multidisciplinary_label: str = "MULTI"
     population_fraction: float = 0.08  # mean sample-to-population ratio; 0 for no population counts
 
     def __post_init__(self):
         for f in fields(self):
             check_type(f.name, f.type, getattr(self, f.name), SynthError, _FIELD_TYPES)
+        for name in ("n_institutions", "n_areas", "n_fields_per_area"):
+            if getattr(self, name) < 1:
+                raise SynthError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.citation_dispersion < math.inf:
+            raise SynthError(f"citation_dispersion must be positive and finite, got {self.citation_dispersion}")
+        if not 0 <= self.reviewer_noise_sd < math.inf:
+            raise SynthError(f"reviewer_noise_sd must be nonnegative and finite, got {self.reviewer_noise_sd}")
+        for name in ("metric_quality_correlation", "multidisciplinary_share", "population_fraction"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise SynthError(f"{name} must lie in [0,1], got {getattr(self, name)}")
 
     @staticmethod
     def from_file(path: str | Path) -> "SynthConfig":
@@ -64,19 +80,6 @@ class SynthConfig:
                 PubCountSpec, raw["pubs_per_institution"], f"{path}: pubs_per_institution", SynthError
             )
         return from_json(SynthConfig, raw, str(path), SynthError)
-
-    def validate(self) -> None:
-        if self.n_institutions < 1 or self.n_areas < 1 or self.n_fields_per_area < 1:
-            raise SynthError("institution/area/field counts must be positive")
-        if self.latent_quality_sd <= 0 or self.citation_dispersion <= 0:
-            raise SynthError("latent_quality_sd and citation_dispersion must be positive")
-        if self.reviewer_noise_sd < 0:
-            raise SynthError("reviewer_noise_sd must be nonnegative")
-        for name in ("metric_quality_correlation", "multidisciplinary_share", "population_fraction"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise SynthError(f"{name} must lie in [0,1], got {getattr(self, name)}")
-        if self.year_min > self.year_max or self.year_max > self.census_year:
-            raise SynthError("assessment window must fit below the census year")
 
 
 def _normal_cdf(z: float) -> float:
@@ -90,7 +93,7 @@ def _criterion_score(latent: float, scale: float) -> int:
 
 
 def _review(q: float, noise: np.ndarray, cfg: SynthConfig) -> ReviewerScore:
-    scale = math.hypot(cfg.latent_quality_sd, cfg.reviewer_noise_sd)
+    scale = math.hypot(1.0, cfg.reviewer_noise_sd)
     return ReviewerScore(
         _criterion_score(q + noise[0], scale),
         _criterion_score(q + noise[1], scale),
@@ -107,12 +110,10 @@ def generate(config: SynthConfig) -> Corpus:
     metric_quality_correlation, and journals bin publications of similar
     quality within an area.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     rho = config.metric_quality_correlation
     records: list[PublicationRecord] = []
     n_journal_bins = 8
-    years = list(range(config.year_min, config.year_max + 1))
     area_probs = None
     if config.area_share_skew > 0:
         raw = np.power(np.arange(1, config.n_areas + 1, dtype=float), config.area_share_skew)
@@ -120,15 +121,13 @@ def generate(config: SynthConfig) -> Corpus:
 
     for i in range(config.n_institutions):
         inst = f"U{i:03d}"
-        inst_effect = rng.normal(0.0, config.latent_quality_sd * 0.6)
+        inst_effect = rng.normal(0.0, 0.6)
         spec = config.pubs_per_institution
         if spec.kind == "constant":
             n_pubs = spec.value
-        elif spec.kind == "skewed":
+        else:
             lo, hi = math.log(spec.min), math.log(spec.max + 1)
             n_pubs = min(spec.max, int(math.exp(rng.uniform(lo, hi))))
-        else:
-            raise SynthError(f"unknown pubs_per_institution kind {spec.kind!r}")
         for j in range(n_pubs):
             pub_id = f"P-{inst}-{j:04d}"
             if area_probs is None:
@@ -136,26 +135,26 @@ def generate(config: SynthConfig) -> Corpus:
             else:
                 area_idx = int(rng.choice(config.n_areas, p=area_probs))
             area = f"AREA{area_idx:02d}"
-            q = inst_effect + rng.normal(0.0, config.latent_quality_sd * 0.8)
-            year = int(rng.choice(years))
+            q = inst_effect + rng.normal(0.0, 0.8)
+            year = int(rng.choice(YEARS))
 
             review_a = _review(q, rng.normal(0.0, config.reviewer_noise_sd, 3), config)
             review_b = _review(q, rng.normal(0.0, config.reviewer_noise_sd, 3), config)
 
             # Citation latent mixes quality with independent noise; rho = 1
             # makes citations a deterministic monotone function of quality.
-            eps = rng.normal(0.0, config.latent_quality_sd)
+            eps = rng.normal(0.0, 1.0)
             m = rho * q + math.sqrt(max(0.0, 1.0 - rho * rho)) * eps
             field_idx = int(rng.integers(config.n_fields_per_area))
             field_effect = 0.3 * field_idx
-            mu = math.exp(0.9 * m / config.latent_quality_sd + field_effect + 1.2)
+            mu = math.exp(0.9 * m + field_effect + 1.2)
             r = config.citation_dispersion
             citations = int(rng.negative_binomial(r, r / (r + mu)))
 
             main_field = f"{area}-F{field_idx}"
             ref_weights = None
             if rng.uniform() < config.multidisciplinary_share:
-                weights = {config.multidisciplinary_label: 1.0}
+                weights = {MULTIDISCIPLINARY_LABEL: 1.0}
                 other = f"{area}-F{int(rng.integers(config.n_fields_per_area))}"
                 ref_weights = {main_field: 0.75, other: 0.25} if other != main_field else {main_field: 1.0}
             elif config.n_fields_per_area > 1 and rng.uniform() < 0.3:
@@ -165,7 +164,7 @@ def generate(config: SynthConfig) -> Corpus:
             else:
                 weights = {main_field: 1.0}
 
-            journal_bin = min(n_journal_bins - 1, int(_normal_cdf(q / (1.0 + config.latent_quality_sd)) * n_journal_bins))
+            journal_bin = min(n_journal_bins - 1, int(_normal_cdf(q / 2.0) * n_journal_bins))
             records.append(
                 PublicationRecord(
                     pub_id=pub_id,
@@ -197,5 +196,5 @@ def generate(config: SynthConfig) -> Corpus:
             inst: max(n, int(round(n / rng.uniform(f - half, f + half))))
             for inst, n in sorted(counts.items())
         }
-    return Corpus(records=tuple(records), census_year=config.census_year, population_counts=population)
+    return Corpus(records=tuple(records), census_year=CENSUS_YEAR, population_counts=population)
 

@@ -57,7 +57,7 @@ from .agreement import (
     too_few_points,
     zero_variance,
 )
-from .corpus import Corpus, overall_score
+from .corpus import Corpus, CorpusValidationError, overall_score
 from .indicators import reassign_multidisciplinary
 
 if TYPE_CHECKING:
@@ -144,6 +144,12 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     journal_year = _pair_codes(_codes([r.journal_id for r in records])[1], year)[2]
     journal_cell_area, journal_cell_year, journal_cell = _pair_codes(area, journal_year)
     citations = np.array([r.citations for r in records], dtype=float)
+    try:
+        reviewer1 = np.array([overall_score(r.review_a) for r in records], dtype=float)
+        reviewer2 = np.array([overall_score(r.review_b) for r in records], dtype=float)
+    except AttributeError:  # a review is None
+        missing = next(r for r in corpus.records if r.review_a is None or r.review_b is None)
+        raise CorpusValidationError(f"record {missing.pub_id!r}: missing reviewer score") from None
 
     # Category weight entries, fields sorted within a record. Flat lists
     # only: a list per record would keep tens of thousands of containers
@@ -175,8 +181,8 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         journal_cell_area=journal_cell_area,
         journal_cell_year=journal_cell_year,
         citations=citations,
-        reviewer1=np.array([overall_score(r.review_a) for r in records], dtype=float),
-        reviewer2=np.array([overall_score(r.review_b) for r in records], dtype=float),
+        reviewer1=reviewer1,
+        reviewer2=reviewer2,
         ext_citation_percentile=np.array([r.ext_citation_percentile for r in records], dtype=float),
         ext_journal_percentile=np.array([r.ext_journal_percentile for r in records], dtype=float),
         pub_order=pub_order,

@@ -170,6 +170,79 @@ def test_bad_population_sidecar_is_validation_failure(corpus_file, tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("count", [0, 9], ids=["zero", "below-sample"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_population_below_sample_is_validation_failure(corpus_file, tmp_path, capsys, command, count):
+    # U000 has 10 records in the seed-7 corpus; its population cannot be smaller.
+    pop = tmp_path / "pop.csv"
+    pop.write_text(f"institution_id,count\nU000,{count}\nU001,10\n")
+    args = [command, "--corpus", str(corpus_file), "--population", str(pop)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "o"), "--no-bootstrap"]
+    assert main(args) == 1
+    assert f"{pop}: institution 'U000' has population count {count} below its 10 records" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_reads_population_sidecar(corpus_file, capsys):
+    pop = corpus_file.with_suffix(".population.csv")
+    assert main(["validate", "--corpus", str(corpus_file), "--population", str(pop)]) == 0
+    assert "population counts for 20 institutions" in capsys.readouterr().out
+
+
+GOOD_ROW = "p001,U1,A,2012,5,J1,PHY:1.0,,4,7,5,3,6,6,,\n"
+GOOD_OBJECT = {
+    "pub_id": "p001", "institution_id": "U1", "area_id": "A", "year": 2012, "citations": 5,
+    "journal_id": "J1", "category_weights": {"PHY": 1.0},
+    "review_a": {"originality": 4, "rigour": 7, "impact": 5},
+    "review_b": {"originality": 3, "rigour": 6, "impact": 6},
+}
+
+
+@pytest.mark.parametrize(
+    "name, text, named",
+    [
+        ("c.csv", GOOD_ROW.replace(",,\n", ",,,\n"), "c.csv row 2: more fields than the header"),
+        ("c.csv", "p001,U1,A,2012,5,J1,PHY:1.0,,4,7,5\n", "c.csv row 2: fewer fields than the header"),
+        ("c.csv", GOOD_ROW.replace("p001,", ","), "c.csv row 2: pub_id must be a non-empty string, got ''"),
+        ("c.csv", GOOD_ROW.replace(",U1,", ", ,"), "c.csv row 2: institution_id must be a non-empty string"),
+        ("c.csv", GOOD_ROW.replace(",A,", ",,"), "c.csv row 2: area_id must be a non-empty string"),
+        ("c.csv", GOOD_ROW.replace(",J1,", ",,"), "c.csv row 2: journal_id must be a non-empty string"),
+        ("c.jsonl", {"institution_id": None}, "c.jsonl line 1: institution_id must be a non-empty string, got None"),
+        ("c.jsonl", {"journal_id": 7}, "c.jsonl line 1: journal_id must be a non-empty string, got 7"),
+        ("c.jsonl", {"pub_id": ""}, "c.jsonl line 1: pub_id must be a non-empty string, got ''"),
+    ],
+    ids=[
+        "extra-field", "truncated-row", "empty-pub-id", "blank-institution-id", "empty-area-id",
+        "empty-journal-id", "jsonl-null-id", "jsonl-integer-id", "jsonl-empty-id",
+    ],
+)
+def test_malformed_row_or_id_is_validation_failure(tmp_path, capsys, name, text, named):
+    path = tmp_path / name
+    if isinstance(text, dict):
+        path.write_text(json.dumps({**GOOD_OBJECT, **text}) + "\n")
+    else:
+        path.write_text(CORPUS_HEADER + text)
+    out = tmp_path / "out"
+    assert main(["run", "--corpus", str(path), "--out", str(out), "--no-bootstrap"]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_without_both_reviews_is_validation_failure(tmp_path, capsys):
+    # Without role assignment nothing else checks that both reviews are present.
+    rows = [GOOD_ROW.replace("p001,U1", f"p00{i},U{i % 3}") for i in range(2, 8)]
+    rows.insert(2, GOOD_ROW.replace("3,6,6,,", ",,,,"))
+    corpus = tmp_path / "c.csv"
+    corpus.write_text(CORPUS_HEADER + "".join(rows))
+    config = tmp_path / "config.json"
+    config.write_text('{"assign_roles": false}')
+    out = tmp_path / "out"
+    assert main(["run", "--corpus", str(corpus), "--config", str(config), "--out", str(out), "--no-bootstrap"]) == 1
+    assert "record 'p001': missing reviewer score" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -238,12 +311,28 @@ def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, 
         ('{"population_fraction": 1.5}', "population_fraction"),
         ('{"population_fraction": -0.1}', "population_fraction"),
         ('{"population_fraction": NaN}', "population_fraction"),
+        ('{"n_institutions": 0}', "n_institutions must be >= 1"),
+        ('{"reviewer_noise_sd": Infinity}', "reviewer_noise_sd must be nonnegative and finite"),
+        ('{"citation_dispersion": Infinity}', "citation_dispersion must be positive and finite"),
+        ('{"pubs_per_institution": {"kind": "skewed", "min": 0}}', "pubs_per_institution: min and max"),
+        ('{"pubs_per_institution": {"kind": "skewed", "min": 5, "max": 2}}', "got min=5, max=2"),
+        ('{"pubs_per_institution": {"kind": "constant", "value": 0}}', "pubs_per_institution: value must be >= 1"),
+        ('{"pubs_per_institution": {"kind": "uniform"}}', "pubs_per_institution: kind"),
+        ('{"latent_quality_sd": 1.0}', "unknown config key(s) 'latent_quality_sd'"),
+        ('{"year_min": 2011}', "unknown config key(s) 'year_min'"),
+        ('{"year_max": 2014}', "unknown config key(s) 'year_max'"),
+        ('{"census_year": 2015}', "unknown config key(s) 'census_year'"),
+        ('{"multidisciplinary_label": "MULTI"}', "unknown config key(s) 'multidisciplinary_label'"),
     ],
     ids=[
         "unknown-key", "unknown-pubs-key", "pubs-not-object", "invalid-json", "not-object",
         "institutions-string", "seed-float", "seed-bool", "float-string", "pubs-value-string",
         "missing-config", "not-utf8", "multidisciplinary-above-1", "multidisciplinary-negative",
-        "population-above-1", "population-negative", "population-nan",
+        "population-above-1", "population-negative", "population-nan", "institutions-zero",
+        "noise-infinite", "dispersion-infinite",
+        "skewed-min-zero", "skewed-min-above-max", "constant-zero", "unknown-kind",
+        "removed-latent-quality-sd", "removed-year-min", "removed-year-max", "removed-census-year",
+        "removed-multidisciplinary-label",
     ],
 )
 def test_generate_invalid_config_is_validation_failure(tmp_path, capsys, text, named):

@@ -47,12 +47,17 @@ def test_zero_metric_correlation_decouples_citations():
 
 
 def test_infeasible_configs_rejected():
-    with pytest.raises(SynthError):
-        generate(SynthConfig(n_institutions=0))
-    with pytest.raises(SynthError):
-        generate(SynthConfig(metric_quality_correlation=1.5))
-    with pytest.raises(SynthError):
-        generate(SynthConfig(citation_dispersion=0.0))
+    # Each config is checked when it is built, before anything generates from it.
+    with pytest.raises(SynthError, match="n_institutions must be >= 1"):
+        SynthConfig(n_institutions=0)
+    with pytest.raises(SynthError, match="metric_quality_correlation"):
+        SynthConfig(metric_quality_correlation=1.5)
+    with pytest.raises(SynthError, match="citation_dispersion"):
+        SynthConfig(citation_dispersion=0.0)
+    with pytest.raises(SynthError, match="reviewer_noise_sd"):
+        SynthConfig(reviewer_noise_sd=float("nan"))
+    with pytest.raises(SynthError, match="min=3, max=2"):
+        PubCountSpec("skewed", min=3, max=2)
 
 
 def test_config_round_trip_from_file(tmp_path):
