@@ -91,7 +91,7 @@ def cmd_sample(args) -> int:
 def cmd_validate(args) -> int:
     corpus = load_corpus(args.corpus, _schema_options(args))
     areas = corpus.area_ids()
-    msg = (f"{args.corpus}: OK — {len(corpus.records)} records, "
+    msg = (f"{args.corpus}: OK — {len(corpus)} records, "
            f"{len(areas)} areas, census year {corpus.census_year}")
     if corpus.population_counts is not None:
         msg += f", population counts for {len(corpus.population_counts)} institutions"

@@ -1,4 +1,17 @@
-"""Publication data model, corpus I/O and reviewer role assignment."""
+"""Publication data model, columnar corpus I/O and reviewer role assignment.
+
+A corpus is held as columns (``Columns``): one list or array per field of
+a record, and the category and reference weight maps as flat entry arrays.
+A run reads, screens and transforms these columns and never builds a
+``PublicationRecord``; ``Corpus.records`` is a view, built on first access.
+
+``load_corpus`` reads a file into raw columns, converts each column once
+and screens the converted columns with numpy. The row-by-row functions
+``_record_from_row``, ``_record_from_json`` and ``validate_record`` define
+a valid row and word every error: when a conversion or a screen rejects
+rows, the loader runs them on the earliest such row only, so the message,
+the row it names and the fault that wins are theirs.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +19,15 @@ import csv
 import hashlib
 import json
 import math
+import operator
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 WEIGHT_TOL = 1e-9
 
@@ -77,17 +96,155 @@ class PublicationRecord:
     ext_journal_percentile: float | None = None
 
 
+class Entries(NamedTuple):
+    """One weight map per record as flat entries: records in order, and
+    within a record the map's own order."""
+
+    row: np.ndarray  # entry -> record index, non-decreasing
+    label: list[str]
+    weight: np.ndarray
+
+
+def _entries(maps: Sequence[dict[str, float]]) -> Entries:
+    return Entries(
+        np.repeat(np.arange(len(maps)), [len(m) for m in maps]),
+        [label for m in maps for label in m],
+        np.array([w for m in maps for w in m.values()], dtype=float),
+    )
+
+
+def _maps(entries: Entries, n: int) -> list[dict[str, float]]:
+    """The weight map of each of n records."""
+    maps: list[dict[str, float]] = [{} for _ in range(n)]
+    for row, label, weight in zip(entries.row.tolist(), entries.label, entries.weight.tolist()):
+        maps[row][label] = weight
+    return maps
+
+
+def _int_array(values) -> np.ndarray:
+    """Integers as int64, or as Python ints when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """The fields of every record, one list or array each, in record order."""
+
+    pub_id: list[str]
+    institution_id: list[str]
+    area_id: list[str]
+    journal_id: list[str]
+    year: np.ndarray
+    citations: np.ndarray
+    weights: Entries  # category weights
+    refs: Entries  # reference category weights; none for a record without
+    review: np.ndarray  # (record, review a or b, criterion in _CRITERIA order); 0 where absent
+    has_review: np.ndarray  # (record, review a or b)
+    ext_citation_percentile: np.ndarray  # NaN where absent
+    ext_journal_percentile: np.ndarray  # NaN where absent
+
+    def __len__(self) -> int:
+        return len(self.pub_id)
+
+    @staticmethod
+    def from_records(records: Sequence[PublicationRecord]) -> Columns:
+        pairs = [(r.review_a, r.review_b) for r in records]
+        return Columns(
+            pub_id=[r.pub_id for r in records],
+            institution_id=[r.institution_id for r in records],
+            area_id=[r.area_id for r in records],
+            journal_id=[r.journal_id for r in records],
+            year=_int_array([r.year for r in records]),
+            citations=_int_array([r.citations for r in records]),
+            weights=_entries([r.category_weights for r in records]),
+            refs=_entries([r.ref_category_weights or {} for r in records]),
+            review=_int_array(
+                [[(s.originality, s.rigour, s.impact) if s else (0, 0, 0) for s in pair] for pair in pairs]
+            ).reshape(len(records), 2, 3),
+            has_review=np.array([[s is not None for s in pair] for pair in pairs], dtype=bool).reshape(-1, 2),
+            ext_citation_percentile=np.array([r.ext_citation_percentile for r in records], dtype=float),
+            ext_journal_percentile=np.array([r.ext_journal_percentile for r in records], dtype=float),
+        )
+
+    def records(self) -> tuple[PublicationRecord, ...]:
+        n = len(self)
+        year, citations = self.year.tolist(), self.citations.tolist()
+        review, has_review = self.review.tolist(), self.has_review.tolist()
+        weights, refs = _maps(self.weights, n), _maps(self.refs, n)
+        # NaN marks an absent percentile.
+        ext_cit, ext_jou = (
+            [None if v != v else v for v in column.tolist()]
+            for column in (self.ext_citation_percentile, self.ext_journal_percentile)
+        )
+
+        def score(i: int, k: int) -> ReviewerScore | None:
+            return ReviewerScore(*review[i][k]) if has_review[i][k] else None
+
+        return tuple(
+            PublicationRecord(
+                pub_id=self.pub_id[i],
+                institution_id=self.institution_id[i],
+                area_id=self.area_id[i],
+                year=year[i],
+                citations=citations[i],
+                journal_id=self.journal_id[i],
+                category_weights=weights[i],
+                ref_category_weights=refs[i] or None,
+                review_a=score(i, 0),
+                review_b=score(i, 1),
+                ext_citation_percentile=ext_cit[i],
+                ext_journal_percentile=ext_jou[i],
+            )
+            for i in range(n)
+        )
+
+
 @dataclass(frozen=True)
 class Corpus:
+    """Publication records, a census year and optional population counts.
+
+    A loaded corpus holds columns, and ``records`` is a view of them, built
+    on first access and cached; a corpus built from records derives its
+    ``columns`` the same way. Corpora are equal when their records, census
+    years and population counts are.
+    """
+
     records: tuple[PublicationRecord, ...]
     census_year: int
     population_counts: dict[str, int] | None = None
+
+    @classmethod
+    def from_columns(
+        cls, columns: Columns, census_year: int, population_counts: dict[str, int] | None = None
+    ) -> Corpus:
+        corpus = cls.__new__(cls)
+        for name, value in (("columns", columns), ("census_year", census_year), ("population_counts", population_counts)):
+            object.__setattr__(corpus, name, value)
+        return corpus
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute the instance does not hold yet.
+        held = self.__dict__
+        if name == "records" and "columns" in held:
+            value = held["columns"].records()
+        elif name == "columns" and "records" in held:
+            value = Columns.from_records(held["records"])
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
+    def __len__(self) -> int:
+        return len(self.records) if "records" in self.__dict__ else len(self.columns)
 
     def by_id(self) -> dict[str, PublicationRecord]:
         return {r.pub_id: r for r in self.records}
 
     def area_ids(self) -> list[str]:
-        return sorted({r.area_id for r in self.records})
+        return sorted(set(self.columns.area_id))
 
 
 @dataclass(frozen=True)
@@ -276,15 +433,271 @@ def load_population_counts(path: str | Path) -> dict[str, int]:
     return counts
 
 
-def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
-    """Read and validate a corpus file (CSV/TSV or JSONL)."""
-    path = Path(path)
-    if not path.exists():
-        raise CorpusParseError(f"corpus file not found: {path}")
-    fmt = _detect_format(path)
-    records: list[PublicationRecord] = []
-    if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+# A JSON Lines field that a line leaves out.
+_ABSENT = object()
+
+_JSON_FIELDS = (
+    *_ID_COLUMNS,
+    "year",
+    "citations",
+    "category_weights",
+    "ref_category_weights",
+    "review_a",
+    "review_b",
+    "ext_citation_percentile",
+    "ext_journal_percentile",
+)
+
+_CHUNK_ROWS = 4096  # rows held at once while a table is read into columns
+
+
+class _Read(NamedTuple):
+    """A corpus file read into columns."""
+
+    values: dict | None  # field -> converted column, or None when a conversion fails
+    first_bad: int | None  # the earliest row a conversion rejects
+    stop: Exception | None  # the fault of the row reading stopped at, which no column holds
+    parse_row: Callable[[int], PublicationRecord]  # the row-by-row parse of a row read
+
+
+def _convert(fn: Callable, values: list) -> tuple[list | None, int | None]:
+    """fn of every value; or None and the index of the first value fn rejects."""
+    try:
+        return list(map(fn, values)), None
+    except (TypeError, ValueError, OverflowError):
+        for i, value in enumerate(values):
+            try:
+                fn(value)
+            except (TypeError, ValueError, OverflowError):
+                return None, i
+        raise
+
+
+def _assigned(rows: list[int], labels: list[str], weights: list[float]) -> tuple[list, list, list]:
+    """Entries as successive dict assignments leave them: a label repeated
+    within a record keeps its first place and its last weight."""
+    merged = dict(zip(zip(rows, labels), weights))
+    return [r for r, _ in merged], [label for _, label in merged], list(merged.values())
+
+
+def _table_weights(texts: list[str]) -> tuple[Entries | None, int | None]:
+    """A weight-map column as _parse_weights reads each cell."""
+    # Split the joined column once: the parts of every cell, in order.
+    n_parts = np.fromiter(map(str.count, texts, repeat(";")), dtype=np.intp, count=len(texts)) + 1
+    row = np.repeat(np.arange(len(texts)), n_parts)
+    parts = list(map(str.strip, ";".join(texts).split(";"))) if texts else []
+    if "" in parts:  # blank parts are skipped
+        kept = list(map(bool, parts))
+        row, parts = row[kept], list(compress(parts, kept))
+    split = list(map(str.rpartition, parts, repeat(":")))
+    labels = list(map(operator.itemgetter(0), split))
+    colons = list(map(operator.itemgetter(1), split))
+    bad = [int(row[colons.index("")])] if "" in colons else []
+    weights, bad_value = _convert(float, list(map(operator.itemgetter(2), split)))
+    if bad_value is not None:
+        bad.append(int(row[bad_value]))
+    if bad:
+        return None, min(bad)
+    if _repeats_label(row, labels):
+        rows, labels, weights = _assigned(row.tolist(), labels, weights)
+        row = np.array(rows, dtype=np.intp)
+    return Entries(row, labels, np.array(weights, dtype=float)), None
+
+
+def _repeats_label(row: np.ndarray, labels: list[str]) -> bool:
+    """Whether a record holds a label on two entries."""
+    if not (row[1:] == row[:-1]).any():
+        return False
+    code = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    key = np.sort(row * len(code) + np.fromiter(map(code.__getitem__, labels), dtype=np.intp, count=len(labels)))
+    return bool((key[1:] == key[:-1]).any())
+
+
+def _table_review(cells: list[list[str]]) -> tuple[tuple | None, int | None]:
+    """One review's three criterion columns as _parse_score reads them:
+    three blank cells for no review, three integers otherwise."""
+    cells = [list(map(str.strip, column)) for column in cells]
+    filled = np.array([list(map(bool, column)) for column in cells], dtype=bool)
+    present = filled.any(axis=0)
+    incomplete = present & ~filled.all(axis=0)
+    if not present.all():
+        cells = [[v or "0" for v in column] for column in cells]
+    scores = [_convert(int, column) for column in cells]
+    bad = [r for _, r in scores if r is not None]
+    if incomplete.any():
+        bad.append(int(incomplete.argmax()))
+    if bad:
+        return None, min(bad)
+    return ([s for s, _ in scores], present), None
+
+
+def _table_percentiles(texts: list[str]) -> tuple[tuple | None, int | None]:
+    """A percentile column as _opt_float reads each cell: the values, NaN
+    where blank, and which cells are not blank."""
+    present = np.array(list(map(bool, map(str.strip, texts))), dtype=bool)
+    values, bad = _convert(float, list(compress(texts, present)))
+    if bad is not None:
+        return None, int(np.flatnonzero(present)[bad])
+    pct = np.full(len(texts), np.nan)
+    pct[present] = values
+    return (pct, present), None
+
+
+def _table_values(cells: dict[str, list[str]]) -> tuple[dict | None, int | None]:
+    """Every column converted as _record_from_row reads a row."""
+    results = {}
+    for name in _ID_COLUMNS:
+        stripped = list(map(str.strip, cells[name]))
+        results[name] = (stripped, stripped.index("") if "" in stripped else None)
+    for name in ("year", "citations"):
+        results[name] = _convert(int, list(map(str.strip, cells[name])))
+    for name in ("category_weights", "ref_category_weights"):
+        results[name] = _table_weights(cells[name])
+    for prefix, name in (("rev_a", "review_a"), ("rev_b", "review_b")):
+        results[name] = _table_review([cells[column] for column in _SCORE_COLUMNS[prefix]])
+    for name in ("ext_citation_percentile", "ext_journal_percentile"):
+        results[name] = _table_percentiles(cells[name])
+    return _collect(results)
+
+
+def _collect(results: dict[str, tuple]) -> tuple[dict | None, int | None]:
+    """The converted columns, or None and the earliest row any conversion rejects."""
+    bad = [r for _, r in results.values() if r is not None]
+    if bad:
+        return None, min(bad)
+    return {name: values for name, (values, _) in results.items()}, None
+
+
+def _read_table(path: Path, delimiter: str) -> _Read:
+    """Read a CSV or TSV file into columns, a chunk of rows at a time,
+    until a row with the wrong number of fields."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader, None) or []
+        missing = set(CSV_COLUMNS) - set(header)
+        if missing:
+            raise CorpusParseError(f"{path.name}: missing columns {sorted(missing)}")
+        # A name on the header twice reads its last column, as in csv.DictReader.
+        position = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(*(position[name] for name in CSV_COLUMNS))
+        cells: dict[str, list[str]] = {name: [] for name in CSV_COLUMNS}
+        # Each row becomes a tuple of its cells as it is read, and a chunk
+        # is moved into the columns one column at a time. So no container
+        # the collector tracks outlives a step: surviving ones would set off
+        # full garbage collections, each walking the growing columns.
+        chunk: list[tuple[str, ...]] = []
+        stop = None
+
+        def flush() -> None:
+            for j, column in enumerate(cells.values()):
+                column.extend(map(operator.itemgetter(j), chunk))
+            chunk.clear()
+
+        try:
+            for row in reader:
+                if not row:  # csv.DictReader skips blank rows, and does not number them
+                    continue
+                if len(row) != len(header):
+                    more = "more" if len(row) > len(header) else "fewer"
+                    n_rows = len(cells["pub_id"]) + len(chunk)
+                    stop = CorpusParseError(f"{path.name} row {n_rows + 2}: {more} fields than the header")
+                    break
+                chunk.append(pick(row))
+                if len(chunk) == _CHUNK_ROWS:
+                    flush()
+        except (csv.Error, UnicodeDecodeError) as exc:
+            stop = exc
+        flush()
+
+    def parse_row(r: int) -> PublicationRecord:
+        return _record_from_row({name: column[r] for name, column in cells.items()}, f"{path.name} row {r + 2}")
+
+    return _Read(*_table_values(cells), stop, parse_row)
+
+
+def _json_int(value) -> int:
+    """int(value) where _record_from_json takes value for an integral number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _json_float(value) -> float | None:
+    if value is None or value is _ABSENT or (isinstance(value, str) and not value.strip()):
+        return None
+    return float(value)
+
+
+def _json_weights(maps: list, optional: bool) -> tuple[Entries | None, int | None]:
+    """A weight-map column as _record_from_json reads each value; an
+    optional map may be absent or empty."""
+    rows: list[int] = []
+    labels: list[str] = []
+    values: list = []
+    bad = None
+    for r, m in enumerate(maps):
+        if optional and (m is _ABSENT or not m):
+            continue
+        if not isinstance(m, dict):
+            bad = r
+            break
+        rows.extend([r] * len(m))
+        labels.extend(m)
+        values.extend(m.values())
+    weights, bad_value = _convert(float, values)
+    if bad_value is not None:
+        return None, rows[bad_value]
+    if bad is not None:
+        return None, bad
+    return Entries(np.array(rows, dtype=np.intp), labels, np.array(weights, dtype=float)), None
+
+
+def _json_review(subs: list) -> tuple[tuple | None, int | None]:
+    """One review column as _record_from_json reads it: null or absent for
+    no review, an object of three integral criterion scores otherwise."""
+    scores: tuple[list[int], ...] = ([], [], [])
+    present = []
+    for r, sub in enumerate(subs):
+        present.append(sub is not None and sub is not _ABSENT)
+        if not present[-1]:
+            values = [0, 0, 0]
+        else:
+            try:
+                values = [_json_int(sub[c]) for c in _CRITERIA]
+            except (KeyError, TypeError, ValueError):
+                return None, r
+        for column, v in zip(scores, values):
+            column.append(v)
+    return (list(scores), present), None
+
+
+def _json_values(fields: dict[str, list]) -> tuple[dict | None, int | None]:
+    """Every column converted as _record_from_json reads an object."""
+    results = {}
+    for name in _ID_COLUMNS:
+        values = fields[name]
+        results[name] = (values, next((i for i, v in enumerate(values) if not (isinstance(v, str) and v)), None))
+    for name in ("year", "citations"):
+        results[name] = _convert(_json_int, fields[name])
+    results["category_weights"] = _json_weights(fields["category_weights"], optional=False)
+    results["ref_category_weights"] = _json_weights(fields["ref_category_weights"], optional=True)
+    for name in ("review_a", "review_b"):
+        results[name] = _json_review(fields[name])
+    for name in ("ext_citation_percentile", "ext_journal_percentile"):
+        values, bad = _convert(_json_float, fields[name])
+        if values is not None:  # the values, NaN where absent, and which are present
+            values = (np.array(values, dtype=float), np.array([v is not None for v in values], dtype=bool))
+        results[name] = (values, bad)
+    return _collect(results)
+
+
+def _read_jsonl(path: Path) -> _Read:
+    """Read a JSON Lines file into columns, until a line that is not a JSON object."""
+    fields: dict[str, list] = {name: [] for name in _JSON_FIELDS}
+    linenos: list[int] = []
+    stop = None
+    with open(path, encoding="utf-8") as fh:
+        try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -294,45 +707,129 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise CorpusParseError(f"{where}: invalid JSON: {exc}") from exc
-                records.append(_record_from_json(obj, where))
-    else:
-        delim = "\t" if fmt == "tsv" else ","
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, delimiter=delim)
-            missing = set(CSV_COLUMNS) - set(reader.fieldnames or [])
-            if missing:
-                raise CorpusParseError(f"{path.name}: missing columns {sorted(missing)}")
-            last = reader.fieldnames[-1]
-            for lineno, row in enumerate(reader, start=2):
-                # DictReader files extra fields under None and fills missing ones with None.
-                if None in row or row[last] is None:
-                    more = "more" if None in row else "fewer"
-                    raise CorpusParseError(f"{path.name} row {lineno}: {more} fields than the header")
-                records.append(_record_from_row(row, f"{path.name} row {lineno}"))
+                if not isinstance(obj, dict):
+                    _record_from_json(obj, where)  # raises: a value that is not an object has no fields
+                linenos.append(lineno)
+                for name, column in fields.items():
+                    column.append(obj.get(name, _ABSENT))
+        except (CorpusParseError, UnicodeDecodeError) as exc:
+            stop = exc
 
-    if not records:
+    def parse_row(r: int) -> PublicationRecord:
+        obj = {name: column[r] for name, column in fields.items() if column[r] is not _ABSENT}
+        return _record_from_json(obj, f"{path.name} line {linenos[r]}")
+
+    return _Read(*_json_values(fields), stop, parse_row)
+
+
+def _columns(values: dict) -> tuple[Columns, np.ndarray]:
+    """The columns of converted values, and which rows have an external
+    percentile outside [0, 100]."""
+    n = len(values["pub_id"])
+    (a, a_present), (b, b_present) = values["review_a"], values["review_b"]
+    ext = {}
+    ext_bad = np.zeros(n, dtype=bool)
+    for name in ("ext_citation_percentile", "ext_journal_percentile"):
+        pct, present = values[name]
+        ext_bad |= present & ~((pct >= 0.0) & (pct <= 100.0))
+        ext[name] = pct
+    columns = Columns(
+        pub_id=values["pub_id"],
+        institution_id=values["institution_id"],
+        area_id=values["area_id"],
+        journal_id=values["journal_id"],
+        year=_int_array(values["year"]),
+        citations=_int_array(values["citations"]),
+        weights=values["category_weights"],
+        refs=values["ref_category_weights"],
+        review=np.ascontiguousarray(_int_array(a + b).T).reshape(n, 2, 3),
+        has_review=np.column_stack([a_present, b_present]).astype(bool),
+        **ext,
+    )
+    return columns, ext_bad
+
+
+def _suspects(columns: Columns, census_year: int) -> np.ndarray:
+    """Rows that may break an invariant of validate_record: every row that
+    breaks one, and possibly a few that do not."""
+    n = len(columns)
+    w, refs = columns.weights, columns.refs
+    total = np.bincount(w.row, weights=w.weight, minlength=n)
+    outside = np.bincount(w.row, weights=~((w.weight > 0.0) & (w.weight <= 1.0)), minlength=n) > 0
+    ref_mass = np.bincount(refs.row, weights=np.abs(refs.weight), minlength=n)
+    scores_outside = columns.has_review & ~((columns.review >= 1) & (columns.review <= 10)).all(axis=2)
+    return (
+        (columns.citations < 0)
+        | (np.bincount(w.row, minlength=n) == 0)
+        # validate_record sums the weights with sum(), which compensates
+        # rounding from Python 3.12 on; a total within half the tolerance
+        # here is within the tolerance there.
+        | ~(np.abs(total - 1.0) <= WEIGHT_TOL / 2)
+        | outside
+        | (columns.year > census_year)
+        # Likewise a sum of absolute reference weights below 1e308 is finite both ways.
+        | ~(ref_mass < 1e308)
+        | scores_outside.any(axis=1)
+    )
+
+
+def _first_repeat(ids: list[str]) -> int | None:
+    """The first row whose id an earlier row has."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    for i, x in enumerate(ids):
+        if x in seen:
+            return i
+        seen.add(x)
+    return None
+
+
+def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
+    """Read and validate a corpus file (CSV/TSV or JSONL) into columns.
+
+    Each column is converted once and screened as a whole. The earliest
+    faulty row is named: parse faults come first, in row order, then
+    validation faults, in row order with the duplicate-id check ahead of
+    validate_record within a row.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise CorpusParseError(f"corpus file not found: {path}")
+    fmt = _detect_format(path)
+    read = _read_jsonl(path) if fmt == "jsonl" else _read_table(path, "\t" if fmt == "tsv" else ",")
+    if read.first_bad is not None:
+        read.parse_row(read.first_bad)
+        raise AssertionError(f"row {read.first_bad} failed a column conversion but parses")
+    if read.stop is not None:
+        raise read.stop
+    values = read.values
+    if not values["pub_id"]:
         raise CorpusParseError(f"{path.name}: no records")
     census_year = options.census_year
     if census_year is None:
-        census_year = max(r.year for r in records)
-    seen: set[str] = set()
-    for rec in records:
-        if rec.pub_id in seen:
-            raise CorpusValidationError(f"duplicate pub_id {rec.pub_id!r}")
-        seen.add(rec.pub_id)
-        validate_record(rec, census_year)
+        census_year = max(values["year"])
+    columns, ext_bad = _columns(values)
+    repeated = _first_repeat(columns.pub_id)
+    for r in np.flatnonzero(_suspects(columns, census_year) | ext_bad).tolist():
+        if repeated is not None and repeated <= r:
+            break
+        validate_record(read.parse_row(r), census_year)
+    if repeated is not None:
+        raise CorpusValidationError(f"duplicate pub_id {columns.pub_id[repeated]!r}")
+    del read, values
 
     population = None
     if options.population_path:
         population = load_population_counts(options.population_path)
         # A population is never smaller than its sample.
-        for inst, n in Counter(r.institution_id for r in records).items():
+        for inst, n in Counter(columns.institution_id).items():
             if inst in population and population[inst] < n:
                 raise CorpusValidationError(
                     f"{options.population_path}: institution {inst!r} has population count "
                     f"{population[inst]} below its {n} records in the corpus"
                 )
-    return Corpus(records=tuple(records), census_year=census_year, population_counts=population)
+    return Corpus.from_columns(columns, census_year, population)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -402,11 +899,10 @@ def assign_reviewer_roles(corpus: Corpus, seed: int) -> Corpus:
     Each record's pair is swapped with probability 1/2 using a deterministic
     per-record coin keyed by (seed, pub_id). Requires both reviews present.
     """
-    out = []
-    for rec in corpus.records:
-        if rec.review_a is None or rec.review_b is None:
-            raise CorpusValidationError(f"record {rec.pub_id!r}: missing reviewer score")
-        if _swap_coin(seed, rec.pub_id):
-            rec = replace(rec, review_a=rec.review_b, review_b=rec.review_a)
-        out.append(rec)
-    return replace(corpus, records=tuple(out))
+    columns = corpus.columns
+    missing = ~columns.has_review.all(axis=1)
+    if missing.any():
+        raise CorpusValidationError(f"record {columns.pub_id[int(missing.argmax())]!r}: missing reviewer score")
+    swap = np.fromiter((_swap_coin(seed, p) for p in columns.pub_id), dtype=bool, count=len(columns))
+    review = np.where(swap[:, None, None], columns.review[:, ::-1], columns.review)
+    return Corpus.from_columns(replace(columns, review=review), corpus.census_year, corpus.population_counts)

@@ -10,7 +10,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
-from .corpus import Corpus, PublicationRecord
+import numpy as np
+
+from .corpus import Corpus, Entries, PublicationRecord
 
 
 class IndicatorError(Exception):
@@ -54,32 +56,61 @@ def reassign_multidisciplinary(
     category profile (the multidisciplinary label itself excluded,
     renormalized). Records without a usable reference profile are left
     unchanged and returned as flagged pub_ids.
+
+    Works on the weight entries of the corpus columns; only the records
+    with multidisciplinary weight are redone, one by one.
     """
-    out = []
+    columns = corpus.columns
+    weights, refs = columns.weights, columns.refs
+    hits = [i for i, label in enumerate(weights.label) if label == multidisciplinary_label]
+    rows = weights.row[hits][weights.weight[hits] != 0.0]
     flagged: list[str] = []
-    for rec in corpus.records:
-        w_multi = rec.category_weights.get(multidisciplinary_label, 0.0)
-        if w_multi == 0.0:
-            out.append(rec)
-            continue
-        refs = {
+    changed: list[int] = []
+    new_row: list[int] = []
+    new_label: list[str] = []
+    new_weight: list[float] = []
+    weight, ref_weight = weights.weight.tolist(), refs.weight.tolist()
+    bounds = zip(
+        rows.tolist(),
+        np.searchsorted(weights.row, rows).tolist(),
+        np.searchsorted(weights.row, rows, side="right").tolist(),
+        np.searchsorted(refs.row, rows).tolist(),
+        np.searchsorted(refs.row, rows, side="right").tolist(),
+    )
+    for row, lo, hi, ref_lo, ref_hi in bounds:
+        category_weights = dict(zip(weights.label[lo:hi], weight[lo:hi]))
+        w_multi = category_weights[multidisciplinary_label]
+        ref_map = {
             k: v
-            for k, v in (rec.ref_category_weights or {}).items()
+            for k, v in zip(refs.label[ref_lo:ref_hi], ref_weight[ref_lo:ref_hi])
             if k != multidisciplinary_label and v > 0
         }
-        if not refs:
-            flagged.append(rec.pub_id)
-            out.append(rec)
+        if not ref_map:
+            flagged.append(columns.pub_id[row])
             continue
-        ref_total = sum(refs.values())
-        new_weights = {
-            k: v for k, v in rec.category_weights.items() if k != multidisciplinary_label
-        }
-        for label, rv in refs.items():
+        ref_total = sum(ref_map.values())
+        new_weights = {k: v for k, v in category_weights.items() if k != multidisciplinary_label}
+        for label, rv in ref_map.items():
             new_weights[label] = new_weights.get(label, 0.0) + w_multi * rv / ref_total
         assert abs(sum(new_weights.values()) - 1.0) <= 1e-6
-        out.append(replace(rec, category_weights=new_weights))
-    return replace(corpus, records=tuple(out)), flagged
+        changed.append(row)
+        new_row.extend([row] * len(new_weights))
+        new_label.extend(new_weights)
+        new_weight.extend(new_weights.values())
+    if not changed:
+        return corpus, flagged
+
+    keep = ~np.isin(weights.row, changed)
+    entry_row = np.concatenate([weights.row[keep], np.array(new_row, dtype=weights.row.dtype)])
+    order = np.argsort(entry_row, kind="stable")
+    labels = [label for label, k in zip(weights.label, keep.tolist()) if k] + new_label
+    reassigned = Entries(
+        entry_row[order],
+        [labels[i] for i in order.tolist()],
+        np.concatenate([weights.weight[keep], np.array(new_weight, dtype=float)])[order],
+    )
+    columns = replace(columns, weights=reassigned)
+    return Corpus.from_columns(columns, corpus.census_year, corpus.population_counts), flagged
 
 
 def compute_baselines(corpus: Corpus) -> FieldYearBaseline:

@@ -11,6 +11,7 @@ statistics without copying a record.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -200,9 +201,7 @@ def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpu
 
 def coverage_report(sample: Corpus, population_counts: dict[str, int]) -> list[CoverageDiagnostic]:
     """Sample-to-population coverage per institution (post-stratification check)."""
-    counts: dict[str, int] = {}
-    for rec in sample.records:
-        counts[rec.institution_id] = counts.get(rec.institution_id, 0) + 1
+    counts = Counter(sample.columns.institution_id)
     out = []
     for inst in sorted(counts):
         pop = population_counts.get(inst)

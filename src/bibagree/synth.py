@@ -71,6 +71,13 @@ class SynthConfig:
         for name in ("metric_quality_correlation", "multidisciplinary_share", "population_fraction"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise SynthError(f"{name} must lie in [0,1], got {getattr(self, name)}")
+        if not 0 <= self.area_share_skew < math.inf:
+            raise SynthError(f"area_share_skew must be nonnegative and finite, got {self.area_share_skew}")
+        if self.area_share_skew > 0 and not math.isfinite(_area_mass(self.n_areas, self.area_share_skew)[1]):
+            raise SynthError(
+                f"area_share_skew {self.area_share_skew} overflows the area shares "
+                f"k ** area_share_skew, k = 1..n_areas={self.n_areas}"
+            )
 
     @staticmethod
     def from_file(path: str | Path) -> "SynthConfig":
@@ -80,6 +87,14 @@ class SynthConfig:
                 PubCountSpec, raw["pubs_per_institution"], f"{path}: pubs_per_institution", SynthError
             )
         return from_json(SynthConfig, raw, str(path), SynthError)
+
+
+def _area_mass(n_areas: int, skew: float) -> tuple[np.ndarray, float]:
+    """Area k's unnormalised share k ** skew, for k = 1..n_areas, and their
+    sum; inf where they overflow."""
+    with np.errstate(over="ignore"):
+        raw = np.power(np.arange(1, n_areas + 1, dtype=float), skew)
+        return raw, float(raw.sum())
 
 
 def _normal_cdf(z: float) -> float:
@@ -116,8 +131,8 @@ def generate(config: SynthConfig) -> Corpus:
     n_journal_bins = 8
     area_probs = None
     if config.area_share_skew > 0:
-        raw = np.power(np.arange(1, config.n_areas + 1, dtype=float), config.area_share_skew)
-        area_probs = raw / raw.sum()
+        raw, total = _area_mass(config.n_areas, config.area_share_skew)
+        area_probs = raw / total
 
     for i in range(config.n_institutions):
         inst = f"U{i:03d}"

@@ -2,7 +2,10 @@
 count-vector bootstrap replicates are computed.
 
 A run codes the corpus once, after multidisciplinary reassignment, into a
-table with one row per publication. The stratified bootstrap resamples
+table with one row per publication. The table is coded from the corpus
+columns (``corpus.Columns``): ids, years and journals become integer codes,
+the category weight entries are sorted by row and field, and no record
+object is built. The stratified bootstrap resamples
 publications with replacement within each area, so a replicate is fully
 described by a vector of copy counts, one per publication: the
 frequency-weight form of the nonparametric bootstrap (Hanley & MacGibbon
@@ -57,7 +60,7 @@ from .agreement import (
     too_few_points,
     zero_variance,
 )
-from .corpus import Corpus, CorpusValidationError, overall_score
+from .corpus import Corpus, CorpusValidationError
 from .indicators import reassign_multidisciplinary
 
 if TYPE_CHECKING:
@@ -130,40 +133,40 @@ def _pair_codes(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTable:
-    """Integer-code the corpus after multidisciplinary reassignment."""
+    """Integer-code the corpus columns after multidisciplinary reassignment."""
     corpus, unredistributable = reassign_multidisciplinary(corpus, multidisciplinary_label)
-    area_ids, area = _codes([r.area_id for r in corpus.records])
-    pub_ids = np.array([r.pub_id for r in corpus.records], dtype=str)
+    columns = corpus.columns
+    if not columns.has_review.all():
+        missing = int((~columns.has_review.all(axis=1)).argmax())
+        raise CorpusValidationError(f"record {columns.pub_id[missing]!r}: missing reviewer score")
+    area_ids, area = _codes(columns.area_id)
+    pub_ids = np.array(columns.pub_id, dtype=str)
     by_pub_id = np.argsort(pub_ids, kind="stable")
     rows = by_pub_id[np.argsort(area[by_pub_id], kind="stable")]
-    records = [corpus.records[i] for i in rows]
     area, pub_ids = area[rows], pub_ids[rows]
-    institution_ids, institution = _codes([r.institution_id for r in records])
-    unit_area, unit_institution, unit = _pair_codes(area, institution)
-    year = _codes([r.year for r in records])[1]
-    journal_year = _pair_codes(_codes([r.journal_id for r in records])[1], year)[2]
+    institution_ids, institution = _codes(columns.institution_id)
+    unit_area, unit_institution, unit = _pair_codes(area, institution[rows])
+    year = np.unique(columns.year, return_inverse=True)[1].reshape(-1)[rows]
+    journal_year = _pair_codes(_codes(columns.journal_id)[1][rows], year)[2]
     journal_cell_area, journal_cell_year, journal_cell = _pair_codes(area, journal_year)
-    citations = np.array([r.citations for r in records], dtype=float)
-    try:
-        reviewer1 = np.array([overall_score(r.review_a) for r in records], dtype=float)
-        reviewer2 = np.array([overall_score(r.review_b) for r in records], dtype=float)
-    except AttributeError:  # a review is None
-        missing = next(r for r in corpus.records if r.review_a is None or r.review_b is None)
-        raise CorpusValidationError(f"record {missing.pub_id!r}: missing reviewer score") from None
+    citations = columns.citations[rows].astype(float)
+    reviewer_total = columns.review[rows].sum(axis=2)
 
-    # Category weight entries, fields sorted within a record. Flat lists
-    # only: a list per record would keep tens of thousands of containers
-    # alive and set off full garbage collections.
-    entry_row = np.repeat(np.arange(len(records)), [len(r.category_weights) for r in records])
-    entry_field = _codes([f for r in records for f in sorted(r.category_weights)])[1]
-    entry_weight = np.array([r.category_weights[f] for r in records for f in sorted(r.category_weights)], dtype=float)
-    cell = _pair_codes(entry_field, year[entry_row])[2]
+    # Category weight entries, table rows ascending and fields sorted
+    # within a row.
+    table_row = np.empty(len(rows), dtype=np.intp)  # corpus row -> table row
+    table_row[rows] = np.arange(len(rows))
+    field = _codes(columns.weights.label)[1]
+    order = np.lexsort((field, table_row[columns.weights.row]))
+    entry_row = table_row[columns.weights.row][order]
+    entry_weight = columns.weights.weight[order]
+    cell = _pair_codes(field[order], year[entry_row])[2]
 
     def order_by(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows by ascending ids, and the entries in that row order."""
         order = np.argsort(ids, kind="stable")
-        position = np.empty(len(records), dtype=np.intp)
-        position[order] = np.arange(len(records))
+        position = np.empty(len(ids), dtype=np.intp)
+        position[order] = np.arange(len(ids))
         return order, np.argsort(position[entry_row], kind="stable")
 
     pub_order, pub_entries = order_by(pub_ids)
@@ -181,10 +184,10 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         journal_cell_area=journal_cell_area,
         journal_cell_year=journal_cell_year,
         citations=citations,
-        reviewer1=reviewer1,
-        reviewer2=reviewer2,
-        ext_citation_percentile=np.array([r.ext_citation_percentile for r in records], dtype=float),
-        ext_journal_percentile=np.array([r.ext_journal_percentile for r in records], dtype=float),
+        reviewer1=reviewer_total[:, 0].astype(float),
+        reviewer2=reviewer_total[:, 1].astype(float),
+        ext_citation_percentile=columns.ext_citation_percentile[rows],
+        ext_journal_percentile=columns.ext_journal_percentile[rows],
         pub_order=pub_order,
         copy_order=copy_order,
         entry_row=entry_row,

@@ -9,16 +9,37 @@ folds, never the builtin sum(), whose rounding is compensated from Python
 bootstrap replicate materialised by resample_within_areas, whose copies are
 named "<pub_id>~<draw number>", it gives what table.table_statistics
 computes from the replicate's copy counts.
+
+load_corpus is the row-by-row loader: it parses every row into a record
+and validates the records one by one. The columnar loader in
+bibagree.corpus must raise what it raises and load what it loads.
 """
 
+import csv
+import json
 import statistics
+from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from bibagree import agreement as agr
 from bibagree.aggregation import InstitutionAggregate
-from bibagree.corpus import Corpus, PublicationRecord, overall_score
+from bibagree.corpus import (
+    CSV_COLUMNS,
+    Corpus,
+    CorpusParseError,
+    CorpusValidationError,
+    PublicationRecord,
+    SchemaOptions,
+    _detect_format,
+    _record_from_json,
+    _record_from_row,
+    load_population_counts,
+    overall_score,
+    validate_record,
+)
 from bibagree.indicators import FieldYearBaseline, build_indicator_table, compute_baselines, reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, PipelineStats, compute_pipeline_stats
 
@@ -298,3 +319,62 @@ def record_pipeline_stats(corpus: Corpus, config: PipelineConfig) -> PipelineSta
 def record_statistic_values(corpus: Corpus, config: PipelineConfig) -> dict:
     """Flat {(area, metric, level, view): value} view of record_pipeline_stats."""
     return {s.key(): s.value for s in record_pipeline_stats(corpus, config).statistics}
+
+
+def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
+    """Read and validate a corpus file (CSV/TSV or JSONL)."""
+    path = Path(path)
+    if not path.exists():
+        raise CorpusParseError(f"corpus file not found: {path}")
+    fmt = _detect_format(path)
+    records: list[PublicationRecord] = []
+    if fmt == "jsonl":
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path.name} line {lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusParseError(f"{where}: invalid JSON: {exc}") from exc
+                records.append(_record_from_json(obj, where))
+    else:
+        delim = "\t" if fmt == "tsv" else ","
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, delimiter=delim)
+            missing = set(CSV_COLUMNS) - set(reader.fieldnames or [])
+            if missing:
+                raise CorpusParseError(f"{path.name}: missing columns {sorted(missing)}")
+            last = reader.fieldnames[-1]
+            for lineno, row in enumerate(reader, start=2):
+                # DictReader files extra fields under None and fills missing ones with None.
+                if None in row or row[last] is None:
+                    more = "more" if None in row else "fewer"
+                    raise CorpusParseError(f"{path.name} row {lineno}: {more} fields than the header")
+                records.append(_record_from_row(row, f"{path.name} row {lineno}"))
+
+    if not records:
+        raise CorpusParseError(f"{path.name}: no records")
+    census_year = options.census_year
+    if census_year is None:
+        census_year = max(r.year for r in records)
+    seen: set[str] = set()
+    for rec in records:
+        if rec.pub_id in seen:
+            raise CorpusValidationError(f"duplicate pub_id {rec.pub_id!r}")
+        seen.add(rec.pub_id)
+        validate_record(rec, census_year)
+
+    population = None
+    if options.population_path:
+        population = load_population_counts(options.population_path)
+        # A population is never smaller than its sample.
+        for inst, n in Counter(r.institution_id for r in records).items():
+            if inst in population and population[inst] < n:
+                raise CorpusValidationError(
+                    f"{options.population_path}: institution {inst!r} has population count "
+                    f"{population[inst]} below its {n} records in the corpus"
+                )
+    return Corpus(records=tuple(records), census_year=census_year, population_counts=population)

@@ -323,6 +323,11 @@ def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, 
         ('{"year_max": 2014}', "unknown config key(s) 'year_max'"),
         ('{"census_year": 2015}', "unknown config key(s) 'census_year'"),
         ('{"multidisciplinary_label": "MULTI"}', "unknown config key(s) 'multidisciplinary_label'"),
+        ('{"area_share_skew": -1}', "area_share_skew must be nonnegative and finite, got -1"),
+        ('{"area_share_skew": NaN}', "area_share_skew must be nonnegative and finite, got nan"),
+        ('{"area_share_skew": Infinity}', "area_share_skew must be nonnegative and finite, got inf"),
+        ('{"area_share_skew": 1e308}', "area_share_skew 1e+308 overflows"),
+        ('{"n_areas": 1000, "area_share_skew": 102.7}', "area_share_skew 102.7 overflows"),
     ],
     ids=[
         "unknown-key", "unknown-pubs-key", "pubs-not-object", "invalid-json", "not-object",
@@ -332,7 +337,8 @@ def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, 
         "noise-infinite", "dispersion-infinite",
         "skewed-min-zero", "skewed-min-above-max", "constant-zero", "unknown-kind",
         "removed-latent-quality-sd", "removed-year-min", "removed-year-max", "removed-census-year",
-        "removed-multidisciplinary-label",
+        "removed-multidisciplinary-label", "skew-negative", "skew-nan", "skew-infinite", "skew-overflows",
+        "skew-sum-overflows",
     ],
 )
 def test_generate_invalid_config_is_validation_failure(tmp_path, capsys, text, named):

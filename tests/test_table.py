@@ -13,7 +13,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibagree import Corpus, PublicationRecord, ReviewerScore, SynthConfig, generate, run_bootstrap, save_corpus
+from bibagree import (
+    Corpus,
+    PublicationRecord,
+    ReviewerScore,
+    SchemaOptions,
+    SynthConfig,
+    generate,
+    run_bootstrap,
+    save_corpus,
+)
 from bibagree.agreement import LEVEL_INSTITUTION, LEVEL_PUBLICATION, VIEW_SIZE_DEPENDENT, VIEW_SIZE_INDEPENDENT
 from bibagree.indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, run
@@ -248,6 +257,32 @@ def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
     save_corpus(generate(SynthConfig(seed=7, multidisciplinary_share=0.2)), corpus_path)
     run(corpus_path, tmp_path / "out", PipelineConfig(seed=7, n_replicates=3))
     assert calls == {"build_table": 1, "reassign_multidisciplinary": 1}
+
+
+def test_run_builds_no_record(tmp_path, monkeypatch):
+    # A run reads, screens and codes the corpus columns; it never needs a
+    # PublicationRecord, and building 20k of them costs more than the load.
+    corpus = generate(SynthConfig(seed=7, multidisciplinary_share=0.2))
+    corpus_path = tmp_path / "corpus.csv"
+    save_corpus(corpus, corpus_path)
+    population_path = tmp_path / "population.csv"
+    population_path.write_text(
+        "institution_id,count\n" + "".join(f"{inst},{n}\n" for inst, n in corpus.population_counts.items())
+    )
+    built = 0
+    original = PublicationRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PublicationRecord, "__init__", counted)
+    report = run(
+        corpus_path, tmp_path / "out", PipelineConfig(seed=7, n_replicates=3), SchemaOptions(population_path=str(population_path))
+    )
+    assert report.coverage and report.statistics
+    assert built == 0
 
 
 @settings(max_examples=300, deadline=None)
