@@ -75,9 +75,12 @@ class ReviewerScore:
     impact: int
 
 
-def overall_score(r: ReviewerScore) -> int:
-    """Sum of the three criterion scores, in 3..30."""
-    return r.originality + r.rigour + r.impact
+def overall_score(review: ReviewerScore | np.ndarray):
+    """Sum of the three criterion scores, in 3..30: of one ReviewerScore,
+    or along the last axis of an array of them such as Columns.review."""
+    one = isinstance(review, ReviewerScore)
+    criteria = [getattr(review, c) for c in _CRITERIA] if one else np.moveaxis(review, -1, 0)
+    return sum(criteria)
 
 
 @dataclass(frozen=True)
@@ -300,13 +303,29 @@ def _parse_score(row: dict, prefix: str, where: str) -> ReviewerScore | None:
         raise CorpusParseError(f"{where}: non-integer criterion score") from exc
 
 
-def _opt_float(value, where: str) -> float | None:
+def _float_or_none(value) -> float | None:
+    """float(value), or None for a missing or blank value."""
     if value is None or str(value).strip() == "":
         return None
+    return float(value)
+
+
+def _opt_float(value, where: str) -> float | None:
     try:
-        return float(value)
+        return _float_or_none(value)
     except ValueError as exc:
         raise CorpusParseError(f"{where}: bad numeric value {value!r}") from exc
+
+
+class _NonIntegral(ValueError):
+    """A JSON value that is not an integral number: a bool or a float with a fraction."""
+
+
+def _json_int(value) -> int:
+    """int(value) for a JSON value taken as an integral number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise _NonIntegral(value)
+    return int(value)
 
 
 def validate_record(rec: PublicationRecord, census_year: int) -> None:
@@ -377,9 +396,10 @@ def _record_from_row(row: dict, where: str) -> PublicationRecord:
 
 def _record_from_json(obj: dict, where: str) -> PublicationRecord:
     def integral(value, name):
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise CorpusParseError(f"{where}: non-integral {name} {value!r}")
-        return int(value)
+        try:
+            return _json_int(value)
+        except _NonIntegral:
+            raise CorpusParseError(f"{where}: non-integral {name} {value!r}") from None
 
     def score(key):
         sub = obj.get(key)
@@ -615,17 +635,8 @@ def _read_table(path: Path, delimiter: str) -> _Read:
     return _Read(*_table_values(cells), stop, parse_row)
 
 
-def _json_int(value) -> int:
-    """int(value) where _record_from_json takes value for an integral number."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
-
-
 def _json_float(value) -> float | None:
-    if value is None or value is _ABSENT or (isinstance(value, str) and not value.strip()):
-        return None
-    return float(value)
+    return None if value is _ABSENT else _float_or_none(value)
 
 
 def _json_weights(maps: list, optional: bool) -> tuple[Entries | None, int | None]:

@@ -60,7 +60,7 @@ from .agreement import (
     too_few_points,
     zero_variance,
 )
-from .corpus import Corpus, CorpusValidationError
+from .corpus import Corpus, CorpusValidationError, overall_score
 from .indicators import reassign_multidisciplinary
 
 if TYPE_CHECKING:
@@ -150,7 +150,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     journal_year = _pair_codes(_codes(columns.journal_id)[1][rows], year)[2]
     journal_cell_area, journal_cell_year, journal_cell = _pair_codes(area, journal_year)
     citations = columns.citations[rows].astype(float)
-    reviewer_total = columns.review[rows].sum(axis=2)
+    reviewer_total = overall_score(columns.review[rows])
 
     # Category weight entries, table rows ascending and fields sorted
     # within a row.
