@@ -8,9 +8,11 @@ A run reads, screens and transforms these columns and never builds a
 ``load_corpus`` reads a file into raw columns, converts each column once
 and screens the converted columns with numpy. The row-by-row functions
 ``_record_from_row``, ``_record_from_json`` and ``validate_record`` define
-a valid row and word every error: when a conversion or a screen rejects
-rows, the loader runs them on the earliest such row only, so the message,
-the row it names and the fault that wins are theirs.
+a valid row and word every error. A column converter converts the whole
+column or raises, and names no row: a rejected file is parsed row by row,
+in file order, up to its first faulty row, and only the rows the screen
+flags are validated one by one. So the message, the row it names and the
+fault that wins are theirs.
 """
 
 from __future__ import annotations
@@ -432,7 +434,9 @@ def _record_from_json(obj: dict, where: str) -> PublicationRecord:
             ext_citation_percentile=_opt_float(obj.get("ext_citation_percentile"), where),
             ext_journal_percentile=_opt_float(obj.get("ext_journal_percentile"), where),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # AttributeError: a weight map that is not an object; OverflowError: a
+    # weight or percentile too large for a float.
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CorpusParseError(f"{where}: {exc}") from exc
 
 
@@ -472,25 +476,12 @@ _CHUNK_ROWS = 4096  # rows held at once while a table is read into columns
 
 
 class _Read(NamedTuple):
-    """A corpus file read into columns."""
+    """A corpus file read into raw columns."""
 
-    values: dict | None  # field -> converted column, or None when a conversion fails
-    first_bad: int | None  # the earliest row a conversion rejects
+    n_rows: int  # rows read
     stop: Exception | None  # the fault of the row reading stopped at, which no column holds
+    convert: Callable[[], dict]  # field -> converted column; raises when a row is faulty
     parse_row: Callable[[int], PublicationRecord]  # the row-by-row parse of a row read
-
-
-def _convert(fn: Callable, values: list) -> tuple[list | None, int | None]:
-    """fn of every value; or None and the index of the first value fn rejects."""
-    try:
-        return list(map(fn, values)), None
-    except (TypeError, ValueError, OverflowError):
-        for i, value in enumerate(values):
-            try:
-                fn(value)
-            except (TypeError, ValueError, OverflowError):
-                return None, i
-        raise
 
 
 def _assigned(rows: list[int], labels: list[str], weights: list[float]) -> tuple[list, list, list]:
@@ -500,7 +491,7 @@ def _assigned(rows: list[int], labels: list[str], weights: list[float]) -> tuple
     return [r for r, _ in merged], [label for _, label in merged], list(merged.values())
 
 
-def _table_weights(texts: list[str]) -> tuple[Entries | None, int | None]:
+def _table_weights(texts: list[str]) -> Entries:
     """A weight-map column as _parse_weights reads each cell."""
     # Split the joined column once: the parts of every cell, in order.
     n_parts = np.fromiter(map(str.count, texts, repeat(";")), dtype=np.intp, count=len(texts)) + 1
@@ -511,17 +502,13 @@ def _table_weights(texts: list[str]) -> tuple[Entries | None, int | None]:
         row, parts = row[kept], list(compress(parts, kept))
     split = list(map(str.rpartition, parts, repeat(":")))
     labels = list(map(operator.itemgetter(0), split))
-    colons = list(map(operator.itemgetter(1), split))
-    bad = [int(row[colons.index("")])] if "" in colons else []
-    weights, bad_value = _convert(float, list(map(operator.itemgetter(2), split)))
-    if bad_value is not None:
-        bad.append(int(row[bad_value]))
-    if bad:
-        return None, min(bad)
+    if "" in map(operator.itemgetter(1), split):
+        raise ValueError("a weight entry without ':'")
+    weights = list(map(float, map(operator.itemgetter(2), split)))
     if _repeats_label(row, labels):
         rows, labels, weights = _assigned(row.tolist(), labels, weights)
         row = np.array(rows, dtype=np.intp)
-    return Entries(row, labels, np.array(weights, dtype=float)), None
+    return Entries(row, labels, np.array(weights, dtype=float))
 
 
 def _repeats_label(row: np.ndarray, labels: list[str]) -> bool:
@@ -533,59 +520,44 @@ def _repeats_label(row: np.ndarray, labels: list[str]) -> bool:
     return bool((key[1:] == key[:-1]).any())
 
 
-def _table_review(cells: list[list[str]]) -> tuple[tuple | None, int | None]:
+def _table_review(cells: list[list[str]]) -> tuple[list[list[int]], np.ndarray]:
     """One review's three criterion columns as _parse_score reads them:
     three blank cells for no review, three integers otherwise."""
     cells = [list(map(str.strip, column)) for column in cells]
     filled = np.array([list(map(bool, column)) for column in cells], dtype=bool)
     present = filled.any(axis=0)
-    incomplete = present & ~filled.all(axis=0)
+    if (present & ~filled.all(axis=0)).any():
+        raise ValueError("an incomplete reviewer score")
     if not present.all():
         cells = [[v or "0" for v in column] for column in cells]
-    scores = [_convert(int, column) for column in cells]
-    bad = [r for _, r in scores if r is not None]
-    if incomplete.any():
-        bad.append(int(incomplete.argmax()))
-    if bad:
-        return None, min(bad)
-    return ([s for s, _ in scores], present), None
+    return [list(map(int, column)) for column in cells], present
 
 
-def _table_percentiles(texts: list[str]) -> tuple[tuple | None, int | None]:
+def _table_percentiles(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """A percentile column as _opt_float reads each cell: the values, NaN
     where blank, and which cells are not blank."""
     present = np.array(list(map(bool, map(str.strip, texts))), dtype=bool)
-    values, bad = _convert(float, list(compress(texts, present)))
-    if bad is not None:
-        return None, int(np.flatnonzero(present)[bad])
     pct = np.full(len(texts), np.nan)
-    pct[present] = values
-    return (pct, present), None
+    pct[present] = list(map(float, compress(texts, present)))
+    return pct, present
 
 
-def _table_values(cells: dict[str, list[str]]) -> tuple[dict | None, int | None]:
+def _table_values(cells: dict[str, list[str]]) -> dict:
     """Every column converted as _record_from_row reads a row."""
-    results = {}
+    values = {}
     for name in _ID_COLUMNS:
-        stripped = list(map(str.strip, cells[name]))
-        results[name] = (stripped, stripped.index("") if "" in stripped else None)
+        values[name] = list(map(str.strip, cells[name]))
+        if "" in values[name]:
+            raise ValueError(f"a blank {name}")
     for name in ("year", "citations"):
-        results[name] = _convert(int, list(map(str.strip, cells[name])))
+        values[name] = list(map(int, map(str.strip, cells[name])))
     for name in ("category_weights", "ref_category_weights"):
-        results[name] = _table_weights(cells[name])
+        values[name] = _table_weights(cells[name])
     for prefix, name in (("rev_a", "review_a"), ("rev_b", "review_b")):
-        results[name] = _table_review([cells[column] for column in _SCORE_COLUMNS[prefix]])
+        values[name] = _table_review([cells[column] for column in _SCORE_COLUMNS[prefix]])
     for name in ("ext_citation_percentile", "ext_journal_percentile"):
-        results[name] = _table_percentiles(cells[name])
-    return _collect(results)
-
-
-def _collect(results: dict[str, tuple]) -> tuple[dict | None, int | None]:
-    """The converted columns, or None and the earliest row any conversion rejects."""
-    bad = [r for _, r in results.values() if r is not None]
-    if bad:
-        return None, min(bad)
-    return {name: values for name, (values, _) in results.items()}, None
+        values[name] = _table_percentiles(cells[name])
+    return values
 
 
 def _read_table(path: Path, delimiter: str) -> _Read:
@@ -632,74 +604,59 @@ def _read_table(path: Path, delimiter: str) -> _Read:
     def parse_row(r: int) -> PublicationRecord:
         return _record_from_row({name: column[r] for name, column in cells.items()}, f"{path.name} row {r + 2}")
 
-    return _Read(*_table_values(cells), stop, parse_row)
+    return _Read(len(cells["pub_id"]), stop, lambda: _table_values(cells), parse_row)
 
 
 def _json_float(value) -> float | None:
     return None if value is _ABSENT else _float_or_none(value)
 
 
-def _json_weights(maps: list, optional: bool) -> tuple[Entries | None, int | None]:
+def _json_weights(maps: list, optional: bool) -> Entries:
     """A weight-map column as _record_from_json reads each value; an
     optional map may be absent or empty."""
     rows: list[int] = []
     labels: list[str] = []
     values: list = []
-    bad = None
     for r, m in enumerate(maps):
         if optional and (m is _ABSENT or not m):
             continue
         if not isinstance(m, dict):
-            bad = r
-            break
+            raise TypeError(f"a weight map that is not an object: {m!r}")
         rows.extend([r] * len(m))
         labels.extend(m)
         values.extend(m.values())
-    weights, bad_value = _convert(float, values)
-    if bad_value is not None:
-        return None, rows[bad_value]
-    if bad is not None:
-        return None, bad
-    return Entries(np.array(rows, dtype=np.intp), labels, np.array(weights, dtype=float)), None
+    return Entries(np.array(rows, dtype=np.intp), labels, np.array(list(map(float, values)), dtype=float))
 
 
-def _json_review(subs: list) -> tuple[tuple | None, int | None]:
+def _json_review(subs: list) -> tuple[list[list[int]], list[bool]]:
     """One review column as _record_from_json reads it: null or absent for
     no review, an object of three integral criterion scores otherwise."""
+    present = [sub is not None and sub is not _ABSENT for sub in subs]
     scores: tuple[list[int], ...] = ([], [], [])
-    present = []
-    for r, sub in enumerate(subs):
-        present.append(sub is not None and sub is not _ABSENT)
-        if not present[-1]:
-            values = [0, 0, 0]
-        else:
-            try:
-                values = [_json_int(sub[c]) for c in _CRITERIA]
-            except (KeyError, TypeError, ValueError):
-                return None, r
-        for column, v in zip(scores, values):
-            column.append(v)
-    return (list(scores), present), None
+    for sub, p in zip(subs, present):
+        for column, c in zip(scores, _CRITERIA):
+            column.append(_json_int(sub[c]) if p else 0)
+    return list(scores), present
 
 
-def _json_values(fields: dict[str, list]) -> tuple[dict | None, int | None]:
+def _json_values(fields: dict[str, list]) -> dict:
     """Every column converted as _record_from_json reads an object."""
-    results = {}
+    values = {}
     for name in _ID_COLUMNS:
-        values = fields[name]
-        results[name] = (values, next((i for i, v in enumerate(values) if not (isinstance(v, str) and v)), None))
+        values[name] = fields[name]
+        if not all(isinstance(v, str) and v for v in values[name]):
+            raise ValueError(f"a {name} that is not a non-empty string")
     for name in ("year", "citations"):
-        results[name] = _convert(_json_int, fields[name])
-    results["category_weights"] = _json_weights(fields["category_weights"], optional=False)
-    results["ref_category_weights"] = _json_weights(fields["ref_category_weights"], optional=True)
+        values[name] = list(map(_json_int, fields[name]))
+    values["category_weights"] = _json_weights(fields["category_weights"], optional=False)
+    values["ref_category_weights"] = _json_weights(fields["ref_category_weights"], optional=True)
     for name in ("review_a", "review_b"):
-        results[name] = _json_review(fields[name])
+        values[name] = _json_review(fields[name])
     for name in ("ext_citation_percentile", "ext_journal_percentile"):
-        values, bad = _convert(_json_float, fields[name])
-        if values is not None:  # the values, NaN where absent, and which are present
-            values = (np.array(values, dtype=float), np.array([v is not None for v in values], dtype=bool))
-        results[name] = (values, bad)
-    return _collect(results)
+        pct = list(map(_json_float, fields[name]))
+        # The values, NaN where absent, and which are present.
+        values[name] = (np.array(pct, dtype=float), np.array([v is not None for v in pct], dtype=bool))
+    return values
 
 
 def _read_jsonl(path: Path) -> _Read:
@@ -730,7 +687,7 @@ def _read_jsonl(path: Path) -> _Read:
         obj = {name: column[r] for name, column in fields.items() if column[r] is not _ABSENT}
         return _record_from_json(obj, f"{path.name} line {linenos[r]}")
 
-    return _Read(*_json_values(fields), stop, parse_row)
+    return _Read(len(linenos), stop, lambda: _json_values(fields), parse_row)
 
 
 def _columns(values: dict) -> tuple[Columns, np.ndarray]:
@@ -802,19 +759,29 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     Each column is converted once and screened as a whole. The earliest
     faulty row is named: parse faults come first, in row order, then
     validation faults, in row order with the duplicate-id check ahead of
-    validate_record within a row.
+    validate_record within a row. When reading stops early or a conversion
+    fails, the rows read are parsed one by one to find the parse fault; a
+    conversion that fails although every row parses raises AssertionError.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusParseError(f"corpus file not found: {path}")
     fmt = _detect_format(path)
     read = _read_jsonl(path) if fmt == "jsonl" else _read_table(path, "\t" if fmt == "tsv" else ",")
-    if read.first_bad is not None:
-        read.parse_row(read.first_bad)
-        raise AssertionError(f"row {read.first_bad} failed a column conversion but parses")
-    if read.stop is not None:
-        raise read.stop
-    values = read.values
+    fault = read.stop
+    if fault is None:
+        try:
+            values = read.convert()
+        except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
+            fault = exc
+    if fault is not None:
+        # The row parse finds and words the fault: the first row that does
+        # not parse, else the row reading stopped at.
+        for r in range(read.n_rows):
+            read.parse_row(r)
+        if read.stop is not None:
+            raise read.stop
+        raise AssertionError("a column conversion failed but every row parses") from fault
     if not values["pub_id"]:
         raise CorpusParseError(f"{path.name}: no records")
     census_year = options.census_year

@@ -229,6 +229,24 @@ def test_malformed_row_or_id_is_validation_failure(tmp_path, capsys, name, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"category_weights": [1]}, "'list' object has no attribute 'items'"),
+        ({"category_weights": None}, "'NoneType' object has no attribute 'items'"),
+        ({"ref_category_weights": "x"}, "'str' object has no attribute 'items'"),
+        ({"category_weights": {"PHY": 10**400}}, "int too large to convert to float"),
+        ({"ext_citation_percentile": 10**400}, "int too large to convert to float"),
+    ],
+    ids=["weights-list", "weights-null", "refs-string", "weight-too-large", "percentile-too-large"],
+)
+def test_malformed_jsonl_value_names_its_line(tmp_path, capsys, fields, named):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(GOOD_OBJECT) + "\n" + json.dumps({**GOOD_OBJECT, "pub_id": "p002", **fields}) + "\n")
+    assert main(["validate", "--corpus", str(path)]) == 1
+    assert f"c.jsonl line 2: {named}" in capsys.readouterr().err
+
+
 def test_run_without_both_reviews_is_validation_failure(tmp_path, capsys):
     # Without role assignment nothing else checks that both reviews are present.
     rows = [GOOD_ROW.replace("p001,U1", f"p00{i},U{i % 3}") for i in range(2, 8)]

@@ -3,9 +3,10 @@
 A small synthetic corpus is written as CSV, TSV or JSON Lines, and up to
 three of its cells are replaced from a catalogue of faults: bad or blank
 ids, non-integer, out-of-range or incomplete scores, weight maps that do
-not sum to 1 or hold inf or nan, external percentiles, duplicate ids,
-extra or missing fields and years after the census year. Both loaders must
-raise the same exception with the same message, or load equal corpora.
+not sum to 1 or hold inf or nan, external percentiles, numbers too large
+for a float, rows without a review, duplicate ids, extra or missing fields
+and years after the census year. Both loaders must raise the same
+exception with the same message, or load equal corpora.
 """
 
 import csv
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibagree import PubCountSpec, SchemaOptions, SynthConfig, generate, load_corpus, save_corpus
+from bibagree.cli import main
 from bibagree.corpus import CSV_COLUMNS, Columns
 from record_pipeline import load_corpus as load_corpus_by_record
 
@@ -53,10 +55,12 @@ JSON_VALUES = {
     "review_b": [{"originality": 7.5, "rigour": 7, "impact": 5}, {"originality": "7", "rigour": 7, "impact": 11}],
     "category_weights": [
         {"A": 0.5}, {"A": 0.5, "B": 0.5}, {}, None, [1], {"A": "0.5", "B": 0.5}, {"A": float("inf")},
-        {"A": float("nan")}, {"A": True}, {"MULTI": 1.0}, {"A": "x"},
+        {"A": float("nan")}, {"A": True}, {"MULTI": 1.0}, {"A": "x"}, {"A": 10**400},
     ],
-    "ref_category_weights": [None, {}, 0, [1], "x", {"A": float("inf")}, {"A": 1e308, "B": 1e308}, {"A": None}, {"A": 2}],
-    **{c: [None, "", "  ", 50, 155, -1, "x", float("nan"), [1], True] for c in EXT_COLUMNS},
+    "ref_category_weights": [
+        None, {}, 0, [1], "x", {"A": float("inf")}, {"A": 1e308, "B": 1e308}, {"A": None}, {"A": 2}, {"A": 10**400},
+    ],
+    **{c: [None, "", "  ", 50, 155, -1, "x", float("nan"), [1], True, 10**400] for c in EXT_COLUMNS},
 }
 
 fault = st.tuples(st.integers(0, 11), st.integers(0, 10**6), st.integers(0, 10**6))
@@ -183,7 +187,7 @@ TABLE_FAULTS = [
     ("category_weights", "A:x"), ("category_weights", "A:nan"), ("category_weights", "A:0.5;A:0.5"),
     ("category_weights", "A:0.3;B:0.7000000015"), ("ref_category_weights", "A:inf"), ("ref_category_weights", "A:x"),
     ("ext_citation_percentile", "155"), ("ext_journal_percentile", "x"), ("duplicate", None), ("extra", None),
-    ("missing", None),
+    ("missing", None), ("no-review", "rev_b"),
 ]
 JSON_FAULTS = [
     ("pub_id", None), ("area_id", ""), ("year", 2012.5), ("year", 2016), ("citations", -1), ("citations", "x"),
@@ -192,7 +196,8 @@ JSON_FAULTS = [
     ("review_a", {"originality": 11, "rigour": 7, "impact": 5}), ("category_weights", {"A": 0.5}),
     ("category_weights", [1]), ("category_weights", {"A": "x"}), ("category_weights", {"A": float("nan")}),
     ("ref_category_weights", {"A": float("inf")}), ("ref_category_weights", "x"),
-    ("ext_citation_percentile", 155), ("ext_journal_percentile", [1]), ("duplicate", None), ("extra", None),
+    ("ref_category_weights", {"A": 10**400}), ("ext_citation_percentile", 155), ("ext_journal_percentile", [1]),
+    ("ext_citation_percentile", 10**400), ("duplicate", None), ("extra", None),
     ("missing", "year"), ("line", "{"), ("line", "[1]"),
 ]
 
@@ -206,6 +211,10 @@ def with_table_fault(header: list[str], body: list[list[str]], i: int, fault) ->
         row.append("extra")
     elif field == "missing":
         row.pop()
+    elif field == "no-review":  # valid, but then blank scores are filled before an incomplete review is rejected
+        for column in header:
+            if column.startswith(value) and header.index(column) < len(row):
+                row[header.index(column)] = ""
     elif header.index(field) < len(row):
         row[header.index(field)] = value
 
@@ -256,3 +265,21 @@ def test_every_pair_of_faults_raises_as_the_row_by_row_loader(tmp_path, fmt):
                 csv.writer(out).writerows([header, *body])
                 path.write_text(out.getvalue())
             assert outcome(load_corpus, path, options) == outcome(load_corpus_by_record, path, options), (a, b, i, j)
+
+
+def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # Only the row parse words a faulty row. A conversion that fails when
+    # every row parses is a converter fault: it surfaces, exiting 2, not 1.
+    path = tmp_path / "corpus.csv"
+    save_corpus(base_corpus(0), path)
+    bug = RuntimeError("converter fault")
+
+    def convert(cells):
+        raise bug
+
+    monkeypatch.setattr("bibagree.corpus._table_values", convert)
+    with pytest.raises(AssertionError, match="a column conversion failed but every row parses") as raised:
+        load_corpus(path)
+    assert raised.value.__cause__ is bug
+    assert main(["validate", "--corpus", str(path)]) == 2
+    assert "a column conversion failed but every row parses" in capsys.readouterr().err
