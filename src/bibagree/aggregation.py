@@ -1,19 +1,17 @@
-"""Institutional aggregates of per-publication scores.
+"""Institution x area units, the rows of the institutional comparison.
 
-Aggregates are per (institution, area) and carry both the size-independent
-view (mean over the institution's publications) and the size-dependent view
-(sum, i.e. publication count times mean).
+A unit holds the kept publications of one institution in one area and the
+mean of each score series over them: the size-independent view. The
+size-dependent view, the total, is the publication count times the mean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class InstitutionAggregate:
+class InstitutionAggregate(NamedTuple):
     institution_id: str
     area_id: str
     pub_count: int
-    mean_score: dict[str, float]
-    total_score: dict[str, float]
+    means: tuple[float, ...]  # one per series, in table.SERIES_LABELS order

@@ -15,7 +15,7 @@ from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus
 from .indicators import MULTIDISCIPLINARY_LABEL
 from .jsonconfig import check_type, from_json, read_json
 from .resampling import BootstrapResult, CoverageDiagnostic, StatKey, bootstrap_statistics, coverage_report
-from .table import SERIES_LABELS, PublicationTable, build_table, point_statistics, table_statistics
+from .table import SERIES_LABELS, PipelineStats, build_table, point_statistics, table_statistics
 
 DEFAULT_METRICS = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
 
@@ -70,20 +70,6 @@ class PipelineConfig:
 
 
 @dataclass
-class PipelineStats:
-    """Everything computed from one corpus, and the publication table its
-    bootstrap replicates reweight."""
-
-    statistics: list[agr.AgreementStatistic]
-    skips: list[agr.SkipEntry]
-    calibrations: list[agr.CalibrationFit]
-    aggregates: list[InstitutionAggregate]
-    flagged_records: dict[str, int]
-    excluded_below_min_pubs: list[tuple[str, str]]
-    table: PublicationTable | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass
 class RunReport:
     config_echo: dict
     flagged_records: dict[str, int]
@@ -98,17 +84,7 @@ class RunReport:
 def compute_pipeline_stats(corpus: Corpus, config: PipelineConfig) -> PipelineStats:
     """Reassignment, indicators, aggregation and agreement on one corpus,
     coded once into a publication table."""
-    table = build_table(corpus, config.multidisciplinary_label)
-    result, aggregates, excluded, flagged = point_statistics(table, config)
-    return PipelineStats(
-        statistics=result.statistics,
-        skips=result.skips,
-        calibrations=result.calibrations,
-        aggregates=aggregates,
-        flagged_records=flagged,
-        excluded_below_min_pubs=excluded,
-        table=table,
-    )
+    return point_statistics(build_table(corpus, config.multidisciplinary_label), config)
 
 
 def run_bootstrap(
@@ -241,11 +217,8 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
     with open(scatter, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["institution_id", "area_id", "pub_count"] + [f"mean_{lab}" for lab in SERIES_LABELS])
-        for a in sorted(report.aggregates, key=lambda a: (a.area_id, a.institution_id)):
-            writer.writerow(
-                [a.institution_id, a.area_id, a.pub_count]
-                + [_fmt(a.mean_score[lab]) for lab in SERIES_LABELS]
-            )
+        for a in report.aggregates:
+            writer.writerow([a.institution_id, a.area_id, a.pub_count, *map(_fmt, a.means)])
 
     if report.coverage:
         cov = out_dir / "coverage.csv"

@@ -106,6 +106,8 @@ def _worker_values(k: int) -> dict[StatKey, float]:
 
 
 def bootstrap_statistics(
+    # The publication table. The name stays corpus while the benchmark's
+    # bench/measure.py (_task_bytes) binds this argument by parameter name.
     corpus: PublicationTable,
     statistic_fn,
     point_values: dict[StatKey, float],

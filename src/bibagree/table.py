@@ -12,7 +12,9 @@ frequency-weight form of the nonparametric bootstrap (Hanley & MacGibbon
 2006). The corpus itself is the vector of all ones. ``point_statistics``
 and ``table_statistics`` compute indicators, institution x area aggregates
 and agreement statistics from such a vector with numpy group-bys, without
-copying a record.
+copying a record. ``point_statistics`` returns the run's ``PipelineStats``;
+its institution x area units are rows built at once from the per-unit sums
+and copy counts, in unit code order, which is (area, institution) order.
 
 Each sum runs over the copies in the order a record-by-record computation
 sums them: ascending pub_id for the corpus itself, and for a replicate
@@ -39,7 +41,7 @@ lines of all metrics of an area at once, one row per metric, with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -117,6 +119,20 @@ class PublicationTable:
     n_unredistributable: int  # multidisciplinary records without a reference profile
 
 
+@dataclass
+class PipelineStats:
+    """Everything computed from one corpus, and the publication table its
+    bootstrap replicates reweight."""
+
+    statistics: list[AgreementStatistic]
+    skips: list[SkipEntry]
+    calibrations: list[CalibrationFit]
+    aggregates: list[InstitutionAggregate]
+    flagged_records: dict[str, int]
+    excluded_below_min_pubs: list[tuple[str, str]]
+    table: PublicationTable | None = field(default=None, compare=False, repr=False)
+
+
 def _codes(values: list) -> tuple[list, np.ndarray]:
     """The sorted distinct values, and each value's index among them."""
     distinct = sorted(set(values))
@@ -156,11 +172,11 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     # within a row.
     table_row = np.empty(len(rows), dtype=np.intp)  # corpus row -> table row
     table_row[rows] = np.arange(len(rows))
-    field = _codes(columns.weights.label)[1]
-    order = np.lexsort((field, table_row[columns.weights.row]))
+    field_code = _codes(columns.weights.label)[1]
+    order = np.lexsort((field_code, table_row[columns.weights.row]))
     entry_row = table_row[columns.weights.row][order]
     entry_weight = columns.weights.weight[order]
-    cell = _pair_codes(field[order], year[entry_row])[2]
+    cell = _pair_codes(field_code[order], year[entry_row])[2]
 
     def order_by(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows by ascending ids, and the entries in that row order."""
@@ -401,42 +417,29 @@ def table_statistics(
     return {s.key(): s.value for s in _agreement(table, scores, config).statistics}
 
 
-def point_statistics(
-    table: PublicationTable, config: "PipelineConfig"
-) -> tuple[AgreementResult, list[InstitutionAggregate], list[tuple[str, str]], dict[str, int]]:
+def point_statistics(table: PublicationTable, config: "PipelineConfig") -> PipelineStats:
     """The statistics of the corpus itself, summed in ascending pub_id order.
 
-    Returns the agreement result; the institution x area aggregates of
-    every series, in (institution, area) order; the (institution, area)
-    pairs with fewer than min_pubs unflagged publications; and the number
-    of flagged records by reason.
+    The aggregates are the units with at least min_pubs unflagged
+    publications, in unit code order, which is (area, institution) order;
+    the units with fewer are excluded, listed in (institution, area) order.
     """
     ones = np.ones(len(table.area), dtype=np.intp)
     scores = _scores(table, ones, table.pub_order, table.pub_entries)
     result = _agreement(table, scores, config)
 
-    aggregates: list[InstitutionAggregate] = []
-    excluded: list[tuple[str, str]] = []
-    copies = scores.unit_copies.tolist()
-    totals = {label: t.tolist() for label, t in scores.unit_total.items()}
-    units = sorted(
-        (table.unit_institution[u], table.area_ids[table.unit_area[u]], u) for u in np.flatnonzero(scores.unit_copies)
+    copies = scores.unit_copies
+    units = np.flatnonzero(copies >= config.min_pubs)
+    totals = np.stack([scores.unit_total[label] for label in SERIES_LABELS])
+    means = (totals[:, units] / copies[units]).T.tolist()
+    aggregates = [
+        InstitutionAggregate(table.unit_institution[u], table.area_ids[a], n, tuple(m))
+        for u, a, n, m in zip(units.tolist(), table.unit_area[units].tolist(), copies[units].tolist(), means)
+    ]
+    excluded = sorted(
+        (table.unit_institution[u], table.area_ids[table.unit_area[u]])
+        for u in np.flatnonzero((copies > 0) & (copies < config.min_pubs)).tolist()
     )
-    for institution_id, area_id, u in units:
-        n = copies[u]
-        if n < config.min_pubs:
-            excluded.append((institution_id, area_id))
-            continue
-        total = {label: t[u] for label, t in totals.items()}
-        aggregates.append(
-            InstitutionAggregate(
-                institution_id=institution_id,
-                area_id=area_id,
-                pub_count=n,
-                mean_score={label: t / n for label, t in total.items()},
-                total_score=total,
-            )
-        )
 
     # A record is flagged for the first of its sorted fields whose cell has
     # no baseline or a zero mean, as indicators.compute_ncs raises.
@@ -449,4 +452,12 @@ def point_statistics(
         "unredistributable_multidisciplinary": table.n_unredistributable,
         "below_min_pubs": len(excluded),
     }
-    return result, aggregates, excluded, {reason: n for reason, n in flagged.items() if n}
+    return PipelineStats(
+        statistics=result.statistics,
+        skips=result.skips,
+        calibrations=result.calibrations,
+        aggregates=aggregates,
+        flagged_records={reason: n for reason, n in flagged.items() if n},
+        excluded_below_min_pubs=excluded,
+        table=table,
+    )

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from bibagree import agreement as agr
-from bibagree.aggregation import InstitutionAggregate
+from bibagree import aggregation
 from bibagree.corpus import (
     CSV_COLUMNS,
     Corpus,
@@ -42,6 +42,7 @@ from bibagree.corpus import (
 )
 from bibagree.indicators import FieldYearBaseline, build_indicator_table, compute_baselines, reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, PipelineStats, compute_pipeline_stats
+from bibagree.table import SERIES_LABELS
 
 
 class AggregationError(Exception):
@@ -58,6 +59,17 @@ class AgreementError(Exception):
 
 class DegeneratePredictorError(AgreementError):
     """Too few points or zero predictor variance; no calibration possible."""
+
+
+@dataclass(frozen=True)
+class InstitutionAggregate:
+    """One (institution, area) unit with each series' mean and total."""
+
+    institution_id: str
+    area_id: str
+    pub_count: int
+    mean_score: dict[str, float]
+    total_score: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,17 @@ def aggregate(
             means[s.label] = total / len(pubs)
         aggregates.append(InstitutionAggregate(inst, area, len(pubs), means, totals))
     return aggregates, excluded
+
+
+def unit_rows(aggregates: list[InstitutionAggregate]) -> list[aggregation.InstitutionAggregate]:
+    """The aggregates as the package's unit rows: means in SERIES_LABELS
+    order, units in (area, institution) order."""
+    return [
+        aggregation.InstitutionAggregate(
+            a.institution_id, a.area_id, a.pub_count, tuple(a.mean_score[label] for label in SERIES_LABELS)
+        )
+        for a in sorted(aggregates, key=lambda a: (a.area_id, a.institution_id))
+    ]
 
 
 def fit_calibration(points: list[tuple[float, float]], area_id: str, metric_label: str) -> agr.CalibrationFit:

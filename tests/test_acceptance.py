@@ -34,9 +34,9 @@ from bibagree.agreement import (
     VIEW_SIZE_DEPENDENT,
     VIEW_SIZE_INDEPENDENT,
 )
-from bibagree.aggregation import InstitutionAggregate
 from bibagree.indicators import build_indicator_table
 from bibagree.pipeline import compute_pipeline_stats, run_bootstrap
+from bibagree.table import SERIES_LABELS
 from oracles import (
     oracle_baselines,
     oracle_mad,
@@ -47,7 +47,15 @@ from oracles import (
     oracle_ols,
     oracle_percentiles,
 )
-from record_pipeline import mapd, predict, resample_within_areas, run_agreement, statistic_values, weighted_mean_ncs_by_year
+from record_pipeline import (
+    InstitutionAggregate,
+    mapd,
+    predict,
+    resample_within_areas,
+    run_agreement,
+    statistic_values,
+    weighted_mean_ncs_by_year,
+)
 
 METRICS = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
 
@@ -264,14 +272,8 @@ def test_criterion_2_normalization_closure_and_cancellation(verdict):
             ]
             assert inst_fits
             for fit in inst_fits:
-                dep = [
-                    (
-                        a.mean_score["reviewer1"],
-                        predict(fit, a.mean_score[fit.metric_label]),
-                        a.pub_count,
-                    )
-                    for a in aggs[fit.area_id]
-                ]
+                obs, metric = SERIES_LABELS.index("reviewer1"), SERIES_LABELS.index(fit.metric_label)
+                dep = [(a.means[obs], predict(fit, a.means[metric]), a.pub_count) for a in aggs[fit.area_id]]
                 # p changes must not move the float result at all.
                 assert mapd(dep) == mapd([(y, yh, 1) for y, yh, _ in dep])
                 assert mapd(dep) == mapd([(y, yh, 1000 * p + 7) for y, yh, p in dep])

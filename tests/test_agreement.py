@@ -12,9 +12,16 @@ from bibagree.agreement import (
     VIEW_SIZE_INDEPENDENT,
     fit_lines,
 )
-from bibagree.aggregation import InstitutionAggregate
 from oracles import oracle_mad, oracle_mapd_sizedep, oracle_median, oracle_ols
-from record_pipeline import AgreementError, DegeneratePredictorError, fit_calibration, mad, mapd, run_agreement
+from record_pipeline import (
+    AgreementError,
+    DegeneratePredictorError,
+    InstitutionAggregate,
+    fit_calibration,
+    mad,
+    mapd,
+    run_agreement,
+)
 
 
 class TestFitCalibration:

@@ -11,6 +11,10 @@ import pytest
 
 import bibagree
 from bibagree.cli import main
+from bibagree.corpus import assign_reviewer_roles, load_corpus
+from bibagree.pipeline import PipelineConfig
+from bibagree.table import SERIES_LABELS
+from record_pipeline import record_pipeline_stats
 
 CORPUS_HEADER = (
     "pub_id,institution_id,area_id,year,citations,journal_id,category_weights,"
@@ -105,6 +109,25 @@ def test_table_cardinalities(corpus_file, tmp_path):
     inst_areas = {(s["area_id"],) for s in report["statistics"]}
     n_aggregates = len({(r[0], r[1]) for r in scatter_rows})
     assert len(scatter_rows) == n_aggregates
+
+
+@pytest.mark.parametrize("min_pubs", [1, 3])
+def test_scatter_table_holds_the_reference_unit_means(corpus_file, tmp_path, min_pubs):
+    # One row per institution x area unit kept by min_pubs, in (area,
+    # institution) order, each mean written with repr: the record-by-record
+    # aggregates, with the units below min_pubs left out.
+    out = tmp_path / "out"
+    args = ["run", "--corpus", str(corpus_file), "--out", str(out), "--seed", "3", "--no-bootstrap"]
+    assert main(args + ["--min-pubs", str(min_pubs)]) == 0
+    config = PipelineConfig(seed=3, min_pubs=min_pubs)
+    stats = record_pipeline_stats(assign_reviewer_roles(load_corpus(corpus_file), config.seed), config)
+    assert bool(stats.excluded_below_min_pubs) == (min_pubs > 1)
+    header, *rows = read_rows(out / "scatter_institution.csv")
+    assert header == ["institution_id", "area_id", "pub_count"] + [f"mean_{lab}" for lab in SERIES_LABELS]
+    assert rows == [
+        [a.institution_id, a.area_id, str(a.pub_count)] + [repr(a.mean_score[lab]) for lab in SERIES_LABELS]
+        for a in sorted(stats.aggregates, key=lambda a: (a.area_id, a.institution_id))
+    ]
 
 
 def test_identical_runs_are_byte_identical(corpus_file, tmp_path):

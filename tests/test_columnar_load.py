@@ -250,21 +250,24 @@ def test_every_pair_of_faults_raises_as_the_row_by_row_loader(tmp_path, fmt):
     text = path.read_text()
     options = SchemaOptions(census_year=2015)
     faults = JSON_FAULTS if fmt == "jsonl" else TABLE_FAULTS
-    for a, b in itertools.product(faults, repeat=2):
-        for i, j in ((0, 1), (1, 0), (1, 1)):
-            if fmt == "jsonl":
-                lines = text.splitlines()
-                with_json_fault(lines, i, a)
-                with_json_fault(lines, j, b)
-                path.write_text("\n".join(lines) + "\n")
-            else:
-                header, *body = list(csv.reader(io.StringIO(text)))
-                with_table_fault(header, body, i, a)
-                with_table_fault(header, body, j, b)
-                out = io.StringIO()
-                csv.writer(out).writerows([header, *body])
-                path.write_text(out.getvalue())
-            assert outcome(load_corpus, path, options) == outcome(load_corpus_by_record, path, options), (a, b, i, j)
+    cases = itertools.product(itertools.product(faults, repeat=2), ((0, 1), (1, 0), (1, 1)))
+    for n, ((a, b), (i, j)) in enumerate(cases):
+        # Each case gets a file of its own: truncating a file written
+        # moments before can cost tens of milliseconds on some filesystems.
+        path = tmp_path / f"case{n}.{fmt}"
+        if fmt == "jsonl":
+            lines = text.splitlines()
+            with_json_fault(lines, i, a)
+            with_json_fault(lines, j, b)
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            header, *body = list(csv.reader(io.StringIO(text)))
+            with_table_fault(header, body, i, a)
+            with_table_fault(header, body, j, b)
+            out = io.StringIO()
+            csv.writer(out).writerows([header, *body])
+            path.write_text(out.getvalue())
+        assert outcome(load_corpus, path, options) == outcome(load_corpus_by_record, path, options), (a, b, i, j)
 
 
 def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, monkeypatch, capsys):
