@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
 
 from . import pipeline
-from .corpus import CorpusError, SchemaOptions, load_corpus, save_corpus
+from .corpus import CorpusError, SchemaOptions, load_corpus, save_corpus, save_population_counts
 from .resampling import ResamplingError, check_fraction, stratified_sample
 from .synth import SynthConfig, SynthError, generate
 
@@ -65,14 +64,10 @@ def cmd_generate(args) -> int:
     save_corpus(corpus, out)
     if corpus.population_counts:
         pop_path = out.with_suffix(".population.csv")
-        with open(pop_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["institution_id", "count"])
-            for inst, n in sorted(corpus.population_counts.items()):
-                writer.writerow([inst, n])
-        print(f"wrote {len(corpus.records)} records to {out}, population counts to {pop_path}")
+        save_population_counts(corpus.population_counts, pop_path)
+        print(f"wrote {len(corpus)} records to {out}, population counts to {pop_path}")
     else:
-        print(f"wrote {len(corpus.records)} records to {out}")
+        print(f"wrote {len(corpus)} records to {out}")
     return EXIT_OK
 
 
@@ -81,7 +76,7 @@ def cmd_sample(args) -> int:
     corpus = load_corpus(args.corpus, _schema_options(args))
     sample, skipped = stratified_sample(corpus, args.fraction, args.seed or 0)
     save_corpus(sample, Path(args.out))
-    msg = f"wrote {len(sample.records)} of {len(corpus.records)} records to {args.out}"
+    msg = f"wrote {len(sample)} of {len(corpus)} records to {args.out}"
     if skipped:
         msg += f" (empty strata skipped: {', '.join(skipped)})"
     print(msg)

@@ -32,6 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 WEIGHT_TOL = 1e-9
+# The largest citation count a float64 holds exactly; the publication table
+# computes in float64, and a larger count could overflow a field-year sum.
+MAX_CITATIONS = 2**53
 
 CSV_COLUMNS = [
     "pub_id",
@@ -56,6 +59,9 @@ CSV_COLUMNS = [
 _ID_COLUMNS = ("pub_id", "institution_id", "area_id", "journal_id")
 _CRITERIA = ("originality", "rigour", "impact")
 _SCORE_COLUMNS = {prefix: tuple(f"{prefix}_{c}" for c in _CRITERIA) for prefix in ("rev_a", "rev_b")}
+# A review's scores in _CRITERIA order. Attribute reads, where vars(score)
+# would give each score a __dict__ of its own that outlives the write.
+_criterion_scores = operator.attrgetter(*_CRITERIA)
 
 
 class CorpusError(Exception):
@@ -174,7 +180,9 @@ class Columns:
             ext_journal_percentile=np.array([r.ext_journal_percentile for r in records], dtype=float),
         )
 
-    def records(self) -> tuple[PublicationRecord, ...]:
+    def records(self, rows: Sequence[int] | None = None) -> tuple[PublicationRecord, ...]:
+        """The record of each of the given rows, in that order; of every row
+        when rows is None."""
         n = len(self)
         year, citations = self.year.tolist(), self.citations.tolist()
         review, has_review = self.review.tolist(), self.has_review.tolist()
@@ -203,7 +211,7 @@ class Columns:
                 ext_citation_percentile=ext_cit[i],
                 ext_journal_percentile=ext_jou[i],
             )
-            for i in range(n)
+            for i in (range(n) if rows is None else rows)
         )
 
 
@@ -335,6 +343,8 @@ def validate_record(rec: PublicationRecord, census_year: int) -> None:
     tag = f"record {rec.pub_id!r}"
     if rec.citations < 0:
         raise CorpusValidationError(f"{tag}: negative citations {rec.citations}")
+    if rec.citations > MAX_CITATIONS:
+        raise CorpusValidationError(f"{tag}: citations {rec.citations} above 2**53")
     if not rec.category_weights:
         raise CorpusValidationError(f"{tag}: empty category weights")
     total = sum(rec.category_weights.values())
@@ -455,6 +465,15 @@ def load_population_counts(path: str | Path) -> dict[str, int]:
                 raise CorpusParseError(f"{path} row {i}: duplicate institution {inst!r}")
             counts[inst] = count
     return counts
+
+
+def save_population_counts(counts: dict[str, int], path: str | Path) -> None:
+    """Write population counts as the sidecar load_population_counts reads,
+    one row per institution in sorted order."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["institution_id", "count"])
+        writer.writerows(sorted(counts.items()))
 
 
 # A JSON Lines field that a line leaves out.
@@ -728,6 +747,7 @@ def _suspects(columns: Columns, census_year: int) -> np.ndarray:
     scores_outside = columns.has_review & ~((columns.review >= 1) & (columns.review <= 10)).all(axis=2)
     return (
         (columns.citations < 0)
+        | (columns.citations > MAX_CITATIONS)
         | (np.bincount(w.row, minlength=n) == 0)
         # validate_record sums the weights with sum(), which compensates
         # rounding from Python 3.12 on; a total within half the tolerance
@@ -814,35 +834,24 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus back out in the canonical column layout."""
     path = Path(path)
     fmt = _detect_format(path)
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in corpus.records:
-                obj = {
-                    "pub_id": rec.pub_id,
-                    "institution_id": rec.institution_id,
-                    "area_id": rec.area_id,
-                    "year": rec.year,
-                    "citations": rec.citations,
-                    "journal_id": rec.journal_id,
-                    "category_weights": dict(sorted(rec.category_weights.items())),
-                    "ref_category_weights": (
-                        dict(sorted(rec.ref_category_weights.items()))
-                        if rec.ref_category_weights
-                        else None
-                    ),
-                    "review_a": rec.review_a.__dict__ if rec.review_a else None,
-                    "review_b": rec.review_b.__dict__ if rec.review_b else None,
-                    "ext_citation_percentile": rec.ext_citation_percentile,
-                    "ext_journal_percentile": rec.ext_journal_percentile,
-                }
-                fh.write(json.dumps(obj, sort_keys=False) + "\n")
-        return
-    delim = "\t" if fmt == "tsv" else ","
+    no_review = ("", "", "")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delim)
+        if fmt == "jsonl":
+            for rec in corpus.records:
+                refs = rec.ref_category_weights
+                obj = {
+                    **vars(rec),
+                    "category_weights": dict(sorted(rec.category_weights.items())),
+                    "ref_category_weights": dict(sorted(refs.items())) if refs else None,
+                    "review_a": vars(rec.review_a) if rec.review_a else None,
+                    "review_b": vars(rec.review_b) if rec.review_b else None,
+                }
+                fh.write(json.dumps(obj) + "\n")
+            return
+        writer = csv.writer(fh, delimiter="\t" if fmt == "tsv" else ",")
         writer.writerow(CSV_COLUMNS)
         for rec in corpus.records:
-            a, b = rec.review_a, rec.review_b
+            cit, jou = rec.ext_citation_percentile, rec.ext_journal_percentile
             writer.writerow(
                 [
                     rec.pub_id,
@@ -853,14 +862,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
                     rec.journal_id,
                     _format_weights(rec.category_weights),
                     _format_weights(rec.ref_category_weights) if rec.ref_category_weights else "",
-                    a.originality if a else "",
-                    a.rigour if a else "",
-                    a.impact if a else "",
-                    b.originality if b else "",
-                    b.rigour if b else "",
-                    b.impact if b else "",
-                    repr(rec.ext_citation_percentile) if rec.ext_citation_percentile is not None else "",
-                    repr(rec.ext_journal_percentile) if rec.ext_journal_percentile is not None else "",
+                    *(_criterion_scores(rec.review_a) if rec.review_a else no_review),
+                    *(_criterion_scores(rec.review_b) if rec.review_b else no_review),
+                    "" if cit is None else repr(cit),
+                    "" if jou is None else repr(jou),
                 ]
             )
 

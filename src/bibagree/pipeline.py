@@ -14,7 +14,7 @@ from .aggregation import InstitutionAggregate
 from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus
 from .indicators import MULTIDISCIPLINARY_LABEL
 from .jsonconfig import check_type, from_json, read_json
-from .resampling import BootstrapResult, CoverageDiagnostic, StatKey, bootstrap_statistics, coverage_report
+from .resampling import BootstrapResult, CoverageDiagnostic, bootstrap_statistics, coverage_report
 from .table import SERIES_LABELS, PipelineStats, build_table, point_statistics, table_statistics
 
 DEFAULT_METRICS = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
@@ -172,19 +172,22 @@ def write_report(report: RunReport, path: Path) -> None:
         fh.write("\n")
 
 
-def _boot_index(report: RunReport) -> dict[StatKey, BootstrapResult]:
-    return {b.key(): b for b in report.bootstrap}
-
-
 def _fmt(x) -> str:
     return "" if x is None else repr(x)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
     """Plot-ready tables: institutional MAD, institutional MAPD, publication
     MAD (each with bootstrap interval columns) and the institution scatter."""
     out_dir = Path(out_dir)
-    boots = _boot_index(report)
+    intervals = {b.key(): (_fmt(b.lower), _fmt(b.upper)) for b in report.bootstrap}
 
     specs = [
         ("mad_institution.csv", agr.LEVEL_INSTITUTION, agr.VIEW_SIZE_INDEPENDENT, "mad"),
@@ -192,45 +195,36 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
         ("mad_publication.csv", agr.LEVEL_PUBLICATION, agr.VIEW_SIZE_INDEPENDENT, "mad"),
     ]
     for name, level, view, value_col in specs:
-        path = out_dir / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["area_id", "metric_label", value_col, "boot_lower", "boot_upper", "n_units"])
-            rows = sorted(
-                (s for s in report.statistics if s.level == level and s.view == view),
-                key=lambda s: (s.area_id, s.metric_label),
-            )
-            for s in rows:
-                b = boots.get(s.key())
-                writer.writerow(
-                    [
-                        s.area_id,
-                        s.metric_label,
-                        _fmt(s.value),
-                        _fmt(b.lower) if b else "",
-                        _fmt(b.upper) if b else "",
-                        s.n_units,
-                    ]
-                )
+        stats = sorted(
+            (s for s in report.statistics if s.level == level and s.view == view),
+            key=lambda s: (s.area_id, s.metric_label),
+        )
+        _write_csv(
+            out_dir / name,
+            ["area_id", "metric_label", value_col, "boot_lower", "boot_upper", "n_units"],
+            (
+                [s.area_id, s.metric_label, _fmt(s.value), *intervals.get(s.key(), ("", "")), s.n_units]
+                for s in stats
+            ),
+        )
 
-    scatter = out_dir / "scatter_institution.csv"
-    with open(scatter, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["institution_id", "area_id", "pub_count"] + [f"mean_{lab}" for lab in SERIES_LABELS])
-        for a in report.aggregates:
-            writer.writerow([a.institution_id, a.area_id, a.pub_count, *map(_fmt, a.means)])
+    _write_csv(
+        out_dir / "scatter_institution.csv",
+        ["institution_id", "area_id", "pub_count"] + [f"mean_{lab}" for lab in SERIES_LABELS],
+        ([a.institution_id, a.area_id, a.pub_count, *map(_fmt, a.means)] for a in report.aggregates),
+    )
 
     if report.coverage:
-        cov = out_dir / "coverage.csv"
-        with open(cov, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["institution_id", "sample_count", "population_count", "coverage_ratio"])
-            for c in report.coverage:
-                writer.writerow(
-                    [
-                        c.institution_id,
-                        c.sample_count,
-                        c.population_count if c.population_count is not None else "unavailable",
-                        _fmt(c.coverage_ratio) if c.coverage_ratio is not None else "unavailable",
-                    ]
-                )
+        _write_csv(
+            out_dir / "coverage.csv",
+            ["institution_id", "sample_count", "population_count", "coverage_ratio"],
+            (
+                [
+                    c.institution_id,
+                    c.sample_count,
+                    "unavailable" if c.population_count is None else c.population_count,
+                    "unavailable" if c.coverage_ratio is None else _fmt(c.coverage_ratio),
+                ]
+                for c in report.coverage
+            ),
+        )

@@ -14,11 +14,11 @@ import hashlib
 from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, PublicationRecord
+from .corpus import Corpus
 from .table import PublicationTable
 
 StatKey = tuple[str, str, str, str]  # (area, metric, level, view)
@@ -181,14 +181,16 @@ def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpu
     """Draw round(fraction * n) publications per area, without replacement.
 
     Seeded per area by (seed, hash(area)), so the draw is independent of
-    record order. Returns the sample and any skipped (empty) strata.
+    record order. Only the chosen rows of the corpus columns become records.
+    Returns the sample and any skipped (empty) strata.
     """
     check_fraction(fraction)
-    by_area: dict[str, list[PublicationRecord]] = {}
-    for rec in sorted(corpus.records, key=lambda r: r.pub_id):
-        by_area.setdefault(rec.area_id, []).append(rec)
+    columns = corpus.columns
+    by_area: dict[str, list[int]] = {}
+    for row in sorted(range(len(columns)), key=columns.pub_id.__getitem__):
+        by_area.setdefault(columns.area_id[row], []).append(row)
     skipped: list[str] = []
-    chosen: list[PublicationRecord] = []
+    chosen: list[int] = []
     for area in sorted(by_area):
         pool = by_area[area]
         k = int(fraction * len(pool) + 0.5)
@@ -197,8 +199,8 @@ def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpu
             continue
         rng = _area_stream(seed, area)
         idx = rng.choice(len(pool), size=k, replace=False)
-        chosen.extend(pool[int(i)] for i in sorted(idx))
-    return replace(corpus, records=tuple(chosen)), skipped
+        chosen.extend(pool[i] for i in sorted(idx.tolist()))
+    return Corpus(columns.records(chosen), corpus.census_year, corpus.population_counts), skipped
 
 
 def coverage_report(sample: Corpus, population_counts: dict[str, int]) -> list[CoverageDiagnostic]:

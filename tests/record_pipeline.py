@@ -8,7 +8,8 @@ folds, never the builtin sum(), whose rounding is compensated from Python
 3.12 on. So the reference equals table.py bit for bit on every Python. On a
 bootstrap replicate materialised by resample_within_areas, whose copies are
 named "<pub_id>~<draw number>", it gives what table.table_statistics
-computes from the replicate's copy counts.
+computes from the replicate's copy counts. stratified_sample is the
+record-by-record draw of bibagree sample.
 
 load_corpus is the row-by-row loader: it parses every row into a record
 and validates the records one by one. The columnar loader in
@@ -42,6 +43,7 @@ from bibagree.corpus import (
 )
 from bibagree.indicators import FieldYearBaseline, build_indicator_table, compute_baselines, reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, PipelineStats, compute_pipeline_stats
+from bibagree.resampling import _area_stream, check_fraction
 from bibagree.table import SERIES_LABELS
 
 
@@ -273,6 +275,27 @@ def resample_within_areas(corpus: Corpus, rng: np.random.Generator) -> Corpus:
             rec = pool[int(i)]
             out.append(replace(rec, pub_id=f"{rec.pub_id}~{copy_no}"))
     return replace(corpus, records=tuple(out))
+
+
+def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, list[str]]:
+    """resampling.stratified_sample drawn from the records: round(fraction * n)
+    records per area without replacement, from the area's records in pub_id
+    order."""
+    check_fraction(fraction)
+    by_area: dict[str, list[PublicationRecord]] = {}
+    for rec in sorted(corpus.records, key=lambda r: r.pub_id):
+        by_area.setdefault(rec.area_id, []).append(rec)
+    skipped: list[str] = []
+    chosen: list[PublicationRecord] = []
+    for area in sorted(by_area):
+        pool = by_area[area]
+        k = int(fraction * len(pool) + 0.5)
+        if k == 0:
+            skipped.append(area)
+            continue
+        idx = _area_stream(seed, area).choice(len(pool), size=k, replace=False)
+        chosen.extend(pool[int(i)] for i in sorted(idx))
+    return replace(corpus, records=tuple(chosen)), skipped
 
 
 def statistic_values(corpus: Corpus, config: PipelineConfig) -> dict:

@@ -270,6 +270,25 @@ def test_malformed_jsonl_value_names_its_line(tmp_path, capsys, fields, named):
     assert f"c.jsonl line 2: {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("citations", [2**53 + 1, 10**308, 10**400], ids=["2**53+1", "10**308", "10**400"])
+def test_citations_above_2_to_the_53_name_the_record(tmp_path, capsys, fmt, citations):
+    # The table computes in float64, which holds counts up to 2**53 exactly.
+    # Two counts of 10**308 in one field-year cell overflowed the cell's sum
+    # to inf, and 10**400 failed the run naming no record.
+    path = tmp_path / f"c.{fmt}"
+    ids = ["p001", "p002", "p003"]
+    if fmt == "jsonl":
+        objects = [{**GOOD_OBJECT, "pub_id": i, "citations": citations if i != "p001" else 5} for i in ids]
+        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
+    else:
+        rows = [GOOD_ROW.replace("p001,U1,A,2012,5", f"{i},U1,A,2012,{citations if i != 'p001' else 5}") for i in ids]
+        path.write_text(CORPUS_HEADER + "".join(rows))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out"), "--no-bootstrap"]):
+        assert main(command + ["--corpus", str(path)]) == 1
+        assert f"record 'p002': citations {citations} above 2**53" in capsys.readouterr().err
+
+
 def test_run_without_both_reviews_is_validation_failure(tmp_path, capsys):
     # Without role assignment nothing else checks that both reviews are present.
     rows = [GOOD_ROW.replace("p001,U1", f"p00{i},U{i % 3}") for i in range(2, 8)]

@@ -4,9 +4,10 @@ A small synthetic corpus is written as CSV, TSV or JSON Lines, and up to
 three of its cells are replaced from a catalogue of faults: bad or blank
 ids, non-integer, out-of-range or incomplete scores, weight maps that do
 not sum to 1 or hold inf or nan, external percentiles, numbers too large
-for a float, rows without a review, duplicate ids, extra or missing fields
-and years after the census year. Both loaders must raise the same
-exception with the same message, or load equal corpora.
+for a float, citation counts above 2**53, rows without a review,
+duplicate ids, extra or missing fields and years after the census year.
+Both loaders must raise the same exception with the same message, or load
+equal corpora.
 """
 
 import csv
@@ -33,7 +34,7 @@ EXT_COLUMNS = ["ext_citation_percentile", "ext_journal_percentile"]
 TABLE_CELLS = {
     **{c: ["", " ", " x ", "U1"] for c in ID_COLUMNS},
     "year": ["x", "", "2012.0", " 2013 ", "2016", "-3", "1_0", "99999999999999999999999"],
-    "citations": ["x", "", "-1", " 7 ", "3.5", "99999999999999999999999"],
+    "citations": ["x", "", "-1", " 7 ", "3.5", "99999999999999999999999", str(2**53 + 1), "1" + "0" * 400],
     **{c: ["", "0", "11", "x", "5", " 3 ", "-1", "10", "99999999999999999999999"] for c in SCORE_COLUMNS},
     **{
         c: [
@@ -50,7 +51,7 @@ TABLE_CELLS = {
 JSON_VALUES = {
     **{c: ["", " ", None, 7, "x", "U1"] for c in ID_COLUMNS},
     "year": [2012.5, True, "2012", "x", None, -3, 2016, 2013.0, float("inf"), [2012]],
-    "citations": [3.5, False, "4", "x", None, -1, 7.0, 10**25],
+    "citations": [3.5, False, "4", "x", None, -1, 7.0, 10**25, 2**53 + 1, 10**400],
     "review_a": [None, {}, [1, 2, 3], "x", {"originality": 4, "rigour": 7}, {"originality": 0, "rigour": 7, "impact": 5}],
     "review_b": [{"originality": 7.5, "rigour": 7, "impact": 5}, {"originality": "7", "rigour": 7, "impact": 11}],
     "category_weights": [
@@ -182,6 +183,7 @@ def test_columnar_loader_matches_row_by_row_loader(tmp_path_factory, fmt, seed, 
 # or a fault that is not a field value.
 TABLE_FAULTS = [
     ("pub_id", ""), ("area_id", " "), ("year", "x"), ("year", "2016"), ("citations", "-1"),
+    ("citations", str(2**53 + 1)),
     ("rev_a_originality", ""), ("rev_a_impact", "x"), ("rev_b_rigour", ""), ("rev_b_impact", "x"),
     ("rev_a_rigour", "11"), ("category_weights", "A:0.5"), ("category_weights", "A"), ("category_weights", "1.0"),
     ("category_weights", "A:x"), ("category_weights", "A:nan"), ("category_weights", "A:0.5;A:0.5"),
@@ -191,6 +193,7 @@ TABLE_FAULTS = [
 ]
 JSON_FAULTS = [
     ("pub_id", None), ("area_id", ""), ("year", 2012.5), ("year", 2016), ("citations", -1), ("citations", "x"),
+    ("citations", 10**400),
     ("review_a", {}), ("review_a", {"originality": 4.5, "rigour": 7, "impact": 5}), ("review_b", {"rigour": 7}),
     ("review_b", {"originality": "x", "rigour": 7, "impact": 5}),
     ("review_a", {"originality": 11, "rigour": 7, "impact": 5}), ("category_weights", {"A": 0.5}),

@@ -12,6 +12,7 @@ from bibagree import (
     Corpus,
     CorpusParseError,
     CorpusValidationError,
+    PublicationRecord,
     ReviewerScore,
     SchemaOptions,
     SynthConfig,
@@ -21,7 +22,7 @@ from bibagree import (
     overall_score,
     save_corpus,
 )
-from bibagree.corpus import CSV_COLUMNS
+from bibagree.corpus import CSV_COLUMNS, load_population_counts, save_population_counts
 
 CORPUS_FORMAT_DOC = Path(__file__).resolve().parents[1] / "docs" / "corpus_format.md"
 
@@ -135,6 +136,49 @@ def test_round_trip(tmp_path, fmt):
     save_corpus(corpus, path)
     reloaded = load_corpus(path, SchemaOptions(census_year=corpus.census_year))
     assert reloaded.records == corpus.records
+
+
+SAVED_RECORDS = (
+    PublicationRecord("p1", "U1", "A", 2012, 5, "J1", {"MULTI": 1.0}, {"PHY": 0.6, "CHE": 0.4},
+                      ReviewerScore(4, 7, 5), ReviewerScore(3, 6, 6), 55.5, None),
+    PublicationRecord("p2", "U2", "B", 2013, 0, "J2", {"PHY": 0.25, "CHE": 0.75}, None,
+                      ReviewerScore(10, 9, 8), None, None, 7.25),
+)
+SAVED_TABLE = [
+    CSV_COLUMNS,
+    ["p1", "U1", "A", "2012", "5", "J1", "MULTI:1.0", "CHE:0.4;PHY:0.6", "4", "7", "5", "3", "6", "6", "55.5", ""],
+    ["p2", "U2", "B", "2013", "0", "J2", "CHE:0.75;PHY:0.25", "", "10", "9", "8", "", "", "", "", "7.25"],
+]
+SAVED_JSONL = (
+    '{"pub_id": "p1", "institution_id": "U1", "area_id": "A", "year": 2012, "citations": 5, "journal_id": "J1", '
+    '"category_weights": {"MULTI": 1.0}, "ref_category_weights": {"CHE": 0.4, "PHY": 0.6}, '
+    '"review_a": {"originality": 4, "rigour": 7, "impact": 5}, "review_b": {"originality": 3, "rigour": 6, "impact": 6}, '
+    '"ext_citation_percentile": 55.5, "ext_journal_percentile": null}\n'
+    '{"pub_id": "p2", "institution_id": "U2", "area_id": "B", "year": 2013, "citations": 0, "journal_id": "J2", '
+    '"category_weights": {"CHE": 0.75, "PHY": 0.25}, "ref_category_weights": null, '
+    '"review_a": {"originality": 10, "rigour": 9, "impact": 8}, "review_b": null, '
+    '"ext_citation_percentile": null, "ext_journal_percentile": 7.25}\n'
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
+def test_saved_bytes(tmp_path, fmt):
+    # Weight maps sorted by label, blank cells or null for what a record lacks.
+    path = tmp_path / f"corpus.{fmt}"
+    save_corpus(Corpus(SAVED_RECORDS, 2013), path)
+    if fmt == "jsonl":
+        expected = SAVED_JSONL
+    else:
+        expected = "".join(("\t" if fmt == "tsv" else ",").join(row) + "\r\n" for row in SAVED_TABLE)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_population_counts_round_trip(tmp_path):
+    counts = {"U2": 40, "U10": 0, "U1": 7}
+    path = tmp_path / "corpus.population.csv"
+    save_population_counts(counts, path)
+    assert path.read_bytes() == b"institution_id,count\r\nU1,7\r\nU10,0\r\nU2,40\r\n"
+    assert load_population_counts(path) == counts
 
 
 def test_overall_score_bounds_and_arithmetic():

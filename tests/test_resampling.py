@@ -1,6 +1,7 @@
 """Bootstrap intervals, stratified sampling and coverage diagnostics."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bibagree.pipeline import PipelineConfig
 from bibagree.resampling import ResamplingError
 from oracles import oracle_midrank_quantile
 from record_pipeline import resample_within_areas, statistic_values
+from record_pipeline import stratified_sample as record_stratified_sample
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,18 @@ class TestStratifiedSample:
         a, _ = stratified_sample(boot_corpus, 0.4, seed=11)
         b, _ = stratified_sample(boot_corpus, 0.4, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("fraction", [0.0065, 0.02, 0.1, 0.35, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_rows_drawn_from_the_columns_are_the_record_draw(self, boot_corpus, fraction, seed):
+        # boot_corpus holds columns; the shuffled copy holds records in another
+        # order. At fraction 0.0065 the smaller of its two areas is skipped.
+        records = random.Random(seed).sample(boot_corpus.records, len(boot_corpus))
+        shuffled = replace(boot_corpus, records=tuple(records))
+        expected = record_stratified_sample(boot_corpus, fraction, seed)
+        assert expected[0].records
+        assert stratified_sample(boot_corpus, fraction, seed) == expected
+        assert stratified_sample(shuffled, fraction, seed) == expected
 
     def test_bad_fraction_rejected(self, boot_corpus):
         with pytest.raises(ResamplingError):
