@@ -6,7 +6,8 @@ median absolute residual, MAPD the median absolute residual relative to
 the observed score (the size-dependent view, where the publication count
 cancels). Publication-level MAD uses a separate per-area fit. This module
 holds the result types, the line fit and the skip reasons; ``table.py``
-computes the statistics.
+computes the statistics, with its own fit that reproduces ``fit_lines``
+bit for bit and keeps the residuals in the same buffer.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import compress, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -105,6 +105,12 @@ class PublicationRecord:
     review_b: ReviewerScore | None = None
     ext_citation_percentile: float | None = None
     ext_journal_percentile: float | None = None
+
+
+# A record's fields in declaration order, read as attributes for the same
+# reason as _criterion_scores.
+_RECORD_FIELDS = tuple(f.name for f in fields(PublicationRecord))
+_record_values = operator.attrgetter(*_RECORD_FIELDS)
 
 
 class Entries(NamedTuple):
@@ -840,11 +846,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             for rec in corpus.records:
                 refs = rec.ref_category_weights
                 obj = {
-                    **vars(rec),
+                    **dict(zip(_RECORD_FIELDS, _record_values(rec))),
                     "category_weights": dict(sorted(rec.category_weights.items())),
                     "ref_category_weights": dict(sorted(refs.items())) if refs else None,
-                    "review_a": vars(rec.review_a) if rec.review_a else None,
-                    "review_b": vars(rec.review_b) if rec.review_b else None,
+                    "review_a": dict(zip(_CRITERIA, _criterion_scores(rec.review_a))) if rec.review_a else None,
+                    "review_b": dict(zip(_CRITERIA, _criterion_scores(rec.review_b))) if rec.review_b else None,
                 }
                 fh.write(json.dumps(obj) + "\n")
             return

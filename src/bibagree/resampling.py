@@ -122,11 +122,17 @@ def bootstrap_statistics(
     a replicate (degenerate fits, vanished institutions) count as missing
     for that replicate. Statistics missing in more than 10% of replicates
     are flagged with a warning. With n_workers > 1 the table goes to each
-    worker process once, and each task carries only its replicate number.
+    worker process once, and each task carries only its replicate number;
+    no more workers start than there are replicates.
     """
     if n_replicates < 1:
         raise ResamplingError("n_replicates must be >= 1")
+    n_workers = min(n_workers, n_replicates)  # a fork start method starts them all at once
     if n_workers > 1:
+        # numpy loads numpy.random on first use; loaded here, the workers
+        # inherit it instead of each importing it on its first replicate.
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(corpus, statistic_fn, seed)
         ) as pool:

@@ -32,11 +32,15 @@ the whole table. Mid-rank percentiles are taken over the distinct
 publications, weighted by their copy counts, each area's contiguous rows
 sorted on their own. NJS has one value per journal-year, so journal
 percentiles rank the area x journal-year cells, weighted by their kept
-copies, and each row takes its cell's rank. Medians of the deviations (of
-every copy, at the publication level) take the one or two middle order
-statistics from a single partition per row. The agreement pass fits the
-lines of all metrics of an area at once, one row per metric, with
-``agreement.fit_lines``.
+copies, and each row takes its cell's rank; one call ranks the rows and
+the cells. Medians of the deviations (of every copy, at the publication
+level) take the one or two middle order statistics from a single in-place
+partition per row. The agreement pass fits the lines of all metrics of an
+area at once, one row per metric, with the arithmetic of
+``agreement.fit_lines`` in one buffer per fit; each area's copies are a
+slice of the kept copies grouped by area. The point pass and a replicate
+share the fits and medians: the point pass builds the statistic,
+calibration and skip objects, a replicate only its {key: value} dict.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .agreement import (
     MIN_POINTS,
     CalibrationFit,
     SkipEntry,
-    fit_lines,
     nonpositive_score,
     too_few_points,
     zero_variance,
@@ -89,6 +92,7 @@ class PublicationTable:
 
     area_ids: tuple[str, ...]  # sorted; area code -> area_id
     area_sizes: tuple[int, ...]  # rows per area, in area code order
+    area_starts: np.ndarray  # first row of each area
     area: np.ndarray  # row -> area code
     unit: np.ndarray  # row -> institution x area code, in (area, institution) order
     unit_area: np.ndarray  # unit code -> area code
@@ -103,10 +107,15 @@ class PublicationTable:
     reviewer2: np.ndarray
     ext_citation_percentile: np.ndarray  # NaN where absent
     ext_journal_percentile: np.ndarray  # NaN where absent
+    ext_missing: np.ndarray  # row lacks either external percentile
+    # The groups the percentiles rank in, rows and then journal cells: a
+    # row's area, and n_areas + a journal cell's area.
+    rank_group: np.ndarray
     # Rows in ascending pub_id order, the order of the point pass, and in the
     # order their copies take in a materialised replicate.
     pub_order: np.ndarray
     copy_order: np.ndarray
+    area_copy_order: np.ndarray  # rows by area, each area's in copy order
     # One entry per (row, field) of the category weights, rows ascending and
     # fields sorted within a row.
     entry_row: np.ndarray
@@ -167,6 +176,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     journal_cell_area, journal_cell_year, journal_cell = _pair_codes(area, journal_year)
     citations = columns.citations[rows].astype(float)
     reviewer_total = overall_score(columns.review[rows])
+    ext_citation, ext_journal = columns.ext_citation_percentile[rows], columns.ext_journal_percentile[rows]
 
     # Category weight entries, table rows ascending and fields sorted
     # within a row.
@@ -187,9 +197,11 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
 
     pub_order, pub_entries = order_by(pub_ids)
     copy_order, copy_entries = order_by(np.char.add(pub_ids, "~"))
+    area_copy_order = copy_order[np.argsort(area[copy_order], kind="stable")]
     return PublicationTable(
         area_ids=tuple(area_ids),
         area_sizes=tuple(np.bincount(area, minlength=len(area_ids)).tolist()),
+        area_starts=np.searchsorted(area, np.arange(len(area_ids))),
         area=area,
         unit=unit,
         unit_area=unit_area,
@@ -202,10 +214,13 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         citations=citations,
         reviewer1=reviewer_total[:, 0].astype(float),
         reviewer2=reviewer_total[:, 1].astype(float),
-        ext_citation_percentile=columns.ext_citation_percentile[rows],
-        ext_journal_percentile=columns.ext_journal_percentile[rows],
+        ext_citation_percentile=ext_citation,
+        ext_journal_percentile=ext_journal,
+        ext_missing=np.isnan(ext_citation) | np.isnan(ext_journal),
+        rank_group=np.concatenate((area, journal_cell_area + len(area_ids))),
         pub_order=pub_order,
         copy_order=copy_order,
+        area_copy_order=area_copy_order,
         entry_row=entry_row,
         entry_cell=cell,
         entry_weight=entry_weight,
@@ -227,57 +242,122 @@ def _midrank_percentiles(group: np.ndarray, values: np.ndarray, counts: np.ndarr
     group must be non-decreasing, so that each group's rows are one
     contiguous slice, sorted on its own.
     """
-    rows = np.flatnonzero(counts)
+    out = np.zeros(len(values))
+    rows = (counts > 0).nonzero()[0]  # faster than on the counts themselves
+    if not len(rows):
+        return out
     g = group[rows]
-    slices = np.split(rows, np.flatnonzero(g[1:] != g[:-1]) + 1)
-    order = np.concatenate([s[np.argsort(values[s])] for s in slices])
+    new_group = np.empty(len(rows), dtype=bool)
+    new_group[0] = True
+    np.not_equal(g[1:], g[:-1], out=new_group[1:])
+    first = new_group.nonzero()[0]
+    bounds = [*first.tolist(), len(rows)]
+    order = np.concatenate([s[np.argsort(values[s])] for s in (rows[i:j] for i, j in zip(bounds, bounds[1:]))])
     v, cnt = values[order], counts[order]
-    new_group = np.ones(len(order), dtype=bool)
-    new_group[1:] = g[1:] != g[:-1]
     new_run = new_group.copy()
     new_run[1:] |= v[1:] != v[:-1]
-    run = np.cumsum(new_run) - 1
-    before = np.cumsum(cnt) - cnt  # copies of this and earlier groups before the row
-    group_size = np.bincount(g, weights=cnt)
-    group_start = np.zeros(len(group_size))
-    group_start[g[new_group]] = before[new_group]
-    run_group = g[new_run]
-    run_size = np.bincount(run, weights=cnt)
-    rank = (before[new_run] - group_start[run_group]) + (run_size + 1) / 2
-    out = np.zeros(len(values))
-    out[order] = (100.0 * (rank - 0.5) / group_size[run_group])[run]
+    starts = new_run.nonzero()[0]  # the first row of each run of ties
+    stops = np.empty_like(starts)  # one past its last row
+    stops[:-1] = starts[1:]
+    stops[-1] = len(order)
+    end = np.cumsum(cnt)  # copies of this and earlier groups up to the row
+    # Copies before each group and in it, indexed by group.
+    codes = g[first]
+    group_start = np.zeros(codes[-1] + 1, dtype=end.dtype)
+    group_size = np.zeros(codes[-1] + 1, dtype=end.dtype)
+    group_start[codes] = end[first] - cnt[first]
+    group_size[codes] = end[np.array(bounds[1:]) - 1] - group_start[codes]
+    run_before = end[starts] - cnt[starts]
+    run_group = g[starts]
+    rank = (run_before - group_start[run_group]) + (end[stops - 1] - run_before + 1) / 2
+    out[order] = np.repeat(100.0 * (rank - 0.5) / group_size[run_group], stops - starts)
     return out
 
 
 def _median_rows(a: np.ndarray) -> np.ndarray:
-    """np.median(a, axis=1) with one partition: the same one or two middle
-    order statistics, averaged as (lower + upper) / 2.
+    """np.median(a, axis=1) with one partition of a in place: the same one
+    or two middle order statistics, averaged as (lower + upper) / 2. The
+    result may be a view of a.
 
     np.median also checks for NaN; the rows here are absolute or relative
     deviations of finite scores (validate_record rejects non-finite
     external percentiles), so they hold none.
     """
     half = a.shape[1] // 2
-    part = np.partition(a, half, axis=1)
-    upper = part[:, half]
+    a.partition(half, axis=1)
+    upper = a[:, half]
     if a.shape[1] % 2:
         return upper
-    return (part[:, :half].max(axis=1) + upper) / 2
+    return (a[:, :half].max(axis=1) + upper) / 2
+
+
+class _Lines(NamedTuple):
+    """The lines of all metrics of one area at one level, one entry per
+    metric, and the medians of their absolute residuals."""
+
+    intercept: np.ndarray
+    slope: np.ndarray
+    var: np.ndarray  # predictor variance; a metric of variance 0 has no line
+    mad: np.ndarray
+    mapd: np.ndarray | None  # None unless asked for
+
+
+def _fit(z: np.ndarray, relative: bool) -> _Lines:
+    """agreement.fit_lines of y on each row of x, where z stacks the rows of
+    x over a last row y, and per row the median absolute residual
+    |y - (a + b*x)| (MAD) and, when relative, 100 times the median of the
+    absolute residual over y (MAPD).
+
+    The arithmetic is that of fit_lines and of np.abs(y - (a + b*x)), bit
+    for bit. One buffer of two metrics x points blocks holds dx**2 and
+    dx*(y - ybar), and its first block then the residuals, computed as
+    b*x + a since IEEE addition commutes. The medians partition their rows
+    in place, so the ratios to y are taken first, into the buffer's second
+    block.
+    """
+    # A row sum is pairwise only along contiguous rows, as in fit_lines.
+    z = np.ascontiguousarray(z)
+    m, n = z.shape[0] - 1, z.shape[1]
+    means = z.sum(axis=1) / n
+    dz = z - means[:, None]
+    x, y, dx = z[:m], z[m], dz[:m]
+    buf = np.empty((2 * m, n))
+    res = np.square(dx, out=buf[:m])
+    np.multiply(dx, dz[m], out=buf[m:])
+    moments = buf.sum(axis=1) / n
+    var = moments[:m]
+    slope = np.divide(moments[m:], var, out=np.zeros(m), where=var != 0.0)
+    xbar, ybar = means[:m], means[m]
+    intercept = ybar - slope * xbar
+    np.multiply(x, slope[:, None], out=res)
+    res += intercept[:, None]
+    np.subtract(y, res, out=res)
+    np.abs(res, out=res)
+    mapd = 100.0 * _median_rows(np.divide(res, y, out=buf[m:])) if relative else None
+    return _Lines(intercept, slope, var, _median_rows(res), mapd)
 
 
 class _Scores(NamedTuple):
     keep: np.ndarray  # rows with copies and a baseline on every cell they map to
     kept: np.ndarray  # copies of kept rows, in summation order
-    series: dict[str, np.ndarray]  # series label -> score per row
+    area_kept: np.ndarray  # the same copies by area, in summation order within an area
+    area_bounds: list[int]  # area a's copies are area_kept[area_bounds[a]:area_bounds[a + 1]]
+    series: dict[str, np.ndarray]  # series label -> score per row; only kept rows' scores are read
     unit_copies: np.ndarray  # kept copies per unit
     unit_total: dict[str, np.ndarray]  # series label -> score summed per unit
     entry_undefined: np.ndarray  # the entry's cell has no positive weight mass
     entry_zero: np.ndarray  # the entry's cell has mean citations 0
 
 
-def _scores(table: PublicationTable, counts: np.ndarray, order: np.ndarray, entries: np.ndarray) -> _Scores:
+def _scores(table: PublicationTable, counts: np.ndarray, point: bool) -> _Scores:
     """Scores of the corpus holding counts[row] copies of each row, summed
-    over the copies in the given order of rows and of their entries."""
+    over the copies in ascending pub_id order for the point pass and in
+    copy order for a replicate."""
+    if point:
+        # The rows are in (area, pub_id) order already.
+        order, entries, area_order = table.pub_order, table.pub_entries, np.arange(len(counts))
+    else:
+        order, entries, area_order = table.copy_order, table.copy_entries, table.area_copy_order
     n_rows = len(counts)
     copies = np.repeat(order, counts[order])
     entries = np.repeat(entries, counts[table.entry_row[entries]])
@@ -287,41 +367,46 @@ def _scores(table: PublicationTable, counts: np.ndarray, order: np.ndarray, entr
     cells = table.entry_cell[entries]
     mass = np.bincount(cells, weights=table.entry_weight[entries], minlength=table.n_cells)
     cited = np.bincount(cells, weights=table.entry_cited[entries], minlength=table.n_cells)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entry_mean = (cited / mass)[table.entry_cell]
-        ratio = table.citations[table.entry_row] / entry_mean
+    entry_mean = (cited / mass)[table.entry_cell]
+    ratio = table.citations[table.entry_row] / entry_mean
     entry_undefined = (mass <= 0)[table.entry_cell]
     entry_zero = entry_mean == 0.0
     bad = np.bincount(table.entry_row, weights=entry_undefined | entry_zero, minlength=n_rows)
     keep = (counts > 0) & (bad == 0)
     kept = copies[keep[copies]]
-    w = np.where(keep, counts, 0)
-    ncs = np.where(keep, np.bincount(table.entry_row, weights=table.entry_weight * ratio, minlength=n_rows), 0.0)
+    w = counts * keep  # copies of kept rows
+    ncs = np.bincount(table.entry_row, weights=table.entry_weight * ratio, minlength=n_rows)
 
     jy = table.journal_year[kept]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jy_mean = np.bincount(jy, weights=ncs[kept], minlength=table.n_journal_years) / np.bincount(
-            jy, minlength=table.n_journal_years
-        )
-    njs = np.where(keep, jy_mean[table.journal_year], 0.0)
+    jy_mean = np.bincount(jy, weights=ncs[kept], minlength=table.n_journal_years) / np.bincount(
+        jy, minlength=table.n_journal_years
+    )
+    njs = jy_mean[table.journal_year]
 
-    ext_cit, ext_jou = table.ext_citation_percentile, table.ext_journal_percentile
-    if not (np.isnan(ext_cit[keep]).any() or np.isnan(ext_jou[keep]).any()):
-        cit_pct, jou_pct = ext_cit, ext_jou
+    if not (table.ext_missing & keep).any():
+        cit_pct, jou_pct = table.ext_citation_percentile, table.ext_journal_percentile
     else:
-        cit_pct = _midrank_percentiles(table.area, ncs, w)
-        # NJS is one value per journal-year, so its ranks are those of the
-        # area x journal-year cells, weighted by their kept copies.
+        # NCS ranks per area. NJS is one value per journal-year, so its ranks
+        # are those of the area x journal-year cells, weighted by their kept
+        # copies, and each row takes its cell's rank. One call ranks both.
         cell_copies = np.bincount(table.journal_cell[kept], minlength=len(table.journal_cell_area))
-        cell_pct = _midrank_percentiles(table.journal_cell_area, jy_mean[table.journal_cell_year], cell_copies)
-        jou_pct = np.where(keep, cell_pct[table.journal_cell], 0.0)
+        pct = _midrank_percentiles(
+            table.rank_group,
+            np.concatenate((ncs, jy_mean[table.journal_cell_year])),
+            np.concatenate((w, cell_copies)),
+        )
+        cit_pct = pct[:n_rows]
+        jou_pct = pct[n_rows:][table.journal_cell]
     series = dict(zip(SERIES_LABELS, (table.reviewer1, table.reviewer2, ncs, njs, cit_pct, jou_pct)))
 
     n_units = len(table.unit_area)
     kept_unit = table.unit[kept]
+    area_w = w[area_order]
     return _Scores(
         keep=keep,
         kept=kept,
+        area_kept=np.repeat(area_order, area_w),
+        area_bounds=[0, *np.cumsum(np.add.reduceat(area_w, table.area_starts)).tolist()],
         series=series,
         unit_copies=np.bincount(kept_unit, minlength=n_units),
         unit_total={
@@ -332,78 +417,65 @@ def _scores(table: PublicationTable, counts: np.ndarray, order: np.ndarray, entr
     )
 
 
-def _agreement(table: PublicationTable, scores: _Scores, config: "PipelineConfig") -> AgreementResult:
-    """MAD and MAPD per (area, metric) at both levels, in the order and
-    with the skip reasons of the record-by-record reference.
+def _area_lines(table: PublicationTable, scores: _Scores, config: "PipelineConfig"):
+    """For each area with kept copies, in area order: its id, the observed
+    scores of its units, and the lines of its units and of its copies, each
+    None with fewer than MIN_POINTS points.
 
     Institutions count as units when they have at least min_pubs copies; a
     replicate's copies of one publication count once each at the
     publication level. All metrics of an area are fitted at once, each
-    level's scores stacked one row per metric.
+    level's scores stacked one row per metric. MAPD is taken when every
+    observed unit score is positive.
     """
-    result = AgreementResult(statistics=[], calibrations=[], skips=[])
-    metrics = config.metric_labels
-    if not metrics:
-        return result
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y_unit_all = scores.unit_total[config.baseline_label] / scores.unit_copies
-        x_unit_all = np.stack([scores.unit_total[m] for m in metrics]) / scores.unit_copies
-    y_pub_all = scores.series[config.baseline_label]
-    x_pub_all = np.stack([scores.series[m] for m in metrics])
+    if not config.metric_labels:
+        return
+    # Each level's scores, one row per metric and the observed scores last.
+    labels = (*config.metric_labels, config.baseline_label)
+    unit_all = np.array([scores.unit_total[label] for label in labels]) / scores.unit_copies
+    pub_all = np.array([scores.series[label] for label in labels])
     unit_ok = scores.unit_copies >= config.min_pubs
-    kept_area = table.area[scores.kept]
-
-    def fit(x: np.ndarray, y: np.ndarray) -> tuple[list[CalibrationFit | str], np.ndarray | None]:
-        """Each metric's line, or why it has none, and the absolute
-        residuals of every metric; None when there are too few points."""
-        n = len(y)
-        if n < MIN_POINTS:
-            return [too_few_points(area_id, m, n) for m in metrics], None
-        intercept, slope, var = fit_lines(x, y)
-        lines = [
-            CalibrationFit(area_id, m, float(i), float(s), n) if v != 0.0 else zero_variance(area_id, m)
-            for m, i, s, v in zip(metrics, intercept, slope, var)
-        ]
-        return lines, np.abs(y - (intercept[:, None] + slope[:, None] * x))
-
-    def add(metric, level, view, value, n_units) -> None:
-        result.statistics.append(AgreementStatistic(area_id, metric, level, view, float(value), n_units))
-
+    bounds = scores.area_bounds
     for a, area_id in enumerate(table.area_ids):
-        copies = scores.kept[kept_area == a]
+        copies = scores.area_kept[bounds[a] : bounds[a + 1]]
         if not len(copies):
             continue
-        units = np.flatnonzero(unit_ok & (table.unit_area == a))
-        y_unit = y_unit_all[units]
-        nonpositive = y_unit[y_unit <= 0]
-        unit_lines, unit_dev = fit(x_unit_all[:, units], y_unit)
-        pub_lines, pub_dev = fit(x_pub_all[:, copies], y_pub_all[copies])
-        # The medians of rows without a line go unread.
-        unit_mad = unit_mapd = pub_mad = None
-        if unit_dev is not None:
-            unit_mad = _median_rows(unit_dev)
-            if not len(nonpositive):
-                unit_mapd = 100.0 * _median_rows(unit_dev / y_unit)
-        if pub_dev is not None:
-            pub_mad = _median_rows(pub_dev)
-        for i, metric in enumerate(metrics):
-            line = unit_lines[i]
-            if isinstance(line, str):
-                result.skips.append(SkipEntry(area_id, metric, LEVEL_INSTITUTION, line))
-            else:
-                result.calibrations.append(line)
-                add(metric, LEVEL_INSTITUTION, VIEW_SIZE_INDEPENDENT, unit_mad[i], len(units))
-                if unit_mapd is None:
-                    reason = nonpositive_score(float(nonpositive[0]))
-                    result.skips.append(SkipEntry(area_id, metric, LEVEL_INSTITUTION, reason))
+        # np.take gathers into C order; z[:, units] is Fortran-ordered, which _fit would copy.
+        z_unit = np.take(unit_all, (unit_ok & (table.unit_area == a)).nonzero()[0], axis=1)
+        y_unit = z_unit[-1]
+        unit_lines = pub_lines = None
+        if len(y_unit) >= MIN_POINTS:
+            unit_lines = _fit(z_unit, not (y_unit <= 0).any())
+        if len(copies) >= MIN_POINTS:
+            pub_lines = _fit(np.take(pub_all, copies, axis=1), False)
+        yield area_id, y_unit, unit_lines, len(copies), pub_lines
+
+
+def _agreement(table: PublicationTable, scores: _Scores, config: "PipelineConfig") -> AgreementResult:
+    """MAD and MAPD per (area, metric) at both levels, in the order and
+    with the skip reasons of the record-by-record reference."""
+    result = AgreementResult(statistics=[], calibrations=[], skips=[])
+    for area_id, y_unit, unit_lines, n_copies, pub_lines in _area_lines(table, scores, config):
+        levels = ((LEVEL_INSTITUTION, unit_lines, len(y_unit)), (LEVEL_PUBLICATION, pub_lines, n_copies))
+        for i, metric in enumerate(config.metric_labels):
+            for level, lines, n in levels:
+                if lines is None or lines.var[i] == 0.0:
+                    reason = too_few_points(area_id, metric, n) if lines is None else zero_variance(area_id, metric)
+                    result.skips.append(SkipEntry(area_id, metric, level, reason))
+                    continue
+                result.calibrations.append(
+                    CalibrationFit(area_id, metric, float(lines.intercept[i]), float(lines.slope[i]), n)
+                )
+                mad = AgreementStatistic(area_id, metric, level, VIEW_SIZE_INDEPENDENT, float(lines.mad[i]), n)
+                result.statistics.append(mad)
+                if level == LEVEL_PUBLICATION:
+                    continue
+                if lines.mapd is None:
+                    reason = nonpositive_score(float(y_unit[y_unit <= 0][0]))
+                    result.skips.append(SkipEntry(area_id, metric, level, reason))
                 else:
-                    add(metric, LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT, unit_mapd[i], len(units))
-            line = pub_lines[i]
-            if isinstance(line, str):
-                result.skips.append(SkipEntry(area_id, metric, LEVEL_PUBLICATION, line))
-            else:
-                result.calibrations.append(line)
-                add(metric, LEVEL_PUBLICATION, VIEW_SIZE_INDEPENDENT, pub_mad[i], len(copies))
+                    mapd = AgreementStatistic(area_id, metric, level, VIEW_SIZE_DEPENDENT, float(lines.mapd[i]), n)
+                    result.statistics.append(mapd)
     return result
 
 
@@ -412,9 +484,26 @@ def table_statistics(
 ) -> "dict[StatKey, float]":
     """Every agreement statistic of the replicate holding counts[row] copies
     of each row, keyed (area, metric, level, view); a skipped statistic is
-    left out."""
-    scores = _scores(table, counts, table.copy_order, table.copy_entries)
-    return {s.key(): s.value for s in _agreement(table, scores, config).statistics}
+    left out.
+
+    The values are those of the point pass's statistics, built without its
+    result objects or skip reasons.
+    """
+    values: dict[StatKey, float] = {}
+    metrics = config.metric_labels
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = _scores(table, counts, point=False)
+        for area_id, _, unit_lines, _, pub_lines in _area_lines(table, scores, config):
+            for level, lines in ((LEVEL_INSTITUTION, unit_lines), (LEVEL_PUBLICATION, pub_lines)):
+                if lines is None:
+                    continue
+                fitted = (lines.var != 0.0).tolist()
+                for view, medians in ((VIEW_SIZE_INDEPENDENT, lines.mad), (VIEW_SIZE_DEPENDENT, lines.mapd)):
+                    if medians is not None:
+                        values.update(
+                            ((area_id, m, level, view), v) for m, ok, v in zip(metrics, fitted, medians.tolist()) if ok
+                        )
+    return values
 
 
 def point_statistics(table: PublicationTable, config: "PipelineConfig") -> PipelineStats:
@@ -425,8 +514,9 @@ def point_statistics(table: PublicationTable, config: "PipelineConfig") -> Pipel
     the units with fewer are excluded, listed in (institution, area) order.
     """
     ones = np.ones(len(table.area), dtype=np.intp)
-    scores = _scores(table, ones, table.pub_order, table.pub_entries)
-    result = _agreement(table, scores, config)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = _scores(table, ones, point=True)
+        result = _agreement(table, scores, config)
 
     copies = scores.unit_copies
     units = np.flatnonzero(copies >= config.min_pubs)

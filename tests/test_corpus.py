@@ -1,8 +1,10 @@
 """Corpus loading, validation, serialization and reviewer role assignment."""
 
+import gc
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,6 +173,22 @@ def test_saved_bytes(tmp_path, fmt):
     else:
         expected = "".join(("\t" if fmt == "tsv" else ",").join(row) + "\r\n" for row in SAVED_TABLE)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_save_holds_no_memory_on_the_records(tmp_path, fmt):
+    # vars(record) or vars(score) gives each object a __dict__ of its own
+    # (Python 3.11 on), which stays with the record after the write.
+    corpus = generate(SynthConfig(seed=7))
+    assert corpus.records  # the record view is built before tracing
+    tracemalloc.start()
+    try:
+        save_corpus(corpus, tmp_path / f"corpus.{fmt}")
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 50 * len(corpus.records), held
 
 
 def test_population_counts_round_trip(tmp_path):

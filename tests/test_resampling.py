@@ -1,11 +1,18 @@
 """Bootstrap intervals, stratified sampling and coverage diagnostics."""
 
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bibagree
 from bibagree import (
     PubCountSpec,
     SynthConfig,
@@ -13,7 +20,9 @@ from bibagree import (
     coverage_report,
     generate,
     midrank_quantile,
+    resampling,
     run_bootstrap,
+    save_corpus,
     stratified_sample,
 )
 from bibagree.pipeline import PipelineConfig
@@ -60,6 +69,50 @@ class TestBootstrap:
         base = run_bootstrap(boot_corpus, PipelineConfig(n_replicates=24, seed=3, n_workers=1))
         multi = run_bootstrap(boot_corpus, PipelineConfig(n_replicates=24, seed=3, n_workers=4))
         assert base == multi
+
+    def test_pool_never_starts_more_workers_than_replicates(self, boot_corpus, monkeypatch):
+        started = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(resampling, "ProcessPoolExecutor", Recording)
+        for n_replicates, pools in ((2, [2]), (1, [])):
+            serial = run_bootstrap(boot_corpus, PipelineConfig(n_replicates=n_replicates, seed=3))
+            started.clear()
+            assert run_bootstrap(boot_corpus, PipelineConfig(n_replicates=n_replicates, seed=3, n_workers=4)) == serial
+            assert started == pools
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit modules only when forked")
+    def test_pool_workers_inherit_numpy_random(self, boot_corpus, tmp_path):
+        # numpy 2 imports numpy.random on first use. The calling process
+        # draws no replicate of a pool, so unless it loads numpy.random before
+        # the pool forks, each worker imports it on its first replicate.
+        corpus_path, seen = tmp_path / "corpus.csv", tmp_path / "seen"
+        save_corpus(boot_corpus, corpus_path)
+        code = f"""
+import sys
+from bibagree import PipelineConfig, load_corpus, resampling, run_bootstrap
+corpus = load_corpus({str(corpus_path)!r})
+if "numpy.random" in sys.modules:
+    sys.exit(3)  # imported with numpy itself
+init = resampling._init_worker
+def recording(*args):
+    with open({str(seen)!r}, "a") as fh:
+        fh.write(str("numpy.random" in sys.modules) + "\\n")
+    init(*args)
+resampling._init_worker = recording
+run_bootstrap(corpus, PipelineConfig(n_replicates=4, n_workers=2, assign_roles=False))
+"""
+        src = str(Path(bibagree.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        status = subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode
+        if status == 3:
+            pytest.skip("this numpy imports numpy.random with numpy")
+        assert status == 0
+        assert seen.read_text().split() == ["True", "True"]
 
     def test_lower_at_most_upper_and_counts(self, boot_corpus):
         cfg = PipelineConfig(n_replicates=60, seed=1)

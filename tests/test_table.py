@@ -23,11 +23,19 @@ from bibagree import (
     run_bootstrap,
     save_corpus,
 )
-from bibagree.agreement import LEVEL_INSTITUTION, LEVEL_PUBLICATION, VIEW_SIZE_DEPENDENT, VIEW_SIZE_INDEPENDENT
+from bibagree.agreement import (
+    LEVEL_INSTITUTION,
+    LEVEL_PUBLICATION,
+    VIEW_SIZE_DEPENDENT,
+    VIEW_SIZE_INDEPENDENT,
+    AgreementStatistic,
+    CalibrationFit,
+    SkipEntry,
+)
 from bibagree.indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, run
 from bibagree.resampling import replicate_counts
-from bibagree.table import _median_rows, _midrank_percentiles, _scores, build_table, table_statistics
+from bibagree.table import _agreement, _median_rows, _midrank_percentiles, _scores, build_table, table_statistics
 from oracles import oracle_percentiles
 from record_pipeline import record_pipeline_stats, record_statistic_values, resample_within_areas, unit_rows
 
@@ -245,6 +253,81 @@ def test_nonpositive_observed_score_is_skipped_on_both_paths():
     assert {b.key() for b in run_bootstrap(corpus, config)} <= keys
 
 
+def assert_replicate_values_equal_objects(corpus, config, counts):
+    """table_statistics against the point pass's result objects, built from
+    the same replicate scores; returns the objects."""
+    table = build_table(corpus, config.multidisciplinary_label)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = _agreement(table, _scores(table, counts, False), config)
+    expected = {s.key(): s.value for s in result.statistics}
+    got = table_statistics(table, counts, config)
+    assert got.keys() == expected.keys()
+    assert got == expected
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), CONFIGS, st.integers(0, 2**32 - 1), st.booleans())
+def test_replicate_values_equal_the_object_path(corpus, config, seed, stratified):
+    # Any count vector, zeros included: stratified draws as a bootstrap
+    # makes them, or free counts that can empty whole areas.
+    table = build_table(corpus, config.multidisciplinary_label)
+    if stratified:
+        counts = replicate_counts(table.area_sizes, seed, 0)
+    else:
+        counts = np.random.default_rng(seed).integers(0, 4, size=len(table.area))
+    assert_replicate_values_equal_objects(corpus, config, counts)
+
+
+def test_replicate_values_equal_the_object_path_on_degenerate_areas():
+    # A0 has 2 institutions; in A1 reviewer2 is constant and U3 has no
+    # citations, so its NCS baseline is 0.
+    def record(i, inst, area, citations, a):
+        review_b = ReviewerScore(2, 2, 2)
+        return PublicationRecord(
+            f"P{i:02d}", inst, area, 2012, citations, "J0", {"F0": 1.0}, None, ReviewerScore(a, 3, 4), review_b
+        )
+
+    records = [record(i, f"U{i % 2}", "A0", i + 1, 1 + i % 5) for i in range(5)]
+    records += [record(10 + i, f"U{i % 4}", "A1", 0 if i % 4 == 3 else i + 2, 1 + i % 7) for i in range(12)]
+    corpus = Corpus(records=tuple(records), census_year=2015)
+    config = PipelineConfig(
+        baseline_label="ncs", metric_labels=("reviewer1", "reviewer2", "njs"), n_replicates=2, assign_roles=False
+    )
+    for counts in (np.ones(len(records), dtype=np.intp), replicate_counts((5, 12), 3, 0)):
+        result = assert_replicate_values_equal_objects(corpus, config, counts)
+        reasons = [s.reason for s in result.skips]
+        for reason in ("points, need >= 3", "zero predictor variance", "nonpositive observed score"):
+            assert any(reason in r for r in reasons), (reason, reasons)
+
+
+def test_replicate_builds_no_result_object(monkeypatch):
+    # A replicate keeps only the values; the point pass keeps the objects
+    # and the skip reasons.
+    corpus = generate(SynthConfig(seed=7))
+    corpus = replace(
+        corpus,
+        records=tuple(replace(r, citations=0) if r.institution_id == "U000" else r for r in corpus.records),
+    )
+    config = PipelineConfig(baseline_label="ncs", metric_labels=("reviewer1", "njs", "reviewer2"), n_replicates=4)
+    built = {AgreementStatistic: 0, CalibrationFit: 0, SkipEntry: 0}
+    for cls in built:
+
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    stats = compute_pipeline_stats(corpus, config)
+    assert all(built.values()), built
+    for cls in built:
+        built[cls] = 0
+    table = stats.table
+    values = [table_statistics(table, replicate_counts(table.area_sizes, 5, k), config) for k in range(4)]
+    assert all(values)
+    assert built == {AgreementStatistic: 0, CalibrationFit: 0, SkipEntry: 0}
+
+
 def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
     calls = {"build_table": 0, "reassign_multidisciplinary": 0}
     for module, name in ((bibagree.table, "build_table"), (bibagree.indicators, "reassign_multidisciplinary")):
@@ -343,10 +426,10 @@ def test_journal_percentiles_per_cell_equal_row_ranks(corpus, seed, point):
     table = build_table(corpus, "MULTI")
     if point:
         counts = np.ones(len(table.area), dtype=np.intp)
-        scores = _scores(table, counts, table.pub_order, table.pub_entries)
     else:
         counts = replicate_counts(table.area_sizes, seed, 0)
-        scores = _scores(table, counts, table.copy_order, table.copy_entries)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in a pass
+        scores = _scores(table, counts, point)
     w = np.where(scores.keep, counts, 0)
     rows = _midrank_percentiles(table.area, scores.series["njs"], w)
     assert scores.series["journal_percentile"][scores.keep].tobytes() == rows[scores.keep].tobytes()
