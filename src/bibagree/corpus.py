@@ -5,13 +5,15 @@ a record, and the category and reference weight maps as flat entry arrays.
 A run reads, screens and transforms these columns and never builds a
 ``PublicationRecord``; ``Corpus.records`` is a view, built on first access.
 
-``load_corpus`` reads a file into raw columns, converts each column once
-and screens the converted columns with numpy. The row-by-row functions
+``load_corpus`` reads a file a chunk of rows at a time: each chunk's raw
+cells are converted column by column and screened with numpy as soon as
+the chunk is read, and then dropped. The row-by-row functions
 ``_record_from_row``, ``_record_from_json`` and ``validate_record`` define
-a valid row and word every error. A column converter converts the whole
-column or raises, and names no row: a rejected file is parsed row by row,
-in file order, up to its first faulty row, and only the rows the screen
-flags are validated one by one. So the message, the row it names and the
+a valid row and word every error. A column converter converts a chunk's
+whole column or raises, and names no row: a chunk that does not convert is
+parsed row by row, in file order, up to its first faulty row, and only the
+rows the screen flags keep their row parse, to be validated one by one
+once the whole file is read. So the message, the row it names and the
 fault that wins are theirs.
 """
 
@@ -23,9 +25,10 @@ import json
 import math
 import operator
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -122,11 +125,12 @@ class Entries(NamedTuple):
     weight: np.ndarray
 
 
-def _entries(maps: Sequence[dict[str, float]]) -> Entries:
+def _entries(maps: Sequence[dict]) -> Entries:
+    """The entries of one weight map per record, each weight read with float()."""
     return Entries(
-        np.repeat(np.arange(len(maps)), [len(m) for m in maps]),
-        [label for m in maps for label in m],
-        np.array([w for m in maps for w in m.values()], dtype=float),
+        np.repeat(np.arange(len(maps)), list(map(len, maps))),
+        list(chain.from_iterable(maps)),
+        np.array(list(map(float, chain.from_iterable(map(dict.values, maps)))), dtype=float),
     )
 
 
@@ -458,7 +462,7 @@ def _record_from_json(obj: dict, where: str) -> PublicationRecord:
 
 def load_population_counts(path: str | Path) -> dict[str, int]:
     counts: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         for i, row in enumerate(reader, start=2):
             try:
@@ -497,77 +501,71 @@ _JSON_FIELDS = (
     "ext_journal_percentile",
 )
 
-_CHUNK_ROWS = 4096  # rows held at once while a table is read into columns
+_REVIEW_AT = (_JSON_FIELDS.index("review_a"), _JSON_FIELDS.index("review_b"))
+_CHUNK_ROWS = 256  # rows read and converted at a time
+_EXT_COLUMNS = ("ext_citation_percentile", "ext_journal_percentile")
 
 
-class _Read(NamedTuple):
-    """A corpus file read into raw columns."""
+class _Chunk(NamedTuple):
+    """Successive rows of a corpus file, read but not yet converted."""
 
-    n_rows: int  # rows read
-    stop: Exception | None  # the fault of the row reading stopped at, which no column holds
-    convert: Callable[[], dict]  # field -> converted column; raises when a row is faulty
-    parse_row: Callable[[int], PublicationRecord]  # the row-by-row parse of a row read
-
-
-def _assigned(rows: list[int], labels: list[str], weights: list[float]) -> tuple[list, list, list]:
-    """Entries as successive dict assignments leave them: a label repeated
-    within a record keeps its first place and its last weight."""
-    merged = dict(zip(zip(rows, labels), weights))
-    return [r for r, _ in merged], [label for _, label in merged], list(merged.values())
+    n_rows: int
+    # The rows' converted columns by Columns field, a percentile column as
+    # (values, which are present); raises when a row is faulty.
+    convert: Callable[[], dict]
+    parse_row: Callable[[int], PublicationRecord]  # the row-by-row parse of the chunk's i-th row
+    stop: Exception | None  # the fault of the row reading stopped at, right after these rows
 
 
-def _table_weights(texts: list[str]) -> Entries:
+def _each_distinct(convert: Callable, texts: Sequence[str]) -> list:
+    """convert(text) of each text, called once per distinct text."""
+    converted = {text: convert(text) for text in dict.fromkeys(texts)}
+    return list(map(converted.__getitem__, texts))
+
+
+def _int_text(text: str) -> int:
+    return int(text.strip())
+
+
+def _table_weights(texts: Sequence[str]) -> Entries:
     """A weight-map column as _parse_weights reads each cell."""
-    # Split the joined column once: the parts of every cell, in order.
-    n_parts = np.fromiter(map(str.count, texts, repeat(";")), dtype=np.intp, count=len(texts)) + 1
-    row = np.repeat(np.arange(len(texts)), n_parts)
-    parts = list(map(str.strip, ";".join(texts).split(";"))) if texts else []
-    if "" in parts:  # blank parts are skipped
-        kept = list(map(bool, parts))
-        row, parts = row[kept], list(compress(parts, kept))
-    split = list(map(str.rpartition, parts, repeat(":")))
-    labels = list(map(operator.itemgetter(0), split))
-    if "" in map(operator.itemgetter(1), split):
-        raise ValueError("a weight entry without ':'")
-    weights = list(map(float, map(operator.itemgetter(2), split)))
-    if _repeats_label(row, labels):
-        rows, labels, weights = _assigned(row.tolist(), labels, weights)
-        row = np.array(rows, dtype=np.intp)
-    return Entries(row, labels, np.array(weights, dtype=float))
+    return _entries(_each_distinct(lambda text: _parse_weights(text, ""), texts))
 
 
-def _repeats_label(row: np.ndarray, labels: list[str]) -> bool:
-    """Whether a record holds a label on two entries."""
-    if not (row[1:] == row[:-1]).any():
-        return False
-    code = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    key = np.sort(row * len(code) + np.fromiter(map(code.__getitem__, labels), dtype=np.intp, count=len(labels)))
-    return bool((key[1:] == key[:-1]).any())
+def _reviews(scores: list, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The review and has_review columns of n rows. scores holds 6 runs of
+    n values: review a's originality, rigour and impact, then review b's;
+    present is (2, n), review a's row then review b's."""
+    n = present.shape[1]
+    return np.ascontiguousarray(_int_array(scores).reshape(6, n).T).reshape(n, 2, 3), np.ascontiguousarray(present.T)
 
 
-def _table_review(cells: list[list[str]]) -> tuple[list[list[int]], np.ndarray]:
-    """One review's three criterion columns as _parse_score reads them:
-    three blank cells for no review, three integers otherwise."""
-    cells = [list(map(str.strip, column)) for column in cells]
-    filled = np.array([list(map(bool, column)) for column in cells], dtype=bool)
-    present = filled.any(axis=0)
-    if (present & ~filled.all(axis=0)).any():
+def _table_reviews(columns: list[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The six criterion columns, review a's then review b's, as
+    _parse_score reads them: three blank cells for no review, three
+    integers otherwise."""
+    cells = list(chain.from_iterable(columns))
+    scores = _each_distinct(lambda text: _int_text(text) if text.strip() else None, cells)
+    if None not in scores:
+        return _reviews(scores, np.ones((2, len(columns[0])), dtype=bool))
+    filled = np.array([score is not None for score in scores], dtype=bool).reshape(2, 3, -1)
+    present = filled.any(axis=1)
+    if (present != filled.all(axis=1)).any():
         raise ValueError("an incomplete reviewer score")
-    if not present.all():
-        cells = [[v or "0" for v in column] for column in cells]
-    return [list(map(int, column)) for column in cells], present
+    return _reviews([0 if score is None else score for score in scores], present)
 
 
-def _table_percentiles(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _table_percentiles(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """A percentile column as _opt_float reads each cell: the values, NaN
     where blank, and which cells are not blank."""
-    present = np.array(list(map(bool, map(str.strip, texts))), dtype=bool)
+    present = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=len(texts))
     pct = np.full(len(texts), np.nan)
-    pct[present] = list(map(float, compress(texts, present)))
+    if present.any():
+        pct[present] = list(map(float, compress(texts, present)))
     return pct, present
 
 
-def _table_values(cells: dict[str, list[str]]) -> dict:
+def _table_values(cells: dict[str, Sequence[str]]) -> dict:
     """Every column converted as _record_from_row reads a row."""
     values = {}
     for name in _ID_COLUMNS:
@@ -575,20 +573,21 @@ def _table_values(cells: dict[str, list[str]]) -> dict:
         if "" in values[name]:
             raise ValueError(f"a blank {name}")
     for name in ("year", "citations"):
-        values[name] = list(map(int, map(str.strip, cells[name])))
-    for name in ("category_weights", "ref_category_weights"):
-        values[name] = _table_weights(cells[name])
-    for prefix, name in (("rev_a", "review_a"), ("rev_b", "review_b")):
-        values[name] = _table_review([cells[column] for column in _SCORE_COLUMNS[prefix]])
-    for name in ("ext_citation_percentile", "ext_journal_percentile"):
+        values[name] = _int_array(_each_distinct(_int_text, cells[name]))
+    values["weights"] = _table_weights(cells["category_weights"])
+    values["refs"] = _table_weights(cells["ref_category_weights"])
+    values["review"], values["has_review"] = _table_reviews(
+        [cells[column] for prefix in ("rev_a", "rev_b") for column in _SCORE_COLUMNS[prefix]]
+    )
+    for name in _EXT_COLUMNS:
         values[name] = _table_percentiles(cells[name])
     return values
 
 
-def _read_table(path: Path, delimiter: str) -> _Read:
-    """Read a CSV or TSV file into columns, a chunk of rows at a time,
-    until a row with the wrong number of fields."""
-    with open(path, newline="", encoding="utf-8") as fh:
+def _table_chunks(path: Path, delimiter: str) -> Iterator[_Chunk]:
+    """Read a CSV or TSV file a chunk of rows at a time, until a row with
+    the wrong number of fields."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header = next(reader, None) or []
         missing = set(CSV_COLUMNS) - set(header)
@@ -597,154 +596,175 @@ def _read_table(path: Path, delimiter: str) -> _Read:
         # A name on the header twice reads its last column, as in csv.DictReader.
         position = {name: i for i, name in enumerate(header)}
         pick = operator.itemgetter(*(position[name] for name in CSV_COLUMNS))
-        cells: dict[str, list[str]] = {name: [] for name in CSV_COLUMNS}
-        # Each row becomes a tuple of its cells as it is read, and a chunk
-        # is moved into the columns one column at a time. So no container
-        # the collector tracks outlives a step: surviving ones would set off
-        # full garbage collections, each walking the growing columns.
-        chunk: list[tuple[str, ...]] = []
-        stop = None
+        rows = filter(None, reader)  # csv.DictReader skips blank rows, and does not number them
+        first = 0  # the index of the chunk's first row
+        while True:
+            chunk: list[list[str]] = []
+            stop = None
+            try:
+                for row in islice(rows, _CHUNK_ROWS):
+                    if len(row) != len(header):
+                        more = "more" if len(row) > len(header) else "fewer"
+                        stop = CorpusParseError(f"{path.name} row {first + len(chunk) + 2}: {more} fields than the header")
+                        break
+                    chunk.append(row)
+            except (csv.Error, UnicodeDecodeError) as exc:
+                stop = exc
+            n_rows = len(chunk)
+            if n_rows or stop is not None:
+                yield _table_chunk(path.name, first, chunk, pick, stop)
+            if stop is not None or n_rows < _CHUNK_ROWS:
+                return
+            first += n_rows
 
-        def flush() -> None:
-            for j, column in enumerate(cells.values()):
-                column.extend(map(operator.itemgetter(j), chunk))
-            chunk.clear()
 
-        try:
-            for row in reader:
-                if not row:  # csv.DictReader skips blank rows, and does not number them
-                    continue
-                if len(row) != len(header):
-                    more = "more" if len(row) > len(header) else "fewer"
-                    n_rows = len(cells["pub_id"]) + len(chunk)
-                    stop = CorpusParseError(f"{path.name} row {n_rows + 2}: {more} fields than the header")
-                    break
-                chunk.append(pick(row))
-                if len(chunk) == _CHUNK_ROWS:
-                    flush()
-        except (csv.Error, UnicodeDecodeError) as exc:
-            stop = exc
-        flush()
+def _table_chunk(
+    file_name: str, first: int, rows: list[list[str]], pick: Callable, stop: Exception | None
+) -> _Chunk:
+    """The chunk of the given rows, which it empties: only the cells that
+    pick takes from a row's list of cells stay, column by column."""
+    n_rows = len(rows)
+    cells = dict(zip(CSV_COLUMNS, pick(list(zip(*rows))))) if rows else {}
+    rows.clear()
 
-    def parse_row(r: int) -> PublicationRecord:
-        return _record_from_row({name: column[r] for name, column in cells.items()}, f"{path.name} row {r + 2}")
+    def parse_row(i: int) -> PublicationRecord:
+        return _record_from_row({name: column[i] for name, column in cells.items()}, f"{file_name} row {first + i + 2}")
 
-    return _Read(len(cells["pub_id"]), stop, lambda: _table_values(cells), parse_row)
+    return _Chunk(n_rows, lambda: _table_values(cells), parse_row, stop)
 
 
 def _json_float(value) -> float | None:
     return None if value is _ABSENT else _float_or_none(value)
 
 
-def _json_weights(maps: list, optional: bool) -> Entries:
+def _json_weights(maps: Sequence, optional: bool) -> Entries:
     """A weight-map column as _record_from_json reads each value; an
     optional map may be absent or empty."""
-    rows: list[int] = []
-    labels: list[str] = []
-    values: list = []
-    for r, m in enumerate(maps):
-        if optional and (m is _ABSENT or not m):
-            continue
-        if not isinstance(m, dict):
-            raise TypeError(f"a weight map that is not an object: {m!r}")
-        rows.extend([r] * len(m))
-        labels.extend(m)
-        values.extend(m.values())
-    return Entries(np.array(rows, dtype=np.intp), labels, np.array(list(map(float, values)), dtype=float))
+    if optional:
+        maps = [m if m is not _ABSENT and m else {} for m in maps]
+    if not all(isinstance(m, dict) for m in maps):
+        raise TypeError("a weight map that is not an object")
+    return _entries(maps)
 
 
-def _json_review(subs: list) -> tuple[list[list[int]], list[bool]]:
-    """One review column as _record_from_json reads it: null or absent for
-    no review, an object of three integral criterion scores otherwise."""
-    present = [sub is not None and sub is not _ABSENT for sub in subs]
-    scores: tuple[list[int], ...] = ([], [], [])
-    for sub, p in zip(subs, present):
-        for column, c in zip(scores, _CRITERIA):
-            column.append(_json_int(sub[c]) if p else 0)
-    return list(scores), present
+def _json_reviews(columns: list[Sequence]) -> tuple[np.ndarray, np.ndarray]:
+    """The review_a and review_b columns as _record_from_json reads them:
+    null or absent for no review, an object of three integral criterion
+    scores otherwise, which _json_chunks made the tuple of its scores,
+    _ABSENT for a missing one."""
+    present = [[sub is not None and sub is not _ABSENT for sub in subs] for subs in columns]
+    if not all(type(sub) is tuple for subs, has in zip(columns, present) for sub in compress(subs, has)):
+        raise TypeError("a review that is not an object")
+    scores = [_json_int(sub[k]) if p else 0 for subs, has in zip(columns, present) for k in range(3) for sub, p in zip(subs, has)]
+    return _reviews(scores, np.array(present, dtype=bool))
 
 
-def _json_values(fields: dict[str, list]) -> dict:
+def _json_values(fields: dict[str, Sequence]) -> dict:
     """Every column converted as _record_from_json reads an object."""
     values = {}
     for name in _ID_COLUMNS:
-        values[name] = fields[name]
+        values[name] = list(fields[name])
         if not all(isinstance(v, str) and v for v in values[name]):
             raise ValueError(f"a {name} that is not a non-empty string")
     for name in ("year", "citations"):
-        values[name] = list(map(_json_int, fields[name]))
-    values["category_weights"] = _json_weights(fields["category_weights"], optional=False)
-    values["ref_category_weights"] = _json_weights(fields["ref_category_weights"], optional=True)
-    for name in ("review_a", "review_b"):
-        values[name] = _json_review(fields[name])
-    for name in ("ext_citation_percentile", "ext_journal_percentile"):
+        values[name] = _int_array(list(map(_json_int, fields[name])))
+    values["weights"] = _json_weights(fields["category_weights"], optional=False)
+    values["refs"] = _json_weights(fields["ref_category_weights"], optional=True)
+    values["review"], values["has_review"] = _json_reviews([fields["review_a"], fields["review_b"]])
+    for name in _EXT_COLUMNS:
         pct = list(map(_json_float, fields[name]))
         # The values, NaN where absent, and which are present.
         values[name] = (np.array(pct, dtype=float), np.array([v is not None for v in pct], dtype=bool))
     return values
 
 
-def _read_jsonl(path: Path) -> _Read:
-    """Read a JSON Lines file into columns, until a line that is not a JSON object."""
-    fields: dict[str, list] = {name: [] for name in _JSON_FIELDS}
-    linenos: list[int] = []
-    stop = None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path.name} line {lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusParseError(f"{where}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    _record_from_json(obj, where)  # raises: a value that is not an object has no fields
-                linenos.append(lineno)
-                for name, column in fields.items():
-                    column.append(obj.get(name, _ABSENT))
-        except (CorpusParseError, UnicodeDecodeError) as exc:
-            stop = exc
-
-    def parse_row(r: int) -> PublicationRecord:
-        obj = {name: column[r] for name, column in fields.items() if column[r] is not _ABSENT}
-        return _record_from_json(obj, f"{path.name} line {linenos[r]}")
-
-    return _Read(len(linenos), stop, lambda: _json_values(fields), parse_row)
-
-
-def _columns(values: dict) -> tuple[Columns, np.ndarray]:
-    """The columns of converted values, and which rows have an external
-    percentile outside [0, 100]."""
-    n = len(values["pub_id"])
-    (a, a_present), (b, b_present) = values["review_a"], values["review_b"]
-    ext = {}
-    ext_bad = np.zeros(n, dtype=bool)
-    for name in ("ext_citation_percentile", "ext_journal_percentile"):
-        pct, present = values[name]
-        ext_bad |= present & ~((pct >= 0.0) & (pct <= 100.0))
-        ext[name] = pct
-    columns = Columns(
-        pub_id=values["pub_id"],
-        institution_id=values["institution_id"],
-        area_id=values["area_id"],
-        journal_id=values["journal_id"],
-        year=_int_array(values["year"]),
-        citations=_int_array(values["citations"]),
-        weights=values["category_weights"],
-        refs=values["ref_category_weights"],
-        review=np.ascontiguousarray(_int_array(a + b).T).reshape(n, 2, 3),
-        has_review=np.column_stack([a_present, b_present]).astype(bool),
-        **ext,
-    )
-    return columns, ext_bad
+def _json_chunks(path: Path) -> Iterator[_Chunk]:
+    """Read a JSON Lines file a chunk of lines at a time, until a line that
+    is not a JSON object."""
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = enumerate(fh, start=1)
+        while True:
+            # Each object becomes the list of its fields as it is read, and a
+            # review object the tuple of its criterion scores (a JSON value
+            # is never a tuple), so that no key outlives its line.
+            chunk: list[list] = []
+            linenos: list[int] = []
+            stop = None
+            try:
+                for lineno, line in lines:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise CorpusParseError(f"{path.name} line {lineno}: invalid JSON: {exc}") from exc
+                    if not isinstance(obj, dict):
+                        # Raises: a value that is not an object has no fields.
+                        _record_from_json(obj, f"{path.name} line {lineno}")
+                    row = list(map(obj.get, _JSON_FIELDS, repeat(_ABSENT)))
+                    for k in _REVIEW_AT:
+                        if type(row[k]) is dict:
+                            # Built from a list: a tuple built from map()
+                            # starts at a guessed size and is shrunk, and
+                            # the free list then keeps such tuples after
+                            # they are freed.
+                            row[k] = tuple(list(map(row[k].get, _CRITERIA, repeat(_ABSENT))))
+                    chunk.append(row)
+                    linenos.append(lineno)
+                    if len(chunk) == _CHUNK_ROWS:
+                        break
+            except (CorpusParseError, UnicodeDecodeError) as exc:
+                stop = exc
+            n_rows = len(chunk)
+            if n_rows or stop is not None:
+                yield _json_chunk(path.name, linenos, chunk, stop)
+            if stop is not None or n_rows < _CHUNK_ROWS:
+                return
 
 
-def _suspects(columns: Columns, census_year: int) -> np.ndarray:
+def _json_chunk(file_name: str, linenos: list[int], rows: list[list], stop: Exception | None) -> _Chunk:
+    """The chunk of the given rows, which it empties: only their fields stay."""
+    n_rows = len(rows)
+    fields = dict(zip(_JSON_FIELDS, zip(*rows)))
+    rows.clear()
+
+    def parse_row(i: int) -> PublicationRecord:
+        obj = {name: column[i] for name, column in fields.items() if column[i] is not _ABSENT}
+        for key in ("review_a", "review_b"):
+            if type(obj.get(key)) is tuple:
+                obj[key] = {c: v for c, v in zip(_CRITERIA, obj[key]) if v is not _ABSENT}
+        return _record_from_json(obj, f"{file_name} line {linenos[i]}")
+
+    return _Chunk(n_rows, lambda: _json_values(fields), parse_row, stop)
+
+
+def _joined(pieces: list[dict]) -> Columns:
+    """The converted columns of successive chunks as one: each chunk's
+    entries move past the rows of the chunks before it. A column leaves the
+    pieces as it is joined, so only one column is held twice at a time."""
+    starts = np.cumsum([0] + [len(piece["pub_id"]) for piece in pieces[:-1]])
+
+    def join(parts: list):
+        if len(parts) == 1:
+            return parts[0]
+        if isinstance(parts[0], list):
+            return list(chain.from_iterable(parts))
+        if isinstance(parts[0], Entries):
+            return Entries(
+                np.concatenate([e.row + start for e, start in zip(parts, starts)]),
+                list(chain.from_iterable(e.label for e in parts)),
+                np.concatenate([e.weight for e in parts]),
+            )
+        return np.concatenate(parts)
+
+    return Columns(**{f.name: join([piece.pop(f.name) for piece in pieces]) for f in fields(Columns)})
+
+
+def _suspects(columns: Columns, census_year: int | None) -> np.ndarray:
     """Rows that may break an invariant of validate_record: every row that
-    breaks one, and possibly a few that do not."""
+    breaks one, and possibly a few that do not. No row is after a census
+    year of None, which stands for the latest year of the corpus."""
     n = len(columns)
     w, refs = columns.weights, columns.refs
     total = np.bincount(w.row, weights=w.weight, minlength=n)
@@ -760,7 +780,7 @@ def _suspects(columns: Columns, census_year: int) -> np.ndarray:
         # here is within the tolerance there.
         | ~(np.abs(total - 1.0) <= WEIGHT_TOL / 2)
         | outside
-        | (columns.year > census_year)
+        | (census_year is not None and columns.year > census_year)
         # Likewise a sum of absolute reference weights below 1e308 is finite both ways.
         | ~(ref_mass < 1e308)
         | scores_outside.any(axis=1)
@@ -779,49 +799,84 @@ def _first_repeat(ids: list[str]) -> int | None:
     return None
 
 
+def _converted(chunk: _Chunk, census_year: int | None, strings: dict[str, str]) -> tuple[dict, list[int]]:
+    """The chunk's converted columns, by Columns field, and the rows of the
+    chunk that the screen flags. Equal ids and labels become one object,
+    the first of them that strings holds.
+
+    When the conversion fails or reading stopped, the chunk's rows are
+    parsed one by one: the first that does not parse raises, else the
+    fault reading stopped at; a conversion that fails although every row
+    parses raises AssertionError.
+    """
+    fault = chunk.stop
+    if fault is None:
+        try:
+            values = chunk.convert()
+        except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
+            fault = exc
+    if fault is not None:
+        for i in range(chunk.n_rows):
+            chunk.parse_row(i)
+        if chunk.stop is not None:
+            raise chunk.stop
+        raise AssertionError("a column conversion failed but every row parses") from fault
+    # A cell's text is a new object, and a column of one object per cell
+    # scatters over memory as the chunks' text is freed; passes over the
+    # few objects of a shared column stay in cache.
+    for name in ("institution_id", "area_id", "journal_id"):
+        values[name] = list(map(strings.setdefault, values[name], values[name]))
+    for name in ("weights", "refs"):
+        labels = values[name].label
+        values[name] = values[name]._replace(label=list(map(strings.setdefault, labels, labels)))
+    # An external percentile outside [0, 100], which _suspects does not screen.
+    ext_bad = np.zeros(chunk.n_rows, dtype=bool)
+    for name in _EXT_COLUMNS:
+        pct, present = values[name]
+        ext_bad |= present & ~((pct >= 0.0) & (pct <= 100.0))
+        values[name] = pct
+    return values, np.flatnonzero(_suspects(Columns(**values), census_year) | ext_bad).tolist()
+
+
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
     """Read and validate a corpus file (CSV/TSV or JSONL) into columns.
 
-    Each column is converted once and screened as a whole. The earliest
-    faulty row is named: parse faults come first, in row order, then
-    validation faults, in row order with the duplicate-id check ahead of
-    validate_record within a row. When reading stops early or a conversion
-    fails, the rows read are parsed one by one to find the parse fault; a
-    conversion that fails although every row parses raises AssertionError.
+    The file is read a chunk of rows at a time, and each chunk is converted
+    and screened with numpy as soon as it is read; only the rows the screen
+    flags keep their row parse. The earliest faulty row is named: parse
+    faults come first, in row order, then validation faults, in row order
+    with the duplicate-id check ahead of validate_record within a row.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusParseError(f"corpus file not found: {path}")
     fmt = _detect_format(path)
-    read = _read_jsonl(path) if fmt == "jsonl" else _read_table(path, "\t" if fmt == "tsv" else ",")
-    fault = read.stop
-    if fault is None:
-        try:
-            values = read.convert()
-        except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
-            fault = exc
-    if fault is not None:
-        # The row parse finds and words the fault: the first row that does
-        # not parse, else the row reading stopped at.
-        for r in range(read.n_rows):
-            read.parse_row(r)
-        if read.stop is not None:
-            raise read.stop
-        raise AssertionError("a column conversion failed but every row parses") from fault
-    if not values["pub_id"]:
+    chunks = _json_chunks(path) if fmt == "jsonl" else _table_chunks(path, "\t" if fmt == "tsv" else ",")
+    pieces: list[dict] = []
+    flagged: list[tuple[int, PublicationRecord]] = []  # (row, its parse) of each row the screen flags
+    strings: dict[str, str] = {}
+    n_rows = 0
+    with closing(chunks):
+        for chunk in chunks:
+            piece, suspects = _converted(chunk, options.census_year, strings)
+            flagged += [(n_rows + i, chunk.parse_row(i)) for i in suspects]
+            pieces.append(piece)
+            n_rows += chunk.n_rows
+            del chunk  # its cells go before the next chunk is read
+    if not pieces:
         raise CorpusParseError(f"{path.name}: no records")
+    columns = _joined(pieces)
+    del pieces
     census_year = options.census_year
     if census_year is None:
-        census_year = max(values["year"])
-    columns, ext_bad = _columns(values)
+        census_year = int(columns.year.max())
     repeated = _first_repeat(columns.pub_id)
-    for r in np.flatnonzero(_suspects(columns, census_year) | ext_bad).tolist():
+    for r, record in flagged:
         if repeated is not None and repeated <= r:
             break
-        validate_record(read.parse_row(r), census_year)
+        validate_record(record, census_year)
     if repeated is not None:
         raise CorpusValidationError(f"duplicate pub_id {columns.pub_id[repeated]!r}")
-    del read, values
 
     population = None
     if options.population_path:
@@ -876,12 +931,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             )
 
 
-def _swap_coin(seed: int, pub_id: str) -> bool:
-    # Keyed by (seed, pub_id) so file order cannot change the outcome.
-    digest = hashlib.sha256(f"{seed}:{pub_id}".encode("utf-8")).digest()
-    return digest[0] & 1 == 1
-
-
 def assign_reviewer_roles(corpus: Corpus, seed: int) -> Corpus:
     """Randomize which of the two reviews counts as reviewer 1.
 
@@ -892,6 +941,9 @@ def assign_reviewer_roles(corpus: Corpus, seed: int) -> Corpus:
     missing = ~columns.has_review.all(axis=1)
     if missing.any():
         raise CorpusValidationError(f"record {columns.pub_id[int(missing.argmax())]!r}: missing reviewer score")
-    swap = np.fromiter((_swap_coin(seed, p) for p in columns.pub_id), dtype=bool, count=len(columns))
+    # One coin per record, keyed by (seed, pub_id) so file order cannot
+    # change the outcome: the low bit of the first byte of a SHA-256 digest.
+    sha256, prefix = hashlib.sha256, f"{seed}:"
+    swap = np.array([sha256((prefix + p).encode()).digest()[0] & 1 for p in columns.pub_id], dtype=bool)
     review = np.where(swap[:, None, None], columns.review[:, ::-1], columns.review)
     return Corpus.from_columns(replace(columns, review=review), corpus.census_year, corpus.population_counts)

@@ -7,9 +7,12 @@ not sum to 1 or hold inf or nan, external percentiles, numbers too large
 for a float, citation counts above 2**53, rows without a review,
 duplicate ids, extra or missing fields and years after the census year.
 Both loaders must raise the same exception with the same message, or load
-equal corpora.
+equal corpora. The columnar loader reads and converts a chunk of rows at a
+time, so the comparisons also run with chunks of 1 and 3 rows, where faults
+fall in different chunks.
 """
 
+import codecs
 import csv
 import io
 import itertools
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibagree import PubCountSpec, SchemaOptions, SynthConfig, generate, load_corpus, save_corpus
+from bibagree import CorpusParseError, PubCountSpec, SchemaOptions, SynthConfig, generate, load_corpus, save_corpus
 from bibagree.cli import main
 from bibagree.corpus import CSV_COLUMNS, Columns
 from record_pipeline import load_corpus as load_corpus_by_record
@@ -146,15 +149,34 @@ def outcome(loader, path, options):
     )
 
 
-@settings(max_examples=400, deadline=None)
-@given(
+# A format, a base corpus, faults, a census year and a population sidecar.
+LOAD_CASE = (
     st.sampled_from(["csv", "tsv", "jsonl"]),
     st.integers(0, 3),
     st.lists(fault, max_size=3),
     st.sampled_from([None, 2013, 2015]),
     st.sampled_from([None, "counts", "below-sample"]),
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(*LOAD_CASE)
 def test_columnar_loader_matches_row_by_row_loader(tmp_path_factory, fmt, seed, faults, census_year, population):
+    assert_loads_as_row_by_row(tmp_path_factory, fmt, seed, faults, census_year, population)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+@settings(max_examples=200, deadline=None)
+@given(*LOAD_CASE)
+def test_columnar_loader_matches_row_by_row_loader_in_small_chunks(
+    tmp_path_factory, chunk_rows, fmt, seed, faults, census_year, population
+):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("bibagree.corpus._CHUNK_ROWS", chunk_rows)
+        assert_loads_as_row_by_row(tmp_path_factory, fmt, seed, faults, census_year, population)
+
+
+def assert_loads_as_row_by_row(tmp_path_factory, fmt, seed, faults, census_year, population):
     tmp = tmp_path_factory.mktemp("load")
     corpus = base_corpus(seed)
     path = tmp / f"corpus.{fmt}"
@@ -242,15 +264,48 @@ def with_json_fault(lines: list[str], i: int, fault) -> None:
     lines[i] = json.dumps(obj)
 
 
+def four_rows(tmp_path, fmt: str) -> str:
+    """The text of a valid four-record corpus file."""
+    corpus = generate(SynthConfig(n_institutions=2, pubs_per_institution=PubCountSpec(value=2), seed=4))
+    path = tmp_path / f"corpus.{fmt}"
+    save_corpus(corpus, path)
+    return path.read_text()
+
+
+def with_faults(text: str, fmt: str, faults) -> str:
+    """The text with each (row, fault) of faults applied in turn."""
+    if fmt == "jsonl":
+        lines = text.splitlines()
+        for i, f in faults:
+            with_json_fault(lines, i, f)
+        return "\n".join(lines) + "\n"
+    header, *body = list(csv.reader(io.StringIO(text)))
+    for i, f in faults:
+        with_table_fault(header, body, i, f)
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *body])
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_every_pair_of_faults_raises_as_the_row_by_row_loader(tmp_path, fmt):
     # Two faults on two rows, in both orders, or on one row: the earliest
     # faulty row is named, parse faults before validation faults, and
     # within a row the checks run in the order of the row-by-row parse.
-    corpus = generate(SynthConfig(n_institutions=2, pubs_per_institution=PubCountSpec(value=2), seed=4))
-    path = tmp_path / f"corpus.{fmt}"
-    save_corpus(corpus, path)
-    text = path.read_text()
+    assert_every_pair_of_faults_raises_as_row_by_row(tmp_path, fmt)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_every_pair_of_faults_raises_as_the_row_by_row_loader_in_small_chunks(tmp_path, monkeypatch, fmt, chunk_rows):
+    # Chunks of 1 row put the two faulty rows in two chunks; chunks of 3
+    # rows put them in one, with a valid row in a second chunk.
+    monkeypatch.setattr("bibagree.corpus._CHUNK_ROWS", chunk_rows)
+    assert_every_pair_of_faults_raises_as_row_by_row(tmp_path, fmt)
+
+
+def assert_every_pair_of_faults_raises_as_row_by_row(tmp_path, fmt):
+    text = four_rows(tmp_path, fmt)
     options = SchemaOptions(census_year=2015)
     faults = JSON_FAULTS if fmt == "jsonl" else TABLE_FAULTS
     cases = itertools.product(itertools.product(faults, repeat=2), ((0, 1), (1, 0), (1, 1)))
@@ -258,18 +313,7 @@ def test_every_pair_of_faults_raises_as_the_row_by_row_loader(tmp_path, fmt):
         # Each case gets a file of its own: truncating a file written
         # moments before can cost tens of milliseconds on some filesystems.
         path = tmp_path / f"case{n}.{fmt}"
-        if fmt == "jsonl":
-            lines = text.splitlines()
-            with_json_fault(lines, i, a)
-            with_json_fault(lines, j, b)
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            header, *body = list(csv.reader(io.StringIO(text)))
-            with_table_fault(header, body, i, a)
-            with_table_fault(header, body, j, b)
-            out = io.StringIO()
-            csv.writer(out).writerows([header, *body])
-            path.write_text(out.getvalue())
+        path.write_text(with_faults(text, fmt, [(i, a), (j, b)]))
         assert outcome(load_corpus, path, options) == outcome(load_corpus_by_record, path, options), (a, b, i, j)
 
 
@@ -289,3 +333,66 @@ def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, mo
     assert raised.value.__cause__ is bug
     assert main(["validate", "--corpus", str(path)]) == 2
     assert "a column conversion failed but every row parses" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fmt, validation_fault, parse_fault, named",
+    [
+        ("csv", ("citations", "-1"), ("year", "x"), "corpus.csv row 5: bad year/citations"),
+        ("jsonl", ("citations", -1), ("year", 2012.5), "corpus.jsonl line 4: non-integral year 2012.5"),
+    ],
+)
+def test_a_parse_fault_in_a_later_chunk_beats_a_validation_fault_in_an_earlier_one(
+    tmp_path, monkeypatch, fmt, validation_fault, parse_fault, named
+):
+    # Row 0 is in the first chunk of two rows and row 3 in the second: the
+    # first chunk converts and is screened before the second is read.
+    monkeypatch.setattr("bibagree.corpus._CHUNK_ROWS", 2)
+    path = tmp_path / f"corpus.{fmt}"
+    path.write_text(with_faults(four_rows(tmp_path, fmt), fmt, [(0, validation_fault), (3, parse_fault)]))
+    with pytest.raises(CorpusParseError) as raised:
+        load_corpus(path)
+    assert str(raised.value) == named
+    assert outcome(load_corpus, path, SchemaOptions()) == outcome(load_corpus_by_record, path, SchemaOptions())
+
+
+@pytest.mark.parametrize(
+    "fmt, row_fault, read_fault, named",
+    [
+        ("csv", ("year", "x"), ("extra", None), "corpus.csv row 3: bad year/citations"),
+        ("csv", ("rev_a_rigour", ""), ("missing", None), "corpus.csv row 3: incomplete reviewer score for rev_a"),
+        ("jsonl", ("year", 2012.5), ("line", "{"), "corpus.jsonl line 2: non-integral year 2012.5"),
+    ],
+)
+def test_a_faulty_row_beats_a_read_fault_after_it_in_the_same_chunk(
+    tmp_path, monkeypatch, fmt, row_fault, read_fault, named
+):
+    # Reading stops at the wrong field count (or the line that is not
+    # JSON) on row 2; row 1 of the same chunk of three rows does not parse.
+    monkeypatch.setattr("bibagree.corpus._CHUNK_ROWS", 3)
+    path = tmp_path / f"corpus.{fmt}"
+    path.write_text(with_faults(four_rows(tmp_path, fmt), fmt, [(1, row_fault), (2, read_fault)]))
+    with pytest.raises(CorpusParseError) as raised:
+        load_corpus(path)
+    assert str(raised.value) == named
+    assert outcome(load_corpus, path, SchemaOptions()) == outcome(load_corpus_by_record, path, SchemaOptions())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
+def test_a_byte_order_mark_loads_as_the_plain_file(tmp_path, fmt):
+    # Spreadsheet programs save "CSV UTF-8" with a byte-order mark; the
+    # population sidecar may carry one too.
+    corpus = base_corpus(1)
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    save_corpus(corpus, plain)
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    population = tmp_path / "population.csv"
+    population.write_bytes(
+        codecs.BOM_UTF8 + ("institution_id,count\n" + "".join(f"{k},{v}\n" for k, v in corpus.population_counts.items())).encode()
+    )
+    options = SchemaOptions(population_path=str(population))
+    loaded = outcome(load_corpus, marked, options)
+    assert loaded[0] == "loaded"
+    assert loaded == outcome(load_corpus, plain, options)
+    assert loaded[4] == corpus.population_counts
+    assert main(["validate", "--corpus", str(marked), "--population", str(population)]) == 0

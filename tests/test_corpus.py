@@ -191,6 +191,25 @@ def test_save_holds_no_memory_on_the_records(tmp_path, fmt):
     assert held < 50 * len(corpus.records), held
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_load_peaks_below_1_6_times_the_corpus_it_returns(tmp_path, fmt):
+    # The file is read and converted a chunk of rows at a time, so the raw
+    # cells of one chunk, not of the whole file, are held at once.
+    path = tmp_path / f"corpus.{fmt}"
+    save_corpus(generate(SynthConfig(n_institutions=300, n_areas=4, multidisciplinary_share=0.05, seed=3)), path)
+    load_corpus(path)  # imports and first-call caches, outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path)
+        gc.collect()  # empties the free lists, which keep some of what the load released
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 3000
+    assert peak < 1.6 * held, (peak, held)
+
+
 def test_population_counts_round_trip(tmp_path):
     counts = {"U2": 40, "U10": 0, "U1": 7}
     path = tmp_path / "corpus.population.csv"

@@ -43,14 +43,10 @@ METRICS_R1 = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percent
 METRICS_NCS = ("reviewer1", "reviewer2", "njs", "citation_percentile", "journal_percentile")
 
 
-def close(a, b, rel=1e-9):
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-
-
 def assert_same_statistics(got, ref):
     assert set(got) == set(ref), sorted(set(got) ^ set(ref))
     for key, value in ref.items():
-        assert close(got[key], value), (key, got[key], value)
+        assert got[key] == value, (key, got[key], value)
 
 
 def _weights(layout, field):
