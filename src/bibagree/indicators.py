@@ -10,9 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .corpus import Corpus, Entries, PublicationRecord
+from .table import reassign_codes
 
 
 class IndicatorError(Exception):
@@ -57,60 +56,18 @@ def reassign_multidisciplinary(
     renormalized). Records without a usable reference profile are left
     unchanged and returned as flagged pub_ids.
 
-    Works on the weight entries of the corpus columns; only the records
-    with multidisciplinary weight are redone, one by one.
+    The corpus-level form of table.reassign_codes, which a run calls: a
+    reassigned record's weight entries take the order reassign_codes
+    describes, and the corpus itself comes back when no record changes.
     """
     columns = corpus.columns
-    weights, refs = columns.weights, columns.refs
-    hits = [i for i, label in enumerate(weights.label) if label == multidisciplinary_label]
-    rows = weights.row[hits][weights.weight[hits] != 0.0]
-    flagged: list[str] = []
-    changed: list[int] = []
-    new_row: list[int] = []
-    new_label: list[str] = []
-    new_weight: list[float] = []
-    weight, ref_weight = weights.weight.tolist(), refs.weight.tolist()
-    bounds = zip(
-        rows.tolist(),
-        np.searchsorted(weights.row, rows).tolist(),
-        np.searchsorted(weights.row, rows, side="right").tolist(),
-        np.searchsorted(refs.row, rows).tolist(),
-        np.searchsorted(refs.row, rows, side="right").tolist(),
-    )
-    for row, lo, hi, ref_lo, ref_hi in bounds:
-        category_weights = dict(zip(weights.label[lo:hi], weight[lo:hi]))
-        w_multi = category_weights[multidisciplinary_label]
-        ref_map = {
-            k: v
-            for k, v in zip(refs.label[ref_lo:ref_hi], ref_weight[ref_lo:ref_hi])
-            if k != multidisciplinary_label and v > 0
-        }
-        if not ref_map:
-            flagged.append(columns.pub_id[row])
-            continue
-        ref_total = sum(ref_map.values())
-        new_weights = {k: v for k, v in category_weights.items() if k != multidisciplinary_label}
-        for label, rv in ref_map.items():
-            new_weights[label] = new_weights.get(label, 0.0) + w_multi * rv / ref_total
-        assert abs(sum(new_weights.values()) - 1.0) <= 1e-6
-        changed.append(row)
-        new_row.extend([row] * len(new_weights))
-        new_label.extend(new_weights)
-        new_weight.extend(new_weights.values())
-    if not changed:
-        return corpus, flagged
-
-    keep = ~np.isin(weights.row, changed)
-    entry_row = np.concatenate([weights.row[keep], np.array(new_row, dtype=weights.row.dtype)])
-    order = np.argsort(entry_row, kind="stable")
-    labels = [label for label, k in zip(weights.label, keep.tolist()) if k] + new_label
-    reassigned = Entries(
-        entry_row[order],
-        [labels[i] for i in order.tolist()],
-        np.concatenate([weights.weight[keep], np.array(new_weight, dtype=float)])[order],
-    )
+    labels, row, code, weight, flagged = reassign_codes(columns, multidisciplinary_label)
+    flagged_ids = [columns.pub_id[r] for r in flagged.tolist()]
+    if row is columns.weights.row:
+        return corpus, flagged_ids
+    reassigned = Entries(row, [labels[c] for c in code.tolist()], weight)
     columns = replace(columns, weights=reassigned)
-    return Corpus.from_columns(columns, corpus.census_year, corpus.population_counts), flagged
+    return Corpus.from_columns(columns, corpus.census_year, corpus.population_counts), flagged_ids
 
 
 def compute_baselines(corpus: Corpus) -> FieldYearBaseline:

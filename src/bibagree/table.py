@@ -1,11 +1,15 @@
 """Integer-coded publication table, from which the point statistics and the
 count-vector bootstrap replicates are computed.
 
-A run codes the corpus once, after multidisciplinary reassignment, into a
-table with one row per publication. The table is coded from the corpus
-columns (``corpus.Columns``): ids, years and journals become integer codes,
-the category weight entries are sorted by row and field, and no record
-object is built. The stratified bootstrap resamples
+A run codes the corpus once into a table with one row per publication.
+The table is coded from the corpus columns (``corpus.Columns``) and no
+record object is built: ids, years, journals and weight labels become
+integer codes, multidisciplinary weight is reassigned on the label codes
+(``reassign_codes``), and the category weight entries are sorted by row and
+field. Rows are ranked by pub_id in Python's string order, with one sort
+of the ids and one of the ids a replicate's copies carry; each row's
+entries are one contiguous slice, taken in either row order without a
+sort. The stratified bootstrap resamples
 publications with replacement within each area, so a replicate is fully
 described by a vector of copy counts, one per publication: the
 frequency-weight form of the nonparametric bootstrap (Hanley & MacGibbon
@@ -65,8 +69,7 @@ from .agreement import (
     too_few_points,
     zero_variance,
 )
-from .corpus import Corpus, CorpusValidationError, overall_score
-from .indicators import reassign_multidisciplinary
+from .corpus import Columns, Corpus, CorpusValidationError, overall_score
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -157,18 +160,100 @@ def _pair_codes(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.n
     return pairs // n, pairs % n, codes.reshape(-1)
 
 
+def reassign_codes(
+    columns: Columns, multidisciplinary_label: str
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Multidisciplinary reassignment of the category weight entries, on
+    label codes.
+
+    The category and reference weight labels are coded together, each by
+    its index among the sorted distinct labels. A row's nonzero
+    multidisciplinary weight w goes to its usable reference entries (not
+    multidisciplinary, weight > 0): one of weight rv gets w * rv /
+    ref_total, ref_total being the row's usable reference weights folded
+    left in entry order. The share is added to the row's category entry of
+    the same label (existing + share), or appended after the row's entries
+    in reference order, and the multidisciplinary entry goes. A row without
+    a usable reference entry is left as it is and flagged.
+
+    Returns the sorted distinct labels; the row, label code and weight of
+    every category entry after reassignment, rows non-decreasing and each
+    row's entries in the order above; and the flagged rows, ascending. When
+    no row changes, the row and weight arrays are those of the columns.
+    """
+    weights, refs, n_rows = columns.weights, columns.refs, len(columns)
+    labels, code = _codes(weights.label + refs.label)
+    multi = labels.index(multidisciplinary_label) if multidisciplinary_label in labels else -1
+    row, weight = weights.row, weights.weight
+    entry_code, ref_code = code[: len(weight)], code[len(weight) :]
+    hit = (entry_code == multi) & (weight != 0.0)
+    multi_rows = row[hit]
+    w_multi = np.zeros(n_rows)
+    w_multi[multi_rows] = weight[hit]
+    usable = (w_multi[refs.row] != 0.0) & (ref_code != multi) & (refs.weight > 0)
+    ref_row, ref_code, rv = refs.row[usable], ref_code[usable], refs.weight[usable]
+    redo = np.zeros(n_rows, dtype=bool)
+    redo[ref_row] = True
+    flagged = multi_rows[~redo[multi_rows]]
+    if not len(ref_row):
+        return labels, row, entry_code, weight, flagged
+    share = w_multi[ref_row] * rv / np.bincount(ref_row, weights=rv, minlength=n_rows)[ref_row]
+
+    # Each share's category entry of the same row and label, if the row has one.
+    drop = redo[row] & (entry_code == multi)
+    same = np.flatnonzero(redo[row] & ~drop)
+    key = row[same].astype(np.int64) * len(labels) + entry_code[same]
+    by_key = np.argsort(key)
+    key = key[by_key]
+    ref_key = ref_row.astype(np.int64) * len(labels) + ref_code
+    at = np.searchsorted(key, ref_key)
+    found = at < len(key)
+    found[found] = key[at[found]] == ref_key[found]
+    weight = weight.copy()
+    weight[same[by_key[at[found]]]] += share[found]
+
+    # The new entries go after their row's kept entries, in reference order.
+    keep = ~drop
+    new_row = ref_row[~found]
+    new = np.zeros(int(keep.sum()) + len(new_row), dtype=bool)
+    new[np.searchsorted(row[keep], new_row, side="right") + np.arange(len(new_row))] = True
+    out = []
+    for kept, added in ((row, new_row), (entry_code, ref_code[~found]), (weight, share[~found])):
+        merged = np.empty(len(new), dtype=kept.dtype)
+        merged[new] = added
+        merged[~new] = kept[keep]
+        out.append(merged)
+    out_row, out_code, out_weight = out
+    total = np.bincount(out_row, weights=out_weight, minlength=n_rows)[redo]
+    assert (np.abs(total - 1.0) <= 1e-6).all()
+    return labels, out_row, out_code, out_weight, flagged
+
+
 def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTable:
     """Integer-code the corpus columns after multidisciplinary reassignment."""
-    corpus, unredistributable = reassign_multidisciplinary(corpus, multidisciplinary_label)
     columns = corpus.columns
+    labels, entry_row, field_code, entry_weight, unredistributable = reassign_codes(columns, multidisciplinary_label)
     if not columns.has_review.all():
         missing = int((~columns.has_review.all(axis=1)).argmax())
         raise CorpusValidationError(f"record {columns.pub_id[missing]!r}: missing reviewer score")
     area_ids, area = _codes(columns.area_id)
-    pub_ids = np.array(columns.pub_id, dtype=str)
-    by_pub_id = np.argsort(pub_ids, kind="stable")
-    rows = by_pub_id[np.argsort(area[by_pub_id], kind="stable")]
-    area, pub_ids = area[rows], pub_ids[rows]
+    # Rows ranked by pub_id as Python orders strings, which numpy's fixed-width
+    # strings do not: they drop trailing NULs.
+    pub_ids = columns.pub_id
+    by_pub_id = np.fromiter(sorted(range(len(pub_ids)), key=pub_ids.__getitem__), dtype=np.intp, count=len(pub_ids))
+    # numpy's stable sort is a radix sort on integers of 16 bits or fewer,
+    # several times faster than its timsort on int64 area codes.
+    area_dtype = np.min_scalar_type(len(area_ids))
+    rows = by_pub_id[np.argsort(area[by_pub_id].astype(area_dtype), kind="stable")]
+    area = area[rows]
+    table_row = np.empty(len(rows), dtype=np.intp)  # corpus row -> table row
+    table_row[rows] = np.arange(len(rows))
+    pub_order = table_row[by_pub_id]
+    # A materialised replicate names its copies "<pub_id>~<n>"; sorting the
+    # rows already in pub_id order by that key takes Python's sort little work.
+    copy_ids = [pub_id + "~" for pub_id in pub_ids]
+    copy_order = table_row[sorted(by_pub_id.tolist(), key=copy_ids.__getitem__)]
+    area_copy_order = copy_order[np.argsort(area[copy_order].astype(area_dtype), kind="stable")]
     institution_ids, institution = _codes(columns.institution_id)
     unit_area, unit_institution, unit = _pair_codes(area, institution[rows])
     year = np.unique(columns.year, return_inverse=True)[1].reshape(-1)[rows]
@@ -179,25 +264,20 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     ext_citation, ext_journal = columns.ext_citation_percentile[rows], columns.ext_journal_percentile[rows]
 
     # Category weight entries, table rows ascending and fields sorted
-    # within a row.
-    table_row = np.empty(len(rows), dtype=np.intp)  # corpus row -> table row
-    table_row[rows] = np.arange(len(rows))
-    field_code = _codes(columns.weights.label)[1]
-    order = np.lexsort((field_code, table_row[columns.weights.row]))
-    entry_row = table_row[columns.weights.row][order]
-    entry_weight = columns.weights.weight[order]
+    # within a row; the codes of the labels sort as the labels do.
+    order = np.argsort(table_row[entry_row] * len(labels) + field_code, kind="stable")
+    entry_row = table_row[entry_row][order]
+    entry_weight = entry_weight[order]
     cell = _pair_codes(field_code[order], year[entry_row])[2]
+    row_entries = np.bincount(entry_row, minlength=len(rows))
+    row_start = np.cumsum(row_entries) - row_entries
 
-    def order_by(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows by ascending ids, and the entries in that row order."""
-        order = np.argsort(ids, kind="stable")
-        position = np.empty(len(ids), dtype=np.intp)
-        position[order] = np.arange(len(ids))
-        return order, np.argsort(position[entry_row], kind="stable")
+    def entries_of(order: np.ndarray) -> np.ndarray:
+        """The entries of the rows in the given order, each row's contiguous
+        slice in turn."""
+        n = row_entries[order]
+        return np.repeat(row_start[order] - (np.cumsum(n) - n), n) + np.arange(len(entry_row))
 
-    pub_order, pub_entries = order_by(pub_ids)
-    copy_order, copy_entries = order_by(np.char.add(pub_ids, "~"))
-    area_copy_order = copy_order[np.argsort(area[copy_order], kind="stable")]
     return PublicationTable(
         area_ids=tuple(area_ids),
         area_sizes=tuple(np.bincount(area, minlength=len(area_ids)).tolist()),
@@ -205,7 +285,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         area=area,
         unit=unit,
         unit_area=unit_area,
-        unit_institution=tuple(institution_ids[i] for i in unit_institution),
+        unit_institution=tuple(map(institution_ids.__getitem__, unit_institution.tolist())),
         journal_year=journal_year,
         n_journal_years=int(journal_year.max(initial=-1)) + 1,
         journal_cell=journal_cell,
@@ -225,8 +305,8 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         entry_cell=cell,
         entry_weight=entry_weight,
         entry_cited=entry_weight * citations[entry_row],
-        pub_entries=pub_entries,
-        copy_entries=copy_entries,
+        pub_entries=entries_of(pub_order),
+        copy_entries=entries_of(copy_order),
         n_cells=int(cell.max(initial=-1)) + 1,
         n_unredistributable=len(unredistributable),
     )
@@ -522,10 +602,15 @@ def point_statistics(table: PublicationTable, config: "PipelineConfig") -> Pipel
     units = np.flatnonzero(copies >= config.min_pubs)
     totals = np.stack([scores.unit_total[label] for label in SERIES_LABELS])
     means = (totals[:, units] / copies[units]).T.tolist()
-    aggregates = [
-        InstitutionAggregate(table.unit_institution[u], table.area_ids[a], n, tuple(m))
-        for u, a, n, m in zip(units.tolist(), table.unit_area[units].tolist(), copies[units].tolist(), means)
-    ]
+    aggregates = list(
+        map(
+            InstitutionAggregate,
+            map(table.unit_institution.__getitem__, units.tolist()),
+            map(table.area_ids.__getitem__, table.unit_area[units].tolist()),
+            copies[units].tolist(),
+            map(tuple, means),
+        )
+    )
     excluded = sorted(
         (table.unit_institution[u], table.area_ids[table.unit_area[u]])
         for u in np.flatnonzero((copies > 0) & (copies < config.min_pubs)).tolist()

@@ -1,11 +1,12 @@
 """The point pass record by record: the exact reference for the publication
 table.
 
-Indicators come per record from indicators.build_indicator_table, are
-folded per institution and area by aggregate, pivoted per area and compared
-by run_agreement, each summing in ascending pub_id order with explicit left
-folds, never the builtin sum(), whose rounding is compensated from Python
-3.12 on. So the reference equals table.py bit for bit on every Python. On a
+Multidisciplinary weight is reassigned one record at a time by
+reassign_multidisciplinary. Indicators come per record from
+indicators.build_indicator_table, are folded per institution and area by
+aggregate, pivoted per area and compared by run_agreement, each summing in
+ascending pub_id order with explicit left folds, never the builtin sum(),
+whose rounding is compensated from Python 3.12 on. So the reference equals table.py bit for bit on every Python. On a
 bootstrap replicate materialised by resample_within_areas, whose copies are
 named "<pub_id>~<draw number>", it gives what table.table_statistics
 computes from the replicate's copy counts. stratified_sample is the
@@ -32,6 +33,7 @@ from bibagree.corpus import (
     Corpus,
     CorpusParseError,
     CorpusValidationError,
+    Entries,
     PublicationRecord,
     SchemaOptions,
     _detect_format,
@@ -41,7 +43,7 @@ from bibagree.corpus import (
     overall_score,
     validate_record,
 )
-from bibagree.indicators import FieldYearBaseline, build_indicator_table, compute_baselines, reassign_multidisciplinary
+from bibagree.indicators import FieldYearBaseline, build_indicator_table, compute_baselines
 from bibagree.pipeline import PipelineConfig, PipelineStats, compute_pipeline_stats
 from bibagree.resampling import _area_stream, check_fraction
 from bibagree.table import SERIES_LABELS
@@ -243,6 +245,65 @@ def run_agreement(
                 )
             )
     return result
+
+
+def reassign_multidisciplinary(corpus: Corpus, multidisciplinary_label: str) -> tuple[Corpus, list[str]]:
+    """indicators.reassign_multidisciplinary record by record: each record
+    with multidisciplinary weight is redone as a dict of its weights, its
+    reference total folded left in entry order."""
+    columns = corpus.columns
+    weights, refs = columns.weights, columns.refs
+    hits = [i for i, label in enumerate(weights.label) if label == multidisciplinary_label]
+    rows = weights.row[hits][weights.weight[hits] != 0.0]
+    flagged: list[str] = []
+    changed: list[int] = []
+    new_row: list[int] = []
+    new_label: list[str] = []
+    new_weight: list[float] = []
+    weight, ref_weight = weights.weight.tolist(), refs.weight.tolist()
+    bounds = zip(
+        rows.tolist(),
+        np.searchsorted(weights.row, rows).tolist(),
+        np.searchsorted(weights.row, rows, side="right").tolist(),
+        np.searchsorted(refs.row, rows).tolist(),
+        np.searchsorted(refs.row, rows, side="right").tolist(),
+    )
+    for row, lo, hi, ref_lo, ref_hi in bounds:
+        category_weights = dict(zip(weights.label[lo:hi], weight[lo:hi]))
+        w_multi = category_weights[multidisciplinary_label]
+        ref_map = {
+            k: v
+            for k, v in zip(refs.label[ref_lo:ref_hi], ref_weight[ref_lo:ref_hi])
+            if k != multidisciplinary_label and v > 0
+        }
+        if not ref_map:
+            flagged.append(columns.pub_id[row])
+            continue
+        ref_total = 0.0
+        for v in ref_map.values():
+            ref_total += v
+        new_weights = {k: v for k, v in category_weights.items() if k != multidisciplinary_label}
+        for label, rv in ref_map.items():
+            new_weights[label] = new_weights.get(label, 0.0) + w_multi * rv / ref_total
+        assert abs(sum(new_weights.values()) - 1.0) <= 1e-6
+        changed.append(row)
+        new_row.extend([row] * len(new_weights))
+        new_label.extend(new_weights)
+        new_weight.extend(new_weights.values())
+    if not changed:
+        return corpus, flagged
+
+    keep = ~np.isin(weights.row, changed)
+    entry_row = np.concatenate([weights.row[keep], np.array(new_row, dtype=weights.row.dtype)])
+    order = np.argsort(entry_row, kind="stable")
+    labels = [label for label, k in zip(weights.label, keep.tolist()) if k] + new_label
+    reassigned = Entries(
+        entry_row[order],
+        [labels[i] for i in order.tolist()],
+        np.concatenate([weights.weight[keep], np.array(new_weight, dtype=float)])[order],
+    )
+    columns = replace(columns, weights=reassigned)
+    return Corpus.from_columns(columns, corpus.census_year, corpus.population_counts), flagged
 
 
 def weighted_mean_ncs_by_year(corpus: Corpus, baselines: FieldYearBaseline, ncs: dict[str, float]) -> dict[int, float]:

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibagree import (
     Corpus,
@@ -19,6 +21,7 @@ from bibagree import (
 )
 from bibagree.indicators import FieldYearBaseline, ZeroMeanCellError, build_indicator_table
 from oracles import oracle_baselines, oracle_ncs, oracle_njs, oracle_percentiles
+import record_pipeline
 from record_pipeline import weighted_mean_ncs_by_year
 
 
@@ -78,6 +81,40 @@ class TestReassignment:
         out, _ = reassign_multidisciplinary(corpus, "MULTI")
         for r in out.records:
             assert abs(sum(r.category_weights.values()) - 1.0) <= 1e-9
+
+
+LABELS = ["A", "B", "C", "MULTI"]
+# Category weights as parts of a whole, a zero multidisciplinary part
+# included, in any label order.
+CATEGORY_PARTS = st.dictionaries(st.sampled_from(LABELS), st.integers(0, 4), min_size=1).filter(
+    lambda parts: sum(parts.values()) > 0
+)
+REF_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.5, 1e-300, 1 / 3, 0.7, 2.0, 1e10]), st.floats(1e-3, 10.0)
+)
+REFERENCES = st.one_of(st.none(), st.dictionaries(st.sampled_from(LABELS), REF_WEIGHTS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(CATEGORY_PARTS, REFERENCES), min_size=1, max_size=12))
+def test_reassignment_equals_the_record_reference_bit_for_bit(rows):
+    # Shares added to an existing field and appended ones, records flagged
+    # for references that are missing, only multidisciplinary or not
+    # positive, and multidisciplinary weights of 0.
+    records = []
+    for i, (parts, refs) in enumerate(rows):
+        total = sum(parts.values())
+        records.append(rec(f"P{i}", {label: k / total for label, k in parts.items()}, 3, refs=refs))
+    corpus = corpus_of(*records)
+    got, flagged = reassign_multidisciplinary(corpus, "MULTI")
+    ref, ref_flagged = record_pipeline.reassign_multidisciplinary(corpus, "MULTI")
+    assert flagged == ref_flagged
+    assert (got is corpus) == (ref is corpus)
+    entries, ref_entries = got.columns.weights, ref.columns.weights
+    assert entries.row.dtype == ref_entries.row.dtype
+    assert entries.row.tolist() == ref_entries.row.tolist()
+    assert entries.label == ref_entries.label
+    assert entries.weight.tobytes() == ref_entries.weight.tobytes()
 
 
 class TestBaselines:

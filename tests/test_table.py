@@ -7,7 +7,6 @@ import math
 import sys
 from dataclasses import asdict, replace
 
-import bibagree.indicators
 import bibagree.table
 import numpy as np
 from hypothesis import given, settings
@@ -20,6 +19,7 @@ from bibagree import (
     SchemaOptions,
     SynthConfig,
     generate,
+    load_corpus,
     run_bootstrap,
     save_corpus,
 )
@@ -60,7 +60,11 @@ def _weights(layout, field):
         return {"MULTI": 1.0}, {own: 0.75, other: 0.25}
     if layout == 3:
         return {"MULTI": 1.0}, None  # cannot be redistributed
-    return {own: 0.6, "MULTI": 0.4}, {other: 1.0}
+    if layout == 4:
+        return {own: 0.6, "MULTI": 0.4}, {other: 1.0}
+    if layout == 5:
+        return {own: 0.6, "MULTI": 0.4}, {own: 0.5, other: 0.5}  # own field gains a share
+    return {"MULTI": 1.0}, {"MULTI": 1.0}  # only itself to redistribute over
 
 
 RECORD = st.tuples(
@@ -68,7 +72,7 @@ RECORD = st.tuples(
     st.integers(0, 4),  # institution
     st.sampled_from([2011, 2012]),
     st.integers(0, 4),  # citations, zero often
-    st.integers(0, 4),  # category layout
+    st.integers(0, 6),  # category layout
     st.integers(0, 2),  # main field; fields are shared across areas
     st.integers(0, 2),  # journal
     st.lists(st.integers(1, 10), min_size=6, max_size=6),  # both reviews
@@ -325,9 +329,9 @@ def test_replicate_builds_no_result_object(monkeypatch):
 
 
 def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
-    calls = {"build_table": 0, "reassign_multidisciplinary": 0}
-    for module, name in ((bibagree.table, "build_table"), (bibagree.indicators, "reassign_multidisciplinary")):
-        original = getattr(module, name)
+    calls = {"build_table": 0, "reassign_codes": 0}
+    for name in calls:
+        original = getattr(bibagree.table, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             calls[_name] += 1
@@ -340,7 +344,22 @@ def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
     corpus_path = tmp_path / "corpus.csv"
     save_corpus(generate(SynthConfig(seed=7, multidisciplinary_share=0.2)), corpus_path)
     run(corpus_path, tmp_path / "out", PipelineConfig(seed=7, n_replicates=3))
-    assert calls == {"build_table": 1, "reassign_multidisciplinary": 1}
+    assert calls == {"build_table": 1, "reassign_codes": 1}
+
+
+def test_rows_take_python_pub_id_order_with_trailing_nuls(tmp_path):
+    # numpy's fixed-width strings drop trailing NULs, so there "p1\0" and
+    # "p1" tie; the record reference sums in Python's order.
+    score = ReviewerScore(5, 5, 5)
+    records = [
+        PublicationRecord(pub_id, "U0", "A0", 2012, cites, "J0", {"F0": 1.0}, None, score, score)
+        for pub_id, cites in (("p1\0", 7), ("p1", 3), ("p0", 1))
+    ]
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus(records=tuple(records), census_year=2015), path)
+    table = build_table(load_corpus(path), "MULTI")
+    assert table.citations[table.pub_order].tolist() == [1, 3, 7]
+    assert table.citations[table.copy_order].tolist() == [1, 7, 3]  # "p1\0~" < "p1~"
 
 
 def test_run_builds_no_record(tmp_path, monkeypatch):
