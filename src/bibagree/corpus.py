@@ -28,9 +28,10 @@ from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -460,20 +461,36 @@ def _record_from_json(obj: dict, where: str) -> PublicationRecord:
         raise CorpusParseError(f"{where}: {exc}") from exc
 
 
+def _not_utf8(path: str | Path, name: str) -> CorpusParseError:
+    """The parse fault of a file that is not UTF-8, naming its first line
+    that is not. The file is read again, as bytes, to find it: a text
+    reader decodes a block of lines ahead of the line it returns."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return CorpusParseError(f"{name} line {number}: not UTF-8: byte {line[exc.start]:#04x} at offset {exc.start}")
+    return CorpusParseError(f"{name}: not UTF-8")
+
+
 def load_population_counts(path: str | Path) -> dict[str, int]:
     counts: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        for i, row in enumerate(reader, start=2):
-            try:
-                inst, count = str(row["institution_id"]).strip(), int(str(row["count"]).strip())
-            except (KeyError, ValueError) as exc:
-                raise CorpusParseError(f"{path} row {i}: bad population count") from exc
-            if count < 0:
-                raise CorpusParseError(f"{path} row {i}: negative population count {count}")
-            if inst in counts:
-                raise CorpusParseError(f"{path} row {i}: duplicate institution {inst!r}")
-            counts[inst] = count
+        try:
+            for i, row in enumerate(reader, start=2):
+                try:
+                    inst, count = str(row["institution_id"]).strip(), int(str(row["count"]).strip())
+                except (KeyError, ValueError) as exc:
+                    raise CorpusParseError(f"{path} row {i}: bad population count") from exc
+                if count < 0:
+                    raise CorpusParseError(f"{path} row {i}: negative population count {count}")
+                if inst in counts:
+                    raise CorpusParseError(f"{path} row {i}: duplicate institution {inst!r}")
+                counts[inst] = count
+        except UnicodeDecodeError:
+            raise _not_utf8(path, str(path)) from None
     return counts
 
 
@@ -584,53 +601,21 @@ def _table_values(cells: dict[str, Sequence[str]]) -> dict:
     return values
 
 
-def _table_chunks(path: Path, delimiter: str) -> Iterator[_Chunk]:
-    """Read a CSV or TSV file a chunk of rows at a time, until a row with
-    the wrong number of fields."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None) or []
-        missing = set(CSV_COLUMNS) - set(header)
-        if missing:
-            raise CorpusParseError(f"{path.name}: missing columns {sorted(missing)}")
-        # A name on the header twice reads its last column, as in csv.DictReader.
-        position = {name: i for i, name in enumerate(header)}
-        pick = operator.itemgetter(*(position[name] for name in CSV_COLUMNS))
-        rows = filter(None, reader)  # csv.DictReader skips blank rows, and does not number them
-        first = 0  # the index of the chunk's first row
-        while True:
-            chunk: list[list[str]] = []
-            stop = None
-            try:
-                for row in islice(rows, _CHUNK_ROWS):
-                    if len(row) != len(header):
-                        more = "more" if len(row) > len(header) else "fewer"
-                        stop = CorpusParseError(f"{path.name} row {first + len(chunk) + 2}: {more} fields than the header")
-                        break
-                    chunk.append(row)
-            except (csv.Error, UnicodeDecodeError) as exc:
-                stop = exc
-            n_rows = len(chunk)
-            if n_rows or stop is not None:
-                yield _table_chunk(path.name, first, chunk, pick, stop)
-            if stop is not None or n_rows < _CHUNK_ROWS:
-                return
-            first += n_rows
-
-
-def _table_chunk(
-    file_name: str, first: int, rows: list[list[str]], pick: Callable, stop: Exception | None
-) -> _Chunk:
-    """The chunk of the given rows, which it empties: only the cells that
-    pick takes from a row's list of cells stay, column by column."""
-    n_rows = len(rows)
-    cells = dict(zip(CSV_COLUMNS, pick(list(zip(*rows))))) if rows else {}
-    rows.clear()
-
-    def parse_row(i: int) -> PublicationRecord:
-        return _record_from_row({name: column[i] for name, column in cells.items()}, f"{file_name} row {first + i + 2}")
-
-    return _Chunk(n_rows, lambda: _table_values(cells), parse_row, stop)
+def _table_rows(fh: TextIO, file_name: str, delimiter: str) -> Iterator:
+    """The header of a CSV or TSV file, then each nonblank row as (row
+    number, cells), until a row with the wrong number of fields."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    header = next(reader, None) or []
+    missing = set(CSV_COLUMNS) - set(header)
+    if missing:
+        raise CorpusParseError(f"{file_name}: missing columns {sorted(missing)}")
+    yield header
+    # csv.DictReader skips blank rows, and does not number them.
+    for number, row in enumerate(filter(None, reader), start=2):
+        if len(row) != len(header):
+            more = "more" if len(row) > len(header) else "fewer"
+            raise CorpusParseError(f"{file_name} row {number}: {more} fields than the header")
+        yield number, row
 
 
 def _json_float(value) -> float | None:
@@ -650,7 +635,7 @@ def _json_weights(maps: Sequence, optional: bool) -> Entries:
 def _json_reviews(columns: list[Sequence]) -> tuple[np.ndarray, np.ndarray]:
     """The review_a and review_b columns as _record_from_json reads them:
     null or absent for no review, an object of three integral criterion
-    scores otherwise, which _json_chunks made the tuple of its scores,
+    scores otherwise, which _json_rows made the tuple of its scores,
     _ABSENT for a missing one."""
     present = [[sub is not None and sub is not _ABSENT for sub in subs] for subs in columns]
     if not all(type(sub) is tuple for subs, has in zip(columns, present) for sub in compress(subs, has)):
@@ -678,65 +663,80 @@ def _json_values(fields: dict[str, Sequence]) -> dict:
     return values
 
 
-def _json_chunks(path: Path) -> Iterator[_Chunk]:
-    """Read a JSON Lines file a chunk of lines at a time, until a line that
-    is not a JSON object."""
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = enumerate(fh, start=1)
+def _json_rows(fh: TextIO, file_name: str) -> Iterator:
+    """_JSON_FIELDS, and then each line of a JSON Lines file that is not
+    blank as (line number, its values of those fields), until a line that
+    is not a JSON object. A field the line leaves out is _ABSENT, and a
+    review object the tuple of its criterion scores (a JSON value is never
+    a tuple), so that no key outlives its line."""
+    yield _JSON_FIELDS
+    for number, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusParseError(f"{file_name} line {number}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            # Raises: a value that is not an object has no fields.
+            _record_from_json(obj, f"{file_name} line {number}")
+        row = list(map(obj.get, _JSON_FIELDS, repeat(_ABSENT)))
+        for k in _REVIEW_AT:
+            if type(row[k]) is dict:
+                # Built from a list: a tuple built from map() starts at a
+                # guessed size and is shrunk, and the free list then keeps
+                # such tuples after they are freed.
+                row[k] = tuple(list(map(row[k].get, _CRITERIA, repeat(_ABSENT))))
+        yield number, row
+
+
+def _json_record(row: dict, where: str) -> PublicationRecord:
+    """_record_from_json of a line's fields as _json_rows reads them."""
+    obj = {name: value for name, value in row.items() if value is not _ABSENT}
+    for key in ("review_a", "review_b"):
+        if type(obj.get(key)) is tuple:
+            obj[key] = {c: v for c, v in zip(_CRITERIA, obj[key]) if v is not _ABSENT}
+    return _record_from_json(obj, where)
+
+
+def _chunks(path: Path) -> Iterator[_Chunk]:
+    """Read a corpus file a chunk of rows at a time, until a row that cannot
+    be read. The file's format gives a row reader, which yields the names
+    of a row's fields and then each row as (number, fields), a converter
+    and a row parse, all looked up at each call."""
+    fmt = _detect_format(path)
+    if fmt == "jsonl":
+        read, convert, parse, unit = _json_rows, _json_values, _json_record, "line"
+    else:
+        read = partial(_table_rows, delimiter="\t" if fmt == "tsv" else ",")
+        convert, parse, unit = _table_values, _record_from_row, "row"
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = read(fh, path.name)
+        names: Sequence[str] = ()
         while True:
-            # Each object becomes the list of its fields as it is read, and a
-            # review object the tuple of its criterion scores (a JSON value
-            # is never a tuple), so that no key outlives its line.
-            chunk: list[list] = []
-            linenos: list[int] = []
-            stop = None
+            chunk, numbers, stop = [], [], None
             try:
-                for lineno, line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise CorpusParseError(f"{path.name} line {lineno}: invalid JSON: {exc}") from exc
-                    if not isinstance(obj, dict):
-                        # Raises: a value that is not an object has no fields.
-                        _record_from_json(obj, f"{path.name} line {lineno}")
-                    row = list(map(obj.get, _JSON_FIELDS, repeat(_ABSENT)))
-                    for k in _REVIEW_AT:
-                        if type(row[k]) is dict:
-                            # Built from a list: a tuple built from map()
-                            # starts at a guessed size and is shrunk, and
-                            # the free list then keeps such tuples after
-                            # they are freed.
-                            row[k] = tuple(list(map(row[k].get, _CRITERIA, repeat(_ABSENT))))
+                names = names or next(rows)
+                for number, row in islice(rows, _CHUNK_ROWS):
+                    numbers.append(number)
                     chunk.append(row)
-                    linenos.append(lineno)
-                    if len(chunk) == _CHUNK_ROWS:
-                        break
-            except (CorpusParseError, UnicodeDecodeError) as exc:
+            except (CorpusParseError, csv.Error) as exc:
                 stop = exc
-            n_rows = len(chunk)
-            if n_rows or stop is not None:
-                yield _json_chunk(path.name, linenos, chunk, stop)
-            if stop is not None or n_rows < _CHUNK_ROWS:
+            except UnicodeDecodeError:
+                stop = _not_utf8(path, path.name)
+            # Only the cells stay, column by column.
+            cells = dict(zip(names, zip(*chunk)))
+            del chunk
+
+            def parse_row(i: int) -> PublicationRecord:
+                return parse({name: column[i] for name, column in cells.items()}, f"{path.name} {unit} {numbers[i]}")
+
+            if numbers or stop is not None:
+                yield _Chunk(len(numbers), partial(convert, cells), parse_row, stop)
+            del cells  # handed on: the next chunk is read without them
+            if stop is not None or len(numbers) < _CHUNK_ROWS:
                 return
-
-
-def _json_chunk(file_name: str, linenos: list[int], rows: list[list], stop: Exception | None) -> _Chunk:
-    """The chunk of the given rows, which it empties: only their fields stay."""
-    n_rows = len(rows)
-    fields = dict(zip(_JSON_FIELDS, zip(*rows)))
-    rows.clear()
-
-    def parse_row(i: int) -> PublicationRecord:
-        obj = {name: column[i] for name, column in fields.items() if column[i] is not _ABSENT}
-        for key in ("review_a", "review_b"):
-            if type(obj.get(key)) is tuple:
-                obj[key] = {c: v for c, v in zip(_CRITERIA, obj[key]) if v is not _ABSENT}
-        return _record_from_json(obj, f"{file_name} line {linenos[i]}")
-
-    return _Chunk(n_rows, lambda: _json_values(fields), parse_row, stop)
 
 
 def _joined(pieces: list[dict]) -> Columns:
@@ -850,13 +850,11 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     path = Path(path)
     if not path.exists():
         raise CorpusParseError(f"corpus file not found: {path}")
-    fmt = _detect_format(path)
-    chunks = _json_chunks(path) if fmt == "jsonl" else _table_chunks(path, "\t" if fmt == "tsv" else ",")
     pieces: list[dict] = []
     flagged: list[tuple[int, PublicationRecord]] = []  # (row, its parse) of each row the screen flags
     strings: dict[str, str] = {}
     n_rows = 0
-    with closing(chunks):
+    with closing(_chunks(path)) as chunks:
         for chunk in chunks:
             piece, suspects = _converted(chunk, options.census_year, strings)
             flagged += [(n_rows + i, chunk.parse_row(i)) for i in suspects]

@@ -279,11 +279,12 @@ def with_faults(text: str, fmt: str, faults) -> str:
         for i, f in faults:
             with_json_fault(lines, i, f)
         return "\n".join(lines) + "\n"
-    header, *body = list(csv.reader(io.StringIO(text)))
+    delimiter = "\t" if fmt == "tsv" else ","
+    header, *body = list(csv.reader(io.StringIO(text), delimiter=delimiter))
     for i, f in faults:
         with_table_fault(header, body, i, f)
     out = io.StringIO()
-    csv.writer(out).writerows([header, *body])
+    csv.writer(out, delimiter=delimiter).writerows([header, *body])
     return out.getvalue()
 
 
@@ -317,17 +318,18 @@ def assert_every_pair_of_faults_raises_as_row_by_row(tmp_path, fmt):
         assert outcome(load_corpus, path, options) == outcome(load_corpus_by_record, path, options), (a, b, i, j)
 
 
-def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("fmt, converter", [("csv", "_table_values"), ("jsonl", "_json_values")])
+def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, monkeypatch, capsys, fmt, converter):
     # Only the row parse words a faulty row. A conversion that fails when
     # every row parses is a converter fault: it surfaces, exiting 2, not 1.
-    path = tmp_path / "corpus.csv"
+    path = tmp_path / f"corpus.{fmt}"
     save_corpus(base_corpus(0), path)
     bug = RuntimeError("converter fault")
 
     def convert(cells):
         raise bug
 
-    monkeypatch.setattr("bibagree.corpus._table_values", convert)
+    monkeypatch.setattr(f"bibagree.corpus.{converter}", convert)
     with pytest.raises(AssertionError, match="a column conversion failed but every row parses") as raised:
         load_corpus(path)
     assert raised.value.__cause__ is bug
@@ -396,3 +398,99 @@ def test_a_byte_order_mark_loads_as_the_plain_file(tmp_path, fmt):
     assert loaded == outcome(load_corpus, plain, options)
     assert loaded[4] == corpus.population_counts
     assert main(["validate", "--corpus", str(marked), "--population", str(population)]) == 0
+
+
+HEADER = ",".join(CSV_COLUMNS) + "\n"
+EDGE_FILES = {
+    "empty.csv": "",
+    "empty.tsv": "",
+    "empty.jsonl": "",
+    "header-only.csv": HEADER,
+    "header-only.tsv": HEADER.replace(",", "\t"),
+    "blank-lines.csv": "\n\n\n",
+    "blank-lines.jsonl": "\n  \n\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_a_file_without_records_raises_as_the_row_by_row_loader(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(EDGE_FILES[name])
+    expected = outcome(load_corpus_by_record, path, SchemaOptions())
+    assert expected[0] == "raised"
+    assert outcome(load_corpus, path, SchemaOptions()) == expected
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4])
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
+def test_rows_filling_their_last_chunk_load_as_row_by_row(tmp_path, monkeypatch, fmt, chunk_rows):
+    # Four rows in whole chunks: reading the chunk after the last finds no row.
+    monkeypatch.setattr("bibagree.corpus._CHUNK_ROWS", chunk_rows)
+    path = tmp_path / f"corpus.{fmt}"
+    path.write_text(four_rows(tmp_path, fmt))
+    expected = outcome(load_corpus_by_record, path, SchemaOptions())
+    assert expected[0] == "loaded"
+    assert outcome(load_corpus, path, SchemaOptions()) == expected
+
+
+def with_byte(text: str, line: int) -> bytes:
+    """The text as UTF-8, with a Latin-1 byte, which is not UTF-8, second on
+    the given line (counted from 1)."""
+    lines = text.encode().split(b"\n")
+    lines[line - 1] = lines[line - 1][:1] + b"\xe9" + lines[line - 1][1:]
+    return b"\n".join(lines)
+
+
+NOT_UTF8 = "not UTF-8: byte 0xe9 at offset 1"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
+def test_a_byte_that_is_not_utf8_is_a_parse_fault_naming_its_line(tmp_path, capsys, fmt):
+    # The four rows are decoded as one block of bytes, so the byte is met
+    # while the header (or the first line) is read.
+    path = tmp_path / f"corpus.{fmt}"
+    line = 3 if fmt == "jsonl" else 4  # the third record
+    path.write_bytes(with_byte(four_rows(tmp_path, fmt), line))
+    assert main(["validate", "--corpus", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: corpus.{fmt} line {line}: {NOT_UTF8}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--corpus", str(path), "--out", str(out), "--no-bootstrap"]) == 1
+    assert f"error: [load] corpus.{fmt} line {line}: {NOT_UTF8}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, fault, named",
+    [
+        ("csv", ("year", "x"), "corpus.csv row 2: bad year/citations"),
+        ("tsv", ("year", "x"), "corpus.tsv row 2: bad year/citations"),
+        ("jsonl", ("year", 2012.5), "corpus.jsonl line 1: non-integral year 2012.5"),
+        ("csv", ("citations", "-1"), f"corpus.csv line 201: {NOT_UTF8}"),
+        ("tsv", ("citations", "-1"), f"corpus.tsv line 201: {NOT_UTF8}"),
+        ("jsonl", ("citations", -1), f"corpus.jsonl line 200: {NOT_UTF8}"),
+    ],
+)
+def test_a_byte_that_is_not_utf8_in_a_later_chunk_keeps_the_fault_order(tmp_path, monkeypatch, capsys, fmt, fault, named):
+    # The byte is on the last of 200 rows, kilobytes into the file: the
+    # first chunk of two rows is read, converted and parsed before it is
+    # met. A parse fault in the first row still wins; a validation fault
+    # there loses.
+    monkeypatch.setattr("bibagree.corpus._CHUNK_ROWS", 2)
+    path = tmp_path / f"corpus.{fmt}"
+    save_corpus(generate(SynthConfig(seed=7)), path)
+    last = 200 if fmt == "jsonl" else 201
+    path.write_bytes(with_byte(with_faults(path.read_text(), fmt, [(0, fault)]), last))
+    assert main(["validate", "--corpus", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_a_population_sidecar_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    corpus = tmp_path / "c.csv"
+    assert main(["generate", "--out", str(corpus), "--seed", "7"]) == 0
+    population = tmp_path / "c.population.csv"
+    population.write_bytes(with_byte(population.read_text(), 3))
+    capsys.readouterr()
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out"), "--no-bootstrap"]):
+        assert main(command + ["--corpus", str(corpus), "--population", str(population)]) == 1
+        assert f"{population} line 3: {NOT_UTF8}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
