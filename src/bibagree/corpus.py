@@ -478,8 +478,11 @@ def load_population_counts(path: str | Path) -> dict[str, int]:
     counts: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
+        i = 1  # the row being read: the header, then each nonblank row
         try:
-            for i, row in enumerate(reader, start=2):
+            reader.fieldnames  # reads the header row
+            i = 2
+            for row in reader:
                 try:
                     inst, count = str(row["institution_id"]).strip(), int(str(row["count"]).strip())
                 except (KeyError, ValueError) as exc:
@@ -489,8 +492,11 @@ def load_population_counts(path: str | Path) -> dict[str, int]:
                 if inst in counts:
                     raise CorpusParseError(f"{path} row {i}: duplicate institution {inst!r}")
                 counts[inst] = count
+                i += 1
         except UnicodeDecodeError:
             raise _not_utf8(path, str(path)) from None
+        except csv.Error as exc:
+            raise CorpusParseError(f"{path} row {i}: {exc}") from None
     return counts
 
 
@@ -603,19 +609,26 @@ def _table_values(cells: dict[str, Sequence[str]]) -> dict:
 
 def _table_rows(fh: TextIO, file_name: str, delimiter: str) -> Iterator:
     """The header of a CSV or TSV file, then each nonblank row as (row
-    number, cells), until a row with the wrong number of fields."""
+    number, cells), until a row with the wrong number of fields or one the
+    csv module cannot read, such as a cell past csv.field_size_limit()."""
     reader = csv.reader(fh, delimiter=delimiter)
-    header = next(reader, None) or []
-    missing = set(CSV_COLUMNS) - set(header)
-    if missing:
-        raise CorpusParseError(f"{file_name}: missing columns {sorted(missing)}")
-    yield header
-    # csv.DictReader skips blank rows, and does not number them.
-    for number, row in enumerate(filter(None, reader), start=2):
-        if len(row) != len(header):
-            more = "more" if len(row) > len(header) else "fewer"
-            raise CorpusParseError(f"{file_name} row {number}: {more} fields than the header")
-        yield number, row
+    number = 1  # of the row being read: the header, then each nonblank row
+    try:
+        header = next(reader, None) or []
+        missing = set(CSV_COLUMNS) - set(header)
+        if missing:
+            raise CorpusParseError(f"{file_name}: missing columns {sorted(missing)}")
+        yield header
+        number = 2
+        # csv.DictReader skips blank rows, and does not number them.
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                more = "more" if len(row) > len(header) else "fewer"
+                raise CorpusParseError(f"{file_name} row {number}: {more} fields than the header")
+            yield number, row
+            number += 1
+    except csv.Error as exc:
+        raise CorpusParseError(f"{file_name} row {number}: {exc}") from None
 
 
 def _json_float(value) -> float | None:
@@ -676,7 +689,8 @@ def _json_rows(fh: TextIO, file_name: str) -> Iterator:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # A RecursionError is a line nested deeper than the parser goes.
             raise CorpusParseError(f"{file_name} line {number}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             # Raises: a value that is not an object has no fields.
@@ -721,7 +735,7 @@ def _chunks(path: Path) -> Iterator[_Chunk]:
                 for number, row in islice(rows, _CHUNK_ROWS):
                     numbers.append(number)
                     chunk.append(row)
-            except (CorpusParseError, csv.Error) as exc:
+            except CorpusParseError as exc:
                 stop = exc
             except UnicodeDecodeError:
                 stop = _not_utf8(path, path.name)

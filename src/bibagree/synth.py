@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from math import erf
 from pathlib import Path
 
 import numpy as np
@@ -97,23 +99,12 @@ def _area_mass(n_areas: int, skew: float) -> tuple[np.ndarray, float]:
         return raw, float(raw.sum())
 
 
+_JOURNAL_BINS = 8  # journals per area, binning publications by quality
+_SQRT2 = math.sqrt(2.0)
+
+
 def _normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def _criterion_score(latent: float, scale: float) -> int:
-    # Fixed Gaussian-threshold discretization onto 1..10.
-    u = _normal_cdf(latent / scale)
-    return min(10, max(1, 1 + int(u * 10)))
-
-
-def _review(q: float, noise: np.ndarray, cfg: SynthConfig) -> ReviewerScore:
-    scale = math.hypot(1.0, cfg.reviewer_noise_sd)
-    return ReviewerScore(
-        _criterion_score(q + noise[0], scale),
-        _criterion_score(q + noise[1], scale),
-        _criterion_score(q + noise[2], scale),
-    )
+    return 0.5 * (1.0 + erf(z / _SQRT2))
 
 
 def generate(config: SynthConfig) -> Corpus:
@@ -124,76 +115,90 @@ def generate(config: SynthConfig) -> Corpus:
     overdispersed count draw whose mean couples to quality through
     metric_quality_correlation, and journals bin publications of similar
     quality within an area.
+
+    Every value comes from one default_rng(config.seed) stream, drawn
+    record by record in a fixed order. Each draw is made with the cheapest
+    call that takes what numpy's general call would take from the stream:
+    rng.choice(YEARS) is rng.integers(4), and rng.choice(n, p=p) looks one
+    rng.random() up in p's normalised cumulative sum (searchsorted with
+    side="right", which bisect_right is on a sorted list); rng.uniform() is
+    rng.random(), and rng.normal(0, sd) is 0.0 + sd * rng.standard_normal().
     """
     rng = np.random.default_rng(config.seed)
+    integers, random, standard_normal = rng.integers, rng.random, rng.standard_normal
+    negative_binomial, uniform = rng.negative_binomial, rng.uniform
+    n_areas, n_fields = config.n_areas, config.n_fields_per_area
+    sd, r, share = config.reviewer_noise_sd, config.citation_dispersion, config.multidisciplinary_share
     rho = config.metric_quality_correlation
-    records: list[PublicationRecord] = []
-    n_journal_bins = 8
-    area_probs = None
+    eps_scale = math.sqrt(max(0.0, 1.0 - rho * rho))
+    scale = math.hypot(1.0, sd)  # of a criterion latent: quality (sd 1) plus noise
+    cdf = None
     if config.area_share_skew > 0:
-        raw, total = _area_mass(config.n_areas, config.area_share_skew)
-        area_probs = raw / total
+        raw, total = _area_mass(n_areas, config.area_share_skew)
+        cdf = (raw / total).cumsum()
+        cdf = (cdf / cdf[-1]).tolist()
+    # One string per label, shared by every record that carries it.
+    areas = [f"AREA{k:02d}" for k in range(n_areas)]
+    area_fields = [[f"{area}-F{k}" for k in range(n_fields)] for area in areas]
+    area_journals = [[f"{area}-J{k}" for k in range(_JOURNAL_BINS)] for area in areas]
+    spec = config.pubs_per_institution
+    records: list[PublicationRecord] = []
+    counts: dict[str, int] = {}
 
     for i in range(config.n_institutions):
         inst = f"U{i:03d}"
         inst_effect = rng.normal(0.0, 0.6)
-        spec = config.pubs_per_institution
         if spec.kind == "constant":
             n_pubs = spec.value
         else:
             lo, hi = math.log(spec.min), math.log(spec.max + 1)
             n_pubs = min(spec.max, int(math.exp(rng.uniform(lo, hi))))
+        counts[inst] = n_pubs
         for j in range(n_pubs):
-            pub_id = f"P-{inst}-{j:04d}"
-            if area_probs is None:
-                area_idx = int(rng.integers(config.n_areas))
+            if cdf is None:
+                area_idx = int(integers(n_areas))
             else:
-                area_idx = int(rng.choice(config.n_areas, p=area_probs))
-            area = f"AREA{area_idx:02d}"
-            q = inst_effect + rng.normal(0.0, 0.8)
-            year = int(rng.choice(YEARS))
-
-            review_a = _review(q, rng.normal(0.0, config.reviewer_noise_sd, 3), config)
-            review_b = _review(q, rng.normal(0.0, config.reviewer_noise_sd, 3), config)
+                area_idx = bisect_right(cdf, random())
+            q = inst_effect + (0.0 + 0.8 * standard_normal())
+            year = YEARS[integers(len(YEARS))]
+            # Three criterion noises per reviewer, then the citation noise.
+            noise = standard_normal(7).tolist()
+            # Fixed Gaussian-threshold discretization onto 1..10.
+            s = [min(10, 1 + int(_normal_cdf((q + (0.0 + sd * e)) / scale) * 10)) for e in noise[:6]]
 
             # Citation latent mixes quality with independent noise; rho = 1
             # makes citations a deterministic monotone function of quality.
-            eps = rng.normal(0.0, 1.0)
-            m = rho * q + math.sqrt(max(0.0, 1.0 - rho * rho)) * eps
-            field_idx = int(rng.integers(config.n_fields_per_area))
-            field_effect = 0.3 * field_idx
-            mu = math.exp(0.9 * m + field_effect + 1.2)
-            r = config.citation_dispersion
-            citations = int(rng.negative_binomial(r, r / (r + mu)))
+            m = rho * q + eps_scale * (0.0 + noise[6])
+            field_idx = int(integers(n_fields))
+            mu = math.exp(0.9 * m + 0.3 * field_idx + 1.2)
+            citations = int(negative_binomial(r, r / (r + mu)))
 
-            main_field = f"{area}-F{field_idx}"
+            field_labels = area_fields[area_idx]
+            main_field = field_labels[field_idx]
             ref_weights = None
-            if rng.uniform() < config.multidisciplinary_share:
+            if random() < share:
                 weights = {MULTIDISCIPLINARY_LABEL: 1.0}
-                other = f"{area}-F{int(rng.integers(config.n_fields_per_area))}"
-                ref_weights = {main_field: 0.75, other: 0.25} if other != main_field else {main_field: 1.0}
-            elif config.n_fields_per_area > 1 and rng.uniform() < 0.3:
-                second = f"{area}-F{(field_idx + 1) % config.n_fields_per_area}"
-                w = round(float(rng.uniform(0.3, 0.7)), 3)
-                weights = {main_field: w, second: 1.0 - w}
+                other = int(integers(n_fields))
+                ref_weights = {main_field: 0.75, field_labels[other]: 0.25} if other != field_idx else {main_field: 1.0}
+            elif n_fields > 1 and random() < 0.3:
+                w = round(float(uniform(0.3, 0.7)), 3)
+                weights = {main_field: w, field_labels[(field_idx + 1) % n_fields]: 1.0 - w}
             else:
                 weights = {main_field: 1.0}
 
-            journal_bin = min(n_journal_bins - 1, int(_normal_cdf(q / 2.0) * n_journal_bins))
+            journal_bin = min(_JOURNAL_BINS - 1, int(_normal_cdf(q / 2.0) * _JOURNAL_BINS))
             records.append(
                 PublicationRecord(
-                    pub_id=pub_id,
+                    pub_id=f"P-{inst}-{j:04d}",
                     institution_id=inst,
-                    area_id=area,
+                    area_id=areas[area_idx],
                     year=year,
                     citations=citations,
-                    journal_id=f"{area}-J{journal_bin}",
+                    journal_id=area_journals[area_idx][journal_bin],
                     category_weights=weights,
                     ref_category_weights=ref_weights,
-                    review_a=review_a,
-                    review_b=review_b,
-                    ext_citation_percentile=None,
-                    ext_journal_percentile=None,
+                    review_a=ReviewerScore(s[0], s[1], s[2]),
+                    review_b=ReviewerScore(s[3], s[4], s[5]),
                 )
             )
 
@@ -203,13 +208,9 @@ def generate(config: SynthConfig) -> Corpus:
     population = None
     f = config.population_fraction
     if f > 0:
-        counts: dict[str, int] = {}
-        for rec in records:
-            counts[rec.institution_id] = counts.get(rec.institution_id, 0) + 1
         half = 0.25 * min(f, 1.0 - f)
         population = {
             inst: max(n, int(round(n / rng.uniform(f - half, f + half))))
             for inst, n in sorted(counts.items())
         }
     return Corpus(records=tuple(records), census_year=CENSUS_YEAR, population_counts=population)
-

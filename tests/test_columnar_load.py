@@ -494,3 +494,55 @@ def test_a_population_sidecar_that_is_not_utf8_names_its_line(tmp_path, capsys):
         assert main(command + ["--corpus", str(corpus), "--population", str(population)]) == 1
         assert f"{population} line 3: {NOT_UTF8}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+LONG_CELL = "A" * 140_000  # past csv.field_size_limit(), 131,072 characters
+FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+
+
+@pytest.mark.parametrize(
+    "fmt, record, fault, named",
+    [
+        ("csv", 0, None, f"corpus.csv row 2: {FIELD_LIMIT}"),
+        ("tsv", 0, None, f"corpus.tsv row 2: {FIELD_LIMIT}"),
+        ("csv", 2, None, f"corpus.csv row 4: {FIELD_LIMIT}"),
+        ("tsv", 2, None, f"corpus.tsv row 4: {FIELD_LIMIT}"),
+        ("csv", 2, ("year", "x"), "corpus.csv row 2: bad year/citations"),
+        ("tsv", 2, ("year", "x"), "corpus.tsv row 2: bad year/citations"),
+        ("csv", 2, ("citations", "-1"), f"corpus.csv row 4: {FIELD_LIMIT}"),
+        ("tsv", 2, ("citations", "-1"), f"corpus.tsv row 4: {FIELD_LIMIT}"),
+    ],
+)
+def test_an_over_long_cell_is_a_parse_fault_naming_its_row(tmp_path, monkeypatch, capsys, fmt, record, fault, named):
+    # On the third record the cell is in the second chunk of two rows: the
+    # first chunk is read, converted and parsed before it is met. A parse
+    # fault in the first row wins; a validation fault there loses.
+    monkeypatch.setattr("bibagree.corpus._CHUNK_ROWS", 2)
+    path = tmp_path / f"corpus.{fmt}"
+    faults = [(record, ("category_weights", LONG_CELL))] + ([(0, fault)] if fault else [])
+    path.write_text(with_faults(four_rows(tmp_path, fmt), fmt, faults))
+    assert main(["validate", "--corpus", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("row", [1, 2, 3])
+def test_an_over_long_cell_in_a_population_sidecar_names_its_row(tmp_path, capsys, row):
+    corpus = tmp_path / "c.csv"
+    assert main(["generate", "--out", str(corpus), "--seed", "7"]) == 0
+    population = tmp_path / "c.population.csv"
+    lines = population.read_text().splitlines(keepends=True)
+    lines[row - 1] = LONG_CELL + lines[row - 1]
+    population.write_text("".join(lines))
+    capsys.readouterr()
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out"), "--no-bootstrap"]):
+        assert main(command + ["--corpus", str(corpus), "--population", str(population)]) == 1
+        assert f"{population} row {row}: {FIELD_LIMIT}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_json_line_nested_past_the_recursion_limit_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(with_faults(four_rows(tmp_path, "jsonl"), "jsonl", [(2, ("line", "[" * 100_000))]))
+    assert main(["validate", "--corpus", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: corpus.jsonl line 3: invalid JSON: maximum recursion depth exceeded")

@@ -1,5 +1,7 @@
-"""Synthetic corpus generator: determinism, degenerate cases, coupling knobs."""
+"""Synthetic corpus generator: determinism, degenerate cases, coupling knobs,
+and draw-for-draw equality with the reference loop in synth_reference."""
 
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -7,15 +9,56 @@ import numpy as np
 import pytest
 
 from bibagree import PubCountSpec, SynthConfig, assign_reviewer_roles, generate, overall_score
-from bibagree.corpus import validate_record
+from bibagree.corpus import save_corpus, validate_record
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats
 from bibagree.synth import SynthError
+from synth_reference import generate as reference_generate
 
 
 def test_fixed_config_is_byte_identical():
     cfg = SynthConfig(n_institutions=9, seed=33)
     assert generate(cfg) == generate(cfg)
     assert generate(cfg) != generate(SynthConfig(n_institutions=9, seed=34))
+
+
+_REFERENCE_GRID = {
+    "pubs_per_institution": [PubCountSpec("constant", value=6), PubCountSpec("skewed", min=1, max=12)],
+    "n_areas": [1, 5],
+    "n_fields_per_area": [1, 3],
+    "reviewer_noise_sd": [0.0, 1.7],
+    "metric_quality_correlation": [0.0, 0.8, 1.0],
+    "area_share_skew": [0.0, 1.5],
+    "multidisciplinary_share": [0.0, 0.3, 1.0],
+    "population_fraction": [0.0, 0.08, 1.0],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29])
+def test_generate_makes_the_reference_draws(seed):
+    # Every combination of the grid's values: generate must draw what the
+    # reference loop draws, so the corpora are equal and so are their reprs,
+    # which tell a numpy integer or a negative zero from a Python int or 0.0.
+    names = list(_REFERENCE_GRID)
+    for values in itertools.product(*_REFERENCE_GRID.values()):
+        cfg = SynthConfig(n_institutions=4, seed=seed, **dict(zip(names, values)))
+        corpus, reference = generate(cfg), reference_generate(cfg)
+        assert corpus == reference, cfg
+        assert repr(corpus) == repr(reference), cfg
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_saved_corpus_bytes_equal_the_reference(tmp_path, suffix):
+    cfg = SynthConfig(
+        n_institutions=40,
+        pubs_per_institution=PubCountSpec("skewed", min=2, max=60),
+        n_areas=4,
+        area_share_skew=1.5,
+        multidisciplinary_share=0.3,
+        seed=7,
+    )
+    save_corpus(generate(cfg), tmp_path / f"new{suffix}")
+    save_corpus(reference_generate(cfg), tmp_path / f"reference{suffix}")
+    assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"reference{suffix}").read_bytes()
 
 
 def test_generated_records_pass_validation():
