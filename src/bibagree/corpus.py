@@ -2,8 +2,10 @@
 
 A corpus is held as columns (``Columns``): one list or array per field of
 a record, and the category and reference weight maps as flat entry arrays.
-A run reads, screens and transforms these columns and never builds a
-``PublicationRecord``; ``Corpus.records`` is a view, built on first access.
+Institution, area and journal ids and the weight labels are integer codes
+in the sorted order of what they code. A run reads, screens and transforms
+these columns and never builds a ``PublicationRecord``; ``Corpus.records``
+is a view, built on first access.
 
 ``load_corpus`` reads a file a chunk of rows at a time: each chunk's raw
 cells are converted column by column and screened with numpy as soon as
@@ -14,7 +16,10 @@ whole column or raises, and names no row: a chunk that does not convert is
 parsed row by row, in file order, up to its first faulty row, and only the
 rows the screen flags keep their row parse, to be validated one by one
 once the whole file is read. So the message, the row it names and the
-fault that wins are theirs.
+fault that wins are theirs. Each chunk's ids and labels are coded
+through one dict per column that lasts the whole load, a string not seen
+before taking the next free code, and the codes are put in sorted order
+once, when the chunks are joined.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ import hashlib
 import json
 import math
 import operator
-from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -61,6 +65,8 @@ CSV_COLUMNS = [
 
 
 _ID_COLUMNS = ("pub_id", "institution_id", "area_id", "journal_id")
+# The id columns that Columns holds as codes over their sorted distinct ids.
+_CODED_IDS = ("institution_id", "area_id", "journal_id")
 _CRITERIA = ("originality", "rigour", "impact")
 _SCORE_COLUMNS = {prefix: tuple(f"{prefix}_{c}" for c in _CRITERIA) for prefix in ("rev_a", "rev_b")}
 # A review's scores in _CRITERIA order. Attribute reads, where vars(score)
@@ -122,12 +128,15 @@ class Entries(NamedTuple):
     within a record the map's own order."""
 
     row: np.ndarray  # entry -> record index, non-decreasing
-    label: list[str]
+    # entry -> label code, an index into Columns.labels; the label strings
+    # themselves in the entries _entries builds, until they are coded
+    label: np.ndarray
     weight: np.ndarray
 
 
 def _entries(maps: Sequence[dict]) -> Entries:
-    """The entries of one weight map per record, each weight read with float()."""
+    """The entries of one weight map per record, each weight read with
+    float(), and their label strings."""
     return Entries(
         np.repeat(np.arange(len(maps)), list(map(len, maps))),
         list(chain.from_iterable(maps)),
@@ -135,12 +144,19 @@ def _entries(maps: Sequence[dict]) -> Entries:
     )
 
 
-def _maps(entries: Entries, n: int) -> list[dict[str, float]]:
+def _maps(entries: Entries, labels: Sequence[str], n: int) -> list[dict[str, float]]:
     """The weight map of each of n records."""
     maps: list[dict[str, float]] = [{} for _ in range(n)]
-    for row, label, weight in zip(entries.row.tolist(), entries.label, entries.weight.tolist()):
-        maps[row][label] = weight
+    for row, code, weight in zip(entries.row.tolist(), entries.label.tolist(), entries.weight.tolist()):
+        maps[row][labels[code]] = weight
     return maps
+
+
+def _codes(values: list) -> tuple[list, np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    distinct = sorted(set(values))
+    code = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
 
 
 def _int_array(values) -> np.ndarray:
@@ -153,12 +169,23 @@ def _int_array(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Columns:
-    """The fields of every record, one list or array each, in record order."""
+    """The fields of every record, one list or array each, in record order.
+
+    Institution, area and journal ids are codes over their sorted distinct
+    ids, and the labels of both weight maps codes over one sorted list of
+    labels, which may hold a label that no entry has once a map changes.
+    Codes are dense integers in Python's string order, so code order is id
+    order.
+    """
 
     pub_id: list[str]
-    institution_id: list[str]
-    area_id: list[str]
-    journal_id: list[str]
+    institution_id: np.ndarray  # row -> institution code, an index into institution_ids
+    area_id: np.ndarray  # row -> area code, an index into area_ids
+    journal_id: np.ndarray  # row -> journal code, an index into journal_ids
+    institution_ids: list[str]
+    area_ids: list[str]
+    journal_ids: list[str]
+    labels: list[str]  # the label of each label code of weights and refs
     year: np.ndarray
     citations: np.ndarray
     weights: Entries  # category weights
@@ -174,15 +201,20 @@ class Columns:
     @staticmethod
     def from_records(records: Sequence[PublicationRecord]) -> Columns:
         pairs = [(r.review_a, r.review_b) for r in records]
+        weights = _entries([r.category_weights for r in records])
+        refs = _entries([r.ref_category_weights or {} for r in records])
+        labels, label = _codes(weights.label + refs.label)
+        ids = {}
+        for name in _CODED_IDS:
+            ids[name + "s"], ids[name] = _codes([getattr(r, name) for r in records])
         return Columns(
             pub_id=[r.pub_id for r in records],
-            institution_id=[r.institution_id for r in records],
-            area_id=[r.area_id for r in records],
-            journal_id=[r.journal_id for r in records],
+            **ids,
+            labels=labels,
             year=_int_array([r.year for r in records]),
             citations=_int_array([r.citations for r in records]),
-            weights=_entries([r.category_weights for r in records]),
-            refs=_entries([r.ref_category_weights or {} for r in records]),
+            weights=weights._replace(label=label[: len(weights.label)]),
+            refs=refs._replace(label=label[len(weights.label) :]),
             review=_int_array(
                 [[(s.originality, s.rigour, s.impact) if s else (0, 0, 0) for s in pair] for pair in pairs]
             ).reshape(len(records), 2, 3),
@@ -195,9 +227,12 @@ class Columns:
         """The record of each of the given rows, in that order; of every row
         when rows is None."""
         n = len(self)
+        institution, area, journal = (
+            list(map(getattr(self, name + "s").__getitem__, getattr(self, name).tolist())) for name in _CODED_IDS
+        )
         year, citations = self.year.tolist(), self.citations.tolist()
         review, has_review = self.review.tolist(), self.has_review.tolist()
-        weights, refs = _maps(self.weights, n), _maps(self.refs, n)
+        weights, refs = _maps(self.weights, self.labels, n), _maps(self.refs, self.labels, n)
         # NaN marks an absent percentile.
         ext_cit, ext_jou = (
             [None if v != v else v for v in column.tolist()]
@@ -210,11 +245,11 @@ class Columns:
         return tuple(
             PublicationRecord(
                 pub_id=self.pub_id[i],
-                institution_id=self.institution_id[i],
-                area_id=self.area_id[i],
+                institution_id=institution[i],
+                area_id=area[i],
                 year=year[i],
                 citations=citations[i],
-                journal_id=self.journal_id[i],
+                journal_id=journal[i],
                 category_weights=weights[i],
                 ref_category_weights=refs[i] or None,
                 review_a=score(i, 0),
@@ -268,7 +303,7 @@ class Corpus:
         return {r.pub_id: r for r in self.records}
 
     def area_ids(self) -> list[str]:
-        return sorted(set(self.columns.area_id))
+        return list(self.columns.area_ids)
 
 
 @dataclass(frozen=True)
@@ -753,10 +788,20 @@ def _chunks(path: Path) -> Iterator[_Chunk]:
                 return
 
 
-def _joined(pieces: list[dict]) -> Columns:
+def _sorted_codes(seen: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The sorted strings of seen, a dict of strings to codes, and the
+    sorted code of each of its codes."""
+    names = sorted(seen)
+    sorted_code = np.empty(len(names), dtype=np.intp)
+    sorted_code[list(map(seen.__getitem__, names))] = np.arange(len(names))
+    return names, sorted_code
+
+
+def _joined(pieces: list[dict], seen: dict[str, dict[str, int]]) -> Columns:
     """The converted columns of successive chunks as one: each chunk's
-    entries move past the rows of the chunks before it. A column leaves the
-    pieces as it is joined, so only one column is held twice at a time."""
+    entries move past the rows of the chunks before it, and the codes of
+    _converted become codes in sorted order. A column leaves the pieces as
+    it is joined, so only one column is held twice at a time."""
     starts = np.cumsum([0] + [len(piece["pub_id"]) for piece in pieces[:-1]])
 
     def join(parts: list):
@@ -767,34 +812,43 @@ def _joined(pieces: list[dict]) -> Columns:
         if isinstance(parts[0], Entries):
             return Entries(
                 np.concatenate([e.row + start for e, start in zip(parts, starts)]),
-                list(chain.from_iterable(e.label for e in parts)),
+                np.concatenate([e.label for e in parts]),
                 np.concatenate([e.weight for e in parts]),
             )
         return np.concatenate(parts)
 
-    return Columns(**{f.name: join([piece.pop(f.name) for piece in pieces]) for f in fields(Columns)})
+    joined = {name: join([piece.pop(name) for piece in pieces]) for name in list(pieces[0])}
+    for name in _CODED_IDS:
+        joined[name + "s"], sorted_code = _sorted_codes(seen[name])
+        joined[name] = sorted_code[joined[name]]
+    joined["labels"], sorted_code = _sorted_codes(seen["labels"])
+    for name in ("weights", "refs"):
+        joined[name] = joined[name]._replace(label=sorted_code[joined[name].label])
+    return Columns(**joined)
 
 
-def _suspects(columns: Columns, census_year: int | None) -> np.ndarray:
+def _suspects(values: dict, census_year: int | None) -> np.ndarray:
     """Rows that may break an invariant of validate_record: every row that
     breaks one, and possibly a few that do not. No row is after a census
-    year of None, which stands for the latest year of the corpus."""
-    n = len(columns)
-    w, refs = columns.weights, columns.refs
+    year of None, which stands for the latest year of the corpus. values
+    holds the rows' columns by Columns field."""
+    w, refs, review, has_review = (values[name] for name in ("weights", "refs", "review", "has_review"))
+    citations, year = values["citations"], values["year"]
+    n = len(year)
     total = np.bincount(w.row, weights=w.weight, minlength=n)
     outside = np.bincount(w.row, weights=~((w.weight > 0.0) & (w.weight <= 1.0)), minlength=n) > 0
     ref_mass = np.bincount(refs.row, weights=np.abs(refs.weight), minlength=n)
-    scores_outside = columns.has_review & ~((columns.review >= 1) & (columns.review <= 10)).all(axis=2)
+    scores_outside = has_review & ~((review >= 1) & (review <= 10)).all(axis=2)
     return (
-        (columns.citations < 0)
-        | (columns.citations > MAX_CITATIONS)
+        (citations < 0)
+        | (citations > MAX_CITATIONS)
         | (np.bincount(w.row, minlength=n) == 0)
         # validate_record sums the weights with sum(), which compensates
         # rounding from Python 3.12 on; a total within half the tolerance
         # here is within the tolerance there.
         | ~(np.abs(total - 1.0) <= WEIGHT_TOL / 2)
         | outside
-        | (census_year is not None and columns.year > census_year)
+        | (census_year is not None and year > census_year)
         # Likewise a sum of absolute reference weights below 1e308 is finite both ways.
         | ~(ref_mass < 1e308)
         | scores_outside.any(axis=1)
@@ -813,10 +867,19 @@ def _first_repeat(ids: list[str]) -> int | None:
     return None
 
 
-def _converted(chunk: _Chunk, census_year: int | None, strings: dict[str, str]) -> tuple[dict, list[int]]:
+def _seen_codes(seen: dict[str, int], texts: list[str]) -> np.ndarray:
+    """The code of each text in seen, a text not in seen being added to it
+    with the next free code."""
+    seen.update(zip(sorted(set(texts).difference(seen)), count(len(seen))))
+    return np.fromiter(map(seen.__getitem__, texts), dtype=np.intp, count=len(texts))
+
+
+def _converted(chunk: _Chunk, census_year: int | None, seen: dict[str, dict[str, int]]) -> tuple[dict, list[int]]:
     """The chunk's converted columns, by Columns field, and the rows of the
-    chunk that the screen flags. Equal ids and labels become one object,
-    the first of them that strings holds.
+    chunk that the screen flags. Institution, area and journal ids and the
+    weight labels become codes in seen, which holds a dict of strings to
+    codes for each id column and one for the labels, and which gains each
+    string it does not hold yet.
 
     When the conversion fails or reading stopped, the chunk's rows are
     parsed one by one: the first that does not parse raises, else the
@@ -835,21 +898,17 @@ def _converted(chunk: _Chunk, census_year: int | None, strings: dict[str, str]) 
         if chunk.stop is not None:
             raise chunk.stop
         raise AssertionError("a column conversion failed but every row parses") from fault
-    # A cell's text is a new object, and a column of one object per cell
-    # scatters over memory as the chunks' text is freed; passes over the
-    # few objects of a shared column stay in cache.
-    for name in ("institution_id", "area_id", "journal_id"):
-        values[name] = list(map(strings.setdefault, values[name], values[name]))
+    for name in _CODED_IDS:
+        values[name] = _seen_codes(seen[name], values[name])
     for name in ("weights", "refs"):
-        labels = values[name].label
-        values[name] = values[name]._replace(label=list(map(strings.setdefault, labels, labels)))
+        values[name] = values[name]._replace(label=_seen_codes(seen["labels"], values[name].label))
     # An external percentile outside [0, 100], which _suspects does not screen.
     ext_bad = np.zeros(chunk.n_rows, dtype=bool)
     for name in _EXT_COLUMNS:
         pct, present = values[name]
         ext_bad |= present & ~((pct >= 0.0) & (pct <= 100.0))
         values[name] = pct
-    return values, np.flatnonzero(_suspects(Columns(**values), census_year) | ext_bad).tolist()
+    return values, np.flatnonzero(_suspects(values, census_year) | ext_bad).tolist()
 
 
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
@@ -866,19 +925,19 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
         raise CorpusParseError(f"corpus file not found: {path}")
     pieces: list[dict] = []
     flagged: list[tuple[int, PublicationRecord]] = []  # (row, its parse) of each row the screen flags
-    strings: dict[str, str] = {}
+    seen: dict[str, dict[str, int]] = {name: {} for name in (*_CODED_IDS, "labels")}
     n_rows = 0
     with closing(_chunks(path)) as chunks:
         for chunk in chunks:
-            piece, suspects = _converted(chunk, options.census_year, strings)
+            piece, suspects = _converted(chunk, options.census_year, seen)
             flagged += [(n_rows + i, chunk.parse_row(i)) for i in suspects]
             pieces.append(piece)
             n_rows += chunk.n_rows
             del chunk  # its cells go before the next chunk is read
     if not pieces:
         raise CorpusParseError(f"{path.name}: no records")
-    columns = _joined(pieces)
-    del pieces
+    columns = _joined(pieces, seen)
+    del pieces, seen
     census_year = options.census_year
     if census_year is None:
         census_year = int(columns.year.max())
@@ -894,12 +953,20 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     if options.population_path:
         population = load_population_counts(options.population_path)
         # A population is never smaller than its sample.
-        for inst, n in Counter(columns.institution_id).items():
-            if inst in population and population[inst] < n:
-                raise CorpusValidationError(
-                    f"{options.population_path}: institution {inst!r} has population count "
-                    f"{population[inst]} below its {n} records in the corpus"
-                )
+        sample = np.bincount(columns.institution_id, minlength=len(columns.institution_ids)).tolist()
+        below = [
+            code
+            for code, (inst, n) in enumerate(zip(columns.institution_ids, sample))
+            if inst in population and population[inst] < n
+        ]
+        if below:
+            # The first in file order.
+            code = int(columns.institution_id[np.isin(columns.institution_id, below).argmax()])
+            inst = columns.institution_ids[code]
+            raise CorpusValidationError(
+                f"{options.population_path}: institution {inst!r} has population count "
+                f"{population[inst]} below its {sample[code]} records in the corpus"
+            )
     return Corpus.from_columns(columns, census_year, population)
 
 

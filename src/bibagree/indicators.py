@@ -61,12 +61,11 @@ def reassign_multidisciplinary(
     describes, and the corpus itself comes back when no record changes.
     """
     columns = corpus.columns
-    labels, row, code, weight, flagged = reassign_codes(columns, multidisciplinary_label)
+    row, code, weight, flagged = reassign_codes(columns, multidisciplinary_label)
     flagged_ids = [columns.pub_id[r] for r in flagged.tolist()]
     if row is columns.weights.row:
         return corpus, flagged_ids
-    reassigned = Entries(row, [labels[c] for c in code.tolist()], weight)
-    columns = replace(columns, weights=reassigned)
+    columns = replace(columns, weights=Entries(row, code, weight))
     return Corpus.from_columns(columns, corpus.census_year, corpus.population_counts), flagged_ids
 
 

@@ -6,7 +6,7 @@ import csv
 import functools
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import agreement as agr
@@ -53,6 +53,8 @@ class PipelineConfig:
         for name in ("min_pubs", "n_workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.bootstrap and self.n_replicates < 1:
             raise ConfigError(f"n_replicates must be >= 1 when bootstrap is on, got {self.n_replicates}")
         for name, label in [("baseline_label", self.baseline_label)] + [
@@ -139,7 +141,7 @@ def run(
             "corpus_path": str(corpus_path),
             "census_year": corpus.census_year,
             "series_labels": list(SERIES_LABELS),
-            **asdict(config),
+            **_fields(config),
         },
         flagged_records=stats.flagged_records,
         statistics=stats.statistics,
@@ -156,24 +158,26 @@ def run(
     return report
 
 
+def _fields(record) -> dict:
+    """A dataclass record of scalar fields as {field name: value}, without
+    the recursive deep copy of dataclasses.asdict."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def write_report(report: RunReport, path: Path) -> None:
     """Serialize the run report as JSON; timing stays out so identical inputs
     produce byte-identical files."""
     payload = {
         "config": report.config_echo,
         "flagged_records": dict(sorted(report.flagged_records.items())),
-        "statistics": [asdict(s) for s in report.statistics],
-        "skips": [asdict(s) for s in report.skips],
-        "bootstrap": [asdict(b) for b in report.bootstrap],
-        "coverage": [asdict(c) for c in report.coverage],
+        "statistics": list(map(_fields, report.statistics)),
+        "skips": list(map(_fields, report.skips)),
+        "bootstrap": list(map(_fields, report.bootstrap)),
+        "coverage": list(map(_fields, report.coverage)),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _fmt(x) -> str:
-    return "" if x is None else repr(x)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -187,7 +191,7 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
     """Plot-ready tables: institutional MAD, institutional MAPD, publication
     MAD (each with bootstrap interval columns) and the institution scatter."""
     out_dir = Path(out_dir)
-    intervals = {b.key(): (_fmt(b.lower), _fmt(b.upper)) for b in report.bootstrap}
+    intervals = {b.key(): (repr(b.lower), repr(b.upper)) for b in report.bootstrap}
 
     specs = [
         ("mad_institution.csv", agr.LEVEL_INSTITUTION, agr.VIEW_SIZE_INDEPENDENT, "mad"),
@@ -203,7 +207,7 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
             out_dir / name,
             ["area_id", "metric_label", value_col, "boot_lower", "boot_upper", "n_units"],
             (
-                [s.area_id, s.metric_label, _fmt(s.value), *intervals.get(s.key(), ("", "")), s.n_units]
+                [s.area_id, s.metric_label, repr(s.value), *intervals.get(s.key(), ("", "")), s.n_units]
                 for s in stats
             ),
         )
@@ -211,7 +215,7 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
     _write_csv(
         out_dir / "scatter_institution.csv",
         ["institution_id", "area_id", "pub_count"] + [f"mean_{lab}" for lab in SERIES_LABELS],
-        ([a.institution_id, a.area_id, a.pub_count, *map(_fmt, a.means)] for a in report.aggregates),
+        ([a.institution_id, a.area_id, a.pub_count, *map(repr, a.means)] for a in report.aggregates),
     )
 
     if report.coverage:
@@ -223,7 +227,7 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
                     c.institution_id,
                     c.sample_count,
                     "unavailable" if c.population_count is None else c.population_count,
-                    "unavailable" if c.coverage_ratio is None else _fmt(c.coverage_ratio),
+                    "unavailable" if c.coverage_ratio is None else repr(c.coverage_ratio),
                 ]
                 for c in report.coverage
             ),

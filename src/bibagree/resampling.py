@@ -11,7 +11,7 @@ statistics without copying a record.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
+import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -105,6 +105,14 @@ def _worker_values(k: int) -> dict[StatKey, float]:
     return _count_values(*_worker_args, k)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the platform
+    does not say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def bootstrap_statistics(
     # The publication table. The name stays corpus while the benchmark's
     # bench/measure.py (_task_bytes) binds this argument by parameter name.
@@ -123,11 +131,13 @@ def bootstrap_statistics(
     for that replicate. Statistics missing in more than 10% of replicates
     are flagged with a warning. With n_workers > 1 the table goes to each
     worker process once, and each task carries only its replicate number;
-    no more workers start than there are replicates.
+    no more workers start than there are replicates or CPUs the process
+    may run on.
     """
     if n_replicates < 1:
         raise ResamplingError("n_replicates must be >= 1")
-    n_workers = min(n_workers, n_replicates)  # a fork start method starts them all at once
+    # A fork start method starts them all at once.
+    n_workers = min(n_workers, n_replicates, _usable_cpus())
     if n_workers > 1:
         # numpy loads numpy.random on first use; loaded here, the workers
         # inherit it instead of each importing it on its first replicate.
@@ -183,6 +193,12 @@ def check_fraction(fraction: float) -> None:
         raise ResamplingError(f"fraction {fraction} outside (0,1]")
 
 
+def check_seed(seed: int) -> None:
+    """Raise ResamplingError unless seed >= 0."""
+    if seed < 0:
+        raise ResamplingError(f"seed must be >= 0, got {seed}")
+
+
 def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, list[str]]:
     """Draw round(fraction * n) publications per area, without replacement.
 
@@ -191,14 +207,15 @@ def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpu
     Returns the sample and any skipped (empty) strata.
     """
     check_fraction(fraction)
+    check_seed(seed)
     columns = corpus.columns
-    by_area: dict[str, list[int]] = {}
+    by_area: list[list[int]] = [[] for _ in columns.area_ids]
+    area_code = columns.area_id.tolist()
     for row in sorted(range(len(columns)), key=columns.pub_id.__getitem__):
-        by_area.setdefault(columns.area_id[row], []).append(row)
+        by_area[area_code[row]].append(row)
     skipped: list[str] = []
     chosen: list[int] = []
-    for area in sorted(by_area):
-        pool = by_area[area]
+    for area, pool in zip(columns.area_ids, by_area):
         k = int(fraction * len(pool) + 0.5)
         if k == 0:
             skipped.append(area)
@@ -211,16 +228,17 @@ def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpu
 
 def coverage_report(sample: Corpus, population_counts: dict[str, int]) -> list[CoverageDiagnostic]:
     """Sample-to-population coverage per institution (post-stratification check)."""
-    counts = Counter(sample.columns.institution_id)
+    columns = sample.columns
+    counts = np.bincount(columns.institution_id, minlength=len(columns.institution_ids)).tolist()
     out = []
-    for inst in sorted(counts):
+    for inst, n in zip(columns.institution_ids, counts):
         pop = population_counts.get(inst)
         out.append(
             CoverageDiagnostic(
                 institution_id=inst,
-                sample_count=counts[inst],
+                sample_count=n,
                 population_count=pop,
-                coverage_ratio=(counts[inst] / pop) if pop else None,
+                coverage_ratio=(n / pop) if pop else None,
             )
         )
     return out

@@ -66,6 +66,8 @@ class SynthConfig:
         for name in ("n_institutions", "n_areas", "n_fields_per_area"):
             if getattr(self, name) < 1:
                 raise SynthError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise SynthError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.citation_dispersion < math.inf:
             raise SynthError(f"citation_dispersion must be positive and finite, got {self.citation_dispersion}")
         if not 0 <= self.reviewer_noise_sd < math.inf:

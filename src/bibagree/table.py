@@ -3,13 +3,14 @@ count-vector bootstrap replicates are computed.
 
 A run codes the corpus once into a table with one row per publication.
 The table is coded from the corpus columns (``corpus.Columns``) and no
-record object is built: ids, years, journals and weight labels become
-integer codes, multidisciplinary weight is reassigned on the label codes
-(``reassign_codes``), and the category weight entries are sorted by row and
-field. Rows are ranked by pub_id in Python's string order, with one sort
-of the ids and one of the ids a replicate's copies carry; each row's
-entries are one contiguous slice, taken in either row order without a
-sort. The stratified bootstrap resamples
+record object is built: the columns hold institution, area and journal ids
+and weight labels as codes already, years, units, journal-years and
+field-year cells become integer codes here, multidisciplinary weight is
+reassigned on the label codes (``reassign_codes``), and the category
+weight entries are sorted by row and field. Rows are ranked by pub_id in
+Python's string order, with one sort of the ids and one of the ids a
+replicate's copies carry; each row's entries are one contiguous slice,
+taken in either row order without a sort. The stratified bootstrap resamples
 publications with replacement within each area, so a replicate is fully
 described by a vector of copy counts, one per publication: the
 frequency-weight form of the nonparametric bootstrap (Hanley & MacGibbon
@@ -145,13 +146,6 @@ class PipelineStats:
     table: PublicationTable | None = field(default=None, compare=False, repr=False)
 
 
-def _codes(values: list) -> tuple[list, np.ndarray]:
-    """The sorted distinct values, and each value's index among them."""
-    distinct = sorted(set(values))
-    code = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
-
-
 def _pair_codes(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Codes of the (first, second) code pairs in sorted order: each pair
     code's first and second code, and each row's pair code."""
@@ -162,30 +156,28 @@ def _pair_codes(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.n
 
 def reassign_codes(
     columns: Columns, multidisciplinary_label: str
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Multidisciplinary reassignment of the category weight entries, on
     label codes.
 
-    The category and reference weight labels are coded together, each by
-    its index among the sorted distinct labels. A row's nonzero
-    multidisciplinary weight w goes to its usable reference entries (not
-    multidisciplinary, weight > 0): one of weight rv gets w * rv /
-    ref_total, ref_total being the row's usable reference weights folded
-    left in entry order. The share is added to the row's category entry of
-    the same label (existing + share), or appended after the row's entries
-    in reference order, and the multidisciplinary entry goes. A row without
-    a usable reference entry is left as it is and flagged.
+    The category and reference weight labels are codes over one sorted
+    list of labels (Columns.labels). A row's nonzero multidisciplinary
+    weight w goes to its usable reference entries (not multidisciplinary,
+    weight > 0): one of weight rv gets w * rv / ref_total, ref_total being
+    the row's usable reference weights folded left in entry order. The
+    share is added to the row's category entry of the same label (existing
+    + share), or appended after the row's entries in reference order, and
+    the multidisciplinary entry goes. A row without a usable reference
+    entry is left as it is and flagged.
 
-    Returns the sorted distinct labels; the row, label code and weight of
-    every category entry after reassignment, rows non-decreasing and each
-    row's entries in the order above; and the flagged rows, ascending. When
-    no row changes, the row and weight arrays are those of the columns.
+    Returns the row, label code and weight of every category entry after
+    reassignment, rows non-decreasing and each row's entries in the order
+    above; and the flagged rows, ascending. When no row changes, the row,
+    label code and weight arrays are those of the columns.
     """
-    weights, refs, n_rows = columns.weights, columns.refs, len(columns)
-    labels, code = _codes(weights.label + refs.label)
+    weights, refs, n_rows, labels = columns.weights, columns.refs, len(columns), columns.labels
     multi = labels.index(multidisciplinary_label) if multidisciplinary_label in labels else -1
-    row, weight = weights.row, weights.weight
-    entry_code, ref_code = code[: len(weight)], code[len(weight) :]
+    row, weight, entry_code, ref_code = weights.row, weights.weight, weights.label, refs.label
     hit = (entry_code == multi) & (weight != 0.0)
     multi_rows = row[hit]
     w_multi = np.zeros(n_rows)
@@ -196,7 +188,7 @@ def reassign_codes(
     redo[ref_row] = True
     flagged = multi_rows[~redo[multi_rows]]
     if not len(ref_row):
-        return labels, row, entry_code, weight, flagged
+        return row, entry_code, weight, flagged
     share = w_multi[ref_row] * rv / np.bincount(ref_row, weights=rv, minlength=n_rows)[ref_row]
 
     # Each share's category entry of the same row and label, if the row has one.
@@ -226,17 +218,17 @@ def reassign_codes(
     out_row, out_code, out_weight = out
     total = np.bincount(out_row, weights=out_weight, minlength=n_rows)[redo]
     assert (np.abs(total - 1.0) <= 1e-6).all()
-    return labels, out_row, out_code, out_weight, flagged
+    return out_row, out_code, out_weight, flagged
 
 
 def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTable:
     """Integer-code the corpus columns after multidisciplinary reassignment."""
     columns = corpus.columns
-    labels, entry_row, field_code, entry_weight, unredistributable = reassign_codes(columns, multidisciplinary_label)
+    entry_row, field_code, entry_weight, unredistributable = reassign_codes(columns, multidisciplinary_label)
     if not columns.has_review.all():
         missing = int((~columns.has_review.all(axis=1)).argmax())
         raise CorpusValidationError(f"record {columns.pub_id[missing]!r}: missing reviewer score")
-    area_ids, area = _codes(columns.area_id)
+    area_ids, area = columns.area_ids, columns.area_id
     # Rows ranked by pub_id as Python orders strings, which numpy's fixed-width
     # strings do not: they drop trailing NULs.
     pub_ids = columns.pub_id
@@ -254,10 +246,9 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     copy_ids = [pub_id + "~" for pub_id in pub_ids]
     copy_order = table_row[sorted(by_pub_id.tolist(), key=copy_ids.__getitem__)]
     area_copy_order = copy_order[np.argsort(area[copy_order].astype(area_dtype), kind="stable")]
-    institution_ids, institution = _codes(columns.institution_id)
-    unit_area, unit_institution, unit = _pair_codes(area, institution[rows])
+    unit_area, unit_institution, unit = _pair_codes(area, columns.institution_id[rows])
     year = np.unique(columns.year, return_inverse=True)[1].reshape(-1)[rows]
-    journal_year = _pair_codes(_codes(columns.journal_id)[1][rows], year)[2]
+    journal_year = _pair_codes(columns.journal_id[rows], year)[2]
     journal_cell_area, journal_cell_year, journal_cell = _pair_codes(area, journal_year)
     citations = columns.citations[rows].astype(float)
     reviewer_total = overall_score(columns.review[rows])
@@ -265,7 +256,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
 
     # Category weight entries, table rows ascending and fields sorted
     # within a row; the codes of the labels sort as the labels do.
-    order = np.argsort(table_row[entry_row] * len(labels) + field_code, kind="stable")
+    order = np.argsort(table_row[entry_row] * len(columns.labels) + field_code, kind="stable")
     entry_row = table_row[entry_row][order]
     entry_weight = entry_weight[order]
     cell = _pair_codes(field_code[order], year[entry_row])[2]
@@ -285,7 +276,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         area=area,
         unit=unit,
         unit_area=unit_area,
-        unit_institution=tuple(map(institution_ids.__getitem__, unit_institution.tolist())),
+        unit_institution=tuple(map(columns.institution_ids.__getitem__, unit_institution.tolist())),
         journal_year=journal_year,
         n_journal_years=int(journal_year.max(initial=-1)) + 1,
         journal_cell=journal_cell,

@@ -253,7 +253,9 @@ def reassign_multidisciplinary(corpus: Corpus, multidisciplinary_label: str) -> 
     reference total folded left in entry order."""
     columns = corpus.columns
     weights, refs = columns.weights, columns.refs
-    hits = [i for i, label in enumerate(weights.label) if label == multidisciplinary_label]
+    label_of = columns.labels.__getitem__
+    weight_labels, ref_labels = (list(map(label_of, entries.label.tolist())) for entries in (weights, refs))
+    hits = [i for i, label in enumerate(weight_labels) if label == multidisciplinary_label]
     rows = weights.row[hits][weights.weight[hits] != 0.0]
     flagged: list[str] = []
     changed: list[int] = []
@@ -269,11 +271,11 @@ def reassign_multidisciplinary(corpus: Corpus, multidisciplinary_label: str) -> 
         np.searchsorted(refs.row, rows, side="right").tolist(),
     )
     for row, lo, hi, ref_lo, ref_hi in bounds:
-        category_weights = dict(zip(weights.label[lo:hi], weight[lo:hi]))
+        category_weights = dict(zip(weight_labels[lo:hi], weight[lo:hi]))
         w_multi = category_weights[multidisciplinary_label]
         ref_map = {
             k: v
-            for k, v in zip(refs.label[ref_lo:ref_hi], ref_weight[ref_lo:ref_hi])
+            for k, v in zip(ref_labels[ref_lo:ref_hi], ref_weight[ref_lo:ref_hi])
             if k != multidisciplinary_label and v > 0
         }
         if not ref_map:
@@ -296,10 +298,11 @@ def reassign_multidisciplinary(corpus: Corpus, multidisciplinary_label: str) -> 
     keep = ~np.isin(weights.row, changed)
     entry_row = np.concatenate([weights.row[keep], np.array(new_row, dtype=weights.row.dtype)])
     order = np.argsort(entry_row, kind="stable")
-    labels = [label for label, k in zip(weights.label, keep.tolist()) if k] + new_label
+    labels = [label for label, k in zip(weight_labels, keep.tolist()) if k] + new_label
+    code = {label: i for i, label in enumerate(columns.labels)}
     reassigned = Entries(
         entry_row[order],
-        [labels[i] for i in order.tolist()],
+        np.array([code[labels[i]] for i in order.tolist()], dtype=np.intp),
         np.concatenate([weights.weight[keep], np.array(new_weight, dtype=float)])[order],
     )
     columns = replace(columns, weights=reassigned)

@@ -324,6 +324,8 @@ def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
         ([], {"n_replicates": 2.5}, "n_replicates"),
         ([], {"seed": "x"}, "seed"),
         ([], {"seed": True}, "seed"),
+        (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ([], {"seed": -1}, "config.json: seed must be >= 0, got -1"),
         ([], {"n_workers": 1.5}, "n_workers"),
         ([], {"metric_labels": "ncs"}, "metric_labels"),
         ([], {"metric_labels": ["ncs", "njs", "ncs"]}, "metric_labels: 'ncs' listed twice"),
@@ -332,7 +334,8 @@ def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
     ],
     ids=[
         "unknown-key", "replicates", "workers", "min-pubs", "baseline-label", "metric-label",
-        "bootstrap-string", "replicates-float", "seed-string", "seed-bool", "workers-float", "metric-labels-string",
+        "bootstrap-string", "replicates-float", "seed-string", "seed-bool", "seed-negative", "seed-negative-config",
+        "workers-float", "metric-labels-string",
         "metric-labels-duplicate", "bootstrap-int", "missing-config",
     ],
 )
@@ -362,6 +365,7 @@ def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, 
         ('{"n_institutions": "5"}', "n_institutions"),
         ('{"seed": 1.5}', "seed"),
         ('{"seed": true}', "seed"),
+        ('{"seed": -2}', "synth.json: seed must be >= 0, got -2"),
         ('{"reviewer_noise_sd": "1"}', "reviewer_noise_sd"),
         ('{"pubs_per_institution": {"kind": "constant", "value": "3"}}', "pubs_per_institution: value"),
         (None, "synth.json: cannot read config"),
@@ -391,7 +395,7 @@ def test_invalid_config_fails_before_load(tmp_path, monkeypatch, capsys, extra, 
     ],
     ids=[
         "unknown-key", "unknown-pubs-key", "pubs-not-object", "invalid-json", "not-object",
-        "institutions-string", "seed-float", "seed-bool", "float-string", "pubs-value-string",
+        "institutions-string", "seed-float", "seed-bool", "seed-negative", "float-string", "pubs-value-string",
         "missing-config", "not-utf8", "multidisciplinary-above-1", "multidisciplinary-negative",
         "population-above-1", "population-negative", "population-nan", "institutions-zero",
         "noise-infinite", "dispersion-infinite",
@@ -423,6 +427,29 @@ def test_sample_bad_fraction_fails_before_load(tmp_path, capsys, fraction):
     err = capsys.readouterr().err
     assert f"fraction {float(fraction)}" in err
     assert "not found" not in err
+
+
+@pytest.mark.parametrize("extra", [["--replicates", "3"], ["--no-bootstrap"]], ids=["bootstrap", "no-bootstrap"])
+def test_run_rejects_a_negative_seed(corpus_file, tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    assert main(["run", "--corpus", str(corpus_file), "--out", str(out), "--seed", "-1", *extra]) == 1
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "sample"])
+def test_generate_and_sample_reject_a_negative_seed(tmp_path, capsys, command):
+    # The sample's corpus does not exist: a seed checked only after load
+    # would report the load failure instead.
+    out = tmp_path / "out.csv"
+    args = [command, "--out", str(out), "--seed", "-3"]
+    if command == "sample":
+        args += ["--corpus", str(tmp_path / "missing.csv"), "--fraction", "0.5"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "error: seed must be >= 0, got -3" in err
+    assert "not found" not in err
+    assert not out.exists()
 
 
 def test_run_does_not_import_scipy(tmp_path):

@@ -17,15 +17,29 @@ import csv
 import io
 import itertools
 import json
+import sys
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibagree import CorpusParseError, PubCountSpec, SchemaOptions, SynthConfig, generate, load_corpus, save_corpus
+from bibagree import (
+    Corpus,
+    CorpusParseError,
+    PublicationRecord,
+    PubCountSpec,
+    ReviewerScore,
+    SchemaOptions,
+    SynthConfig,
+    generate,
+    load_corpus,
+    save_corpus,
+)
+from bibagree import corpus as corpus_module
 from bibagree.cli import main
-from bibagree.corpus import CSV_COLUMNS, Columns
+from bibagree.corpus import CSV_COLUMNS, Columns, _codes
 from record_pipeline import load_corpus as load_corpus_by_record
 
 ID_COLUMNS = ["pub_id", "institution_id", "area_id", "journal_id"]
@@ -130,10 +144,12 @@ def corrupt_jsonl(text: str, faults) -> str:
 
 def column_values(columns: Columns) -> tuple:
     return (
-        columns.pub_id, columns.institution_id, columns.area_id, columns.journal_id,
+        columns.pub_id,
+        *[(getattr(columns, f"{name}s"), getattr(columns, name).tolist()) for name in ID_COLUMNS[1:]],
+        columns.labels,
         columns.year.tolist(), columns.citations.tolist(), columns.review.tolist(), columns.has_review.tolist(),
         *[[None if v != v else v for v in pct.tolist()] for pct in (columns.ext_citation_percentile, columns.ext_journal_percentile)],
-        *[(e.row.tolist(), e.label, e.weight.tolist()) for e in (columns.weights, columns.refs)],
+        *[(e.row.tolist(), e.label.tolist(), e.weight.tolist()) for e in (columns.weights, columns.refs)],
     )
 
 
@@ -419,6 +435,70 @@ def test_a_file_without_records_raises_as_the_row_by_row_loader(tmp_path, name):
     expected = outcome(load_corpus_by_record, path, SchemaOptions())
     assert expected[0] == "raised"
     assert outcome(load_corpus, path, SchemaOptions()) == expected
+
+
+def coded_records(n: int, with_nuls: bool) -> list[PublicationRecord]:
+    """n records whose institution, area and journal ids and weight labels
+    keep first appearing throughout the file, in variants that differ only
+    in case and, with_nuls, in a trailing NUL; and from the middle row on,
+    a label that only reference weights carry."""
+    variants = [str.lower, str.upper] + [lambda text: text.lower() + "\0"] * with_nuls
+
+    def name(prefix: str, i: int, every: int) -> str:
+        block = i // every
+        return variants[block % len(variants)](f"{prefix}{block // len(variants)}")
+
+    score = ReviewerScore(5, 6, 7)
+    records = []
+    for i in range(n):
+        label = name("f", i, 11)
+        refs = {name("f", i + 5, 11): 0.5, "REF-ONLY": 0.5} if i >= n // 2 else None
+        records.append(
+            PublicationRecord(
+                f"p{i}", name("u", i, 20), name("a", i, 90), 2012 + i % 3, i % 9, name("j", i, 30),
+                {label: 1.0}, refs, score, score,
+            )
+        )
+    return records
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
+def test_loaded_codes_are_the_codes_of_the_decoded_strings(tmp_path, monkeypatch, fmt, chunk_rows):
+    # The csv module reads a NUL from Python 3.11 on.
+    with_nuls = fmt == "jsonl" or sys.version_info >= (3, 11)
+    records = coded_records(2 * corpus_module._CHUNK_ROWS + 37, with_nuls)
+    if chunk_rows:
+        monkeypatch.setattr("bibagree.corpus._CHUNK_ROWS", chunk_rows)
+    first_chunk = corpus_module._CHUNK_ROWS
+    path = tmp_path / f"corpus.{fmt}"
+    save_corpus(Corpus(records=tuple(records), census_year=2015), path)
+    columns = load_corpus(path).columns
+
+    for name in ("institution_id", "area_id", "journal_id"):
+        ids = [getattr(r, name) for r in records]
+        assert set(ids[first_chunk:]) - set(ids[:first_chunk]), "no id first appears after the first chunk"
+        names, codes = getattr(columns, f"{name}s"), getattr(columns, name)
+        decoded = [names[code] for code in codes.tolist()]
+        assert decoded == ids
+        expected_names, expected_codes = _codes(decoded)
+        assert names == expected_names
+        assert codes.dtype == expected_codes.dtype
+        assert codes.tolist() == expected_codes.tolist()
+
+    # The file holds each weight map in sorted label order.
+    labels = [label for r in records for label in sorted(r.category_weights)]
+    labels += [label for r in records for label in sorted(r.ref_category_weights or {})]
+    label_codes = np.concatenate([columns.weights.label, columns.refs.label])
+    decoded = [columns.labels[code] for code in label_codes.tolist()]
+    assert decoded == labels
+    expected_labels, expected_codes = _codes(decoded)
+    assert columns.labels == expected_labels
+    assert label_codes.dtype == expected_codes.dtype
+    assert label_codes.tolist() == expected_codes.tolist()
+    assert "REF-ONLY" in columns.labels
+    assert columns.labels.index("REF-ONLY") not in columns.weights.label.tolist()
+    assert load_corpus(path).records == tuple(records)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 4])

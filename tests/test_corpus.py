@@ -218,6 +218,22 @@ def test_population_counts_round_trip(tmp_path):
     assert load_population_counts(path) == counts
 
 
+def test_population_below_sample_names_the_first_institution_in_file_order(tmp_path):
+    # U2 sorts after U1 but comes first in the file; both are below their sample.
+    rows = [
+        "p1,U2,A,2012,5,J1,PHY:1.0,,4,7,5,3,6,6,,\n",
+        "p2,U1,A,2013,0,J1,PHY:1.0,,4,7,5,3,6,6,,\n",
+        "p3,U1,A,2012,2,J2,PHY:1.0,,4,7,5,3,6,6,,\n",
+        "p4,U2,A,2012,2,J2,PHY:1.0,,4,7,5,3,6,6,,\n",
+    ]
+    path = write(tmp_path, FIXTURE_HEADER + "".join(rows))
+    population = tmp_path / "population.csv"
+    save_population_counts({"U1": 1, "U2": 1}, population)
+    with pytest.raises(CorpusValidationError) as err:
+        load_corpus(path, SchemaOptions(population_path=str(population)))
+    assert str(err.value) == f"{population}: institution 'U2' has population count 1 below its 2 records in the corpus"
+
+
 def test_overall_score_bounds_and_arithmetic():
     assert overall_score(ReviewerScore(1, 1, 1)) == 3
     assert overall_score(ReviewerScore(10, 10, 10)) == 30

@@ -113,7 +113,8 @@ def test_reassignment_equals_the_record_reference_bit_for_bit(rows):
     entries, ref_entries = got.columns.weights, ref.columns.weights
     assert entries.row.dtype == ref_entries.row.dtype
     assert entries.row.tolist() == ref_entries.row.tolist()
-    assert entries.label == ref_entries.label
+    assert got.columns.labels == ref.columns.labels
+    assert entries.label.tolist() == ref_entries.label.tolist()
     assert entries.weight.tobytes() == ref_entries.weight.tobytes()
 
 

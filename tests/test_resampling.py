@@ -1,5 +1,6 @@
 """Bootstrap intervals, stratified sampling and coverage diagnostics."""
 
+import json
 import multiprocessing
 import os
 import random
@@ -25,7 +26,7 @@ from bibagree import (
     save_corpus,
     stratified_sample,
 )
-from bibagree.pipeline import PipelineConfig
+from bibagree.pipeline import PipelineConfig, run
 from bibagree.resampling import ResamplingError
 from oracles import oracle_midrank_quantile
 from record_pipeline import resample_within_areas, statistic_values
@@ -79,11 +80,47 @@ class TestBootstrap:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(resampling, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(resampling, "_usable_cpus", lambda: 4)
         for n_replicates, pools in ((2, [2]), (1, [])):
             serial = run_bootstrap(boot_corpus, PipelineConfig(n_replicates=n_replicates, seed=3))
             started.clear()
             assert run_bootstrap(boot_corpus, PipelineConfig(n_replicates=n_replicates, seed=3, n_workers=4)) == serial
             assert started == pools
+
+    def test_pool_never_starts_more_workers_than_usable_cpus(self, boot_corpus, tmp_path, monkeypatch):
+        started = []
+
+        class Stub:
+            """Records max_workers and runs the tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(resampling, "ProcessPoolExecutor", Stub)
+        monkeypatch.setattr(resampling, "_worker_args", None)
+        serial = run_bootstrap(boot_corpus, PipelineConfig(n_replicates=12, seed=3))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert run_bootstrap(boot_corpus, PipelineConfig(n_replicates=12, seed=3, n_workers=500)) == serial
+        assert started == [3]
+        # Without sched_getaffinity (macOS, Windows), the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        corpus_path = tmp_path / "corpus.csv"
+        save_corpus(boot_corpus, corpus_path)
+        report = run(corpus_path, tmp_path / "out", PipelineConfig(n_replicates=12, seed=3, n_workers=500))
+        assert started == [3, 5]
+        assert report.config_echo["n_workers"] == 500
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["config"]["n_workers"] == 500
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit modules only when forked")
     def test_pool_workers_inherit_numpy_random(self, boot_corpus, tmp_path):
@@ -196,6 +233,10 @@ class TestStratifiedSample:
     def test_bad_fraction_rejected(self, boot_corpus):
         with pytest.raises(ResamplingError):
             stratified_sample(boot_corpus, 0.0, seed=1)
+
+    def test_negative_seed_rejected(self, boot_corpus):
+        with pytest.raises(ResamplingError, match="seed must be >= 0, got -1"):
+            stratified_sample(boot_corpus, 0.5, seed=-1)
 
 
 class TestCoverage:

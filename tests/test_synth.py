@@ -99,6 +99,8 @@ def test_infeasible_configs_rejected():
         SynthConfig(citation_dispersion=0.0)
     with pytest.raises(SynthError, match="reviewer_noise_sd"):
         SynthConfig(reviewer_noise_sd=float("nan"))
+    with pytest.raises(SynthError, match="seed must be >= 0, got -2"):
+        SynthConfig(seed=-2)
     with pytest.raises(SynthError, match="min=3, max=2"):
         PubCountSpec("skewed", min=3, max=2)
 

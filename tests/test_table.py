@@ -329,9 +329,11 @@ def test_replicate_builds_no_result_object(monkeypatch):
 
 
 def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
-    calls = {"build_table": 0, "reassign_codes": 0}
+    # A loaded corpus holds its ids and labels as codes: no string is coded
+    # after the load, which codes each chunk without _codes.
+    calls = {"build_table": 0, "reassign_codes": 0, "_codes": 0}
     for name in calls:
-        original = getattr(bibagree.table, name)
+        original = getattr(bibagree.corpus if name == "_codes" else bibagree.table, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             calls[_name] += 1
@@ -344,7 +346,7 @@ def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
     corpus_path = tmp_path / "corpus.csv"
     save_corpus(generate(SynthConfig(seed=7, multidisciplinary_share=0.2)), corpus_path)
     run(corpus_path, tmp_path / "out", PipelineConfig(seed=7, n_replicates=3))
-    assert calls == {"build_table": 1, "reassign_codes": 1}
+    assert calls == {"build_table": 1, "reassign_codes": 1, "_codes": 0}
 
 
 def test_rows_take_python_pub_id_order_with_trailing_nuls(tmp_path):
