@@ -5,15 +5,17 @@ stratum; intervals are empirical 2.5/97.5 percentiles under the mid-rank
 convention. Replicate k draws from a generator seeded by (seed, k), so
 output does not depend on worker count or scheduling. A replicate is its
 copy count per publication (replicate_counts), which table.py turns into
-statistics without copying a record.
+statistics without copying a record, written into one row of a float matrix
+with a column per statistic and NaN where a value is missing. Each row sits
+at its replicate number, however the replicates were shared out.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,20 +91,24 @@ def replicate_counts(area_sizes: Sequence[int], seed: int, k: int) -> np.ndarray
     )
 
 
-def _count_values(table: PublicationTable, statistic_fn, seed: int, k: int) -> dict[StatKey, float]:
-    return statistic_fn(table, replicate_counts(table.area_sizes, seed, k))
+def _rows(
+    table: PublicationTable, statistic_fn, seed: int, columns: dict[StatKey, int], replicates: range
+) -> np.ndarray:
+    """The matrix of the given replicates, one row each in their order and
+    one column per key in columns; NaN marks a missing value."""
+    values = np.full((len(replicates), len(columns)), np.nan)
+    for row, k in zip(values, replicates):
+        statistic_fn(table, replicate_counts(table.area_sizes, seed, k), columns=columns, row=row)
+    return values
 
 
-_worker_args: tuple | None = None  # (table, statistic_fn, seed), set once per pool worker
-
-
-def _init_worker(table: PublicationTable, statistic_fn, seed: int) -> None:
-    global _worker_args
-    _worker_args = (table, statistic_fn, seed)
-
-
-def _worker_values(k: int) -> dict[StatKey, float]:
-    return _count_values(*_worker_args, k)
+def _worker(conn, table: PublicationTable, statistic_fn, seed: int, columns: dict[StatKey, int], replicates: range):
+    """Send the matrix of a share of the replicates, or the exception that
+    evaluating it raised, to the calling process."""
+    try:
+        conn.send(_rows(table, statistic_fn, seed, columns, replicates))
+    except Exception as exc:  # noqa: BLE001 - raised again in the calling process
+        conn.send(exc)
 
 
 def _usable_cpus() -> int:
@@ -111,6 +117,48 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _replicate_matrix(
+    table: PublicationTable, statistic_fn, seed: int, columns: dict[StatKey, int], n_replicates: int, n_shares: int
+) -> np.ndarray:
+    """The matrix of all replicates, share w being the replicates k with
+    k % n_shares == w. The calling process evaluates share 0, and a worker
+    process each of the others."""
+    # numpy loads numpy.random on first use; loaded before the workers
+    # start, forked workers inherit it instead of each importing it.
+    import numpy.random  # noqa: F401
+
+    workers = []  # (process, receiving end of its pipe)
+    try:
+        for w in range(1, n_shares):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(
+                target=_worker, args=(sender, table, statistic_fn, seed, columns, range(w, n_replicates, n_shares))
+            )
+            process.start()
+            # Closed here, the pipe reports the end of a worker that dies without sending.
+            sender.close()
+            workers.append((process, receiver))
+        values = np.empty((n_replicates, len(columns)))
+        values[0::n_shares] = _rows(table, statistic_fn, seed, columns, range(0, n_replicates, n_shares))
+        for w, (_, receiver) in enumerate(workers, start=1):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                raise ResamplingError(f"bootstrap worker {w} ended without a result") from None
+            if isinstance(result, Exception):
+                raise result
+            values[w::n_shares] = result
+        return values
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in workers:
+            receiver.close()
+            process.join()
 
 
 def bootstrap_statistics(
@@ -125,42 +173,31 @@ def bootstrap_statistics(
 ) -> list[BootstrapResult]:
     """Percentile intervals for every statistic in point_values.
 
-    corpus is the publication table the replicates reweight, and
-    statistic_fn maps (table, copy counts) to {key: value}; keys absent from
-    a replicate (degenerate fits, vanished institutions) count as missing
-    for that replicate. Statistics missing in more than 10% of replicates
-    are flagged with a warning. With n_workers > 1 the table goes to each
-    worker process once, and each task carries only its replicate number;
-    no more workers start than there are replicates or CPUs the process
-    may run on.
+    corpus is the publication table the replicates reweight. The replicates
+    fill one matrix, a row per replicate and a column per key of
+    point_values in sorted order, NaN where a value is missing:
+    statistic_fn(table, copy counts, columns=columns, row=row) writes each
+    statistic of a replicate into row[columns[key]]. A key a replicate does
+    not write (a degenerate fit, a vanished institution) counts as missing
+    there. Statistics missing in more than 10% of replicates are flagged
+    with a warning.
+
+    With n_workers > 1 the replicates are split into that many fixed
+    shares. The calling process evaluates one share, and n_workers - 1
+    worker processes each receive the table once and return the matrix of
+    their share. No more processes take part, the calling one included,
+    than there are replicates or CPUs the process may run on.
     """
     if n_replicates < 1:
         raise ResamplingError("n_replicates must be >= 1")
-    # A fork start method starts them all at once.
-    n_workers = min(n_workers, n_replicates, _usable_cpus())
-    if n_workers > 1:
-        # numpy loads numpy.random on first use; loaded here, the workers
-        # inherit it instead of each importing it on its first replicate.
-        import numpy.random  # noqa: F401
-
-        with ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_init_worker, initargs=(corpus, statistic_fn, seed)
-        ) as pool:
-            raw = list(
-                pool.map(_worker_values, range(n_replicates), chunksize=max(1, n_replicates // (4 * n_workers)))
-            )
-    else:
-        raw = [_count_values(corpus, statistic_fn, seed, k) for k in range(n_replicates)]
-
-    collected: dict[StatKey, list[float]] = {key: [] for key in point_values}
-    for values in raw:
-        for key in collected:
-            if key in values:
-                collected[key].append(values[key])
+    keys = sorted(point_values)
+    columns = {key: j for j, key in enumerate(keys)}
+    n_shares = min(n_workers, n_replicates, _usable_cpus())
+    values = _replicate_matrix(corpus, statistic_fn, seed, columns, n_replicates, n_shares)
 
     results: list[BootstrapResult] = []
-    for key in sorted(point_values):
-        reps = collected[key]
+    for key, column in zip(keys, values.T):
+        reps = column[~np.isnan(column)].tolist()
         n_missing = n_replicates - len(reps)
         if not reps:
             continue

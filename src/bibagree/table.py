@@ -45,7 +45,8 @@ area at once, one row per metric, with the arithmetic of
 ``agreement.fit_lines`` in one buffer per fit; each area's copies are a
 slice of the kept copies grouped by area. The point pass and a replicate
 share the fits and medians: the point pass builds the statistic,
-calibration and skip objects, a replicate only its {key: value} dict.
+calibration and skip objects, a replicate only writes its values into a
+row of the bootstrap's replicate matrix.
 """
 
 from __future__ import annotations
@@ -551,16 +552,20 @@ def _agreement(table: PublicationTable, scores: _Scores, config: "PipelineConfig
 
 
 def table_statistics(
-    table: PublicationTable, counts: np.ndarray, config: "PipelineConfig"
-) -> "dict[StatKey, float]":
-    """Every agreement statistic of the replicate holding counts[row] copies
-    of each row, keyed (area, metric, level, view); a skipped statistic is
-    left out.
+    table: PublicationTable,
+    counts: np.ndarray,
+    config: "PipelineConfig",
+    columns: "dict[StatKey, int]",
+    row: np.ndarray,
+) -> None:
+    """Write every agreement statistic of the replicate holding counts[i]
+    copies of each table row i into row[columns[key]], key being (area,
+    metric, level, view). A skipped statistic, or one whose key has no
+    column, leaves row as it is.
 
     The values are those of the point pass's statistics, built without its
     result objects or skip reasons.
     """
-    values: dict[StatKey, float] = {}
     metrics = config.metric_labels
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = _scores(table, counts, point=False)
@@ -570,11 +575,12 @@ def table_statistics(
                     continue
                 fitted = (lines.var != 0.0).tolist()
                 for view, medians in ((VIEW_SIZE_INDEPENDENT, lines.mad), (VIEW_SIZE_DEPENDENT, lines.mapd)):
-                    if medians is not None:
-                        values.update(
-                            ((area_id, m, level, view), v) for m, ok, v in zip(metrics, fitted, medians.tolist()) if ok
-                        )
-    return values
+                    if medians is None:
+                        continue
+                    for m, ok, v in zip(metrics, fitted, medians.tolist()):
+                        j = columns.get((area_id, m, level, view))
+                        if ok and j is not None:
+                            row[j] = v
 
 
 def point_statistics(table: PublicationTable, config: "PipelineConfig") -> PipelineStats:

@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,11 +25,33 @@ from bibagree import (
     save_corpus,
     stratified_sample,
 )
-from bibagree.pipeline import PipelineConfig, run
-from bibagree.resampling import ResamplingError
+from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, run
+from bibagree.resampling import ResamplingError, replicate_counts
 from oracles import oracle_midrank_quantile
 from record_pipeline import resample_within_areas, statistic_values
 from record_pipeline import stratified_sample as record_stratified_sample
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with the package's source on PYTHONPATH."""
+    src = str(Path(bibagree.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class FailOn:
+    """A bootstrap statistic that raises, or ends its process when die is
+    set, on the replicate of the given copy counts, and writes no value for
+    the others. A module-level class, so that it pickles for spawned
+    workers."""
+
+    def __init__(self, counts, die):
+        self.counts, self.die = counts, die
+
+    def __call__(self, table, counts, columns, row):
+        if np.array_equal(counts, self.counts):
+            if self.die:
+                os._exit(1)  # as a worker the system kills ends, without a word
+            raise ValueError("replicate fails")
 
 
 @pytest.fixture(scope="module")
@@ -71,62 +92,54 @@ class TestBootstrap:
         multi = run_bootstrap(boot_corpus, PipelineConfig(n_replicates=24, seed=3, n_workers=4))
         assert base == multi
 
-    def test_pool_never_starts_more_workers_than_replicates(self, boot_corpus, monkeypatch):
+    @staticmethod
+    def recording_processes(monkeypatch) -> list:
+        """Patches Process.start so that each process started is appended to
+        the returned list. The class stays as it is, so that spawned and
+        forkserver workers can still pickle their Process object."""
         started = []
+        start = multiprocessing.process.BaseProcess.start
 
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def recording(self):
+            started.append(self)
+            start(self)
 
-        monkeypatch.setattr(resampling, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+        return started
+
+    def test_pool_never_starts_more_workers_than_replicates(self, boot_corpus, monkeypatch):
+        started = self.recording_processes(monkeypatch)
         monkeypatch.setattr(resampling, "_usable_cpus", lambda: 4)
-        for n_replicates, pools in ((2, [2]), (1, [])):
+        # The calling process evaluates a share itself.
+        for n_replicates, n_started in ((2, 1), (1, 0)):
             serial = run_bootstrap(boot_corpus, PipelineConfig(n_replicates=n_replicates, seed=3))
             started.clear()
             assert run_bootstrap(boot_corpus, PipelineConfig(n_replicates=n_replicates, seed=3, n_workers=4)) == serial
-            assert started == pools
+            assert len(started) == n_started
 
     def test_pool_never_starts_more_workers_than_usable_cpus(self, boot_corpus, tmp_path, monkeypatch):
-        started = []
-
-        class Stub:
-            """Records max_workers and runs the tasks in this process."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(resampling, "ProcessPoolExecutor", Stub)
-        monkeypatch.setattr(resampling, "_worker_args", None)
+        started = self.recording_processes(monkeypatch)
         serial = run_bootstrap(boot_corpus, PipelineConfig(n_replicates=12, seed=3))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert run_bootstrap(boot_corpus, PipelineConfig(n_replicates=12, seed=3, n_workers=500)) == serial
-        assert started == [3]
+        assert len(started) == 3 - 1  # the calling process is the third
         # Without sched_getaffinity (macOS, Windows), the CPU count.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         corpus_path = tmp_path / "corpus.csv"
         save_corpus(boot_corpus, corpus_path)
+        started.clear()
         report = run(corpus_path, tmp_path / "out", PipelineConfig(n_replicates=12, seed=3, n_workers=500))
-        assert started == [3, 5]
+        assert len(started) == 5 - 1
         assert report.config_echo["n_workers"] == 500
         assert json.loads((tmp_path / "out" / "report.json").read_text())["config"]["n_workers"] == 500
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit modules only when forked")
     def test_pool_workers_inherit_numpy_random(self, boot_corpus, tmp_path):
         # numpy 2 imports numpy.random on first use. The calling process
-        # draws no replicate of a pool, so unless it loads numpy.random before
-        # the pool forks, each worker imports it on its first replicate.
+        # draws its own share only after the workers start, so unless it
+        # loads numpy.random before they fork, each worker imports it on its
+        # first replicate.
         corpus_path, seen = tmp_path / "corpus.csv", tmp_path / "seen"
         save_corpus(boot_corpus, corpus_path)
         code = f"""
@@ -135,21 +148,74 @@ from bibagree import PipelineConfig, load_corpus, resampling, run_bootstrap
 corpus = load_corpus({str(corpus_path)!r})
 if "numpy.random" in sys.modules:
     sys.exit(3)  # imported with numpy itself
-init = resampling._init_worker
+worker = resampling._worker
 def recording(*args):
     with open({str(seen)!r}, "a") as fh:
         fh.write(str("numpy.random" in sys.modules) + "\\n")
-    init(*args)
-resampling._init_worker = recording
-run_bootstrap(corpus, PipelineConfig(n_replicates=4, n_workers=2, assign_roles=False))
+    worker(*args)
+resampling._worker = recording
+resampling._usable_cpus = lambda: 3
+run_bootstrap(corpus, PipelineConfig(n_replicates=4, n_workers=3, assign_roles=False))
 """
-        src = str(Path(bibagree.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        status = subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode
+        status = subprocess.run([sys.executable, "-c", code], env=_src_env(), timeout=120).returncode
         if status == 3:
             pytest.skip("this numpy imports numpy.random with numpy")
         assert status == 0
         assert seen.read_text().split() == ["True", "True"]
+
+    def test_spawned_workers_receive_the_table_by_pickle(self, boot_corpus, tmp_path):
+        # Spawn is how macOS and Windows start workers, and forkserver, the
+        # default on Linux from Python 3.14, pickles the same way.
+        corpus_path = tmp_path / "corpus.csv"
+        save_corpus(boot_corpus, corpus_path)
+        code = f"""
+import multiprocessing, sys
+from bibagree import PipelineConfig, load_corpus, resampling, run_bootstrap
+multiprocessing.set_start_method("spawn")
+resampling._usable_cpus = lambda: 2
+corpus = load_corpus({str(corpus_path)!r})
+serial = run_bootstrap(corpus, PipelineConfig(n_replicates=12, seed=3))
+pooled = run_bootstrap(corpus, PipelineConfig(n_replicates=12, seed=3, n_workers=2))
+sys.exit(0 if pooled == serial and serial else 1)
+"""
+        assert subprocess.run([sys.executable, "-c", code], env=_src_env(), timeout=120).returncode == 0
+
+    @pytest.mark.parametrize(
+        "failing, die, error, message",
+        [
+            (0, False, ValueError, "replicate fails"),
+            (1, False, ValueError, "replicate fails"),
+            (1, True, ResamplingError, "bootstrap worker 1 ended without a result"),
+        ],
+        ids=["calling-share", "worker-share", "worker-dies"],
+    )
+    def test_a_failing_replicate_raises_and_leaves_no_process(
+        self, boot_corpus, monkeypatch, failing, die, error, message
+    ):
+        # On 2 processes the calling one evaluates the even replicates and
+        # the worker the odd ones.
+        monkeypatch.setattr(resampling, "_usable_cpus", lambda: 2)
+        config = PipelineConfig(n_replicates=6, seed=3, n_workers=2)
+        stats = compute_pipeline_stats(boot_corpus, config)
+        points = {s.key(): s.value for s in stats.statistics}
+        fail = FailOn(replicate_counts(stats.table.area_sizes, config.seed, failing), die)
+        with pytest.raises(error, match=f"^{message}$") as raised:
+            resampling.bootstrap_statistics(stats.table, fail, points, config.n_replicates, config.seed, 2)
+        assert raised.type is error
+        assert multiprocessing.active_children() == []
+
+    def test_missing_counts_do_not_depend_on_worker_count(self, monkeypatch):
+        # 3 institutions in each of 2 areas: a replicate that draws no
+        # publication of one of them has too few units for a fit.
+        corpus = assign_reviewer_roles(generate(SynthConfig(n_institutions=3, n_areas=2, seed=4)), 4)
+        monkeypatch.setattr(resampling, "_usable_cpus", lambda: 3)
+        by_workers = [
+            run_bootstrap(corpus, PipelineConfig(n_replicates=30, seed=1, n_workers=w)) for w in (1, 2, 3)
+        ]
+        missing = [[(b.n_missing, b.warn_missing) for b in boot] for boot in by_workers]
+        assert any(n for n, _ in missing[0])
+        assert missing[0] == missing[1] == missing[2]
+        assert by_workers[0] == by_workers[1] == by_workers[2]
 
     def test_lower_at_most_upper_and_counts(self, boot_corpus):
         cfg = PipelineConfig(n_replicates=60, seed=1)

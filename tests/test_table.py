@@ -2,6 +2,7 @@
 corpus itself and on materialised bootstrap replicates."""
 
 import builtins
+import itertools
 import json
 import math
 import sys
@@ -47,6 +48,26 @@ def assert_same_statistics(got, ref):
     assert set(got) == set(ref), sorted(set(got) ^ set(ref))
     for key, value in ref.items():
         assert got[key] == value, (key, got[key], value)
+
+
+def replicate_values(table, counts, config):
+    """table_statistics as {key: value}, over a column for every (area,
+    metric, level, view). The row starts at -inf, which no statistic can be
+    (each is a median of absolute values), and every value written must be
+    finite: in the bootstrap's replicate matrix NaN marks a missing value."""
+    keys = list(
+        itertools.product(
+            table.area_ids,
+            config.metric_labels,
+            (LEVEL_INSTITUTION, LEVEL_PUBLICATION),
+            (VIEW_SIZE_INDEPENDENT, VIEW_SIZE_DEPENDENT),
+        )
+    )
+    row = np.full(len(keys), -np.inf)
+    table_statistics(table, counts, config, {key: j for j, key in enumerate(keys)}, row)
+    written = row != -np.inf
+    assert np.isfinite(row[written]).all(), row
+    return {key: value for key, value, w in zip(keys, row.tolist(), written) if w}
 
 
 def _weights(layout, field):
@@ -142,7 +163,7 @@ def test_replicate_counts_match_materialised_replicates(corpus, config):
             origin = rec.pub_id.split("~")[0]
             copies[origin] = copies.get(origin, 0) + 1
         assert [copies.get(r.pub_id, 0) for r in order] == counts.tolist()
-        assert_same_statistics(table_statistics(table, counts, config), record_statistic_values(resampled, config))
+        assert_same_statistics(replicate_values(table, counts, config), record_statistic_values(resampled, config))
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,7 +173,7 @@ def test_all_ones_counts_give_point_statistics(corpus, config):
     # order; with fixed-width ids the two orders coincide.
     table = build_table(corpus, config.multidisciplinary_label)
     ones = np.ones(len(corpus.records), dtype=np.int64)
-    assert_same_statistics(table_statistics(table, ones, config), record_statistic_values(corpus, config))
+    assert_same_statistics(replicate_values(table, ones, config), record_statistic_values(corpus, config))
 
 
 def assert_equals_record_pipeline(corpus, config):
@@ -249,7 +270,7 @@ def test_nonpositive_observed_score_is_skipped_on_both_paths():
             assert (area, metric, LEVEL_INSTITUTION, VIEW_SIZE_DEPENDENT) not in keys
 
     table = build_table(corpus, config.multidisciplinary_label)
-    assert table_statistics(table, np.ones(len(corpus.records), dtype=np.int64), config).keys() == keys
+    assert replicate_values(table, np.ones(len(corpus.records), dtype=np.int64), config).keys() == keys
     assert {b.key() for b in run_bootstrap(corpus, config)} <= keys
 
 
@@ -260,7 +281,7 @@ def assert_replicate_values_equal_objects(corpus, config, counts):
     with np.errstate(divide="ignore", invalid="ignore"):
         result = _agreement(table, _scores(table, counts, False), config)
     expected = {s.key(): s.value for s in result.statistics}
-    got = table_statistics(table, counts, config)
+    got = replicate_values(table, counts, config)
     assert got.keys() == expected.keys()
     assert got == expected
     return result
@@ -323,9 +344,24 @@ def test_replicate_builds_no_result_object(monkeypatch):
     for cls in built:
         built[cls] = 0
     table = stats.table
-    values = [table_statistics(table, replicate_counts(table.area_sizes, 5, k), config) for k in range(4)]
+    values = [replicate_values(table, replicate_counts(table.area_sizes, 5, k), config) for k in range(4)]
     assert all(values)
     assert built == {AgreementStatistic: 0, CalibrationFit: 0, SkipEntry: 0}
+
+
+def test_replicate_values_are_finite():
+    # In the bootstrap's replicate matrix NaN marks a missing value, so no
+    # statistic may be NaN or infinite; replicate_values checks each one.
+    corpus = generate(SynthConfig(seed=7))
+    zero = replace(
+        corpus,
+        records=tuple(replace(r, citations=0) if r.institution_id == "U000" else r for r in corpus.records),
+    )
+    ncs = PipelineConfig(baseline_label="ncs", metric_labels=METRICS_NCS)
+    for corpus, config in ((corpus, PipelineConfig()), (corpus, ncs), (zero, ncs)):
+        table = build_table(corpus, config.multidisciplinary_label)
+        for k in range(10):
+            assert replicate_values(table, replicate_counts(table.area_sizes, 5, k), config)
 
 
 def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
