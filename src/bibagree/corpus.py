@@ -16,10 +16,11 @@ whole column or raises, and names no row: a chunk that does not convert is
 parsed row by row, in file order, up to its first faulty row, and only the
 rows the screen flags keep their row parse, to be validated one by one
 once the whole file is read. So the message, the row it names and the
-fault that wins are theirs. Each chunk's ids and labels are coded
-through one dict per column that lasts the whole load, a string not seen
-before taking the next free code, and the codes are put in sorted order
-once, when the chunks are joined.
+fault that wins are theirs. A pub_id that repeats an earlier row's, or
+extends it by "~" or is so extended, is found then too. Each chunk's ids
+and labels are coded through one dict per column that lasts the whole
+load, a string not seen before taking the next free code, and the codes
+are put in sorted order once, when the chunks are joined.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import hashlib
 import json
 import math
 import operator
+from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
@@ -572,6 +574,7 @@ class _Chunk(NamedTuple):
     # (values, which are present); raises when a row is faulty.
     convert: Callable[[], dict]
     parse_row: Callable[[int], PublicationRecord]  # the row-by-row parse of the chunk's i-th row
+    where: Callable[[int], str]  # the chunk's i-th row as messages name it, such as "c.csv row 3"
     stop: Exception | None  # the fault of the row reading stopped at, right after these rows
 
 
@@ -749,6 +752,13 @@ def _json_record(row: dict, where: str) -> PublicationRecord:
     return _record_from_json(obj, where)
 
 
+def _row_names(file_name: str, unit: str, numbers: list[int]) -> Callable[[int], str]:
+    """The name in messages of each of the rows of the given numbers, by
+    its index among them. It keeps the numbers at 8 bytes a row."""
+    at = np.array(numbers, dtype=np.intp)
+    return lambda i: f"{file_name} {unit} {at[i]}"
+
+
 def _chunks(path: Path) -> Iterator[_Chunk]:
     """Read a corpus file a chunk of rows at a time, until a row that cannot
     be read. The file's format gives a row reader, which yields the names
@@ -777,12 +787,13 @@ def _chunks(path: Path) -> Iterator[_Chunk]:
             # Only the cells stay, column by column.
             cells = dict(zip(names, zip(*chunk)))
             del chunk
+            where = _row_names(path.name, unit, numbers)
 
             def parse_row(i: int) -> PublicationRecord:
-                return parse({name: column[i] for name, column in cells.items()}, f"{path.name} {unit} {numbers[i]}")
+                return parse({name: column[i] for name, column in cells.items()}, where(i))
 
             if numbers or stop is not None:
-                yield _Chunk(len(numbers), partial(convert, cells), parse_row, stop)
+                yield _Chunk(len(numbers), partial(convert, cells), parse_row, where, stop)
             del cells  # handed on: the next chunk is read without them
             if stop is not None or len(numbers) < _CHUNK_ROWS:
                 return
@@ -867,6 +878,23 @@ def _first_repeat(ids: list[str]) -> int | None:
     return None
 
 
+def _first_extension(ids: list[str]) -> tuple[int, int] | None:
+    """The first row whose id extends an earlier row's id by "~" and more,
+    or is so extended by it, and that earlier row."""
+    if "~" not in "".join(ids):
+        return None
+    first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    pairs = []
+    for j, x in enumerate(ids):
+        k = x.find("~")
+        while k >= 0:
+            i = first_row.get(x[:k])
+            if i is not None:
+                pairs.append((max(i, j), min(i, j)))
+            k = x.find("~", k + 1)
+    return min(pairs, default=None)
+
+
 def _seen_codes(seen: dict[str, int], texts: list[str]) -> np.ndarray:
     """The code of each text in seen, a text not in seen being added to it
     with the next free code."""
@@ -925,6 +953,7 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
         raise CorpusParseError(f"corpus file not found: {path}")
     pieces: list[dict] = []
     flagged: list[tuple[int, PublicationRecord]] = []  # (row, its parse) of each row the screen flags
+    wheres: list[tuple[int, Callable[[int], str]]] = []  # each chunk's first row and row names
     seen: dict[str, dict[str, int]] = {name: {} for name in (*_CODED_IDS, "labels")}
     n_rows = 0
     with closing(_chunks(path)) as chunks:
@@ -932,6 +961,7 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
             piece, suspects = _converted(chunk, options.census_year, seen)
             flagged += [(n_rows + i, chunk.parse_row(i)) for i in suspects]
             pieces.append(piece)
+            wheres.append((n_rows, chunk.where))
             n_rows += chunk.n_rows
             del chunk  # its cells go before the next chunk is read
     if not pieces:
@@ -941,13 +971,32 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     census_year = options.census_year
     if census_year is None:
         census_year = int(columns.year.max())
-    repeated = _first_repeat(columns.pub_id)
+    # A row's pub_id clashes with an earlier row's when it is the same, or
+    # when one extends the other by "~": a bootstrap replicate names its
+    # copies "<pub_id>~<n>", so the copies of the two would interleave and
+    # the sums over them would not be those of a materialised replicate.
+    # Each clash is (row, 0 for a duplicate and 1 for "~", message).
+    ids, clashes = columns.pub_id, []
+    repeated = _first_repeat(ids)
+    if repeated is not None:
+        clashes.append((repeated, 0, f"duplicate pub_id {ids[repeated]!r}"))
+    extended = _first_extension(ids)
+    if extended is not None:
+        row = extended[0]
+        start, where = wheres[bisect_right(wheres, row, key=operator.itemgetter(0)) - 1]
+        longer, shorter = sorted((ids[r] for r in extended), key=len, reverse=True)
+        message = (
+            f"{where(row - start)}: pub_id {longer!r} extends pub_id {shorter!r} by '~', "
+            "which separates a copy's number in a bootstrap replicate"
+        )
+        clashes.append((row, 1, message))
+    clash = min(clashes, default=None)
     for r, record in flagged:
-        if repeated is not None and repeated <= r:
+        if clash is not None and clash[0] <= r:
             break
         validate_record(record, census_year)
-    if repeated is not None:
-        raise CorpusValidationError(f"duplicate pub_id {columns.pub_id[repeated]!r}")
+    if clash is not None:
+        raise CorpusValidationError(clash[2])
 
     population = None
     if options.population_path:

@@ -7,28 +7,36 @@ record object is built: the columns hold institution, area and journal ids
 and weight labels as codes already, years, units, journal-years and
 field-year cells become integer codes here, multidisciplinary weight is
 reassigned on the label codes (``reassign_codes``), and the category
-weight entries are sorted by row and field. Rows are ranked by pub_id in
-Python's string order, with one sort of the ids and one of the ids a
-replicate's copies carry; each row's entries are one contiguous slice,
-taken in either row order without a sort. The stratified bootstrap resamples
-publications with replacement within each area, so a replicate is fully
-described by a vector of copy counts, one per publication: the
-frequency-weight form of the nonparametric bootstrap (Hanley & MacGibbon
-2006). The corpus itself is the vector of all ones. ``point_statistics``
-and ``table_statistics`` compute indicators, institution x area aggregates
-and agreement statistics from such a vector with numpy group-bys, without
-copying a record. ``point_statistics`` returns the run's ``PipelineStats``;
+weight entries are sorted by row and field. A code is a value's rank
+among the distinct values, read off a presence array's running count
+while the values span at most a few times as many integers as they are,
+and taken from ``np.unique`` beyond that. Rows are ranked by pub_id in
+Python's string order, with one sort of the ids. The ids a replicate's
+copies carry rank the rows the same way unless an id is a proper prefix
+of the next one, and only then are the rows sorted by them too; each row's
+entries are one contiguous slice, taken in either row order without a
+sort. The stratified bootstrap resamples publications with replacement
+within each area, so a replicate is fully described by a vector of copy
+counts, one per publication: the frequency-weight form of the
+nonparametric bootstrap (Hanley & MacGibbon 2006). The corpus itself is
+the vector of all ones. ``point_statistics`` and ``table_statistics``
+compute indicators, institution x area aggregates and agreement
+statistics from such a vector with numpy group-bys, without copying a
+record. ``point_statistics`` returns the run's ``PipelineStats``;
 its institution x area units are rows built at once from the per-unit sums
 and copy counts, in unit code order, which is (area, institution) order.
 
 Each sum runs over the copies in the order a record-by-record computation
 sums them: ascending pub_id for the corpus itself, and for a replicate
 ascending pub_id of the copies, which a materialised replicate names
-"<pub_id>~<draw number>". ``np.bincount`` accumulates sequentially like a
-left fold, so field-year baselines, NCS, NJS, unit means and fits are
-bit-identical to that computation, which ``tests/record_pipeline.py`` keeps
-as the reference and which folds left rather than calling ``sum()``, whose
-rounding is compensated from Python 3.12 on. Exact ties between
+"<pub_id>~<draw number>". A row's copies are adjacent in that order, as
+``load_corpus`` rejects a pub_id that extends another by "~", whose
+copies would interleave with the other's. ``np.bincount`` accumulates
+sequentially like a left fold, so field-year baselines, NCS, NJS, unit
+means and fits are bit-identical to that computation, which
+``tests/record_pipeline.py`` keeps as the reference and which folds left
+rather than calling ``sum()``, whose rounding is compensated from Python
+3.12 on. Exact ties between
 publications, which set mid-rank percentiles, and a predictor variance of
 exactly 0, which skips a fit, therefore come out the same.
 
@@ -147,12 +155,28 @@ class PipelineStats:
     table: PublicationTable | None = field(default=None, compare=False, repr=False)
 
 
+def _dense_codes(values: np.ndarray, low: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) of integers in [low, low + size).
+
+    Up to a range of a few times the number of values, a presence array and
+    its cumulative sum code them without a sort; a wider range is coded by
+    np.unique.
+    """
+    if size > 4 * len(values) + 1024:
+        distinct, codes = np.unique(values, return_inverse=True)
+        return distinct, codes.reshape(-1)
+    offset = values - low
+    present = np.zeros(size, dtype=bool)
+    present[offset] = True
+    return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offset]
+
+
 def _pair_codes(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Codes of the (first, second) code pairs in sorted order: each pair
     code's first and second code, and each row's pair code."""
     n = int(second.max(initial=-1)) + 1
-    pairs, codes = np.unique(first * n + second, return_inverse=True)
-    return pairs // n, pairs % n, codes.reshape(-1)
+    pairs, codes = _dense_codes(first * n + second, 0, (int(first.max(initial=-1)) + 1) * n)
+    return pairs // n, pairs % n, codes
 
 
 def reassign_codes(
@@ -232,43 +256,61 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     area_ids, area = columns.area_ids, columns.area_id
     # Rows ranked by pub_id as Python orders strings, which numpy's fixed-width
     # strings do not: they drop trailing NULs.
-    pub_ids = columns.pub_id
-    by_pub_id = np.fromiter(sorted(range(len(pub_ids)), key=pub_ids.__getitem__), dtype=np.intp, count=len(pub_ids))
+    pub_ids, n_rows = columns.pub_id, len(columns)
+    by_pub_id = np.fromiter(sorted(range(n_rows), key=pub_ids.__getitem__), dtype=np.intp, count=n_rows)
     # numpy's stable sort is a radix sort on integers of 16 bits or fewer,
     # several times faster than its timsort on int64 area codes.
     area_dtype = np.min_scalar_type(len(area_ids))
     rows = by_pub_id[np.argsort(area[by_pub_id].astype(area_dtype), kind="stable")]
     area = area[rows]
-    table_row = np.empty(len(rows), dtype=np.intp)  # corpus row -> table row
-    table_row[rows] = np.arange(len(rows))
+    table_row = np.empty(n_rows, dtype=np.intp)  # corpus row -> table row
+    table_row[rows] = np.arange(n_rows)
     pub_order = table_row[by_pub_id]
-    # A materialised replicate names its copies "<pub_id>~<n>"; sorting the
-    # rows already in pub_id order by that key takes Python's sort little work.
-    copy_ids = [pub_id + "~" for pub_id in pub_ids]
-    copy_order = table_row[sorted(by_pub_id.tolist(), key=copy_ids.__getitem__)]
-    area_copy_order = copy_order[np.argsort(area[copy_order].astype(area_dtype), kind="stable")]
     unit_area, unit_institution, unit = _pair_codes(area, columns.institution_id[rows])
-    year = np.unique(columns.year, return_inverse=True)[1].reshape(-1)[rows]
+    low = int(columns.year.min()) if n_rows else 0
+    year = _dense_codes(columns.year, low, int(columns.year.max(initial=low)) - low + 1)[1][rows]
     journal_year = _pair_codes(columns.journal_id[rows], year)[2]
     journal_cell_area, journal_cell_year, journal_cell = _pair_codes(area, journal_year)
     citations = columns.citations[rows].astype(float)
-    reviewer_total = overall_score(columns.review[rows])
+    reviewer_total = overall_score(columns.review)[rows]
     ext_citation, ext_journal = columns.ext_citation_percentile[rows], columns.ext_journal_percentile[rows]
 
+    def entries_of(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """The entries [start[i], start[i] + length[i]) of each row i in
+        turn, which together are every entry."""
+        stop = np.cumsum(length)
+        return np.repeat(start - (stop - length), length) + np.arange(len(field_code))
+
     # Category weight entries, table rows ascending and fields sorted
-    # within a row; the codes of the labels sort as the labels do.
-    order = np.argsort(table_row[entry_row] * len(columns.labels) + field_code, kind="stable")
-    entry_row = table_row[entry_row][order]
+    # within a row; the codes of the labels sort as the labels do. Each
+    # corpus row's entries are contiguous, so moving them a row at a time
+    # into table row order leaves the stable sort only each row's fields
+    # to order.
+    corpus_entries = np.bincount(entry_row, minlength=n_rows)
+    row_entries = corpus_entries[rows]
+    by_row = entries_of((np.cumsum(corpus_entries) - corpus_entries)[rows], row_entries)
+    entry_row = np.repeat(np.arange(n_rows), row_entries)
+    order = by_row[np.argsort(entry_row * len(columns.labels) + field_code[by_row], kind="stable")]
     entry_weight = entry_weight[order]
     cell = _pair_codes(field_code[order], year[entry_row])[2]
-    row_entries = np.bincount(entry_row, minlength=len(rows))
     row_start = np.cumsum(row_entries) - row_entries
+    pub_entries = entries_of(row_start[pub_order], row_entries[pub_order])
 
-    def entries_of(order: np.ndarray) -> np.ndarray:
-        """The entries of the rows in the given order, each row's contiguous
-        slice in turn."""
-        n = row_entries[order]
-        return np.repeat(row_start[order] - (np.cumsum(n) - n), n) + np.arange(len(entry_row))
+    # A materialised replicate names its copies "<pub_id>~<n>". They sort
+    # as the pub_ids do unless an id is a proper prefix of the next one in
+    # pub_id order; only then are the rows sorted again by the ids the
+    # copies carry. A startswith call on every pair costs about as much as
+    # that sort, so only the pairs where the next id is longer are tried.
+    length = np.fromiter(map(len, pub_ids), dtype=np.intp, count=n_rows)[by_pub_id]
+    ranks = np.flatnonzero(length[1:] > length[:-1]).tolist()
+    if any(pub_ids[by_pub_id[i + 1]].startswith(pub_ids[by_pub_id[i]]) for i in ranks):
+        copy_ids = [pub_id + "~" for pub_id in pub_ids]
+        copy_order = table_row[sorted(by_pub_id.tolist(), key=copy_ids.__getitem__)]
+        area_copy_order = copy_order[np.argsort(area[copy_order].astype(area_dtype), kind="stable")]
+        copy_entries = entries_of(row_start[copy_order], row_entries[copy_order])
+    else:
+        # The table rows are in (area, pub_id) order.
+        copy_order, area_copy_order, copy_entries = pub_order, np.arange(n_rows), pub_entries
 
     return PublicationTable(
         area_ids=tuple(area_ids),
@@ -297,8 +339,8 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         entry_cell=cell,
         entry_weight=entry_weight,
         entry_cited=entry_weight * citations[entry_row],
-        pub_entries=entries_of(pub_order),
-        copy_entries=entries_of(copy_order),
+        pub_entries=pub_entries,
+        copy_entries=copy_entries,
         n_cells=int(cell.max(initial=-1)) + 1,
         n_unredistributable=len(unredistributable),
     )
@@ -425,14 +467,14 @@ def _scores(table: PublicationTable, counts: np.ndarray, point: bool) -> _Scores
     """Scores of the corpus holding counts[row] copies of each row, summed
     over the copies in ascending pub_id order for the point pass and in
     copy order for a replicate."""
-    if point:
-        # The rows are in (area, pub_id) order already.
-        order, entries, area_order = table.pub_order, table.pub_entries, np.arange(len(counts))
-    else:
-        order, entries, area_order = table.copy_order, table.copy_entries, table.area_copy_order
     n_rows = len(counts)
-    copies = np.repeat(order, counts[order])
-    entries = np.repeat(entries, counts[table.entry_row[entries]])
+    if point:
+        # Each row has one copy, and the rows are in (area, pub_id) order already.
+        copies, entries, area_order = table.pub_order, table.pub_entries, np.arange(n_rows)
+    else:
+        copies = np.repeat(table.copy_order, counts[table.copy_order])
+        entries = np.repeat(table.copy_entries, counts[table.entry_row[table.copy_entries]])
+        area_order = table.area_copy_order
 
     # Field-year baselines and NCS; a row on a cell without a baseline, or
     # on a zero-mean cell, is flagged.

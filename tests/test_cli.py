@@ -252,6 +252,21 @@ def test_malformed_row_or_id_is_validation_failure(tmp_path, capsys, name, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_validate_names_a_pub_id_extending_another_by_tilde(tmp_path, capsys, fmt):
+    # "~" separates a copy's number in a bootstrap replicate's ids.
+    path = tmp_path / f"c.{fmt}"
+    ids = ["p001", "p002", "p001~1"]
+    if fmt == "jsonl":
+        path.write_text("".join(json.dumps({**GOOD_OBJECT, "pub_id": i}) + "\n" for i in ids))
+        named = "c.jsonl line 3"
+    else:
+        path.write_text(CORPUS_HEADER + "".join(GOOD_ROW.replace("p001,", f"{i},") for i in ids))
+        named = "c.csv row 4"
+    assert main(["validate", "--corpus", str(path)]) == 1
+    assert f"error: {named}: pub_id 'p001~1' extends pub_id 'p001' by '~'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "fields, named",
     [

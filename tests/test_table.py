@@ -10,6 +10,7 @@ from dataclasses import asdict, replace
 
 import bibagree.table
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,15 @@ from bibagree.agreement import (
 from bibagree.indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, run
 from bibagree.resampling import replicate_counts
-from bibagree.table import _agreement, _median_rows, _midrank_percentiles, _scores, build_table, table_statistics
+from bibagree.table import (
+    _agreement,
+    _median_rows,
+    _midrank_percentiles,
+    _pair_codes,
+    _scores,
+    build_table,
+    table_statistics,
+)
 from oracles import oracle_percentiles
 from record_pipeline import record_pipeline_stats, record_statistic_values, resample_within_areas, unit_rows
 
@@ -398,6 +407,109 @@ def test_rows_take_python_pub_id_order_with_trailing_nuls(tmp_path):
     table = build_table(load_corpus(path), "MULTI")
     assert table.citations[table.pub_order].tolist() == [1, 3, 7]
     assert table.citations[table.copy_order].tolist() == [1, 7, 3]  # "p1\0~" < "p1~"
+
+
+def sort_built_copy_order(corpus, table):
+    """copy_order, area_copy_order and copy_entries as sorting the rows by
+    the ids a replicate's copies carry builds them."""
+    row_id = [""] * len(table.area)
+    for pub_id, row in zip(sorted(corpus.columns.pub_id), table.pub_order.tolist()):
+        row_id[row] = pub_id
+    copy_order = np.array(sorted(range(len(row_id)), key=lambda row: row_id[row] + "~"))
+    area_copy_order = copy_order[np.argsort(table.area[copy_order], kind="stable")]
+    copy_entries = np.concatenate([np.flatnonzero(table.entry_row == row) for row in copy_order.tolist()])
+    return copy_order, area_copy_order, copy_entries
+
+
+def _with_ids(records, pub_id):
+    return Corpus(records=tuple(replace(rec, pub_id=pub_id(i, rec)) for i, rec in enumerate(records)), census_year=2015)
+
+
+def _copy_order_cases():
+    records = generate(SynthConfig(n_institutions=6, seed=4, multidisciplinary_share=0.3)).records
+    shuffled = list(records)
+    np.random.default_rng(2).shuffle(shuffled)
+    return {
+        # (corpus, whether its copy ids sort the rows as its pub_ids do)
+        "no-prefix": (_with_ids(records, lambda i, rec: rec.pub_id), True),
+        "P1-P10": (_with_ids(shuffled, lambda i, rec: f"P{i}"), False),
+        # "é" sorts after "~", so the order holds, but the prefix is found.
+        "prefix-then-e-acute": (_with_ids(records, lambda i, rec: f"P{i // 2:04d}" + "é" * (i % 2)), False),
+        "shuffled": (_with_ids(shuffled, lambda i, rec: rec.pub_id), True),
+    }
+
+
+COPY_ORDER_CASES = _copy_order_cases()
+
+
+@pytest.mark.parametrize("case", list(COPY_ORDER_CASES))
+def test_copy_order_equals_the_sort_built_one(case):
+    corpus, same_order = COPY_ORDER_CASES[case]
+    table = build_table(corpus, "MULTI")
+    copy_order, area_copy_order, copy_entries = sort_built_copy_order(corpus, table)
+    assert table.copy_order.tolist() == copy_order.tolist()
+    assert table.area_copy_order.tolist() == area_copy_order.tolist()
+    assert table.copy_entries.tolist() == copy_entries.tolist()
+    # Without an id that is a proper prefix of the next, the copy order is
+    # the pub_id order, taken without a second sort.
+    assert (table.copy_entries is table.pub_entries) == same_order
+    if same_order:
+        assert table.area_copy_order.tolist() == list(range(len(table.area)))
+
+
+@pytest.mark.parametrize(
+    "n_first, n_second, size",
+    [(0, 0, 0), (1, 1, 5), (4, 600, 20_000), (30, 40, 100), (300, 300, 100), (5_000, 7, 3_000)],
+)
+def test_pair_codes_equal_np_unique(n_first, n_second, size):
+    # Up to a range product of 4 * size + 1024 the codes come from a
+    # presence array, above it from np.unique.
+    rng = np.random.default_rng(size)
+    first = rng.integers(0, max(n_first, 1), size)
+    second = rng.integers(0, max(n_second, 1), size)
+    n = int(second.max(initial=-1)) + 1
+    pairs, codes = np.unique(first * n + second, return_inverse=True)
+    got = _pair_codes(first, second)
+    for got_codes, want in zip(got, (pairs // n, pairs % n, codes.reshape(-1))):
+        assert got_codes.dtype == want.dtype
+        assert got_codes.tolist() == want.tolist()
+
+
+def _without_dense_codes(monkeypatch):
+    def by_unique(values, low, size):
+        distinct, codes = np.unique(values, return_inverse=True)
+        return distinct, codes.reshape(-1)
+
+    monkeypatch.setattr(bibagree.table, "_dense_codes", by_unique)
+
+
+def test_dense_codes_give_the_np_unique_table(monkeypatch, tmp_path):
+    # A year of -10**30 loads as an object column; its range takes the
+    # np.unique fallback, and the point pass runs as on any other corpus.
+    # An empty corpus has no year to start the range from.
+    records = list(generate(SynthConfig(n_institutions=6, seed=4, multidisciplinary_share=0.3)).records)
+    records[3] = replace(records[3], year=-(10**30))
+    path = tmp_path / "corpus.csv"
+    save_corpus(Corpus(records=tuple(records), census_year=2015), path)
+    far_year = load_corpus(path)
+    assert far_year.columns.year.dtype == object
+    empty = Corpus(records=(), census_year=2015)
+    corpora = [corpus for corpus, _ in COPY_ORDER_CASES.values()] + [far_year, empty]
+    config = PipelineConfig(seed=0, assign_roles=False)
+    tables = [build_table(corpus, config.multidisciplinary_label) for corpus in corpora]
+    stats = [compute_pipeline_stats(corpus, config) for corpus in corpora]
+    assert_equals_record_pipeline(far_year, config)
+    _without_dense_codes(monkeypatch)
+    for corpus, table, point in zip(corpora, tables, stats):
+        want = build_table(corpus, config.multidisciplinary_label)
+        for name, value in asdict(table).items():
+            expected = getattr(want, name)
+            if isinstance(value, np.ndarray):
+                assert value.dtype == expected.dtype, name
+                np.testing.assert_array_equal(value, expected, err_msg=name)
+            else:
+                assert value == expected, name
+        assert compute_pipeline_stats(corpus, config) == point
 
 
 def test_run_builds_no_record(tmp_path, monkeypatch):
