@@ -9,7 +9,8 @@ from pathlib import Path
 
 from . import pipeline
 from .corpus import CorpusError, SchemaOptions, load_corpus, save_corpus, save_population_counts
-from .resampling import ResamplingError, check_fraction, check_seed, stratified_sample
+from .jsonconfig import check_seed
+from .resampling import ResamplingError, check_fraction, stratified_sample
 from .synth import SynthConfig, SynthError, generate
 
 EXIT_OK = 0
@@ -74,7 +75,7 @@ def cmd_generate(args) -> int:
 def cmd_sample(args) -> int:
     seed = 0 if args.seed is None else args.seed
     check_fraction(args.fraction)
-    check_seed(seed)
+    check_seed(seed, ResamplingError)
     corpus = load_corpus(args.corpus, _schema_options(args))
     sample, skipped = stratified_sample(corpus, args.fraction, seed)
     save_corpus(sample, Path(args.out))

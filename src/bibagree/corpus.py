@@ -16,8 +16,10 @@ whole column or raises, and names no row: a chunk that does not convert is
 parsed row by row, in file order, up to its first faulty row, and only the
 rows the screen flags keep their row parse, to be validated one by one
 once the whole file is read. So the message, the row it names and the
-fault that wins are theirs. A pub_id that repeats an earlier row's, or
-extends it by "~" or is so extended, is found then too. Each chunk's ids
+fault that wins are theirs. One scan of the pub_ids then finds the first
+that repeats an earlier row's, or extends it by "~" or is so extended;
+each row's number in the file is kept once, in one array for the whole
+file, to name such a row after the chunks are gone. Each chunk's ids
 and labels are coded through one dict per column that lasts the whole
 load, a string not seen before taking the next free code, and the codes
 are put in sorted order once, when the chunks are joined.
@@ -30,7 +32,7 @@ import hashlib
 import json
 import math
 import operator
-from bisect import bisect_right
+from array import array
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
@@ -45,6 +47,9 @@ WEIGHT_TOL = 1e-9
 # The largest citation count a float64 holds exactly; the publication table
 # computes in float64, and a larger count could overflow a field-year sum.
 MAX_CITATIONS = 2**53
+# Separates a copy's number from its pub_id in a bootstrap replicate's ids,
+# "<pub_id>~<n>"; no pub_id may extend another by it.
+COPY_SEPARATOR = "~"
 
 CSV_COLUMNS = [
     "pub_id",
@@ -574,7 +579,6 @@ class _Chunk(NamedTuple):
     # (values, which are present); raises when a row is faulty.
     convert: Callable[[], dict]
     parse_row: Callable[[int], PublicationRecord]  # the row-by-row parse of the chunk's i-th row
-    where: Callable[[int], str]  # the chunk's i-th row as messages name it, such as "c.csv row 3"
     stop: Exception | None  # the fault of the row reading stopped at, right after these rows
 
 
@@ -752,29 +756,30 @@ def _json_record(row: dict, where: str) -> PublicationRecord:
     return _record_from_json(obj, where)
 
 
-def _row_names(file_name: str, unit: str, numbers: list[int]) -> Callable[[int], str]:
-    """The name in messages of each of the rows of the given numbers, by
-    its index among them. It keeps the numbers at 8 bytes a row."""
-    at = np.array(numbers, dtype=np.intp)
-    return lambda i: f"{file_name} {unit} {at[i]}"
+def _row_name(path: Path, number: int) -> str:
+    """The row of the given number in a corpus file as messages name it,
+    such as "c.csv row 3" or "c.jsonl line 2"."""
+    return f"{path.name} {'line' if _detect_format(path) == 'jsonl' else 'row'} {number}"
 
 
-def _chunks(path: Path) -> Iterator[_Chunk]:
+def _chunks(path: Path, numbers: array) -> Iterator[_Chunk]:
     """Read a corpus file a chunk of rows at a time, until a row that cannot
-    be read. The file's format gives a row reader, which yields the names
-    of a row's fields and then each row as (number, fields), a converter
-    and a row parse, all looked up at each call."""
+    be read, appending each row's number in the file to numbers, which
+    holds the numbers of the rows of every chunk before. The file's format
+    gives a row reader, which yields the names of a row's fields and then
+    each row as (number, fields), a converter and a row parse, all looked
+    up at each call."""
     fmt = _detect_format(path)
     if fmt == "jsonl":
-        read, convert, parse, unit = _json_rows, _json_values, _json_record, "line"
+        read, convert, parse = _json_rows, _json_values, _json_record
     else:
         read = partial(_table_rows, delimiter="\t" if fmt == "tsv" else ",")
-        convert, parse, unit = _table_values, _record_from_row, "row"
+        convert, parse = _table_values, _record_from_row
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = read(fh, path.name)
         names: Sequence[str] = ()
         while True:
-            chunk, numbers, stop = [], [], None
+            chunk, start, stop = [], len(numbers), None
             try:
                 names = names or next(rows)
                 for number, row in islice(rows, _CHUNK_ROWS):
@@ -784,18 +789,18 @@ def _chunks(path: Path) -> Iterator[_Chunk]:
                 stop = exc
             except UnicodeDecodeError:
                 stop = _not_utf8(path, path.name)
+            n_rows = len(numbers) - start
             # Only the cells stay, column by column.
             cells = dict(zip(names, zip(*chunk)))
             del chunk
-            where = _row_names(path.name, unit, numbers)
 
             def parse_row(i: int) -> PublicationRecord:
-                return parse({name: column[i] for name, column in cells.items()}, where(i))
+                return parse({name: column[i] for name, column in cells.items()}, _row_name(path, numbers[start + i]))
 
-            if numbers or stop is not None:
-                yield _Chunk(len(numbers), partial(convert, cells), parse_row, where, stop)
+            if n_rows or stop is not None:
+                yield _Chunk(n_rows, partial(convert, cells), parse_row, stop)
             del cells  # handed on: the next chunk is read without them
-            if stop is not None or len(numbers) < _CHUNK_ROWS:
+            if stop is not None or n_rows < _CHUNK_ROWS:
                 return
 
 
@@ -842,9 +847,11 @@ def _suspects(values: dict, census_year: int | None) -> np.ndarray:
     """Rows that may break an invariant of validate_record: every row that
     breaks one, and possibly a few that do not. No row is after a census
     year of None, which stands for the latest year of the corpus. values
-    holds the rows' columns by Columns field."""
+    holds the rows' columns by Columns field, a percentile column as
+    (values, which are present)."""
     w, refs, review, has_review = (values[name] for name in ("weights", "refs", "review", "has_review"))
     citations, year = values["citations"], values["year"]
+    pct, pct_present = (np.array(column) for column in zip(*(values[name] for name in _EXT_COLUMNS)))
     n = len(year)
     total = np.bincount(w.row, weights=w.weight, minlength=n)
     outside = np.bincount(w.row, weights=~((w.weight > 0.0) & (w.weight <= 1.0)), minlength=n) > 0
@@ -863,36 +870,30 @@ def _suspects(values: dict, census_year: int | None) -> np.ndarray:
         # Likewise a sum of absolute reference weights below 1e308 is finite both ways.
         | ~(ref_mass < 1e308)
         | scores_outside.any(axis=1)
+        # A present percentile outside [0, 100] or NaN.
+        | (pct_present & ~((pct >= 0.0) & (pct <= 100.0))).any(axis=0)
     )
 
 
-def _first_repeat(ids: list[str]) -> int | None:
-    """The first row whose id an earlier row has."""
-    if len(set(ids)) == len(ids):
-        return None
-    seen: set[str] = set()
-    for i, x in enumerate(ids):
-        if x in seen:
-            return i
-        seen.add(x)
-    return None
-
-
-def _first_extension(ids: list[str]) -> tuple[int, int] | None:
-    """The first row whose id extends an earlier row's id by "~" and more,
-    or is so extended by it, and that earlier row."""
-    if "~" not in "".join(ids):
+def _first_clash(ids: list[str]) -> tuple[int, int, int] | None:
+    """The first row whose id clashes with an earlier row's, as (row, 0 when
+    it repeats that id or 1 when one of the two extends the other by
+    COPY_SEPARATOR and more, the earlier row). At one row a repeat comes
+    first, then the earliest earlier row."""
+    if len(set(ids)) == len(ids) and COPY_SEPARATOR not in "".join(ids):
         return None
     first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    pairs = []
+    clashes = []
     for j, x in enumerate(ids):
-        k = x.find("~")
+        if first_row[x] < j:
+            clashes.append((j, 0, first_row[x]))
+        k = x.find(COPY_SEPARATOR)
         while k >= 0:
             i = first_row.get(x[:k])
             if i is not None:
-                pairs.append((max(i, j), min(i, j)))
-            k = x.find("~", k + 1)
-    return min(pairs, default=None)
+                clashes.append((max(i, j), 1, min(i, j)))
+            k = x.find(COPY_SEPARATOR, k + 1)
+    return min(clashes, default=None)
 
 
 def _seen_codes(seen: dict[str, int], texts: list[str]) -> np.ndarray:
@@ -930,13 +931,10 @@ def _converted(chunk: _Chunk, census_year: int | None, seen: dict[str, dict[str,
         values[name] = _seen_codes(seen[name], values[name])
     for name in ("weights", "refs"):
         values[name] = values[name]._replace(label=_seen_codes(seen["labels"], values[name].label))
-    # An external percentile outside [0, 100], which _suspects does not screen.
-    ext_bad = np.zeros(chunk.n_rows, dtype=bool)
+    suspects = np.flatnonzero(_suspects(values, census_year)).tolist()
     for name in _EXT_COLUMNS:
-        pct, present = values[name]
-        ext_bad |= present & ~((pct >= 0.0) & (pct <= 100.0))
-        values[name] = pct
-    return values, np.flatnonzero(_suspects(values, census_year) | ext_bad).tolist()
+        values[name] = values[name][0]
+    return values, suspects
 
 
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
@@ -946,22 +944,23 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     and screened with numpy as soon as it is read; only the rows the screen
     flags keep their row parse. The earliest faulty row is named: parse
     faults come first, in row order, then validation faults, in row order
-    with the duplicate-id check ahead of validate_record within a row.
+    with the pub_id clash scan ahead of validate_record within a row. Each
+    row's number in the file is kept once, in one array, to name the row a
+    clash falls on.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusParseError(f"corpus file not found: {path}")
     pieces: list[dict] = []
     flagged: list[tuple[int, PublicationRecord]] = []  # (row, its parse) of each row the screen flags
-    wheres: list[tuple[int, Callable[[int], str]]] = []  # each chunk's first row and row names
+    numbers = array("q")  # row -> its number in the file
     seen: dict[str, dict[str, int]] = {name: {} for name in (*_CODED_IDS, "labels")}
     n_rows = 0
-    with closing(_chunks(path)) as chunks:
+    with closing(_chunks(path, numbers)) as chunks:
         for chunk in chunks:
             piece, suspects = _converted(chunk, options.census_year, seen)
             flagged += [(n_rows + i, chunk.parse_row(i)) for i in suspects]
             pieces.append(piece)
-            wheres.append((n_rows, chunk.where))
             n_rows += chunk.n_rows
             del chunk  # its cells go before the next chunk is read
     if not pieces:
@@ -972,31 +971,24 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     if census_year is None:
         census_year = int(columns.year.max())
     # A row's pub_id clashes with an earlier row's when it is the same, or
-    # when one extends the other by "~": a bootstrap replicate names its
-    # copies "<pub_id>~<n>", so the copies of the two would interleave and
-    # the sums over them would not be those of a materialised replicate.
-    # Each clash is (row, 0 for a duplicate and 1 for "~", message).
-    ids, clashes = columns.pub_id, []
-    repeated = _first_repeat(ids)
-    if repeated is not None:
-        clashes.append((repeated, 0, f"duplicate pub_id {ids[repeated]!r}"))
-    extended = _first_extension(ids)
-    if extended is not None:
-        row = extended[0]
-        start, where = wheres[bisect_right(wheres, row, key=operator.itemgetter(0)) - 1]
-        longer, shorter = sorted((ids[r] for r in extended), key=len, reverse=True)
-        message = (
-            f"{where(row - start)}: pub_id {longer!r} extends pub_id {shorter!r} by '~', "
-            "which separates a copy's number in a bootstrap replicate"
-        )
-        clashes.append((row, 1, message))
-    clash = min(clashes, default=None)
+    # when one extends the other by COPY_SEPARATOR: the copies of the two in
+    # a bootstrap replicate would interleave, and the sums over them would
+    # not be those of a materialised replicate.
+    ids = columns.pub_id
+    clash = _first_clash(ids)
     for r, record in flagged:
         if clash is not None and clash[0] <= r:
             break
         validate_record(record, census_year)
     if clash is not None:
-        raise CorpusValidationError(clash[2])
+        row, extends, other = clash
+        if not extends:
+            raise CorpusValidationError(f"duplicate pub_id {ids[row]!r}")
+        longer, shorter = sorted((ids[row], ids[other]), key=len, reverse=True)
+        raise CorpusValidationError(
+            f"{_row_name(path, numbers[row])}: pub_id {longer!r} extends pub_id {shorter!r} by "
+            f"{COPY_SEPARATOR!r}, which separates a copy's number in a bootstrap replicate"
+        )
 
     population = None
     if options.population_path:
@@ -1059,6 +1051,13 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             )
 
 
+def check_reviews(columns: Columns) -> None:
+    """Raise CorpusValidationError naming the first record without both reviews."""
+    if not columns.has_review.all():
+        missing = int((~columns.has_review.all(axis=1)).argmax())
+        raise CorpusValidationError(f"record {columns.pub_id[missing]!r}: missing reviewer score")
+
+
 def assign_reviewer_roles(corpus: Corpus, seed: int) -> Corpus:
     """Randomize which of the two reviews counts as reviewer 1.
 
@@ -1066,12 +1065,11 @@ def assign_reviewer_roles(corpus: Corpus, seed: int) -> Corpus:
     per-record coin keyed by (seed, pub_id). Requires both reviews present.
     """
     columns = corpus.columns
-    missing = ~columns.has_review.all(axis=1)
-    if missing.any():
-        raise CorpusValidationError(f"record {columns.pub_id[int(missing.argmax())]!r}: missing reviewer score")
+    check_reviews(columns)
     # One coin per record, keyed by (seed, pub_id) so file order cannot
     # change the outcome: the low bit of the first byte of a SHA-256 digest.
     sha256, prefix = hashlib.sha256, f"{seed}:"
     swap = np.array([sha256((prefix + p).encode()).digest()[0] & 1 for p in columns.pub_id], dtype=bool)
     review = np.where(swap[:, None, None], columns.review[:, ::-1], columns.review)
     return Corpus.from_columns(replace(columns, review=review), corpus.census_year, corpus.population_counts)
+

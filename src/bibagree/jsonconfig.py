@@ -1,4 +1,4 @@
-"""Config dataclasses from JSON files, and checks of their field types.
+"""Config dataclasses from JSON files, and checks of their field types and seeds.
 
 Every failure raises the caller's error class with a message naming the
 file, key or field, so that the CLI reports it as invalid input.
@@ -53,3 +53,9 @@ def check_type(
     expected = types[annotation]
     if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
         raise error(f"{name} must be of type {annotation}, got {value!r}")
+
+
+def check_seed(seed: int, error: type[Exception]) -> None:
+    """Raise error unless seed >= 0."""
+    if seed < 0:
+        raise error(f"seed must be >= 0, got {seed}")

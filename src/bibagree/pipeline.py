@@ -13,7 +13,7 @@ from . import agreement as agr
 from .aggregation import InstitutionAggregate
 from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus
 from .indicators import MULTIDISCIPLINARY_LABEL
-from .jsonconfig import check_type, from_json, read_json
+from .jsonconfig import check_seed, check_type, from_json, read_json
 from .resampling import BootstrapResult, CoverageDiagnostic, bootstrap_statistics, coverage_report
 from .table import SERIES_LABELS, PipelineStats, build_table, point_statistics, table_statistics
 
@@ -53,8 +53,7 @@ class PipelineConfig:
         for name in ("min_pubs", "n_workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, ConfigError)
         if self.bootstrap and self.n_replicates < 1:
             raise ConfigError(f"n_replicates must be >= 1 when bootstrap is on, got {self.n_replicates}")
         for name, label in [("baseline_label", self.baseline_label)] + [

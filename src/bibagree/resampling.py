@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
+from .jsonconfig import check_seed
 from .table import PublicationTable
 
 StatKey = tuple[str, str, str, str]  # (area, metric, level, view)
@@ -230,12 +231,6 @@ def check_fraction(fraction: float) -> None:
         raise ResamplingError(f"fraction {fraction} outside (0,1]")
 
 
-def check_seed(seed: int) -> None:
-    """Raise ResamplingError unless seed >= 0."""
-    if seed < 0:
-        raise ResamplingError(f"seed must be >= 0, got {seed}")
-
-
 def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, list[str]]:
     """Draw round(fraction * n) publications per area, without replacement.
 
@@ -244,7 +239,7 @@ def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpu
     Returns the sample and any skipped (empty) strata.
     """
     check_fraction(fraction)
-    check_seed(seed)
+    check_seed(seed, ResamplingError)
     columns = corpus.columns
     by_area: list[list[int]] = [[] for _ in columns.area_ids]
     area_code = columns.area_id.tolist()

@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import Corpus, PublicationRecord, ReviewerScore
 from .indicators import MULTIDISCIPLINARY_LABEL
-from .jsonconfig import SCALAR_TYPES, check_type, from_json, read_json
+from .jsonconfig import SCALAR_TYPES, check_seed, check_type, from_json, read_json
 
 
 class SynthError(Exception):
@@ -66,8 +66,7 @@ class SynthConfig:
         for name in ("n_institutions", "n_areas", "n_fields_per_area"):
             if getattr(self, name) < 1:
                 raise SynthError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise SynthError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed, SynthError)
         if not 0 < self.citation_dispersion < math.inf:
             raise SynthError(f"citation_dispersion must be positive and finite, got {self.citation_dispersion}")
         if not 0 <= self.reviewer_noise_sd < math.inf:

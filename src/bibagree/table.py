@@ -79,7 +79,7 @@ from .agreement import (
     too_few_points,
     zero_variance,
 )
-from .corpus import Columns, Corpus, CorpusValidationError, overall_score
+from .corpus import COPY_SEPARATOR, Columns, Corpus, check_reviews, overall_score
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -250,9 +250,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     """Integer-code the corpus columns after multidisciplinary reassignment."""
     columns = corpus.columns
     entry_row, field_code, entry_weight, unredistributable = reassign_codes(columns, multidisciplinary_label)
-    if not columns.has_review.all():
-        missing = int((~columns.has_review.all(axis=1)).argmax())
-        raise CorpusValidationError(f"record {columns.pub_id[missing]!r}: missing reviewer score")
+    check_reviews(columns)
     area_ids, area = columns.area_ids, columns.area_id
     # Rows ranked by pub_id as Python orders strings, which numpy's fixed-width
     # strings do not: they drop trailing NULs.
@@ -304,7 +302,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     length = np.fromiter(map(len, pub_ids), dtype=np.intp, count=n_rows)[by_pub_id]
     ranks = np.flatnonzero(length[1:] > length[:-1]).tolist()
     if any(pub_ids[by_pub_id[i + 1]].startswith(pub_ids[by_pub_id[i]]) for i in ranks):
-        copy_ids = [pub_id + "~" for pub_id in pub_ids]
+        copy_ids = [pub_id + COPY_SEPARATOR for pub_id in pub_ids]
         copy_order = table_row[sorted(by_pub_id.tolist(), key=copy_ids.__getitem__)]
         area_copy_order = copy_order[np.argsort(area[copy_order].astype(area_dtype), kind="stable")]
         copy_entries = entries_of(row_start[copy_order], row_entries[copy_order])

@@ -13,7 +13,8 @@ computes from the replicate's copy counts. stratified_sample is the
 record-by-record draw of bibagree sample.
 
 load_corpus is the row-by-row loader: it parses every row into a record
-and validates the records one by one. The columnar loader in
+and validates the records one by one, in file order, each after its
+pub_id is checked against every earlier row's. The columnar loader in
 bibagree.corpus must raise what it raises and load what it loads.
 """
 
@@ -438,6 +439,7 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
         raise CorpusParseError(f"corpus file not found: {path}")
     fmt = _detect_format(path)
     records: list[PublicationRecord] = []
+    wheres: list[str] = []  # each record's row as messages name it
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -450,6 +452,7 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
                 except json.JSONDecodeError as exc:
                     raise CorpusParseError(f"{where}: invalid JSON: {exc}") from exc
                 records.append(_record_from_json(obj, where))
+                wheres.append(where)
     else:
         delim = "\t" if fmt == "tsv" else ","
         with open(path, newline="", encoding="utf-8") as fh:
@@ -463,18 +466,29 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
                 if None in row or row[last] is None:
                     more = "more" if None in row else "fewer"
                     raise CorpusParseError(f"{path.name} row {lineno}: {more} fields than the header")
-                records.append(_record_from_row(row, f"{path.name} row {lineno}"))
+                wheres.append(f"{path.name} row {lineno}")
+                records.append(_record_from_row(row, wheres[-1]))
 
     if not records:
         raise CorpusParseError(f"{path.name}: no records")
     census_year = options.census_year
     if census_year is None:
         census_year = max(r.year for r in records)
-    seen: set[str] = set()
-    for rec in records:
-        if rec.pub_id in seen:
+    # A bootstrap replicate names a copy "<pub_id>~<n>", so no pub_id may
+    # extend another by "~". Each row is checked against every earlier row:
+    # a repeat first, then such an extension, either way round, naming the
+    # earliest row it clashes with.
+    for r, (rec, where) in enumerate(zip(records, wheres)):
+        earlier = [other.pub_id for other in records[:r]]
+        if rec.pub_id in earlier:
             raise CorpusValidationError(f"duplicate pub_id {rec.pub_id!r}")
-        seen.add(rec.pub_id)
+        for other in earlier:
+            if other.startswith(rec.pub_id + "~") or rec.pub_id.startswith(other + "~"):
+                longer, shorter = sorted((other, rec.pub_id), key=len, reverse=True)
+                raise CorpusValidationError(
+                    f"{where}: pub_id {longer!r} extends pub_id {shorter!r} by '~', "
+                    "which separates a copy's number in a bootstrap replicate"
+                )
         validate_record(rec, census_year)
 
     population = None

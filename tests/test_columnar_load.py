@@ -5,7 +5,8 @@ three of its cells are replaced from a catalogue of faults: bad or blank
 ids, non-integer, out-of-range or incomplete scores, weight maps that do
 not sum to 1 or hold inf or nan, external percentiles, numbers too large
 for a float, citation counts above 2**53, rows without a review,
-duplicate ids, extra or missing fields and years after the census year.
+duplicate ids, ids that extend another by "~", extra or missing fields and
+years after the census year.
 Both loaders must raise the same exception with the same message, or load
 equal corpora. The columnar loader reads and converts a chunk of rows at a
 time, so the comparisons also run with chunks of 1 and 3 rows, where faults
@@ -218,7 +219,12 @@ def assert_loads_as_row_by_row(tmp_path_factory, fmt, seed, faults, census_year,
 
 
 # One representative of each fault, for the pairwise test: (field, value),
-# or a fault that is not a field value.
+# or a fault that is not a field value. ("tilde", k) makes a row's pub_id
+# the pub_id of the row k rows on, plus "~1": on row 1, +1 makes it the
+# earlier of the two rows that clash and -1 the later; on row 0, -1 puts
+# the clash on the last row, after every other fault. Paired with
+# "duplicate", a tilde fault on row 1 and a repeat of it on row 0 make row
+# 1 both repeat row 0 and clash by "~" with row 2.
 TABLE_FAULTS = [
     ("pub_id", ""), ("area_id", " "), ("year", "x"), ("year", "2016"), ("citations", "-1"),
     ("citations", str(2**53 + 1)),
@@ -226,8 +232,8 @@ TABLE_FAULTS = [
     ("rev_a_rigour", "11"), ("category_weights", "A:0.5"), ("category_weights", "A"), ("category_weights", "1.0"),
     ("category_weights", "A:x"), ("category_weights", "A:nan"), ("category_weights", "A:0.5;A:0.5"),
     ("category_weights", "A:0.3;B:0.7000000015"), ("ref_category_weights", "A:inf"), ("ref_category_weights", "A:x"),
-    ("ext_citation_percentile", "155"), ("ext_journal_percentile", "x"), ("duplicate", None), ("extra", None),
-    ("missing", None), ("no-review", "rev_b"),
+    ("ext_citation_percentile", "155"), ("ext_journal_percentile", "x"), ("duplicate", None), ("tilde", 1),
+    ("tilde", -1), ("extra", None), ("missing", None), ("no-review", "rev_b"),
 ]
 JSON_FAULTS = [
     ("pub_id", None), ("area_id", ""), ("year", 2012.5), ("year", 2016), ("citations", -1), ("citations", "x"),
@@ -238,7 +244,7 @@ JSON_FAULTS = [
     ("category_weights", [1]), ("category_weights", {"A": "x"}), ("category_weights", {"A": float("nan")}),
     ("ref_category_weights", {"A": float("inf")}), ("ref_category_weights", "x"),
     ("ref_category_weights", {"A": 10**400}), ("ext_citation_percentile", 155), ("ext_journal_percentile", [1]),
-    ("ext_citation_percentile", 10**400), ("duplicate", None), ("extra", None),
+    ("ext_citation_percentile", 10**400), ("duplicate", None), ("tilde", 1), ("tilde", -1), ("extra", None),
     ("missing", "year"), ("line", "{"), ("line", "[1]"),
 ]
 
@@ -248,6 +254,8 @@ def with_table_fault(header: list[str], body: list[list[str]], i: int, fault) ->
     row = body[i]
     if field == "duplicate":
         row[0] = body[(i + 1) % len(body)][0]
+    elif field == "tilde":
+        row[0] = body[(i + value) % len(body)][0] + "~1"
     elif field == "extra":
         row.append("extra")
     elif field == "missing":
@@ -268,9 +276,10 @@ def with_json_fault(lines: list[str], i: int, fault) -> None:
     if not lines[i].startswith("{\""):
         return
     obj = json.loads(lines[i])
-    if field == "duplicate":
-        other = lines[(i + 1) % len(lines)]
-        obj["pub_id"] = json.loads(other).get("pub_id") if other.startswith("{\"") else "x"
+    if field in ("duplicate", "tilde"):
+        other = lines[(i + (1 if field == "duplicate" else value)) % len(lines)]
+        pub_id = json.loads(other).get("pub_id") if other.startswith("{\"") else "x"
+        obj["pub_id"] = pub_id + "~1" if field == "tilde" and isinstance(pub_id, str) else pub_id
     elif field == "extra":
         obj["extra"] = 1
     elif field == "missing":

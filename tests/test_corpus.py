@@ -9,6 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibagree import (
     Corpus,
@@ -24,7 +26,7 @@ from bibagree import (
     overall_score,
     save_corpus,
 )
-from bibagree.corpus import CSV_COLUMNS, load_population_counts, save_population_counts
+from bibagree.corpus import CSV_COLUMNS, _first_clash, load_population_counts, save_population_counts
 
 CORPUS_FORMAT_DOC = Path(__file__).resolve().parents[1] / "docs" / "corpus_format.md"
 
@@ -125,6 +127,24 @@ def test_earliest_row_fault_wins_over_a_tilde_extension(tmp_path):
     duplicate_first = THREE_ROWS.replace("p2,", "p1,").replace("p3,", "p1~2,")
     with pytest.raises(CorpusValidationError, match="duplicate pub_id 'p1'"):
         load_corpus(write(tmp_path, duplicate_first))
+
+
+def first_clash_of_every_pair(ids):
+    """_first_clash by trying every pair of rows."""
+    clashes = []
+    for row, pub_id in enumerate(ids):
+        for other in range(row):
+            if ids[other] == pub_id:
+                clashes.append((row, 0, other))
+            elif ids[other].startswith(pub_id + "~") or pub_id.startswith(ids[other] + "~"):
+                clashes.append((row, 1, other))
+    return min(clashes, default=None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text(alphabet="ab~", max_size=4), max_size=8))
+def test_first_clash_equals_a_scan_of_every_pair(ids):
+    assert _first_clash(ids) == first_clash_of_every_pair(ids)
 
 
 def test_malformed_row_reports_row_number(tmp_path):
