@@ -17,9 +17,9 @@ parsed row by row, in file order, up to its first faulty row, and only the
 rows the screen flags keep their row parse, to be validated one by one
 once the whole file is read. So the message, the row it names and the
 fault that wins are theirs. One scan of the pub_ids then finds the first
-that repeats an earlier row's, or extends it by "~" or is so extended;
-each row's number in the file is kept once, in one array for the whole
-file, to name such a row after the chunks are gone. Each chunk's ids
+that repeats an earlier row's; each row's number in the file is kept
+once, in one array for the whole file, to name that row and the earlier
+one after the chunks are gone. Each chunk's ids
 and labels are coded through one dict per column that lasts the whole
 load, a string not seen before taking the next free code, and the codes
 are put in sorted order once, when the chunks are joined.
@@ -47,9 +47,6 @@ WEIGHT_TOL = 1e-9
 # The largest citation count a float64 holds exactly; the publication table
 # computes in float64, and a larger count could overflow a field-year sum.
 MAX_CITATIONS = 2**53
-# Separates a copy's number from its pub_id in a bootstrap replicate's ids,
-# "<pub_id>~<n>"; no pub_id may extend another by it.
-COPY_SEPARATOR = "~"
 
 CSV_COLUMNS = [
     "pub_id",
@@ -516,9 +513,18 @@ def _not_utf8(path: str | Path, name: str) -> CorpusParseError:
     return CorpusParseError(f"{name}: not UTF-8")
 
 
+def _open_text(path: str | Path, what: str) -> TextIO:
+    """The file at path opened as UTF-8 text without a byte-order mark; a
+    path that cannot be opened is a parse fault naming it."""
+    try:
+        return open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise CorpusParseError(f"{path}: cannot read {what}: {exc.strerror or exc}") from exc
+
+
 def load_population_counts(path: str | Path) -> dict[str, int]:
     counts: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_text(path, "population counts") as fh:
         reader = csv.DictReader(fh)
         i = 1  # the row being read: the header, then each nonblank row
         try:
@@ -775,7 +781,7 @@ def _chunks(path: Path, numbers: array) -> Iterator[_Chunk]:
     else:
         read = partial(_table_rows, delimiter="\t" if fmt == "tsv" else ",")
         convert, parse = _table_values, _record_from_row
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_text(path, "corpus") as fh:
         rows = read(fh, path.name)
         names: Sequence[str] = ()
         while True:
@@ -875,25 +881,17 @@ def _suspects(values: dict, census_year: int | None) -> np.ndarray:
     )
 
 
-def _first_clash(ids: list[str]) -> tuple[int, int, int] | None:
-    """The first row whose id clashes with an earlier row's, as (row, 0 when
-    it repeats that id or 1 when one of the two extends the other by
-    COPY_SEPARATOR and more, the earlier row). At one row a repeat comes
-    first, then the earliest earlier row."""
-    if len(set(ids)) == len(ids) and COPY_SEPARATOR not in "".join(ids):
+def _first_clash(ids: list[str]) -> tuple[int, int] | None:
+    """The first row whose id repeats an earlier row's, as (row, the
+    earlier row)."""
+    if len(set(ids)) == len(ids):
         return None
-    first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    clashes = []
-    for j, x in enumerate(ids):
-        if first_row[x] < j:
-            clashes.append((j, 0, first_row[x]))
-        k = x.find(COPY_SEPARATOR)
-        while k >= 0:
-            i = first_row.get(x[:k])
-            if i is not None:
-                clashes.append((max(i, j), 1, min(i, j)))
-            k = x.find(COPY_SEPARATOR, k + 1)
-    return min(clashes, default=None)
+    first_row: dict[str, int] = {}
+    for row, pub_id in enumerate(ids):
+        earlier = first_row.setdefault(pub_id, row)
+        if earlier != row:
+            return row, earlier
+    return None
 
 
 def _seen_codes(seen: dict[str, int], texts: list[str]) -> np.ndarray:
@@ -944,13 +942,11 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     and screened with numpy as soon as it is read; only the rows the screen
     flags keep their row parse. The earliest faulty row is named: parse
     faults come first, in row order, then validation faults, in row order
-    with the pub_id clash scan ahead of validate_record within a row. Each
-    row's number in the file is kept once, in one array, to name the row a
-    clash falls on.
+    with the scan for a repeated pub_id ahead of validate_record within a
+    row. Each row's number in the file is kept once, in one array, to name
+    a repeat and its first row.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusParseError(f"corpus file not found: {path}")
     pieces: list[dict] = []
     flagged: list[tuple[int, PublicationRecord]] = []  # (row, its parse) of each row the screen flags
     numbers = array("q")  # row -> its number in the file
@@ -970,24 +966,17 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     census_year = options.census_year
     if census_year is None:
         census_year = int(columns.year.max())
-    # A row's pub_id clashes with an earlier row's when it is the same, or
-    # when one extends the other by COPY_SEPARATOR: the copies of the two in
-    # a bootstrap replicate would interleave, and the sums over them would
-    # not be those of a materialised replicate.
-    ids = columns.pub_id
-    clash = _first_clash(ids)
+    clash = _first_clash(columns.pub_id)
     for r, record in flagged:
         if clash is not None and clash[0] <= r:
             break
         validate_record(record, census_year)
     if clash is not None:
-        row, extends, other = clash
-        if not extends:
-            raise CorpusValidationError(f"duplicate pub_id {ids[row]!r}")
-        longer, shorter = sorted((ids[row], ids[other]), key=len, reverse=True)
+        row, first = clash
+        where = _row_name(path, numbers[row])
+        kind = where.rsplit(" ", 2)[1]  # "row" or "line"
         raise CorpusValidationError(
-            f"{_row_name(path, numbers[row])}: pub_id {longer!r} extends pub_id {shorter!r} by "
-            f"{COPY_SEPARATOR!r}, which separates a copy's number in a bootstrap replicate"
+            f"{where}: duplicate pub_id {columns.pub_id[row]!r}, first on {kind} {numbers[first]}"
         )
 
     population = None

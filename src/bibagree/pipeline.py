@@ -217,7 +217,11 @@ def emit_figure_tables(report: RunReport, out_dir: str | Path) -> None:
         ([a.institution_id, a.area_id, a.pub_count, *map(repr, a.means)] for a in report.aggregates),
     )
 
-    if report.coverage:
+    if not report.coverage:
+        # Without population counts there is no coverage table, not even
+        # one an earlier run wrote into this directory.
+        (out_dir / "coverage.csv").unlink(missing_ok=True)
+    else:
         _write_csv(
             out_dir / "coverage.csv",
             ["institution_id", "sample_count", "population_count", "coverage_ratio"],

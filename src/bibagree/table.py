@@ -11,11 +11,9 @@ weight entries are sorted by row and field. A code is a value's rank
 among the distinct values, read off a presence array's running count
 while the values span at most a few times as many integers as they are,
 and taken from ``np.unique`` beyond that. Rows are ranked by pub_id in
-Python's string order, with one sort of the ids. The ids a replicate's
-copies carry rank the rows the same way unless an id is a proper prefix
-of the next one, and only then are the rows sorted by them too; each row's
-entries are one contiguous slice, taken in either row order without a
-sort. The stratified bootstrap resamples publications with replacement
+Python's string order, with one sort of the ids, and each row's
+entries are one contiguous slice, taken in that order without a sort.
+The stratified bootstrap resamples publications with replacement
 within each area, so a replicate is fully described by a vector of copy
 counts, one per publication: the frequency-weight form of the
 nonparametric bootstrap (Hanley & MacGibbon 2006). The corpus itself is
@@ -26,14 +24,13 @@ record. ``point_statistics`` returns the run's ``PipelineStats``;
 its institution x area units are rows built at once from the per-unit sums
 and copy counts, in unit code order, which is (area, institution) order.
 
-Each sum runs over the copies in the order a record-by-record computation
-sums them: ascending pub_id for the corpus itself, and for a replicate
-ascending pub_id of the copies, which a materialised replicate names
-"<pub_id>~<draw number>". A row's copies are adjacent in that order, as
-``load_corpus`` rejects a pub_id that extends another by "~", whose
-copies would interleave with the other's. ``np.bincount`` accumulates
-sequentially like a left fold, so field-year baselines, NCS, NJS, unit
-means and fits are bit-identical to that computation, which
+Each sum runs over the copies in ascending pub_id order, a row's copies
+together, for the corpus itself and for every replicate alike: the order
+in which a record-by-record computation sums them, on the corpus and on a
+materialised replicate whose copies ``tests/record_pipeline.py`` names
+so that they sort by the pub_id rank of their publication. ``np.bincount``
+accumulates sequentially like a left fold, so field-year baselines, NCS,
+NJS, unit means and fits are bit-identical to that computation, which
 ``tests/record_pipeline.py`` keeps as the reference and which folds left
 rather than calling ``sum()``, whose rounding is compensated from Python
 3.12 on. Exact ties between
@@ -79,7 +76,7 @@ from .agreement import (
     too_few_points,
     zero_variance,
 )
-from .corpus import COPY_SEPARATOR, Columns, Corpus, check_reviews, overall_score
+from .corpus import Columns, Corpus, check_reviews, overall_score
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -124,11 +121,8 @@ class PublicationTable:
     # The groups the percentiles rank in, rows and then journal cells: a
     # row's area, and n_areas + a journal cell's area.
     rank_group: np.ndarray
-    # Rows in ascending pub_id order, the order of the point pass, and in the
-    # order their copies take in a materialised replicate.
+    # Rows in ascending pub_id order, the order every sum runs in.
     pub_order: np.ndarray
-    copy_order: np.ndarray
-    area_copy_order: np.ndarray  # rows by area, each area's in copy order
     # One entry per (row, field) of the category weights, rows ascending and
     # fields sorted within a row.
     entry_row: np.ndarray
@@ -136,7 +130,6 @@ class PublicationTable:
     entry_weight: np.ndarray
     entry_cited: np.ndarray  # weight times the row's citations
     pub_entries: np.ndarray  # entry indices, rows in pub_id order
-    copy_entries: np.ndarray  # entry indices, rows in copy order
     n_cells: int
     n_unredistributable: int  # multidisciplinary records without a reference profile
 
@@ -291,24 +284,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     order = by_row[np.argsort(entry_row * len(columns.labels) + field_code[by_row], kind="stable")]
     entry_weight = entry_weight[order]
     cell = _pair_codes(field_code[order], year[entry_row])[2]
-    row_start = np.cumsum(row_entries) - row_entries
-    pub_entries = entries_of(row_start[pub_order], row_entries[pub_order])
-
-    # A materialised replicate names its copies "<pub_id>~<n>". They sort
-    # as the pub_ids do unless an id is a proper prefix of the next one in
-    # pub_id order; only then are the rows sorted again by the ids the
-    # copies carry. A startswith call on every pair costs about as much as
-    # that sort, so only the pairs where the next id is longer are tried.
-    length = np.fromiter(map(len, pub_ids), dtype=np.intp, count=n_rows)[by_pub_id]
-    ranks = np.flatnonzero(length[1:] > length[:-1]).tolist()
-    if any(pub_ids[by_pub_id[i + 1]].startswith(pub_ids[by_pub_id[i]]) for i in ranks):
-        copy_ids = [pub_id + COPY_SEPARATOR for pub_id in pub_ids]
-        copy_order = table_row[sorted(by_pub_id.tolist(), key=copy_ids.__getitem__)]
-        area_copy_order = copy_order[np.argsort(area[copy_order].astype(area_dtype), kind="stable")]
-        copy_entries = entries_of(row_start[copy_order], row_entries[copy_order])
-    else:
-        # The table rows are in (area, pub_id) order.
-        copy_order, area_copy_order, copy_entries = pub_order, np.arange(n_rows), pub_entries
+    pub_entries = entries_of((np.cumsum(row_entries) - row_entries)[pub_order], row_entries[pub_order])
 
     return PublicationTable(
         area_ids=tuple(area_ids),
@@ -331,14 +307,11 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
         ext_missing=np.isnan(ext_citation) | np.isnan(ext_journal),
         rank_group=np.concatenate((area, journal_cell_area + len(area_ids))),
         pub_order=pub_order,
-        copy_order=copy_order,
-        area_copy_order=area_copy_order,
         entry_row=entry_row,
         entry_cell=cell,
         entry_weight=entry_weight,
         entry_cited=entry_weight * citations[entry_row],
         pub_entries=pub_entries,
-        copy_entries=copy_entries,
         n_cells=int(cell.max(initial=-1)) + 1,
         n_unredistributable=len(unredistributable),
     )
@@ -463,16 +436,13 @@ class _Scores(NamedTuple):
 
 def _scores(table: PublicationTable, counts: np.ndarray, point: bool) -> _Scores:
     """Scores of the corpus holding counts[row] copies of each row, summed
-    over the copies in ascending pub_id order for the point pass and in
-    copy order for a replicate."""
+    over the copies in ascending pub_id order, a row's copies together.
+    point says that every count is 1."""
     n_rows = len(counts)
-    if point:
-        # Each row has one copy, and the rows are in (area, pub_id) order already.
-        copies, entries, area_order = table.pub_order, table.pub_entries, np.arange(n_rows)
-    else:
-        copies = np.repeat(table.copy_order, counts[table.copy_order])
-        entries = np.repeat(table.copy_entries, counts[table.entry_row[table.copy_entries]])
-        area_order = table.area_copy_order
+    copies, entries = table.pub_order, table.pub_entries
+    if not point:
+        copies = np.repeat(copies, counts[copies])
+        entries = np.repeat(entries, counts[table.entry_row[entries]])
 
     # Field-year baselines and NCS; a row on a cell without a baseline, or
     # on a zero-mean cell, is flagged.
@@ -513,12 +483,12 @@ def _scores(table: PublicationTable, counts: np.ndarray, point: bool) -> _Scores
 
     n_units = len(table.unit_area)
     kept_unit = table.unit[kept]
-    area_w = w[area_order]
     return _Scores(
         keep=keep,
         kept=kept,
-        area_kept=np.repeat(area_order, area_w),
-        area_bounds=[0, *np.cumsum(np.add.reduceat(area_w, table.area_starts)).tolist()],
+        # The rows are in (area, pub_id) order.
+        area_kept=np.repeat(np.arange(n_rows), w),
+        area_bounds=[0, *np.cumsum(np.add.reduceat(w, table.area_starts)).tolist()],
         series=series,
         unit_copies=np.bincount(kept_unit, minlength=n_units),
         unit_total={

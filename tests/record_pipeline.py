@@ -8,13 +8,14 @@ aggregate, pivoted per area and compared by run_agreement, each summing in
 ascending pub_id order with explicit left folds, never the builtin sum(),
 whose rounding is compensated from Python 3.12 on. So the reference equals table.py bit for bit on every Python. On a
 bootstrap replicate materialised by resample_within_areas, whose copies are
-named "<pub_id>~<draw number>", it gives what table.table_statistics
+named by the zero-padded pub_id rank of their publication, so that they
+sum in the order the table sums them, it gives what table.table_statistics
 computes from the replicate's copy counts. stratified_sample is the
 record-by-record draw of bibagree sample.
 
 load_corpus is the row-by-row loader: it parses every row into a record
 and validates the records one by one, in file order, each after its
-pub_id is checked against every earlier row's. The columnar loader in
+pub_id is checked against the earlier rows'. The columnar loader in
 bibagree.corpus must raise what it raises and load what it loads.
 """
 
@@ -326,19 +327,23 @@ def weighted_mean_ncs_by_year(corpus: Corpus, baselines: FieldYearBaseline, ncs:
 def resample_within_areas(corpus: Corpus, rng: np.random.Generator) -> Corpus:
     """One bootstrap replicate: per-area sampling with replacement.
 
-    Preserves each area's publication count; duplicated records get
-    suffix-disambiguated pub_ids so downstream uniqueness holds.
+    Preserves each area's publication count. Each copy gets a unique
+    pub_id, "<rank>~<draw number>~<pub_id>", rank being the zero-padded
+    rank of the publication's pub_id: the copies sort by the pub_id order
+    of their publications, each publication's together, whatever its pub_id.
     """
-    by_area: dict[str, list[PublicationRecord]] = {}
-    for rec in sorted(corpus.records, key=lambda r: r.pub_id):
-        by_area.setdefault(rec.area_id, []).append(rec)
+    by_area: dict[str, list[tuple[str, PublicationRecord]]] = {}
+    ranked = sorted(corpus.records, key=lambda r: r.pub_id)
+    width = len(str(len(ranked)))
+    for rank, rec in enumerate(ranked):
+        by_area.setdefault(rec.area_id, []).append((f"{rank:0{width}d}", rec))
     out: list[PublicationRecord] = []
     for area in sorted(by_area):
         pool = by_area[area]
         idx = rng.integers(0, len(pool), size=len(pool))
         for copy_no, i in enumerate(idx):
-            rec = pool[int(i)]
-            out.append(replace(rec, pub_id=f"{rec.pub_id}~{copy_no}"))
+            rank, rec = pool[int(i)]
+            out.append(replace(rec, pub_id=f"{rank}~{copy_no}~{rec.pub_id}"))
     return replace(corpus, records=tuple(out))
 
 
@@ -435,8 +440,10 @@ def record_statistic_values(corpus: Corpus, config: PipelineConfig) -> dict:
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
     """Read and validate a corpus file (CSV/TSV or JSONL)."""
     path = Path(path)
-    if not path.exists():
-        raise CorpusParseError(f"corpus file not found: {path}")
+    try:
+        path.open().close()
+    except OSError as exc:
+        raise CorpusParseError(f"{path}: cannot read corpus: {exc.strerror or exc}") from exc
     fmt = _detect_format(path)
     records: list[PublicationRecord] = []
     wheres: list[str] = []  # each record's row as messages name it
@@ -474,21 +481,14 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     census_year = options.census_year
     if census_year is None:
         census_year = max(r.year for r in records)
-    # A bootstrap replicate names a copy "<pub_id>~<n>", so no pub_id may
-    # extend another by "~". Each row is checked against every earlier row:
-    # a repeat first, then such an extension, either way round, naming the
-    # earliest row it clashes with.
-    for r, (rec, where) in enumerate(zip(records, wheres)):
-        earlier = [other.pub_id for other in records[:r]]
-        if rec.pub_id in earlier:
-            raise CorpusValidationError(f"duplicate pub_id {rec.pub_id!r}")
-        for other in earlier:
-            if other.startswith(rec.pub_id + "~") or rec.pub_id.startswith(other + "~"):
-                longer, shorter = sorted((other, rec.pub_id), key=len, reverse=True)
-                raise CorpusValidationError(
-                    f"{where}: pub_id {longer!r} extends pub_id {shorter!r} by '~', "
-                    "which separates a copy's number in a bootstrap replicate"
-                )
+    # Each row's pub_id is checked against the earlier rows' before the row
+    # is validated; a repeat names its row and the first row of the id.
+    first_where: dict[str, str] = {}
+    for rec, where in zip(records, wheres):
+        if rec.pub_id in first_where:
+            first = first_where[rec.pub_id].removeprefix(f"{path.name} ")
+            raise CorpusValidationError(f"{where}: duplicate pub_id {rec.pub_id!r}, first on {first}")
+        first_where[rec.pub_id] = where
         validate_record(rec, census_year)
 
     population = None

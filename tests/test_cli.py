@@ -70,6 +70,21 @@ def run_pipeline(corpus_file, out_dir, *extra):
     return main(args + list(extra))
 
 
+def test_a_run_without_population_leaves_no_coverage_table(corpus_file, tmp_path):
+    # An earlier run's coverage.csv in the output directory goes, so the
+    # directory holds what a run into an empty one writes.
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run_pipeline(corpus_file, out) == 0
+    assert (out / "coverage.csv").exists()
+    args = ["--corpus", str(corpus_file), "--seed", "3", "--replicates", "5"]
+    assert main(["run", *args, "--out", str(out)]) == 0
+    assert main(["run", *args, "--out", str(fresh)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    assert "coverage.csv" not in {p.name for p in out.iterdir()}
+    for p in fresh.iterdir():
+        assert (out / p.name).read_bytes() == p.read_bytes(), p.name
+
+
 def test_run_produces_all_outputs(corpus_file, tmp_path):
     out = tmp_path / "out"
     assert run_pipeline(corpus_file, out) == 0
@@ -253,18 +268,35 @@ def test_malformed_row_or_id_is_validation_failure(tmp_path, capsys, name, text,
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_validate_names_a_pub_id_extending_another_by_tilde(tmp_path, capsys, fmt):
-    # "~" separates a copy's number in a bootstrap replicate's ids.
+def test_validate_names_a_repeated_pub_id_and_its_first_row(tmp_path, capsys, fmt):
     path = tmp_path / f"c.{fmt}"
-    ids = ["p001", "p002", "p001~1"]
+    ids = ["p001", "p002", "p001~1", "p002"]
     if fmt == "jsonl":
         path.write_text("".join(json.dumps({**GOOD_OBJECT, "pub_id": i}) + "\n" for i in ids))
-        named = "c.jsonl line 3"
+        named = "c.jsonl line 4: duplicate pub_id 'p002', first on line 2"
     else:
         path.write_text(CORPUS_HEADER + "".join(GOOD_ROW.replace("p001,", f"{i},") for i in ids))
-        named = "c.csv row 4"
+        named = "c.csv row 5: duplicate pub_id 'p002', first on row 3"
     assert main(["validate", "--corpus", str(path)]) == 1
-    assert f"error: {named}: pub_id 'p001~1' extends pub_id 'p001' by '~'" in capsys.readouterr().err
+    assert f"error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what", ["corpus", "population"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("path", ["nope.csv", "."], ids=["missing", "directory"])
+def test_an_unreadable_corpus_or_population_path_is_validation_failure(
+    corpus_file, tmp_path, monkeypatch, capsys, what, command, path
+):
+    monkeypatch.chdir(tmp_path)
+    pop = str(corpus_file.with_suffix(".population.csv"))
+    corpus, pop = (path, pop) if what == "corpus" else (str(corpus_file), path)
+    args = [command, "--corpus", corpus, "--population", pop]
+    if command == "run":
+        args += ["--out", "o", "--no-bootstrap"]
+    assert main(args) == 1
+    reason = "population counts" if what == "population" else "corpus"
+    assert f"error: {'[load] ' if command == 'run' else ''}{path}: cannot read {reason}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -441,7 +473,7 @@ def test_sample_bad_fraction_fails_before_load(tmp_path, capsys, fraction):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert f"fraction {float(fraction)}" in err
-    assert "not found" not in err
+    assert "cannot read" not in err
 
 
 @pytest.mark.parametrize("extra", [["--replicates", "3"], ["--no-bootstrap"]], ids=["bootstrap", "no-bootstrap"])
@@ -463,7 +495,7 @@ def test_generate_and_sample_reject_a_negative_seed(tmp_path, capsys, command):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "error: seed must be >= 0, got -3" in err
-    assert "not found" not in err
+    assert "cannot read" not in err
     assert not out.exists()
 
 

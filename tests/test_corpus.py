@@ -79,36 +79,23 @@ def test_negative_citations_rejected(tmp_path):
 
 def test_duplicate_pub_id_rejected(tmp_path):
     bad = THREE_ROWS.replace("p3,", "p1,")
-    with pytest.raises(CorpusValidationError, match="duplicate"):
+    with pytest.raises(CorpusValidationError, match=re.escape("corpus.csv row 4: duplicate pub_id 'p1', first on row 2")):
         load_corpus(write(tmp_path, bad))
 
 
-@pytest.mark.parametrize(
-    "old, new, named",
-    [
-        ("p3,", "p1~2,", "corpus.csv row 4: pub_id 'p1~2' extends pub_id 'p1'"),
-        ("p1,", "p2~1,", "corpus.csv row 3: pub_id 'p2~1' extends pub_id 'p2'"),
-        ("p3,", "p1~,", "corpus.csv row 4: pub_id 'p1~' extends pub_id 'p1'"),
-        ("p3,", "p2~a~b,", "corpus.csv row 4: pub_id 'p2~a~b' extends pub_id 'p2'"),
-    ],
-    ids=["later", "earlier", "bare-tilde", "two-tildes"],
-)
-def test_pub_id_extending_another_by_tilde_rejected(tmp_path, old, new, named):
-    # A bootstrap replicate names its copies "<pub_id>~<n>", so the copies of
-    # p1 and p1~2 would interleave (p1~1, p1~2~1, p1~3) and a replicate's
-    # sums would no longer run over each publication's copies together.
-    with pytest.raises(CorpusValidationError, match=re.escape(f"{named} by '~'")):
-        load_corpus(write(tmp_path, THREE_ROWS.replace(old, new)))
-
-
-def test_pub_id_extending_another_by_tilde_names_its_jsonl_line(tmp_path):
+def test_duplicate_pub_id_names_its_jsonl_lines(tmp_path):
     corpus = load_corpus(write(tmp_path, THREE_ROWS))
-    records = [replace(rec, pub_id="p2~0") if rec.pub_id == "p3" else rec for rec in corpus.records]
+    records = [replace(rec, pub_id="p2") if rec.pub_id == "p3" else rec for rec in corpus.records]
     path = tmp_path / "corpus.jsonl"
     save_corpus(Corpus(records=tuple(records), census_year=corpus.census_year), path)
-    named = "corpus.jsonl line 3: pub_id 'p2~0' extends pub_id 'p2'"
-    with pytest.raises(CorpusValidationError, match=re.escape(named)):
+    with pytest.raises(CorpusValidationError, match=re.escape("corpus.jsonl line 3: duplicate pub_id 'p2', first on line 2")):
         load_corpus(path)
+
+
+def test_pub_ids_extending_another_by_tilde_load(tmp_path):
+    text = THREE_ROWS.replace("p2,", "p1~2,").replace("p3,", "p1~,")
+    corpus = load_corpus(write(tmp_path, text))
+    assert [rec.pub_id for rec in corpus.records] == ["p1", "p1~2", "p1~"]
 
 
 def test_tilde_in_a_pub_id_that_extends_no_other_loads(tmp_path):
@@ -116,28 +103,20 @@ def test_tilde_in_a_pub_id_that_extends_no_other_loads(tmp_path):
     assert [rec.pub_id for rec in corpus.records] == ["p1", "p1x~1", "p4~1"]
 
 
-def test_earliest_row_fault_wins_over_a_tilde_extension(tmp_path):
-    # As with a duplicate id, the clash belongs to the later of the two rows.
-    bad_weights = THREE_ROWS.replace("p3,", "p1~2,").replace("PHY:0.5;CHE:0.5", "PHY:0.5;CHE:0.4")
+def test_earliest_row_fault_wins_over_a_duplicate(tmp_path):
+    # A repeat belongs to the later of the two rows, and comes before the
+    # validation of that row.
+    bad_weights = THREE_ROWS.replace("p3,", "p1,").replace("PHY:0.5;CHE:0.5", "PHY:0.5;CHE:0.4")
     with pytest.raises(CorpusValidationError, match="weights sum 0.9"):
         load_corpus(write(tmp_path, bad_weights))
-    bad_weights = THREE_ROWS.replace("p2,", "p1~2,").replace("CHE:1.0,PHY", "CHE:0.9,PHY")
-    with pytest.raises(CorpusValidationError, match=re.escape("row 3: pub_id 'p1~2' extends")):
+    bad_weights = THREE_ROWS.replace("p2,", "p1,").replace("PHY:0.5;CHE:0.5", "PHY:0.5;CHE:0.4")
+    with pytest.raises(CorpusValidationError, match=re.escape("row 3: duplicate pub_id 'p1', first on row 2")):
         load_corpus(write(tmp_path, bad_weights))
-    duplicate_first = THREE_ROWS.replace("p2,", "p1,").replace("p3,", "p1~2,")
-    with pytest.raises(CorpusValidationError, match="duplicate pub_id 'p1'"):
-        load_corpus(write(tmp_path, duplicate_first))
 
 
 def first_clash_of_every_pair(ids):
     """_first_clash by trying every pair of rows."""
-    clashes = []
-    for row, pub_id in enumerate(ids):
-        for other in range(row):
-            if ids[other] == pub_id:
-                clashes.append((row, 0, other))
-            elif ids[other].startswith(pub_id + "~") or pub_id.startswith(ids[other] + "~"):
-                clashes.append((row, 1, other))
+    clashes = [(row, other) for row in range(len(ids)) for other in range(row) if ids[other] == ids[row]]
     return min(clashes, default=None)
 
 

@@ -109,20 +109,26 @@ RECORD = st.tuples(
 )
 
 
+# Fixed-width ids; ids like P1 and P10, where one is a prefix of the other;
+# and ids where every other one extends the one before by "~" (P0, P0~1,
+# P1, P1~3, ...). Every sum must run in pub_id order, each publication's
+# copies together, whatever the ids.
+ID_FORMATS = ("P{:03d}".format, "P{}".format, lambda i: f"P{i // 2}" + f"~{i}" * (i % 2))
+
+
 @st.composite
-def corpora(draw, fixed_width_ids=False):
-    """Small corpora; ids like P1 and P10, where one is a prefix of the
-    other, sort differently once a replicate names copies "<pub_id>~<n>"."""
+def corpora(draw):
+    """Small corpora, with ids of each family of ID_FORMATS."""
     rows = draw(st.lists(RECORD, min_size=1, max_size=40))
     ext = draw(st.sampled_from(["none", "all", "some"]))
-    id_format = "P{:03d}" if fixed_width_ids or draw(st.booleans()) else "P{}"
+    id_format = draw(st.sampled_from(ID_FORMATS))
     records = []
     for i, (area, inst, year, cites, layout, field, journal, scores) in enumerate(rows):
         weights, refs = _weights(layout, field)
         with_ext = ext == "all" or (ext == "some" and i % 2 == 0)
         records.append(
             PublicationRecord(
-                pub_id=id_format.format(i),
+                pub_id=id_format(i),
                 institution_id=f"U{inst}",
                 area_id=f"A{area}",
                 year=year,
@@ -169,17 +175,16 @@ def test_replicate_counts_match_materialised_replicates(corpus, config):
         resampled = resample_within_areas(corpus, np.random.default_rng([config.seed, k]))
         copies = {}
         for rec in resampled.records:
-            origin = rec.pub_id.split("~")[0]
+            origin = rec.pub_id.split("~", 2)[2]  # "<rank>~<n>~<pub_id>"
             copies[origin] = copies.get(origin, 0) + 1
         assert [copies.get(r.pub_id, 0) for r in order] == counts.tolist()
         assert_same_statistics(replicate_values(table, counts, config), record_statistic_values(resampled, config))
 
 
 @settings(max_examples=100, deadline=None)
-@given(corpora(fixed_width_ids=True), CONFIGS)
+@given(corpora(), CONFIGS)
 def test_all_ones_counts_give_point_statistics(corpus, config):
-    # The point pass sums in pub_id order and a replicate in copy pub_id
-    # order; with fixed-width ids the two orders coincide.
+    # A replicate sums in pub_id order, as the point pass does.
     table = build_table(corpus, config.multidisciplinary_label)
     ones = np.ones(len(corpus.records), dtype=np.int64)
     assert_same_statistics(replicate_values(table, ones, config), record_statistic_values(corpus, config))
@@ -201,9 +206,9 @@ def test_point_pass_equals_record_pipeline_exactly(corpus, config):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_point_pass_sums_in_pub_id_order_on_unpadded_ids(seed):
     # With ids P0, P1, ..., P10, ... the pub_id order ("P1" < "P10" < "P2")
-    # and the copy order ("P10~" < "P1~") differ, and a synth corpus's
-    # citations are large and varied enough that the order of a sum
-    # changes its last bits, so summing the point pass in copy order fails.
+    # and the order of the ids plus "~" ("P10~" < "P1~") differ, and a
+    # synth corpus's citations are large and varied enough that the order
+    # of a sum changes its last bits, so summing in the second order fails.
     records = generate(SynthConfig(n_institutions=40, n_areas=2, multidisciplinary_share=0.1, seed=seed)).records
     corpus = _with_ids(records, lambda i, rec: f"P{i}")
     assert_equals_record_pipeline(corpus, PipelineConfig(seed=seed))
@@ -417,19 +422,6 @@ def test_rows_take_python_pub_id_order_with_trailing_nuls(tmp_path):
     save_corpus(Corpus(records=tuple(records), census_year=2015), path)
     table = build_table(load_corpus(path), "MULTI")
     assert table.citations[table.pub_order].tolist() == [1, 3, 7]
-    assert table.citations[table.copy_order].tolist() == [1, 7, 3]  # "p1\0~" < "p1~"
-
-
-def sort_built_copy_order(corpus, table):
-    """copy_order, area_copy_order and copy_entries as sorting the rows by
-    the ids a replicate's copies carry builds them."""
-    row_id = [""] * len(table.area)
-    for pub_id, row in zip(sorted(corpus.columns.pub_id), table.pub_order.tolist()):
-        row_id[row] = pub_id
-    copy_order = np.array(sorted(range(len(row_id)), key=lambda row: row_id[row] + "~"))
-    area_copy_order = copy_order[np.argsort(table.area[copy_order], kind="stable")]
-    copy_entries = np.concatenate([np.flatnonzero(table.entry_row == row) for row in copy_order.tolist()])
-    return copy_order, area_copy_order, copy_entries
 
 
 def _with_ids(records, pub_id):
@@ -437,35 +429,43 @@ def _with_ids(records, pub_id):
 
 
 def _copy_order_cases():
+    """Corpora in and out of pub_id order, with ids where one is a proper
+    prefix of another, and where one extends another by "~"."""
     records = generate(SynthConfig(n_institutions=6, seed=4, multidisciplinary_share=0.3)).records
     shuffled = list(records)
     np.random.default_rng(2).shuffle(shuffled)
     return {
-        # (corpus, whether its copy ids sort the rows as its pub_ids do)
-        "no-prefix": (_with_ids(records, lambda i, rec: rec.pub_id), True),
-        "P1-P10": (_with_ids(shuffled, lambda i, rec: f"P{i}"), False),
-        # "é" sorts after "~", so the order holds, but the prefix is found.
-        "prefix-then-e-acute": (_with_ids(records, lambda i, rec: f"P{i // 2:04d}" + "é" * (i % 2)), False),
-        "shuffled": (_with_ids(shuffled, lambda i, rec: rec.pub_id), True),
+        "no-prefix": _with_ids(records, lambda i, rec: rec.pub_id),
+        "P1-P10": _with_ids(shuffled, lambda i, rec: f"P{i}"),
+        "prefix-then-e-acute": _with_ids(records, lambda i, rec: f"P{i // 2:04d}" + "é" * (i % 2)),
+        "shuffled": _with_ids(shuffled, lambda i, rec: rec.pub_id),
+        "tilde": _with_ids(shuffled, lambda i, rec: f"P{i // 2}" + "~1" * (i % 2)),
     }
 
 
 COPY_ORDER_CASES = _copy_order_cases()
 
 
-@pytest.mark.parametrize("case", list(COPY_ORDER_CASES))
-def test_copy_order_equals_the_sort_built_one(case):
-    corpus, same_order = COPY_ORDER_CASES[case]
-    table = build_table(corpus, "MULTI")
-    copy_order, area_copy_order, copy_entries = sort_built_copy_order(corpus, table)
-    assert table.copy_order.tolist() == copy_order.tolist()
-    assert table.area_copy_order.tolist() == area_copy_order.tolist()
-    assert table.copy_entries.tolist() == copy_entries.tolist()
-    # Without an id that is a proper prefix of the next, the copy order is
-    # the pub_id order, taken without a second sort.
-    assert (table.copy_entries is table.pub_entries) == same_order
-    if same_order:
-        assert table.area_copy_order.tolist() == list(range(len(table.area)))
+@pytest.mark.parametrize("ids", ["tilde", "unpadded"])
+def test_replicates_on_unpadded_or_tilde_ids_equal_the_reference(ids):
+    # "tilde": every third pub_id is the one before plus "~1" (P1 and P1~1);
+    # copies named "<pub_id>~<n>" would interleave the two publications'
+    # copies. "unpadded": P0, P1, ..., where "P1" < "P10" but "P10~" <
+    # "P1~". The table sums each row's copies together, in pub_id order,
+    # and so does the reference, which names copies by pub_id rank; a
+    # synth corpus's citations are varied enough that another order
+    # changes the last bits of a sum.
+    records = generate(SynthConfig(n_institutions=6, seed=3)).records
+    if ids == "tilde":
+        corpus = _with_ids(records, lambda i, rec: records[i - 1].pub_id + "~1" if i % 3 == 2 else rec.pub_id)
+    else:
+        corpus = _with_ids(records, lambda i, rec: f"P{i}")
+    config = PipelineConfig(seed=0, assign_roles=False)
+    table = build_table(corpus, config.multidisciplinary_label)
+    for k in range(20):
+        counts = replicate_counts(table.area_sizes, config.seed, k)
+        resampled = resample_within_areas(corpus, np.random.default_rng([config.seed, k]))
+        assert_same_statistics(replicate_values(table, counts, config), record_statistic_values(resampled, config))
 
 
 @pytest.mark.parametrize(
@@ -505,7 +505,7 @@ def test_dense_codes_give_the_np_unique_table(monkeypatch, tmp_path):
     far_year = load_corpus(path)
     assert far_year.columns.year.dtype == object
     empty = Corpus(records=(), census_year=2015)
-    corpora = [corpus for corpus, _ in COPY_ORDER_CASES.values()] + [far_year, empty]
+    corpora = [*COPY_ORDER_CASES.values(), far_year, empty]
     config = PipelineConfig(seed=0, assign_roles=False)
     tables = [build_table(corpus, config.multidisciplinary_label) for corpus in corpora]
     stats = [compute_pipeline_stats(corpus, config) for corpus in corpora]
