@@ -5,16 +5,15 @@ OLS line fitted on the size-independent institutional view; MAD is the
 median absolute residual, MAPD the median absolute residual relative to
 the observed score (the size-dependent view, where the publication count
 cancels). Publication-level MAD uses a separate per-area fit. This module
-holds the result types, the line fit and the skip reasons; ``table.py``
-computes the statistics, with its own fit that reproduces ``fit_lines``
-bit for bit and keeps the residuals in the same buffer.
+holds the result types and the skip reasons; ``table.py`` fits the lines
+and computes the statistics, keeping the residuals in the fit's buffer.
+Its fit reproduces the reference ``fit_lines`` of ``tests/record_pipeline.py``
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 LEVEL_INSTITUTION = "institution"
 LEVEL_PUBLICATION = "publication"
@@ -58,27 +57,6 @@ class AgreementResult:
     statistics: list[AgreementStatistic]
     calibrations: list[CalibrationFit]
     skips: list[SkipEntry]
-
-
-def fit_lines(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form least squares of y on each row of x: slope =
-    cov(x,y)/var(x), intercept = ybar - slope*xbar.
-
-    Returns the intercepts, slopes and predictor variances per row. A row
-    with variance 0 has no line; its slope is 0 and its intercept ybar.
-    """
-    # A row mean sums pairwise only along contiguous rows; a Fortran-ordered
-    # x would sum sequentially and round differently from a single row.
-    # Each mean is the add.reduce and true_divide that np.mean runs,
-    # without its per-call overhead.
-    x = np.ascontiguousarray(x)
-    n = len(y)
-    xbar = x.sum(axis=1) / n
-    dx = x - xbar[:, None]
-    var = (dx**2).sum(axis=1) / n
-    ybar = y.sum() / n
-    slope = np.divide((dx * (y - ybar)).sum(axis=1) / n, var, out=np.zeros_like(var), where=var != 0.0)
-    return ybar - slope * xbar, slope, var
 
 
 def too_few_points(area_id: str, metric_label: str, n_points: int) -> str:

@@ -54,6 +54,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    pipeline.check_out(args.out, "corpus file")
     if args.config:
         cfg = SynthConfig.from_file(args.config)
     else:
@@ -76,8 +77,12 @@ def cmd_sample(args) -> int:
     seed = 0 if args.seed is None else args.seed
     check_fraction(args.fraction)
     check_seed(seed, ResamplingError)
+    pipeline.check_out(args.out, "corpus file")
     corpus = load_corpus(args.corpus, _schema_options(args))
     sample, skipped = stratified_sample(corpus, args.fraction, seed)
+    if len(sample) == 0:
+        # A corpus file with no record does not load.
+        raise ResamplingError(f"fraction {args.fraction} samples no record of the {len(corpus)} in {args.corpus}")
     save_corpus(sample, Path(args.out))
     msg = f"wrote {len(sample)} of {len(corpus)} records to {args.out}"
     if skipped:

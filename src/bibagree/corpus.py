@@ -23,6 +23,9 @@ one after the chunks are gone. Each chunk's ids
 and labels are coded through one dict per column that lasts the whole
 load, a string not seen before taking the next free code, and the codes
 are put in sorted order once, when the chunks are joined.
+``Columns.from_records`` builds the columns of a chunk from records and
+codes and joins them the same way, so ``_joined`` alone builds a
+``Columns``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 WEIGHT_TOL = 1e-9
+# The catch-all category whose weight a run spreads over a record's
+# reference profile.
+MULTIDISCIPLINARY_LABEL = "MULTI"
 # The largest citation count a float64 holds exactly; the publication table
 # computes in float64, and a larger count could overflow a field-year sum.
 MAX_CITATIONS = 2**53
@@ -138,13 +144,13 @@ class Entries(NamedTuple):
     weight: np.ndarray
 
 
-def _entries(maps: Sequence[dict]) -> Entries:
+def _entries(maps: Sequence[dict], weight: Callable[..., float] = float) -> Entries:
     """The entries of one weight map per record, each weight read with
-    float(), and their label strings."""
+    weight(), and their label strings."""
     return Entries(
         np.repeat(np.arange(len(maps)), list(map(len, maps))),
         list(chain.from_iterable(maps)),
-        np.array(list(map(float, chain.from_iterable(map(dict.values, maps)))), dtype=float),
+        np.array(list(map(weight, chain.from_iterable(map(dict.values, maps)))), dtype=float),
     )
 
 
@@ -154,13 +160,6 @@ def _maps(entries: Entries, labels: Sequence[str], n: int) -> list[dict[str, flo
     for row, code, weight in zip(entries.row.tolist(), entries.label.tolist(), entries.weight.tolist()):
         maps[row][labels[code]] = weight
     return maps
-
-
-def _codes(values: list) -> tuple[list, np.ndarray]:
-    """The sorted distinct values, and each value's index among them."""
-    distinct = sorted(set(values))
-    code = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
 
 
 def _int_array(values) -> np.ndarray:
@@ -205,27 +204,22 @@ class Columns:
     @staticmethod
     def from_records(records: Sequence[PublicationRecord]) -> Columns:
         pairs = [(r.review_a, r.review_b) for r in records]
-        weights = _entries([r.category_weights for r in records])
-        refs = _entries([r.ref_category_weights or {} for r in records])
-        labels, label = _codes(weights.label + refs.label)
-        ids = {}
-        for name in _CODED_IDS:
-            ids[name + "s"], ids[name] = _codes([getattr(r, name) for r in records])
-        return Columns(
-            pub_id=[r.pub_id for r in records],
-            **ids,
-            labels=labels,
-            year=_int_array([r.year for r in records]),
-            citations=_int_array([r.citations for r in records]),
-            weights=weights._replace(label=label[: len(weights.label)]),
-            refs=refs._replace(label=label[len(weights.label) :]),
-            review=_int_array(
+        values = {
+            "pub_id": [r.pub_id for r in records],
+            **{name: [getattr(r, name) for r in records] for name in _CODED_IDS},
+            "year": _int_array([r.year for r in records]),
+            "citations": _int_array([r.citations for r in records]),
+            "weights": _entries([r.category_weights for r in records]),
+            "refs": _entries([r.ref_category_weights or {} for r in records]),
+            "review": _int_array(
                 [[(s.originality, s.rigour, s.impact) if s else (0, 0, 0) for s in pair] for pair in pairs]
             ).reshape(len(records), 2, 3),
-            has_review=np.array([[s is not None for s in pair] for pair in pairs], dtype=bool).reshape(-1, 2),
-            ext_citation_percentile=np.array([r.ext_citation_percentile for r in records], dtype=float),
-            ext_journal_percentile=np.array([r.ext_journal_percentile for r in records], dtype=float),
-        )
+            "has_review": np.array([[s is not None for s in pair] for pair in pairs], dtype=bool).reshape(-1, 2),
+            "ext_citation_percentile": np.array([r.ext_citation_percentile for r in records], dtype=float),
+            "ext_journal_percentile": np.array([r.ext_journal_percentile for r in records], dtype=float),
+        }
+        seen: dict[str, dict[str, int]] = {name: {} for name in (*_CODED_IDS, "labels")}
+        return _joined([_coded(values, seen)], seen)
 
     def records(self, rows: Sequence[int] | None = None) -> tuple[PublicationRecord, ...]:
         """The record of each of the given rows, in that order; of every row
@@ -363,18 +357,18 @@ def _parse_score(row: dict, prefix: str, where: str) -> ReviewerScore | None:
         raise CorpusParseError(f"{where}: non-integer criterion score") from exc
 
 
-def _float_or_none(value) -> float | None:
-    """float(value), or None for a missing or blank value."""
+def _opt_float(value, where: str) -> float | None:
+    """float(value), or None for a missing or blank cell."""
     if value is None or str(value).strip() == "":
         return None
-    return float(value)
-
-
-def _opt_float(value, where: str) -> float | None:
     try:
-        return _float_or_none(value)
+        return float(value)
     except ValueError as exc:
         raise CorpusParseError(f"{where}: bad numeric value {value!r}") from exc
+
+
+class _NotNumber(ValueError):
+    """A JSON string or bool where a number belongs."""
 
 
 class _NonIntegral(ValueError):
@@ -383,9 +377,23 @@ class _NonIntegral(ValueError):
 
 def _json_int(value) -> int:
     """int(value) for a JSON value taken as an integral number."""
+    if isinstance(value, str):
+        raise _NotNumber(value)
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise _NonIntegral(value)
     return int(value)
+
+
+def _json_float(value) -> float:
+    """float(value) for a JSON value taken as a number."""
+    if isinstance(value, (str, bool)):
+        raise _NotNumber(value)
+    return float(value)
+
+
+def _json_percentile(value) -> float | None:
+    """_json_float(value), or None for a null or absent percentile."""
+    return None if value is None or value is _ABSENT else _json_float(value)
 
 
 def validate_record(rec: PublicationRecord, census_year: int) -> None:
@@ -457,18 +465,23 @@ def _record_from_row(row: dict, where: str) -> PublicationRecord:
 
 
 def _record_from_json(obj: dict, where: str) -> PublicationRecord:
-    def integral(value, name):
+    def number(value, name, convert=_json_int):
         try:
-            return _json_int(value)
+            return convert(value)
+        except _NotNumber:
+            raise CorpusParseError(f"{where}: {name} must be a number, got {value!r}") from None
         except _NonIntegral:
             raise CorpusParseError(f"{where}: non-integral {name} {value!r}") from None
+
+    def weights(key):
+        return {str(k): number(v, f"{key}.{k}", _json_float) for k, v in obj[key].items()}
 
     def score(key):
         sub = obj.get(key)
         if sub is None:
             return None
         try:
-            return ReviewerScore(*(integral(sub[c], f"{key}.{c}") for c in _CRITERIA))
+            return ReviewerScore(*(number(sub[c], f"{key}.{c}") for c in _CRITERIA))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusParseError(f"{where}: bad {key} object") from exc
 
@@ -477,22 +490,20 @@ def _record_from_json(obj: dict, where: str) -> PublicationRecord:
         if not all(isinstance(v, str) and v for v in ids):
             raise _bad_id(ids, where)
         pub_id, institution_id, area_id, journal_id = ids
-        weights = {str(k): float(v) for k, v in obj["category_weights"].items()}
-        refs_raw = obj.get("ref_category_weights")
-        refs = {str(k): float(v) for k, v in refs_raw.items()} if refs_raw else None
+        category_weights = weights("category_weights")
+        refs = weights("ref_category_weights") if obj.get("ref_category_weights") else None
         return PublicationRecord(
             pub_id=pub_id,
             institution_id=institution_id,
             area_id=area_id,
-            year=integral(obj["year"], "year"),
-            citations=integral(obj["citations"], "citations"),
+            year=number(obj["year"], "year"),
+            citations=number(obj["citations"], "citations"),
             journal_id=journal_id,
-            category_weights=weights,
+            category_weights=category_weights,
             ref_category_weights=refs,
             review_a=score("review_a"),
             review_b=score("review_b"),
-            ext_citation_percentile=_opt_float(obj.get("ext_citation_percentile"), where),
-            ext_journal_percentile=_opt_float(obj.get("ext_journal_percentile"), where),
+            **{name: number(obj.get(name), name, _json_percentile) for name in _EXT_COLUMNS},
         )
     # AttributeError: a weight map that is not an object; OverflowError: a
     # weight or percentile too large for a float.
@@ -575,17 +586,6 @@ _JSON_FIELDS = (
 _REVIEW_AT = (_JSON_FIELDS.index("review_a"), _JSON_FIELDS.index("review_b"))
 _CHUNK_ROWS = 256  # rows read and converted at a time
 _EXT_COLUMNS = ("ext_citation_percentile", "ext_journal_percentile")
-
-
-class _Chunk(NamedTuple):
-    """Successive rows of a corpus file, read but not yet converted."""
-
-    n_rows: int
-    # The rows' converted columns by Columns field, a percentile column as
-    # (values, which are present); raises when a row is faulty.
-    convert: Callable[[], dict]
-    parse_row: Callable[[int], PublicationRecord]  # the row-by-row parse of the chunk's i-th row
-    stop: Exception | None  # the fault of the row reading stopped at, right after these rows
 
 
 def _each_distinct(convert: Callable, texts: Sequence[str]) -> list:
@@ -679,10 +679,6 @@ def _table_rows(fh: TextIO, file_name: str, delimiter: str) -> Iterator:
         raise CorpusParseError(f"{file_name} row {number}: {exc}") from None
 
 
-def _json_float(value) -> float | None:
-    return None if value is _ABSENT else _float_or_none(value)
-
-
 def _json_weights(maps: Sequence, optional: bool) -> Entries:
     """A weight-map column as _record_from_json reads each value; an
     optional map may be absent or empty."""
@@ -690,7 +686,7 @@ def _json_weights(maps: Sequence, optional: bool) -> Entries:
         maps = [m if m is not _ABSENT and m else {} for m in maps]
     if not all(isinstance(m, dict) for m in maps):
         raise TypeError("a weight map that is not an object")
-    return _entries(maps)
+    return _entries(maps, _json_float)
 
 
 def _json_reviews(columns: list[Sequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -718,7 +714,7 @@ def _json_values(fields: dict[str, Sequence]) -> dict:
     values["refs"] = _json_weights(fields["ref_category_weights"], optional=True)
     values["review"], values["has_review"] = _json_reviews([fields["review_a"], fields["review_b"]])
     for name in _EXT_COLUMNS:
-        pct = list(map(_json_float, fields[name]))
+        pct = list(map(_json_percentile, fields[name]))
         # The values, NaN where absent, and which are present.
         values[name] = (np.array(pct, dtype=float), np.array([v is not None for v in pct], dtype=bool))
     return values
@@ -768,13 +764,21 @@ def _row_name(path: Path, number: int) -> str:
     return f"{path.name} {'line' if _detect_format(path) == 'jsonl' else 'row'} {number}"
 
 
-def _chunks(path: Path, numbers: array) -> Iterator[_Chunk]:
+def _chunks(path: Path, numbers: array) -> Iterator[tuple[dict, Callable[[int], PublicationRecord]]]:
     """Read a corpus file a chunk of rows at a time, until a row that cannot
     be read, appending each row's number in the file to numbers, which
-    holds the numbers of the rows of every chunk before. The file's format
-    gives a row reader, which yields the names of a row's fields and then
-    each row as (number, fields), a converter and a row parse, all looked
-    up at each call."""
+    holds the numbers of the rows of every chunk before. Each chunk is
+    yielded as its converted columns, by Columns field, a percentile column
+    as (values, which are present), and the row-by-row parse of its i-th
+    row.
+
+    When a chunk does not convert, or reading stopped at the row right
+    after it, its rows are parsed one by one instead: the first that does
+    not parse raises, else the fault reading stopped at; a conversion that
+    fails although every row parses raises AssertionError. The file's
+    format gives a row reader, which yields the names of a row's fields and
+    then each row as (number, fields), a converter and a row parse, all
+    looked up at each call."""
     fmt = _detect_format(path)
     if fmt == "jsonl":
         read, convert, parse = _json_rows, _json_values, _json_record
@@ -796,6 +800,8 @@ def _chunks(path: Path, numbers: array) -> Iterator[_Chunk]:
             except UnicodeDecodeError:
                 stop = _not_utf8(path, path.name)
             n_rows = len(numbers) - start
+            if not n_rows and stop is None:
+                return
             # Only the cells stay, column by column.
             cells = dict(zip(names, zip(*chunk)))
             del chunk
@@ -803,10 +809,19 @@ def _chunks(path: Path, numbers: array) -> Iterator[_Chunk]:
             def parse_row(i: int) -> PublicationRecord:
                 return parse({name: column[i] for name, column in cells.items()}, _row_name(path, numbers[start + i]))
 
-            if n_rows or stop is not None:
-                yield _Chunk(n_rows, partial(convert, cells), parse_row, stop)
+            try:
+                if stop is not None:
+                    raise stop
+                values = convert(cells)
+            except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
+                for i in range(n_rows):
+                    parse_row(i)
+                if exc is stop:
+                    raise
+                raise AssertionError("a column conversion failed but every row parses") from exc
+            yield values, parse_row
             del cells  # handed on: the next chunk is read without them
-            if stop is not None or n_rows < _CHUNK_ROWS:
+            if n_rows < _CHUNK_ROWS:
                 return
 
 
@@ -822,7 +837,7 @@ def _sorted_codes(seen: dict[str, int]) -> tuple[list[str], np.ndarray]:
 def _joined(pieces: list[dict], seen: dict[str, dict[str, int]]) -> Columns:
     """The converted columns of successive chunks as one: each chunk's
     entries move past the rows of the chunks before it, and the codes of
-    _converted become codes in sorted order. A column leaves the pieces as
+    _coded become codes in sorted order. A column leaves the pieces as
     it is joined, so only one column is held twice at a time."""
     starts = np.cumsum([0] + [len(piece["pub_id"]) for piece in pieces[:-1]])
 
@@ -901,38 +916,16 @@ def _seen_codes(seen: dict[str, int], texts: list[str]) -> np.ndarray:
     return np.fromiter(map(seen.__getitem__, texts), dtype=np.intp, count=len(texts))
 
 
-def _converted(chunk: _Chunk, census_year: int | None, seen: dict[str, dict[str, int]]) -> tuple[dict, list[int]]:
-    """The chunk's converted columns, by Columns field, and the rows of the
-    chunk that the screen flags. Institution, area and journal ids and the
-    weight labels become codes in seen, which holds a dict of strings to
-    codes for each id column and one for the labels, and which gains each
-    string it does not hold yet.
-
-    When the conversion fails or reading stopped, the chunk's rows are
-    parsed one by one: the first that does not parse raises, else the
-    fault reading stopped at; a conversion that fails although every row
-    parses raises AssertionError.
-    """
-    fault = chunk.stop
-    if fault is None:
-        try:
-            values = chunk.convert()
-        except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
-            fault = exc
-    if fault is not None:
-        for i in range(chunk.n_rows):
-            chunk.parse_row(i)
-        if chunk.stop is not None:
-            raise chunk.stop
-        raise AssertionError("a column conversion failed but every row parses") from fault
+def _coded(values: dict, seen: dict[str, dict[str, int]]) -> dict:
+    """values, columns by Columns field, with the institution, area and
+    journal ids and the weight labels made codes in seen, which holds a
+    dict of strings to codes for each id column and one for the labels, and
+    which gains each string it does not hold yet."""
     for name in _CODED_IDS:
         values[name] = _seen_codes(seen[name], values[name])
     for name in ("weights", "refs"):
         values[name] = values[name]._replace(label=_seen_codes(seen["labels"], values[name].label))
-    suspects = np.flatnonzero(_suspects(values, census_year)).tolist()
-    for name in _EXT_COLUMNS:
-        values[name] = values[name][0]
-    return values, suspects
+    return values
 
 
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
@@ -953,12 +946,13 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     seen: dict[str, dict[str, int]] = {name: {} for name in (*_CODED_IDS, "labels")}
     n_rows = 0
     with closing(_chunks(path, numbers)) as chunks:
-        for chunk in chunks:
-            piece, suspects = _converted(chunk, options.census_year, seen)
-            flagged += [(n_rows + i, chunk.parse_row(i)) for i in suspects]
+        for piece, parse_row in chunks:
+            suspects = _suspects(_coded(piece, seen), options.census_year)
+            flagged += [(n_rows + i, parse_row(i)) for i in np.flatnonzero(suspects).tolist()]
+            for name in _EXT_COLUMNS:
+                piece[name] = piece[name][0]
             pieces.append(piece)
-            n_rows += chunk.n_rows
-            del chunk  # its cells go before the next chunk is read
+            n_rows += len(suspects)
     if not pieces:
         raise CorpusParseError(f"{path.name}: no records")
     columns = _joined(pieces, seen)

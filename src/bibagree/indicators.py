@@ -41,11 +41,6 @@ class IndicatorTable:
     flagged: dict[str, str]  # pub_id -> reason
 
 
-# The catch-all category whose weight reassign_multidisciplinary spreads
-# over a record's reference profile.
-MULTIDISCIPLINARY_LABEL = "MULTI"
-
-
 def reassign_multidisciplinary(
     corpus: Corpus, multidisciplinary_label: str
 ) -> tuple[Corpus, list[str]]:

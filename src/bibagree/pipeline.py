@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import agreement as agr
 from .aggregation import InstitutionAggregate
-from .corpus import Corpus, SchemaOptions, assign_reviewer_roles, load_corpus
-from .indicators import MULTIDISCIPLINARY_LABEL
+from .corpus import MULTIDISCIPLINARY_LABEL, Corpus, SchemaOptions, assign_reviewer_roles, load_corpus
 from .jsonconfig import check_seed, check_type, from_json, read_json
 from .resampling import BootstrapResult, CoverageDiagnostic, bootstrap_statistics, coverage_report
 from .table import SERIES_LABELS, PipelineStats, build_table, point_statistics, table_statistics
@@ -106,13 +107,37 @@ def run_bootstrap(
     )
 
 
+def check_out(path: str | Path, what: str, directory: bool = False) -> None:
+    """Raise ConfigError naming path unless a `what` can be written there:
+    a directory that exists or can be made with its missing parents, or a
+    file in an existing directory. Nothing is created."""
+    path = Path(path)
+    # The directory written into; for a directory still to be made, its
+    # nearest existing ancestor.
+    nearest = path if directory else path.parent
+    while directory and not nearest.exists() and nearest != nearest.parent:
+        nearest = nearest.parent
+    if path.exists() and path.is_dir() != directory:
+        code = errno.EEXIST if directory else errno.EISDIR
+    elif not nearest.is_dir():
+        code = errno.ENOTDIR if nearest.exists() else errno.ENOENT
+    elif not os.access(nearest, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"{path}: cannot write {what}: {os.strerror(code)}")
+
+
 def run(
     corpus_path: str | Path,
     out_dir: str | Path,
     config: PipelineConfig,
     schema_options: SchemaOptions = SchemaOptions(),
 ) -> RunReport:
-    """Full pipeline over a corpus file, writing the report and figure tables."""
+    """Full pipeline over a corpus file, writing the report and figure tables.
+    An output directory that cannot be written is rejected before the load,
+    and the directory is made only once the report is ready."""
+    check_out(out_dir, "output directory", directory=True)
     timing: dict[str, float] = {}
 
     def timed(stage, fn, *args, **kwargs):

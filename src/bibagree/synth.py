@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, PublicationRecord, ReviewerScore
-from .indicators import MULTIDISCIPLINARY_LABEL
+from .corpus import MULTIDISCIPLINARY_LABEL, Corpus, PublicationRecord, ReviewerScore
 from .jsonconfig import SCALAR_TYPES, check_seed, check_type, from_json, read_json
 
 

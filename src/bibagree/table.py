@@ -46,8 +46,8 @@ copies, and each row takes its cell's rank; one call ranks the rows and
 the cells. Medians of the deviations (of every copy, at the publication
 level) take the one or two middle order statistics from a single in-place
 partition per row. The agreement pass fits the lines of all metrics of an
-area at once, one row per metric, with the arithmetic of
-``agreement.fit_lines`` in one buffer per fit; each area's copies are a
+area at once, one row per metric, with the arithmetic of the reference
+``fit_lines`` of ``tests/record_pipeline.py`` in one buffer per fit; each area's copies are a
 slice of the kept copies grouped by area. The point pass and a replicate
 share the fits and medians: the point pass builds the statistic,
 calibration and skip objects, a replicate only writes its values into a
@@ -388,10 +388,11 @@ class _Lines(NamedTuple):
 
 
 def _fit(z: np.ndarray, relative: bool) -> _Lines:
-    """agreement.fit_lines of y on each row of x, where z stacks the rows of
-    x over a last row y, and per row the median absolute residual
-    |y - (a + b*x)| (MAD) and, when relative, 100 times the median of the
-    absolute residual over y (MAPD).
+    """The least-squares line of y on each row of x, as the reference
+    fit_lines computes it, where z stacks the rows of x over a last row y,
+    and per row the median absolute residual |y - (a + b*x)| (MAD) and,
+    when relative, 100 times the median of the absolute residual over y
+    (MAPD).
 
     The arithmetic is that of fit_lines and of np.abs(y - (a + b*x)), bit
     for bit. One buffer of two metrics x points blocks holds dx**2 and
@@ -424,8 +425,7 @@ def _fit(z: np.ndarray, relative: bool) -> _Lines:
 
 class _Scores(NamedTuple):
     keep: np.ndarray  # rows with copies and a baseline on every cell they map to
-    kept: np.ndarray  # copies of kept rows, in summation order
-    area_kept: np.ndarray  # the same copies by area, in summation order within an area
+    area_kept: np.ndarray  # copies of kept rows by area, in summation order within an area
     area_bounds: list[int]  # area a's copies are area_kept[area_bounds[a]:area_bounds[a + 1]]
     series: dict[str, np.ndarray]  # series label -> score per row; only kept rows' scores are read
     unit_copies: np.ndarray  # kept copies per unit
@@ -485,7 +485,6 @@ def _scores(table: PublicationTable, counts: np.ndarray, point: bool) -> _Scores
     kept_unit = table.unit[kept]
     return _Scores(
         keep=keep,
-        kept=kept,
         # The rows are in (area, pub_id) order.
         area_kept=np.repeat(np.arange(n_rows), w),
         area_bounds=[0, *np.cumsum(np.add.reduceat(w, table.area_starts)).tolist()],

@@ -10,8 +10,9 @@ whose rounding is compensated from Python 3.12 on. So the reference equals table
 bootstrap replicate materialised by resample_within_areas, whose copies are
 named by the zero-padded pub_id rank of their publication, so that they
 sum in the order the table sums them, it gives what table.table_statistics
-computes from the replicate's copy counts. stratified_sample is the
-record-by-record draw of bibagree sample.
+computes from the replicate's copy counts. fit_lines is the closed-form
+least-squares fit whose arithmetic table.py reproduces in one buffer per
+fit. stratified_sample is the record-by-record draw of bibagree sample.
 
 load_corpus is the row-by-row loader: it parses every row into a record
 and validates the records one by one, in file order, each after its
@@ -137,13 +138,34 @@ def unit_rows(aggregates: list[InstitutionAggregate]) -> list[aggregation.Instit
     ]
 
 
+def fit_lines(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form least squares of y on each row of x: slope =
+    cov(x,y)/var(x), intercept = ybar - slope*xbar.
+
+    Returns the intercepts, slopes and predictor variances per row. A row
+    with variance 0 has no line; its slope is 0 and its intercept ybar.
+    """
+    # A row mean sums pairwise only along contiguous rows; a Fortran-ordered
+    # x would sum sequentially and round differently from a single row.
+    # Each mean is the add.reduce and true_divide that np.mean runs,
+    # without its per-call overhead.
+    x = np.ascontiguousarray(x)
+    n = len(y)
+    xbar = x.sum(axis=1) / n
+    dx = x - xbar[:, None]
+    var = (dx**2).sum(axis=1) / n
+    ybar = y.sum() / n
+    slope = np.divide((dx * (y - ybar)).sum(axis=1) / n, var, out=np.zeros_like(var), where=var != 0.0)
+    return ybar - slope * xbar, slope, var
+
+
 def fit_calibration(points: list[tuple[float, float]], area_id: str, metric_label: str) -> agr.CalibrationFit:
-    """agreement.fit_lines over (x, y) points, for a single predictor x."""
+    """fit_lines over (x, y) points, for a single predictor x."""
     if len(points) < agr.MIN_POINTS:
         raise DegeneratePredictorError(agr.too_few_points(area_id, metric_label, len(points)))
     x = np.array([p[0] for p in points], dtype=float)
     y = np.array([p[1] for p in points], dtype=float)
-    (intercept,), (slope,), (var,) = agr.fit_lines(x[None, :], y)
+    (intercept,), (slope,), (var,) = fit_lines(x[None, :], y)
     if var == 0.0:
         raise DegeneratePredictorError(agr.zero_variance(area_id, metric_label))
     return agr.CalibrationFit(area_id, metric_label, float(intercept), float(slope), len(points))

@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from bibagree.corpus import Corpus, PublicationRecord, ReviewerScore
-from bibagree.indicators import MULTIDISCIPLINARY_LABEL
+from bibagree.corpus import MULTIDISCIPLINARY_LABEL, Corpus, PublicationRecord, ReviewerScore
 from bibagree.synth import CENSUS_YEAR, YEARS, SynthConfig, _area_mass
 
 

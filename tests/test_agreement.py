@@ -10,7 +10,6 @@ from bibagree.agreement import (
     LEVEL_PUBLICATION,
     VIEW_SIZE_DEPENDENT,
     VIEW_SIZE_INDEPENDENT,
-    fit_lines,
 )
 from oracles import oracle_mad, oracle_mapd_sizedep, oracle_median, oracle_ols
 from record_pipeline import (
@@ -18,6 +17,7 @@ from record_pipeline import (
     DegeneratePredictorError,
     InstitutionAggregate,
     fit_calibration,
+    fit_lines,
     mad,
     mapd,
     run_agreement,

@@ -307,8 +307,20 @@ def test_an_unreadable_corpus_or_population_path_is_validation_failure(
         ({"ref_category_weights": "x"}, "'str' object has no attribute 'items'"),
         ({"category_weights": {"PHY": 10**400}}, "int too large to convert to float"),
         ({"ext_citation_percentile": 10**400}, "int too large to convert to float"),
+        ({"year": "2012"}, "year must be a number, got '2012'"),
+        ({"citations": "4"}, "citations must be a number, got '4'"),
+        ({"review_b": {"originality": 3, "rigour": "7", "impact": 6}}, "review_b.rigour must be a number, got '7'"),
+        ({"category_weights": {"PHY": True}}, "category_weights.PHY must be a number, got True"),
+        ({"category_weights": {"PHY": "0.5", "CHE": 0.5}}, "category_weights.PHY must be a number, got '0.5'"),
+        ({"ref_category_weights": {"PHY": "1"}}, "ref_category_weights.PHY must be a number, got '1'"),
+        ({"ext_citation_percentile": False}, "ext_citation_percentile must be a number, got False"),
+        ({"ext_journal_percentile": "55"}, "ext_journal_percentile must be a number, got '55'"),
     ],
-    ids=["weights-list", "weights-null", "refs-string", "weight-too-large", "percentile-too-large"],
+    ids=[
+        "weights-list", "weights-null", "refs-string", "weight-too-large", "percentile-too-large", "year-string",
+        "citations-string", "score-string", "weight-true", "weight-string", "ref-weight-string", "percentile-false",
+        "percentile-string",
+    ],
 )
 def test_malformed_jsonl_value_names_its_line(tmp_path, capsys, fields, named):
     path = tmp_path / "c.jsonl"
@@ -350,12 +362,42 @@ def test_run_without_both_reviews_is_validation_failure(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_unwritable_output_is_runtime_failure(corpus_file, tmp_path):
-    blocker = tmp_path / "file"
-    blocker.write_text("x")
-    code = main(["run", "--corpus", str(corpus_file), "--out", str(blocker / "sub"),
-                 "--no-bootstrap"])
-    assert code == 2
+@pytest.mark.parametrize(
+    "command, out, named",
+    [
+        ("run", "afile", "cannot write output directory: File exists"),
+        ("run", os.path.join("afile", "sub"), "cannot write output directory: Not a directory"),
+        ("generate", os.path.join("nodir", "x.csv"), "cannot write corpus file: No such file or directory"),
+        ("sample", os.path.join("nodir", "x.csv"), "cannot write corpus file: No such file or directory"),
+    ],
+    ids=["run-file", "run-under-file", "generate", "sample"],
+)
+def test_an_unusable_out_fails_before_the_work(corpus_file, tmp_path, monkeypatch, capsys, command, out, named):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("x")
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for module, name in ((bibagree.pipeline, "load_corpus"), (bibagree.cli, "load_corpus"), (bibagree.cli, "generate")):
+        monkeypatch.setattr(module, name, work)
+    args = {
+        "run": ["run", "--corpus", str(corpus_file), "--replicates", "50"],
+        "generate": ["generate"],
+        "sample": ["sample", "--corpus", str(corpus_file), "--fraction", "0.5"],
+    }[command]
+    assert main([*args, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {out}: {named}\n"
+    assert Path("afile").read_text() == "x"
+    assert not Path("nodir").exists()
+
+
+def test_a_sample_of_no_record_is_not_written(corpus_file, tmp_path, capsys):
+    # A corpus file without a record does not load.
+    out = tmp_path / "sub.csv"
+    assert main(["sample", "--corpus", str(corpus_file), "--fraction", "0.0001", "--out", str(out)]) == 1
+    assert f"error: fraction 0.0001 samples no record of the 200 in {corpus_file}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,7 @@ from bibagree import (
 )
 from bibagree import corpus as corpus_module
 from bibagree.cli import main
-from bibagree.corpus import CSV_COLUMNS, Columns, _codes
+from bibagree.corpus import CSV_COLUMNS, Columns
 from record_pipeline import load_corpus as load_corpus_by_record
 
 ID_COLUMNS = ["pub_id", "institution_id", "area_id", "journal_id"]
@@ -141,6 +141,13 @@ def corrupt_jsonl(text: str, faults) -> str:
             obj[field] = options[(choice // len(JSON_VALUES)) % len(options)]
         lines[i] = json.dumps(obj)
     return "\n".join(lines) + "\n"
+
+
+def _codes(values: list) -> tuple[list, np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    distinct = sorted(set(values))
+    code = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
 
 
 def column_values(columns: Columns) -> tuple:

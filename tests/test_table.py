@@ -391,15 +391,19 @@ def test_replicate_values_are_finite():
 
 def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
     # A loaded corpus holds its ids and labels as codes: no string is coded
-    # after the load, which codes each chunk without _codes.
-    calls = {"build_table": 0, "reassign_codes": 0, "_codes": 0}
+    # after the load, which codes each chunk as it is read, and no columns
+    # are built again from records.
+    calls = {"build_table": 0, "reassign_codes": 0, "from_records": 0}
     for name in calls:
-        original = getattr(bibagree.corpus if name == "_codes" else bibagree.table, name)
+        owner = bibagree.corpus.Columns if name == "from_records" else bibagree.table
+        original = getattr(owner, name)
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
+        if owner is not bibagree.table:
+            monkeypatch.setattr(owner, name, staticmethod(counted))
         for mod in [m for key, m in sys.modules.items() if key.startswith("bibagree")]:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
@@ -407,7 +411,7 @@ def test_run_codes_the_corpus_once(tmp_path, monkeypatch):
     corpus_path = tmp_path / "corpus.csv"
     save_corpus(generate(SynthConfig(seed=7, multidisciplinary_share=0.2)), corpus_path)
     run(corpus_path, tmp_path / "out", PipelineConfig(seed=7, n_replicates=3))
-    assert calls == {"build_table": 1, "reassign_codes": 1, "_codes": 0}
+    assert calls == {"build_table": 1, "reassign_codes": 1, "from_records": 0}
 
 
 def test_rows_take_python_pub_id_order_with_trailing_nuls(tmp_path):
