@@ -61,11 +61,13 @@ def cmd_generate(args) -> int:
         cfg = SynthConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    corpus = generate(cfg)
     out = Path(args.out)
+    pop_path = out.with_suffix(".population.csv")
+    if cfg.population_fraction > 0:
+        pipeline.check_out(pop_path, "population counts file")
+    corpus = generate(cfg)
     save_corpus(corpus, out)
     if corpus.population_counts:
-        pop_path = out.with_suffix(".population.csv")
         save_population_counts(corpus.population_counts, pop_path)
         print(f"wrote {len(corpus)} records to {out}, population counts to {pop_path}")
     else:

@@ -392,6 +392,19 @@ def test_an_unusable_out_fails_before_the_work(corpus_file, tmp_path, monkeypatc
     assert not Path("nodir").exists()
 
 
+def test_generate_checks_the_population_sidecar_before_the_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("side.population.csv").mkdir()
+    assert main(["generate", "--out", "side.csv", "--seed", "7"]) == 1
+    assert capsys.readouterr().err == "error: side.population.csv: cannot write population counts file: Is a directory\n"
+    assert not Path("side.csv").exists()
+    # Without population counts there is no sidecar to write.
+    Path("none.json").write_text('{"seed": 7, "population_fraction": 0}')
+    assert main(["generate", "--config", "none.json", "--out", "side.csv"]) == 0
+    assert Path("side.csv").is_file()
+    assert not any(Path("side.population.csv").iterdir())
+
+
 def test_a_sample_of_no_record_is_not_written(corpus_file, tmp_path, capsys):
     # A corpus file without a record does not load.
     out = tmp_path / "sub.csv"

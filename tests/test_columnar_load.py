@@ -69,9 +69,12 @@ TABLE_CELLS = {
 JSON_VALUES = {
     **{c: ["", " ", None, 7, "x", "U1"] for c in ID_COLUMNS},
     "year": [2012.5, True, "2012", "x", None, -3, 2016, 2013.0, float("inf"), [2012]],
-    "citations": [3.5, False, "4", "x", None, -1, 7.0, 10**25, 2**53 + 1, 10**400],
+    "citations": [3.5, False, "4", "x", None, -1, 7.0, 10**25, 2**53 + 1, 10**400, [1], {"n": 1}],
     "review_a": [None, {}, [1, 2, 3], "x", {"originality": 4, "rigour": 7}, {"originality": 0, "rigour": 7, "impact": 5}],
-    "review_b": [{"originality": 7.5, "rigour": 7, "impact": 5}, {"originality": "7", "rigour": 7, "impact": 11}],
+    "review_b": [
+        {"originality": 7.5, "rigour": 7, "impact": 5}, {"originality": "7", "rigour": 7, "impact": 11},
+        {"originality": None, "rigour": 7, "impact": 5}, {"originality": 7, "rigour": [7], "impact": 5},
+    ],
     "category_weights": [
         {"A": 0.5}, {"A": 0.5, "B": 0.5}, {}, None, [1], {"A": "0.5", "B": 0.5}, {"A": float("inf")},
         {"A": float("nan")}, {"A": True}, {"MULTI": 1.0}, {"A": "x"}, {"A": 10**400},
@@ -242,10 +245,10 @@ TABLE_FAULTS = [
     ("tilde", -1), ("extra", None), ("missing", None), ("no-review", "rev_b"),
 ]
 JSON_FAULTS = [
-    ("pub_id", None), ("area_id", ""), ("year", 2012.5), ("year", 2016), ("citations", -1), ("citations", "x"),
-    ("citations", 10**400),
+    ("pub_id", None), ("area_id", ""), ("year", 2012.5), ("year", 2016), ("year", None), ("citations", -1),
+    ("citations", "x"), ("citations", [1]), ("citations", 10**400),
     ("review_a", {}), ("review_a", {"originality": 4.5, "rigour": 7, "impact": 5}), ("review_b", {"rigour": 7}),
-    ("review_b", {"originality": "x", "rigour": 7, "impact": 5}),
+    ("review_b", {"originality": "x", "rigour": 7, "impact": 5}), ("review_b", {"originality": None, "rigour": 7, "impact": 5}),
     ("review_a", {"originality": 11, "rigour": 7, "impact": 5}), ("category_weights", {"A": 0.5}),
     ("category_weights", [1]), ("category_weights", {"A": "x"}), ("category_weights", {"A": float("nan")}),
     ("ref_category_weights", {"A": float("inf")}), ("ref_category_weights", "x"),
@@ -351,7 +354,7 @@ def assert_every_pair_of_faults_raises_as_row_by_row(tmp_path, fmt):
         assert got[0] == "loaded" or not a[0] == b[0] == "tilde", got
 
 
-@pytest.mark.parametrize("fmt, converter", [("csv", "_table_values"), ("jsonl", "_json_values")])
+@pytest.mark.parametrize("fmt, converter", [("csv", "_TableFile.add"), ("jsonl", "_JsonFile.add")])
 def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, monkeypatch, capsys, fmt, converter):
     # Only the row parse words a faulty row. A conversion that fails when
     # every row parses is a converter fault: it surfaces, exiting 2, not 1.
@@ -359,7 +362,7 @@ def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, mo
     save_corpus(base_corpus(0), path)
     bug = RuntimeError("converter fault")
 
-    def convert(cells):
+    def convert(*args):
         raise bug
 
     monkeypatch.setattr(f"bibagree.corpus.{converter}", convert)
@@ -643,3 +646,84 @@ def test_a_json_line_nested_past_the_recursion_limit_is_invalid_json(tmp_path, c
     assert main(["validate", "--corpus", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: corpus.jsonl line 3: invalid JSON: maximum recursion depth exceeded")
+
+
+def six_hundred_rows(tmp_path) -> str:
+    """The text of a valid 600-record CSV corpus: three chunks of the
+    default size, with weight maps that repeat across them."""
+    corpus = generate(
+        SynthConfig(
+            n_institutions=6, pubs_per_institution=PubCountSpec(value=100), n_areas=2,
+            multidisciplinary_share=0.3, seed=4,
+        )
+    )
+    path = tmp_path / "corpus.csv"
+    save_corpus(corpus, path)
+    return path.read_text()
+
+
+def test_each_distinct_weight_text_is_parsed_once(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.csv"
+    path.write_text(six_hundred_rows(tmp_path))
+    rows = list(csv.DictReader(io.StringIO(path.read_text())))
+    assert len(rows) > 2 * corpus_module._CHUNK_ROWS
+    parsed = []
+    parse_weights = corpus_module._parse_weights
+
+    def counted(text, where):
+        parsed.append(text)
+        return parse_weights(text, where)
+
+    monkeypatch.setattr("bibagree.corpus._parse_weights", counted)
+    load_corpus(path)
+    distinct = [text for column in WEIGHT_COLUMNS for text in dict.fromkeys(row[column] for row in rows)]
+    assert len(distinct) < len(rows)
+    assert sorted(parsed) == sorted(distinct)
+
+
+def test_a_bad_year_first_seen_in_a_later_chunk_is_named_at_its_first_row(tmp_path):
+    # Rows 300 and 500 are in the second and the third chunk of the default size.
+    path = tmp_path / "corpus.csv"
+    path.write_text(with_faults(six_hundred_rows(tmp_path), "csv", [(300, ("year", "x")), (500, ("year", "x"))]))
+    assert outcome(load_corpus, path, SchemaOptions()) == ("raised", CorpusParseError, "corpus.csv row 302: bad year/citations")
+    assert outcome(load_corpus_by_record, path, SchemaOptions()) == outcome(load_corpus, path, SchemaOptions())
+
+
+@pytest.mark.parametrize("read_fault, read_named", [(("extra", None), "more fields than the header"), (("category_weights", LONG_CELL), FIELD_LIMIT)])
+@pytest.mark.parametrize(
+    "earlier, named",
+    [(("year", "x"), "corpus.csv row 102: bad year/citations"), (("citations", "-1"), "corpus.csv row 152: {}")],
+)
+def test_a_read_fault_in_the_middle_of_a_chunk_keeps_the_fault_order(tmp_path, read_fault, read_named, earlier, named):
+    # Rows 100 and 150 are in the first chunk of the default size: an
+    # earlier parse fault wins over the read fault, which wins over an
+    # earlier validation fault.
+    path = tmp_path / "corpus.csv"
+    path.write_text(with_faults(six_hundred_rows(tmp_path), "csv", [(100, earlier), (150, read_fault)]))
+    assert outcome(load_corpus, path, SchemaOptions()) == ("raised", CorpusParseError, named.format(read_named))
+
+
+@pytest.mark.parametrize(
+    "field, first, second",
+    [
+        ("year", 1, True),
+        ("review_a", {"originality": 1, "rigour": 7, "impact": 5}, {"originality": True, "rigour": 7, "impact": 5}),
+        ("category_weights", {"A": 1}, {"A": True}),
+        ("category_weights", {"A": 1}, {"A": 1.0}),
+        ("ref_category_weights", {"A": 0.0, "B": 1.0}, {"A": -0.0, "B": 1.0}),
+    ],
+)
+@pytest.mark.parametrize("order", ["first-second", "second-first"])
+def test_json_values_that_compare_equal_load_as_their_own_values(tmp_path, field, first, second, order):
+    # A JSON value is its own key, and a weight map is keyed by its repr:
+    # true equals 1 as a key but is no number, and -0.0 equals 0.0.
+    lines = four_rows(tmp_path, "jsonl").splitlines()
+    for i, value in zip((0, 2), (first, second) if order == "first-second" else (second, first)):
+        with_json_fault(lines, i, (field, value))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    got = outcome(load_corpus, path, SchemaOptions())
+    assert got == outcome(load_corpus_by_record, path, SchemaOptions())
+    if got[0] == "loaded":
+        refs = [w for r in load_corpus_by_record(path).records for w in (r.ref_category_weights or {}).values()]
+        assert np.signbit(load_corpus(path).columns.refs.weight).tolist() == np.signbit(refs).tolist()

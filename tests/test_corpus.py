@@ -368,6 +368,32 @@ def test_jsonl_non_integral_number_rejected(tmp_path, field, value):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("year", None),
+        ("citations", [1]),
+        ("review_a.rigour", None),
+        ("review_b.impact", {"n": 1}),
+        ("ext_citation_percentile", [50]),
+        ("category_weights.X", None),
+    ],
+    ids=["year-null", "citations-list", "score-null", "score-object", "percentile-list", "weight-null"],
+)
+def test_jsonl_value_that_is_not_a_number_rejected(tmp_path, field, value):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate(SynthConfig(n_institutions=2, seed=5)), path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    *outer, key = field.split(".")
+    (obj[outer[0]] if outer else obj)[key] = value
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusParseError) as raised:
+        load_corpus(path)
+    assert str(raised.value) == f"corpus.jsonl line 2: {field} must be a number, got {value!r}"
+
+
 def test_doc_column_table_matches_csv_columns():
     doc = CORPUS_FORMAT_DOC.read_text()
     section = doc.split("## Columns", 1)[1].split("\n## ", 1)[0]
