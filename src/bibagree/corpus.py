@@ -7,13 +7,13 @@ in the sorted order of what they code. A run reads, screens and transforms
 these columns and never builds a ``PublicationRecord``; ``Corpus.records``
 is a view, built on first access.
 
-``load_corpus`` reads a file a chunk of rows at a time, code first: each
-cell of the id, year, citation, weight-map and criterion columns becomes a
-code into a table of the distinct values of its column for the whole
-file, and each distinct value is converted and screened once, when first
-seen (``_Coder``). The columns are decoded from the codes once the whole
-file is read, and ``Columns.from_records`` builds its columns the same way.
-The row-by-row functions ``_record_from_row``, ``_record_from_json`` and
+``load_corpus`` reads a file a chunk of rows at a time (``_Coder``). Each
+cell of the id, year, citation and criterion columns, whose values repeat
+across a file, becomes a code into a table of the distinct values of its
+column for the whole file, so each is converted and screened once; the
+weight maps and percentiles, which seldom repeat, are converted a chunk
+at a time. ``Columns.from_records`` builds its columns the same way. The
+row-by-row functions ``_record_from_row``, ``_record_from_json`` and
 ``validate_record`` define a valid row and word every error: a chunk with
 a row that does not parse is parsed row by row, in file order, up to that
 row, and only the rows the screen flags keep their row parse, to be
@@ -30,7 +30,6 @@ import math
 import operator
 from array import array
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain, compress, islice, repeat
@@ -184,12 +183,13 @@ class Columns:
 
     @staticmethod
     def from_records(records: Sequence[PublicationRecord]) -> Columns:
-        coder = _Coder(_RECORD_PARSE, None, reprs=_WEIGHT_COLUMNS)
+        coder = _Coder(_RECORD_PARSE, None)
         keys = {name: [[getattr(r, name) for r in records]] for name in _ONE_FIELD}
         reviews = ([r.review_a for r in records], [r.review_b for r in records])
         keys["review"] = _criterion_columns([[_criterion_scores(s) if s else _NO_REVIEW for s in column] for column in reviews])
-        pct = [np.array([getattr(r, name) for r in records], dtype=float) for name in _EXT_COLUMNS]
-        coder.add_coded(keys, [r.pub_id for r in records], [(p, ~np.isnan(p)) for p in pct])
+        maps = [[r.category_weights for r in records], [r.ref_category_weights or {} for r in records]]
+        pct = [_percentiles([getattr(r, name) for r in records]) for name in _EXT_COLUMNS]
+        coder.add(keys, [r.pub_id for r in records], maps, pct)
         return coder.columns()
 
     def records(self, rows: Sequence[int] | None = None) -> tuple[PublicationRecord, ...]:
@@ -550,12 +550,12 @@ _JSON_FIELDS = (*_ID_COLUMNS, "year", "citations", *_WEIGHT_COLUMNS, "review_a",
 _REVIEW_AT = (_JSON_FIELDS.index("review_a"), _JSON_FIELDS.index("review_b"))
 # The coded columns of one field each; the six criterion scores are coded
 # as one more, "review".
-_ONE_FIELD = (*_CODED_IDS, "year", "citations", *_WEIGHT_COLUMNS)
+_ONE_FIELD = (*_CODED_IDS, "year", "citations")
 # The six criterion cells of a CSV or TSV row, review a's then review b's.
 _CRITERION_CELLS = (*_SCORE_COLUMNS["rev_a"], *_SCORE_COLUMNS["rev_b"])
 # The flags of a distinct value: it may break an invariant of
-# validate_record, it does not parse, or it is a blank criterion.
-_SUSPECT, _BAD, _BLANK = 1, 2, 4
+# validate_record, or it is a blank criterion.
+_SUSPECT, _BLANK = 1, 2
 # A criterion of an absent review in JSON Lines and records; the criteria
 # of an absent review, and of a JSON review that is not an object.
 _NO_SCORE = object()
@@ -577,86 +577,52 @@ def _json_map(value) -> dict[str, float]:
 
 
 # How each coded column reads a value of a CSV or TSV file, of a JSON Lines
-# file and of records; None is a blank criterion, and an absent or empty
-# reference map in JSON Lines no map.
+# file and of records; None is a blank criterion.
 _TABLE_PARSE = {
     **dict.fromkeys(_CODED_IDS, lambda text: _id(text.strip())),
     "year": _int_text,
     "citations": _int_text,
-    **dict.fromkeys(_WEIGHT_COLUMNS, lambda text: _parse_weights(text, "")),
     "review": lambda text: _int_text(text) if text.strip() else None,
 }
 _JSON_PARSE = {
     **dict.fromkeys(_CODED_IDS, _id),
     "year": _json_int,
     "citations": _json_int,
-    "category_weights": _json_map,
-    "ref_category_weights": lambda value: _json_map(value) if value is not _ABSENT and value else {},
     "review": lambda score: None if score is _NO_SCORE else _json_int(score),
 }
 _RECORD_PARSE = {
     **dict.fromkeys((*_CODED_IDS, "year", "citations"), lambda value: value),
-    **dict.fromkeys(_WEIGHT_COLUMNS, lambda weights: {label: float(w) for label, w in (weights or {}).items()}),
     "review": lambda score: None if score is _NO_SCORE else score,
 }
 
 
-def _bad_weights(weights: dict[str, float]) -> bool:
-    """Whether category weights break validate_record: none, a sum off 1,
-    or a weight outside (0, 1]. A sum within the tolerance holds no NaN."""
-    w = weights.values()
-    return not (w and abs(sum(w) - 1.0) <= WEIGHT_TOL and min(w) > 0.0 and max(w) <= 1.0)
-
-
-def _converted(parse: Callable, screen: Callable, store: Callable, key) -> tuple[object, int]:
-    """store(value) of value = parse(key), and screen(value), its flags;
-    _BAD where parse raises."""
-    try:
-        value = parse(key)
-    except (CorpusParseError, ValueError, TypeError, AttributeError, OverflowError):
-        return None, _BAD
-    return store(value), screen(value)
-
-
-def _stored_map(labels: dict[str, int], entries: tuple[array, array], weights: dict[str, float]) -> int:
-    """The number of entries of a weight map, which are appended to entries:
-    the codes of their labels in labels, a new label taking the next free
-    code, and their weights."""
-    entries[0].extend([labels.setdefault(label, len(labels)) for label in weights])
-    entries[1].extend(weights.values())
-    return len(weights)
-
-
 class _Texts(dict):
-    """The distinct values of some columns of a file, each mapped to its
-    code. A value looked up for the first time is converted by convert()
-    into its value and flags, which new() keeps under the next free code."""
+    """The distinct values of a column for a whole file, each mapped to its
+    code. A value looked up for the first time is read by parse, which may
+    raise, and kept under the next free code with its flags, screen(what
+    parse read)."""
 
-    def __init__(self, convert: Callable[..., tuple[object, int]]):
-        super().__init__()
-        self.convert, self.values, self.flags = convert, [], bytearray()
-        self.flagged = False  # whether any value has a flag
-        self.chunks: list[np.ndarray] = []  # the codes of each chunk
+    def __init__(self, parse: Callable, screen: Callable[..., int]):
+        self.parse, self.screen = parse, screen
+        self.values, self.chunks = [], []  # chunks: the codes of each chunk
+        self.flags, self.flagged = bytearray(), False  # flagged: whether any value has a flag
 
     def __missing__(self, key) -> int:
-        code = self[key] = self.new(key)
-        return code
-
-    def new(self, value) -> int:
-        converted, flags = self.convert(value)
-        self.values.append(converted)
+        value = self.parse(key)
+        flags = self.screen(value)
+        self.values.append(value)
         self.flags.append(flags)
         self.flagged = self.flagged or flags != 0
-        return len(self.values) - 1
+        code = self[key] = len(self.values) - 1
+        return code
 
     def code(self, columns: Sequence[Sequence]) -> np.ndarray:
         """The codes of columns of equally many values, a row per column,
         kept as a chunk's."""
         shape = (len(columns), len(columns[0]))
-        values = chain.from_iterable(columns)
-        codes = np.fromiter(map(self.__getitem__, values), dtype=np.int32, count=shape[0] * shape[1]).reshape(shape)
-        self.chunks.append(codes)
-        return codes
+        codes = np.fromiter(map(self.__getitem__, chain.from_iterable(columns)), dtype=np.int32, count=shape[0] * shape[1])
+        self.chunks.append(codes.reshape(shape))
+        return self.chunks[-1]
 
     def flags_of(self, codes: np.ndarray) -> np.ndarray:
         return np.frombuffer(self.flags, dtype=np.uint8)[codes]
@@ -666,89 +632,67 @@ class _Texts(dict):
         return np.concatenate(self.chunks, axis=1)
 
 
-class _Reprs(_Texts):
-    """A _Texts keyed by the repr of each value, for values that cannot be
-    keys, such as JSON and record weight maps: a JSON bool, int and float
-    have distinct reprs, and equal values with distinct reprs (0 and -0.0)
-    read as distinct values."""
-
-    def __getitem__(self, value) -> int:
-        key = repr(value)
-        code = self.get(key)
-        if code is None:
-            code = self[key] = self.new(value)
-        return code
+def _sorted_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct strings of values, and each value's index among them."""
+    names = sorted(set(values))
+    index = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
 
 
-def _sorted_codes(seen: dict[str, int]) -> tuple[list[str], np.ndarray]:
-    """The sorted strings of seen, a dict of strings to codes, and the
-    sorted code of each of its codes."""
-    names = sorted(seen)
-    sorted_code = np.empty(len(names), dtype=np.intp)
-    sorted_code[list(map(seen.__getitem__, names))] = np.arange(len(names))
-    return names, sorted_code
+def _each_distinct(convert: Callable, texts: Sequence[str]) -> list:
+    """convert(text) of each text, called once per distinct text."""
+    converted = {text: convert(text) for text in dict.fromkeys(texts)}
+    return list(map(converted.__getitem__, texts))
 
 
-def _decoded_entries(texts: _Texts, entries: tuple[array, array], sorted_label: np.ndarray) -> Entries:
-    """The entries of the weight map of every row, from the codes of a
-    _Texts of weight maps and the entries of its distinct maps, labels
-    coded in sorted order."""
-    codes = texts.joined()[0]
-    size = np.array(texts.values, dtype=np.intp)
-    counts = size[codes]
-    ends = np.cumsum(counts)
-    # Each entry's index among the entries of the distinct maps.
-    entry = np.repeat((np.cumsum(size) - size)[codes] - (ends - counts), counts)
-    del codes, size
-    entry += np.arange(len(entry))
-    label, weight = np.frombuffer(entries[0], dtype=np.int64), np.frombuffer(entries[1])
-    return Entries(np.repeat(np.arange(len(counts)), counts), sorted_label[label][entry], weight[entry])
+def _entries(maps: Sequence[dict], labels: _Texts) -> Entries:
+    """The entries of one weight map per row, the rows counted from 0,
+    their labels coded by labels."""
+    return Entries(
+        np.repeat(np.arange(len(maps)), list(map(len, maps))),
+        np.fromiter(map(labels.__getitem__, chain.from_iterable(maps)), dtype=np.intp),
+        np.fromiter(chain.from_iterable(map(dict.values, maps)), dtype=float),
+    )
 
 
 def _criterion_columns(reviews: Sequence[Sequence[tuple]]) -> list[list]:
-    """The six criterion columns of the review a and review b columns, each
-    review given as the tuple of its criterion scores."""
+    """The six criterion columns of the review a and b columns, each review the tuple of its scores."""
     return [[review[k] for review in column] for column in reviews for k in range(3)]
 
 
-class _Coder:
-    """Columns built code first. The institution, area and journal ids,
-    years, citation counts, both weight maps and the six criterion scores of
-    each chunk become codes into a _Texts for the whole file, so each
-    distinct value is read by parse, screened and stored once, when first
-    seen; a value of the columns named in reprs is keyed by its repr.
-    pub_ids and percentiles come a chunk at a time. The columns are decoded
-    from the codes once every chunk is added."""
+def _percentiles(values: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
+    """A percentile column: the values, NaN where absent (None), and which are present."""
+    present = np.fromiter(map(operator.is_not, values, repeat(None)), dtype=bool, count=len(values))
+    pct = np.full(len(values), np.nan)
+    if present.any():
+        pct[present] = list(compress(values, present))
+    return pct, present
 
-    def __init__(self, parse: dict[str, Callable], census_year: int | None, reprs: Sequence[str] = ()):
-        self.seen: dict[str, dict[str, int]] = {name: {} for name in (*_CODED_IDS, "labels")}
-        self.entries = {name: (array("q"), array("d")) for name in _WEIGHT_COLUMNS}
+
+class _Coder:
+    """Columns built a chunk at a time. The institution, area and journal
+    ids, years, citation counts and the six criterion scores, which repeat
+    across a file, become codes into a _Texts each, which reads and screens
+    each distinct value once; they are decoded once every chunk is added.
+    The weight maps, percentiles and pub_ids, which seldom repeat, come
+    converted a chunk at a time."""
+
+    def __init__(self, parse: dict[str, Callable], census_year: int | None):
         screen = {
             "year": lambda year: _SUSPECT * (census_year is not None and year > census_year),
             "citations": lambda n: _SUSPECT * (not 0 <= n <= MAX_CITATIONS),
-            "category_weights": lambda weights: _SUSPECT * _bad_weights(weights),
-            # As validate_record checks reference weights.
-            "ref_category_weights": lambda refs: _SUSPECT * (not math.isfinite(sum(map(abs, refs.values())))),
             "review": lambda score: _BLANK if score is None else _SUSPECT * (not 1 <= score <= 10),
         }
-        store = {
-            **{name: lambda key, seen=self.seen[name]: seen.setdefault(key, len(seen)) for name in _CODED_IDS},
-            **{name: partial(_stored_map, self.seen["labels"], self.entries[name]) for name in _WEIGHT_COLUMNS},
-        }
-        self.texts = {
-            name: (_Reprs if name in reprs else _Texts)(
-                partial(_converted, read, screen.get(name, lambda value: 0), store.get(name, lambda value: value))
-            )
-            for name, read in parse.items()
-        }
+        self.texts = {name: _Texts(read, screen.get(name, lambda value: 0)) for name, read in parse.items()}
+        self.labels = _Texts(lambda label: label, lambda label: 0)  # of both weight maps
+        self.chunks: dict[str, list] = {name: [] for name in (*_WEIGHT_COLUMNS, *_EXT_COLUMNS)}
         self.pub_id: list[str] = []
-        self.pct: dict[str, list[np.ndarray]] = {name: [] for name in _EXT_COLUMNS}
 
-    def add_coded(self, keys: dict[str, list[Sequence]], pub_id: list[str], pct: list[tuple]) -> np.ndarray:
-        """Add a chunk: its coded columns' values by _Texts, its pub_ids and
-        each percentile column as (values, NaN where absent, which are
-        present). Return which rows the screen flags, or raise ValueError
-        where a row does not parse."""
+    def add(self, keys: dict[str, list[Sequence]], pub_id: list[str], maps: list[list[dict]], pct: list[tuple]) -> np.ndarray:
+        """Add a chunk: the values of its coded columns by _Texts, its
+        pub_ids, its category and reference weight maps, and each percentile
+        column as (values, NaN where absent, which are present). Return which
+        rows the screen flags; raise where a row does not parse."""
         n = len(pub_id)
         codes = {name: texts.code(keys[name]) for name, texts in self.texts.items()}
         flags = np.zeros(n, dtype=np.uint8)
@@ -757,24 +701,39 @@ class _Coder:
                 flags |= np.bitwise_or.reduce(texts.flags_of(codes[name]), axis=0)
         if (flags & _BLANK).any():
             blank = (self.texts["review"].flags_of(codes["review"]) & _BLANK).reshape(2, 3, n) > 0
-            # A review with some but not all of its cells blank.
-            flags[(blank.any(axis=1) != blank.all(axis=1)).any(axis=0)] |= _BAD
+            if (blank.any(axis=1) != blank.all(axis=1)).any():
+                raise ValueError("a review with some but not all of its cells blank")
+        w, refs = entries = [_entries(column, self.labels) for column in maps]
+        total = np.bincount(w.row, weights=w.weight, minlength=n)
+        outside = np.bincount(w.row, weights=~((w.weight > 0.0) & (w.weight <= 1.0)), minlength=n) > 0
+        ref_mass = np.bincount(refs.row, weights=np.abs(refs.weight), minlength=n)
+        suspect = (
+            (flags & _SUSPECT).astype(bool)
+            | (np.bincount(w.row, minlength=n) == 0)
+            # validate_record sums the weights with sum(), which compensates
+            # rounding from Python 3.12 on; a total within half the tolerance
+            # here is within the tolerance there.
+            | ~(np.abs(total - 1.0) <= WEIGHT_TOL / 2)
+            | outside
+            # Likewise a sum of absolute reference weights below 1e308 is finite both ways.
+            | ~(ref_mass < 1e308)
+        )
         for name, (values, present) in zip(_EXT_COLUMNS, pct):
-            flags[present & ~((values >= 0.0) & (values <= 100.0))] |= _SUSPECT
-            self.pct[name].append(values)
-        if (flags & _BAD).any():
-            raise ValueError("a row that does not parse")
+            suspect |= present & ~((values >= 0.0) & (values <= 100.0))
+            self.chunks[name].append(values)
+        for name, e in zip(_WEIGHT_COLUMNS, entries):
+            self.chunks[name].append(e._replace(row=e.row + len(self.pub_id)))
         self.pub_id += pub_id
-        return (flags & _SUSPECT) > 0
+        return suspect
 
     def columns(self) -> Columns:
-        """The columns of every row added, each column's _Texts dropped as
-        the column is decoded."""
+        """The columns of every row added, each _Texts dropped as its column is decoded."""
         texts, n = self.texts, len(self.pub_id)
         values: dict = {"pub_id": self.pub_id}
-        values["labels"], sorted_label = _sorted_codes(self.seen["labels"])
+        values["labels"], sorted_label = _sorted_codes(self.labels.values)
         for field, name in zip(("weights", "refs"), _WEIGHT_COLUMNS):
-            values[field] = _decoded_entries(texts.pop(name), self.entries.pop(name), sorted_label)
+            row, label, weight = map(np.concatenate, zip(*self.chunks.pop(name)))
+            values[field] = Entries(row, sorted_label[label], weight)
         review = texts.pop("review")
         codes, score = review.joined(), _int_array([value or 0 for value in review.values])
         values["review"] = np.empty((n, 2, 3), dtype=score.dtype)
@@ -785,156 +744,139 @@ class _Coder:
         del codes, review
         for name in _CODED_IDS:
             ids = texts.pop(name)
-            values[name + "s"], sorted_code = _sorted_codes(self.seen[name])
-            values[name] = sorted_code[ids.values][ids.joined()[0]]
+            values[name + "s"], sorted_code = _sorted_codes(ids.values)
+            values[name] = sorted_code[ids.joined()[0]]
         for name in ("year", "citations"):
             ints = texts.pop(name)
             values[name] = _int_array(ints.values)[ints.joined()[0]]
         for name in _EXT_COLUMNS:
-            values[name] = np.concatenate(self.pct.pop(name))
+            values[name] = np.concatenate(self.chunks.pop(name))
         return Columns(**values)
 
 
-def _table_percentiles(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """A percentile column as _opt_float reads each cell: the values, NaN
-    where blank, and which cells are not blank."""
-    present = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=len(texts))
-    pct = np.full(len(texts), np.nan)
-    if present.any():
-        pct[present] = list(map(float, compress(texts, present)))
-    return pct, present
+def _by_column(names: Sequence[str], rows: list[list]) -> dict[str, tuple]:
+    """The cells of rows by column name, rows emptied so that only the cells stay."""
+    cells = dict(zip(names, zip(*rows)))
+    rows.clear()
+    return cells
 
 
-class _TableFile(_Coder):
-    """A CSV or TSV corpus file as it is read: a _Coder of its cells."""
-
-    parse = staticmethod(_record_from_row)
-
-    def __init__(self, census_year: int | None, delimiter: str):
-        super().__init__(_TABLE_PARSE, census_year)
-        self.delimiter = delimiter
-
-    def read(self, fh: TextIO, file_name: str, numbers: array) -> tuple[list[str], Callable[[list], None]]:
-        """The file's header, and a function that appends the next chunk of
-        nonblank rows to a list and their numbers in the file to numbers.
-        It raises at a row with the wrong number of fields or one the csv
-        module cannot read, such as a cell past csv.field_size_limit(),
-        after appending the rows before it."""
-        reader = csv.reader(fh, delimiter=self.delimiter)
+def _table_chunks(fh: TextIO, file_name: str, numbers: array, delimiter: str) -> Iterator[dict[str, tuple]]:
+    """Each chunk of the nonblank rows of a CSV or TSV file, read with one
+    islice of the csv reader, as its cells by column, each row's number in
+    the file appended to numbers. A row with the wrong number of fields or
+    that the csv module cannot read (a cell past csv.field_size_limit()),
+    or text that is not UTF-8, raises once the rows before it are yielded."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        header = next(reader, None) or []
+    except csv.Error as exc:
+        raise CorpusParseError(f"{file_name} row 1: {exc}") from None
+    missing = set(CSV_COLUMNS) - set(header)
+    if missing:
+        raise CorpusParseError(f"{file_name}: missing columns {sorted(missing)}")
+    # csv.DictReader skips blank rows, and does not number them.
+    rows, width, full = filter(None, reader), len(header), True
+    while full:
+        chunk, first, fault = [], len(numbers) + 2, None
         try:
-            header = next(reader, None) or []
+            chunk += islice(rows, _CHUNK_ROWS)
         except csv.Error as exc:
-            raise CorpusParseError(f"{file_name} row 1: {exc}") from None
-        missing = set(CSV_COLUMNS) - set(header)
-        if missing:
-            raise CorpusParseError(f"{file_name}: missing columns {sorted(missing)}")
-        # csv.DictReader skips blank rows, and does not number them.
-        rows, width = filter(None, reader), len(header)
+            fault = CorpusParseError(f"{file_name} row {first + len(chunk)}: {exc}")
+        except UnicodeDecodeError as exc:
+            fault = exc
+        if any(map(width.__ne__, map(len, chunk))):
+            i, size = next((i, size) for i, size in enumerate(map(len, chunk)) if size != width)
+            more = "more" if size > width else "fewer"
+            fault = CorpusParseError(f"{file_name} row {first + i}: {more} fields than the header")
+            del chunk[i:]
+        numbers.extend(range(first, first + len(chunk)))
+        full = len(chunk) == _CHUNK_ROWS
+        if chunk:
+            yield _by_column(header, chunk)
+        if fault is not None:
+            raise fault
 
-        def take(chunk: list) -> None:
-            first, fault = len(numbers) + 2, None
+
+def _json_chunks(fh: TextIO, file_name: str, numbers: array) -> Iterator[dict[str, tuple]]:
+    """Each chunk of the lines of a JSON Lines file that are not blank as
+    their values of _JSON_FIELDS by field, each line's number appended to
+    numbers. A field a line leaves out is _ABSENT, and a review object the
+    tuple of its criterion scores (a JSON value is never a tuple), so that
+    no key outlives its line. A line that is not a JSON object, or text
+    that is not UTF-8, raises once the lines before it are yielded."""
+    chunk: list[list] = []
+    try:
+        for number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
             try:
-                chunk.extend(islice(rows, _CHUNK_ROWS))
-            except csv.Error as exc:
-                fault = CorpusParseError(f"{file_name} row {first + len(chunk)}: {exc}")
-            except UnicodeDecodeError as exc:
-                fault = exc
-            if any(map(width.__ne__, map(len, chunk))):
-                i, size = next((i, size) for i, size in enumerate(map(len, chunk)) if size != width)
-                more = "more" if size > width else "fewer"
-                fault = CorpusParseError(f"{file_name} row {first + i}: {more} fields than the header")
-                del chunk[i:]
-            numbers.extend(range(first, first + len(chunk)))
-            if fault is not None:
-                raise fault
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                # A RecursionError is a line nested deeper than the parser goes.
+                raise CorpusParseError(f"{file_name} line {number}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                # Raises: a value that is not an object has no fields.
+                _record_from_json(obj, f"{file_name} line {number}")
+            row = list(map(obj.get, _JSON_FIELDS, repeat(_ABSENT)))
+            for k in _REVIEW_AT:
+                if type(row[k]) is dict:
+                    # Built from a list: a tuple built from map() starts at a
+                    # guessed size and is shrunk, and the free list then keeps
+                    # such tuples after they are freed.
+                    row[k] = tuple(list(map(row[k].get, _CRITERIA, repeat(_ABSENT))))
+            numbers.append(number)
+            chunk.append(row)
+            if len(chunk) == _CHUNK_ROWS:
+                yield _by_column(_JSON_FIELDS, chunk)
+    except (CorpusParseError, UnicodeDecodeError):
+        if chunk:
+            yield _by_column(_JSON_FIELDS, chunk)
+        raise
+    if chunk:
+        yield _by_column(_JSON_FIELDS, chunk)
 
-        return header, take
 
-    def add(self, cells: dict[str, Sequence[str]]) -> np.ndarray:
-        """add_coded of a chunk's cells by column."""
-        keys = {name: [cells[name]] for name in _ONE_FIELD}
-        keys["review"] = [cells[column] for column in _CRITERION_CELLS]
-        pub_id = list(map(str.strip, cells["pub_id"]))
-        if "" in pub_id:
-            raise ValueError("a blank pub_id")
-        return self.add_coded(keys, pub_id, [_table_percentiles(cells[name]) for name in _EXT_COLUMNS])
+def _table_keys(cells: dict[str, Sequence[str]]) -> tuple:
+    """_Coder.add's arguments for a chunk of a CSV or TSV file, from its cells."""
+    keys = {name: [cells[name]] for name in _ONE_FIELD}
+    keys["review"] = [cells[column] for column in _CRITERION_CELLS]
+    pub_id = list(map(str.strip, cells["pub_id"]))
+    if "" in pub_id:
+        raise ValueError("a blank pub_id")
+    maps = [_each_distinct(lambda text: _parse_weights(text, ""), cells[name]) for name in _WEIGHT_COLUMNS]
+    # A blank percentile is absent, as _opt_float reads it.
+    pct = [_each_distinct(lambda text: float(text) if text.strip() else None, cells[name]) for name in _EXT_COLUMNS]
+    return keys, pub_id, maps, list(map(_percentiles, pct))
 
 
-def _json_rows(fh: TextIO, file_name: str) -> Iterator:
-    """Each line of a JSON Lines file that is not blank as (line number, its
-    values of _JSON_FIELDS), until a line that is not a JSON object. A field
-    the line leaves out is _ABSENT, and a review object the tuple of its
-    criterion scores (a JSON value is never a tuple), so that no key
-    outlives its line."""
-
-    for number, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # A RecursionError is a line nested deeper than the parser goes.
-            raise CorpusParseError(f"{file_name} line {number}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            # Raises: a value that is not an object has no fields.
-            _record_from_json(obj, f"{file_name} line {number}")
-        row = list(map(obj.get, _JSON_FIELDS, repeat(_ABSENT)))
-        for k in _REVIEW_AT:
-            if type(row[k]) is dict:
-                # Built from a list: a tuple built from map() starts at a
-                # guessed size and is shrunk, and the free list then keeps
-                # such tuples after they are freed.
-                row[k] = tuple(list(map(row[k].get, _CRITERIA, repeat(_ABSENT))))
-        yield number, row
+def _json_keys(fields: dict[str, Sequence]) -> tuple:
+    """_Coder.add's arguments for a chunk of a JSON Lines file, from its values."""
+    keys = {name: [fields[name]] for name in _ONE_FIELD}
+    keys["review"] = _criterion_columns(
+        [
+            [sub if type(sub) is tuple else _NO_REVIEW if sub is None or sub is _ABSENT else _NOT_REVIEW for sub in fields[key]]
+            for key in ("review_a", "review_b")
+        ]
+    )
+    # A bool is no number, but as a key it equals 0 or 1.
+    if bool in set(map(type, chain(fields["year"], fields["citations"], *keys["review"]))):
+        raise ValueError("a bool where a number belongs")
+    # An absent or empty reference map is no map.
+    maps = [list(map(_json_map, fields["category_weights"]))]
+    maps.append([_json_map(m) if m is not _ABSENT and m else {} for m in fields["ref_category_weights"]])
+    pct = [list(map(_json_percentile, fields[name])) for name in _EXT_COLUMNS]
+    return keys, list(map(_id, fields["pub_id"])), maps, list(map(_percentiles, pct))
 
 
 def _json_record(row: dict, where: str) -> PublicationRecord:
-    """_record_from_json of a line's fields as _json_rows reads them."""
+    """_record_from_json of a line's fields as _json_chunks reads them."""
     obj = {name: value for name, value in row.items() if value is not _ABSENT}
     for key in ("review_a", "review_b"):
         if type(obj.get(key)) is tuple:
             obj[key] = {c: v for c, v in zip(_CRITERIA, obj[key]) if v is not _ABSENT}
     return _record_from_json(obj, where)
-
-
-class _JsonFile(_Coder):
-    """A JSON Lines corpus file as it is read: a _Coder of its lines' values."""
-
-    parse = staticmethod(_json_record)
-
-    def __init__(self, census_year: int | None):
-        super().__init__(_JSON_PARSE, census_year, reprs=_WEIGHT_COLUMNS)
-
-    def read(self, fh: TextIO, file_name: str, numbers: array) -> tuple[Sequence[str], Callable[[list], None]]:
-        """_JSON_FIELDS, and a function that appends the next chunk of lines'
-        values to a list and their numbers to numbers, and raises at a line
-        that is not a JSON object after appending the lines before it."""
-        lines = _json_rows(fh, file_name)
-
-        def take(chunk: list) -> None:
-            for number, row in islice(lines, _CHUNK_ROWS):
-                numbers.append(number)
-                chunk.append(row)
-
-        return _JSON_FIELDS, take
-
-    def add(self, fields: dict[str, Sequence]) -> np.ndarray:
-        """add_coded of a chunk's values by field, each value its own key."""
-        keys = {name: [fields[name]] for name in _ONE_FIELD}
-        keys["review"] = _criterion_columns(
-            [
-                [sub if type(sub) is tuple else _NO_REVIEW if sub is None or sub is _ABSENT else _NOT_REVIEW for sub in fields[key]]
-                for key in ("review_a", "review_b")
-            ]
-        )
-        # A bool is no number, but as a key it equals 0 or 1.
-        if bool in set(map(type, chain(fields["year"], fields["citations"], *keys["review"]))):
-            raise ValueError("a bool where a number belongs")
-        pub_id = list(map(_id, fields["pub_id"]))
-        pct = [list(map(_json_percentile, fields[name])) for name in _EXT_COLUMNS]
-        present = [np.array([v is not None for v in column], dtype=bool) for column in pct]
-        return self.add_coded(keys, pub_id, list(zip((np.array(p, dtype=float) for p in pct), present)))
 
 
 def _row_name(path: Path, number: int) -> str:
@@ -943,56 +885,44 @@ def _row_name(path: Path, number: int) -> str:
     return f"{path.name} {'line' if _detect_format(path) == 'jsonl' else 'row'} {number}"
 
 
-def _chunks(path: Path, numbers: array, source: _TableFile | _JsonFile) -> Iterator[list[tuple[int, PublicationRecord]]]:
-    """Read a corpus file a chunk of rows at a time, until a row that cannot
-    be read, appending each row's number in the file to numbers, which
-    holds the numbers of the rows of every chunk before. source, the file's
-    _Coder, reads a chunk of rows (a CSV chunk with one list(islice(...)) of
-    the csv reader), codes and screens each chunk's cells by column, and
-    parses a row. Each chunk is yielded as (row, its parse) of each of its
-    rows the screen flags, a row counted from the first of the file.
-
-    When a chunk does not convert, or reading stopped at the row right
-    after it, its rows are parsed one by one instead: the first that does
-    not parse raises, else the fault reading stopped at; a conversion that
-    fails although every row parses raises AssertionError."""
+def _read(path: Path, census_year: int | None, numbers: array) -> tuple[Columns, list[tuple[int, PublicationRecord]]]:
+    """The columns of a corpus file, read a chunk of rows at a time, each
+    row's number in the file appended to numbers, and (row, its parse) of
+    each row the screen flags. The file's format gives a chunk reader, the
+    arguments of _Coder.add for a chunk and a row parse, looked up at each
+    call. A chunk that does not convert is parsed row by row instead: the
+    first row that does not parse raises, and a conversion that fails
+    although every row parses raises AssertionError. A fault that stops
+    reading is raised once the rows before it are converted, so an earlier
+    row that does not parse wins."""
+    fmt = _detect_format(path)
+    if fmt == "jsonl":
+        read, keys, parse, coder = _json_chunks, _json_keys, _json_record, _Coder(_JSON_PARSE, census_year)
+    else:
+        read = partial(_table_chunks, delimiter="\t" if fmt == "tsv" else ",")
+        keys, parse, coder = _table_keys, _record_from_row, _Coder(_TABLE_PARSE, census_year)
+    flagged, start = [], 0  # start: the chunk's first row
     with _open_text(path, "corpus") as fh:
-        names, take = (), None
-        while True:
-            chunk, start, stop = [], len(numbers), None
-            try:
-                if take is None:
-                    names, take = source.read(fh, path.name, numbers)
-                take(chunk)
-            except CorpusParseError as exc:
-                stop = exc
-            except UnicodeDecodeError:
-                stop = _not_utf8(path, path.name)
-            n_rows = len(chunk)
-            if not n_rows and stop is None:
-                return
-            # Only the cells stay, column by column.
-            cells = dict(zip(names, zip(*chunk)))
-            del chunk
+        try:
+            for cells in read(fh, path.name, numbers):
 
-            def parse_row(i: int) -> PublicationRecord:
-                row = {name: column[i] for name, column in cells.items()}
-                return source.parse(row, _row_name(path, numbers[start + i]))
+                def parse_row(i: int) -> PublicationRecord:
+                    return parse({name: column[i] for name, column in cells.items()}, _row_name(path, numbers[start + i]))
 
-            try:
-                if stop is not None:
-                    raise stop
-                suspects = source.add(cells)
-            except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
-                for i in range(n_rows):
-                    parse_row(i)
-                if exc is stop:
-                    raise
-                raise AssertionError("a column conversion failed but every row parses") from exc
-            yield [(start + i, parse_row(i)) for i in np.flatnonzero(suspects).tolist()]
-            del cells  # the next chunk is read without them
-            if n_rows < _CHUNK_ROWS:
-                return
+                try:
+                    suspects = coder.add(*keys(cells))
+                except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
+                    for i in range(len(numbers) - start):
+                        parse_row(i)
+                    raise AssertionError("a column conversion failed but every row parses") from exc
+                flagged += [(start + i, parse_row(i)) for i in np.flatnonzero(suspects).tolist()]
+                del cells  # the next chunk is read without them
+                start = len(numbers)
+        except UnicodeDecodeError:
+            raise _not_utf8(path, path.name) from None
+    if not numbers:
+        raise CorpusParseError(f"{path.name}: no records")
+    return coder.columns(), flagged
 
 
 def _first_clash(ids: list[str]) -> tuple[int, int] | None:
@@ -1011,28 +941,22 @@ def _first_clash(ids: list[str]) -> tuple[int, int] | None:
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
     """Read and validate a corpus file (CSV/TSV or JSONL) into columns.
 
-    The file is read a chunk of rows at a time (_chunks). Each chunk's
-    cells become codes into tables of distinct values that last the whole
-    load, each value converted and screened once, when first seen; only the
-    rows the screen flags keep their row parse, and the columns are decoded
-    from the codes once the file is read. A 3,000-record file peaks at
-    about 1.31 (CSV) and 1.38 (JSON Lines) times the memory of the corpus
-    returned. The earliest faulty row is named: parse faults come first, in
-    row order, then validation faults, in row order with the scan for a
-    repeated pub_id ahead of validate_record within a row. Each row's number
-    in the file is kept once, in one array, to name a repeat and its first
-    row.
+    The file is read a chunk of rows at a time (_read). Each id, year,
+    citation and criterion cell becomes a code into a table of the distinct
+    values of its column that lasts the whole load (_Coder), each value
+    converted and screened once; the weight maps and percentiles are
+    converted, and screened with numpy, a chunk at a time. Only the rows
+    the screen flags keep their row parse. A 3,000-record file peaks at
+    about 1.36 (CSV) and 1.40 (JSON Lines) times the memory of the corpus
+    returned, and 1.33 and 1.36 when each record has weight maps of its
+    own. The earliest faulty row is named: parse faults come first, in row
+    order, then validation faults, in row order with the scan for a repeated
+    pub_id ahead of validate_record within a row. Each row's number in the
+    file is kept once, in one array, to name a repeat and its first row.
     """
     path = Path(path)
-    fmt = _detect_format(path)
-    source = _JsonFile(options.census_year) if fmt == "jsonl" else _TableFile(options.census_year, "\t" if fmt == "tsv" else ",")
     numbers = array("q")  # row -> its number in the file
-    with closing(_chunks(path, numbers, source)) as chunks:
-        flagged = list(chain.from_iterable(chunks))  # (row, its parse) of each row the screen flags
-    if not numbers:
-        raise CorpusParseError(f"{path.name}: no records")
-    columns = source.columns()
-    del source
+    columns, flagged = _read(path, options.census_year, numbers)
     census_year = options.census_year
     if census_year is None:
         census_year = int(columns.year.max())

@@ -354,7 +354,7 @@ def assert_every_pair_of_faults_raises_as_row_by_row(tmp_path, fmt):
         assert got[0] == "loaded" or not a[0] == b[0] == "tilde", got
 
 
-@pytest.mark.parametrize("fmt, converter", [("csv", "_TableFile.add"), ("jsonl", "_JsonFile.add")])
+@pytest.mark.parametrize("fmt, converter", [("csv", "_table_keys"), ("jsonl", "_json_keys")])
 def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, monkeypatch, capsys, fmt, converter):
     # Only the row parse words a faulty row. A conversion that fails when
     # every row parses is a converter fault: it surfaces, exiting 2, not 1.
@@ -662,7 +662,7 @@ def six_hundred_rows(tmp_path) -> str:
     return path.read_text()
 
 
-def test_each_distinct_weight_text_is_parsed_once(tmp_path, monkeypatch):
+def test_each_distinct_weight_text_of_a_chunk_is_parsed_once(tmp_path, monkeypatch):
     path = tmp_path / "corpus.csv"
     path.write_text(six_hundred_rows(tmp_path))
     rows = list(csv.DictReader(io.StringIO(path.read_text())))
@@ -676,9 +676,28 @@ def test_each_distinct_weight_text_is_parsed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr("bibagree.corpus._parse_weights", counted)
     load_corpus(path)
-    distinct = [text for column in WEIGHT_COLUMNS for text in dict.fromkeys(row[column] for row in rows)]
+    size = corpus_module._CHUNK_ROWS
+    chunks = [rows[start : start + size] for start in range(0, len(rows), size)]
+    distinct = [text for chunk in chunks for column in WEIGHT_COLUMNS for text in dict.fromkeys(row[column] for row in chunk)]
     assert len(distinct) < len(rows)
     assert sorted(parsed) == sorted(distinct)
+
+
+def test_each_distinct_year_text_of_a_file_is_converted_once(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.csv"
+    path.write_text(six_hundred_rows(tmp_path))
+    rows = list(csv.DictReader(io.StringIO(path.read_text())))
+    assert len(rows) > 2 * corpus_module._CHUNK_ROWS
+    converted = []
+    convert = corpus_module._TABLE_PARSE["year"]
+
+    def counted(text):
+        converted.append(text)
+        return convert(text)
+
+    monkeypatch.setitem(corpus_module._TABLE_PARSE, "year", counted)
+    load_corpus(path)
+    assert sorted(converted) == sorted(set(row["year"] for row in rows))
 
 
 def test_a_bad_year_first_seen_in_a_later_chunk_is_named_at_its_first_row(tmp_path):
@@ -711,12 +730,15 @@ def test_a_read_fault_in_the_middle_of_a_chunk_keeps_the_fault_order(tmp_path, r
         ("category_weights", {"A": 1}, {"A": True}),
         ("category_weights", {"A": 1}, {"A": 1.0}),
         ("ref_category_weights", {"A": 0.0, "B": 1.0}, {"A": -0.0, "B": 1.0}),
+        ("ext_citation_percentile", 1, True),
+        ("ext_citation_percentile", 0.0, -0.0),
     ],
 )
 @pytest.mark.parametrize("order", ["first-second", "second-first"])
 def test_json_values_that_compare_equal_load_as_their_own_values(tmp_path, field, first, second, order):
-    # A JSON value is its own key, and a weight map is keyed by its repr:
-    # true equals 1 as a key but is no number, and -0.0 equals 0.0.
+    # A JSON value is its own key, and each weight map and percentile is
+    # read on its own: true equals 1 as a key but is no number, and -0.0
+    # equals 0.0.
     lines = four_rows(tmp_path, "jsonl").splitlines()
     for i, value in zip((0, 2), (first, second) if order == "first-second" else (second, first)):
         with_json_fault(lines, i, (field, value))
@@ -725,5 +747,8 @@ def test_json_values_that_compare_equal_load_as_their_own_values(tmp_path, field
     got = outcome(load_corpus, path, SchemaOptions())
     assert got == outcome(load_corpus_by_record, path, SchemaOptions())
     if got[0] == "loaded":
-        refs = [w for r in load_corpus_by_record(path).records for w in (r.ref_category_weights or {}).values()]
-        assert np.signbit(load_corpus(path).columns.refs.weight).tolist() == np.signbit(refs).tolist()
+        records, columns = load_corpus_by_record(path).records, load_corpus(path).columns
+        refs = [w for r in records for w in (r.ref_category_weights or {}).values()]
+        assert np.signbit(columns.refs.weight).tolist() == np.signbit(refs).tolist()
+        pct = [np.nan if r.ext_citation_percentile is None else r.ext_citation_percentile for r in records]
+        assert np.signbit(columns.ext_citation_percentile).tolist() == np.signbit(pct).tolist()

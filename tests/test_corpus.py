@@ -255,6 +255,33 @@ def test_load_peaks_below_1_6_times_the_corpus_it_returns(tmp_path, fmt):
     assert peak < 1.6 * held, (peak, held)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_load_of_records_with_weight_maps_of_their_own_peaks_below_1_6_times_the_corpus(tmp_path, fmt):
+    # No category or reference map repeats, as reference profiles seldom
+    # do: tables of the distinct maps of a whole file would keep every raw
+    # map alive until the columns are built.
+    corpus = generate(SynthConfig(n_institutions=300, n_areas=4, multidisciplinary_share=0.05, seed=3))
+    rng = random.Random(3)
+    records = []
+    for r in corpus.records:
+        w = rng.uniform(0.05, 0.95)
+        weights = {min(r.category_weights): w, "X": 1.0 - w}
+        records.append(replace(r, category_weights=weights, ref_category_weights={f"F{k}": rng.random() for k in range(4)}))
+    path = tmp_path / f"corpus.{fmt}"
+    save_corpus(Corpus(tuple(records), corpus.census_year), path)
+    load_corpus(path)  # imports and first-call caches, outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_corpus(path)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 3000
+    assert peak < 1.6 * held, (peak, held)
+
+
 def test_population_counts_round_trip(tmp_path):
     counts = {"U2": 40, "U10": 0, "U1": 7}
     path = tmp_path / "corpus.population.csv"
