@@ -16,12 +16,14 @@ fit. stratified_sample is the record-by-record draw of bibagree sample.
 
 load_corpus is the row-by-row loader: it parses every row into a record
 and validates the records one by one, in file order, each after its
-pub_id is checked against the earlier rows'. The columnar loader in
-bibagree.corpus must raise what it raises and load what it loads.
+pub_id is checked against the earlier rows'. Its row parses and
+validate_record are its own copies, not bibagree.corpus's. The columnar
+loader in bibagree.corpus must raise what it raises and load what it loads.
 """
 
 import csv
 import json
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -32,19 +34,16 @@ import numpy as np
 from bibagree import agreement as agr
 from bibagree import aggregation
 from bibagree.corpus import (
-    CSV_COLUMNS,
     Corpus,
     CorpusParseError,
     CorpusValidationError,
     Entries,
     PublicationRecord,
+    ReviewerScore,
     SchemaOptions,
     _detect_format,
-    _record_from_json,
-    _record_from_row,
     load_population_counts,
     overall_score,
-    validate_record,
 )
 from bibagree.indicators import FieldYearBaseline, build_indicator_table, compute_baselines
 from bibagree.pipeline import PipelineConfig, PipelineStats, compute_pipeline_stats
@@ -457,6 +456,226 @@ def record_pipeline_stats(corpus: Corpus, config: PipelineConfig) -> PipelineSta
 def record_statistic_values(corpus: Corpus, config: PipelineConfig) -> dict:
     """Flat {(area, metric, level, view): value} view of record_pipeline_stats."""
     return {s.key(): s.value for s in record_pipeline_stats(corpus, config).statistics}
+
+
+# The rules of a corpus file, row by row: the CSV/TSV and the JSON Lines
+# row parse and validate_record, with the helpers and constants they read.
+# They are written here on their own, apart from bibagree.corpus, so that
+# the loader is compared with a second statement of each rule.
+
+WEIGHT_TOL = 1e-9
+# The largest citation count a float64 holds exactly; the publication table
+# computes in float64, and a larger count could overflow a field-year sum.
+MAX_CITATIONS = 2**53
+
+CSV_COLUMNS = [
+    "pub_id",
+    "institution_id",
+    "area_id",
+    "year",
+    "citations",
+    "journal_id",
+    "category_weights",
+    "ref_category_weights",
+    "rev_a_originality",
+    "rev_a_rigour",
+    "rev_a_impact",
+    "rev_b_originality",
+    "rev_b_rigour",
+    "rev_b_impact",
+    "ext_citation_percentile",
+    "ext_journal_percentile",
+]
+_ID_COLUMNS = ("pub_id", "institution_id", "area_id", "journal_id")
+_CRITERIA = ("originality", "rigour", "impact")
+_SCORE_COLUMNS = {prefix: tuple(f"{prefix}_{c}" for c in _CRITERIA) for prefix in ("rev_a", "rev_b")}
+_EXT_COLUMNS = ("ext_citation_percentile", "ext_journal_percentile")
+# A JSON Lines field that a line leaves out; this loader reads an absent
+# field as None.
+_ABSENT = object()
+
+
+def _parse_weights(text: str, where: str) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        if ":" not in part:
+            raise CorpusParseError(f"{where}: bad weight entry {part!r}")
+        label, _, val = part.rpartition(":")
+        try:
+            out[label] = float(val)
+        except ValueError as exc:
+            raise CorpusParseError(f"{where}: bad weight value {val!r}") from exc
+    return out
+
+
+def _parse_score(row: dict, prefix: str, where: str) -> ReviewerScore | None:
+    vals = [(row.get(col) or "").strip() for col in _SCORE_COLUMNS[prefix]]
+    if not any(vals):
+        return None
+    if not all(vals):
+        raise CorpusParseError(f"{where}: incomplete reviewer score for {prefix}")
+    try:
+        return ReviewerScore(*map(int, vals))
+    except ValueError as exc:
+        raise CorpusParseError(f"{where}: non-integer criterion score") from exc
+
+
+def _opt_float(value, where: str) -> float | None:
+    """float(value), or None for a missing or blank cell."""
+    if value is None or str(value).strip() == "":
+        return None
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise CorpusParseError(f"{where}: bad numeric value {value!r}") from exc
+
+
+class _NotNumber(ValueError):
+    """A JSON value where a number belongs that is not one: a string, null,
+    a list or an object, and a bool where any number belongs."""
+
+
+class _NonIntegral(ValueError):
+    """A JSON value that is not an integral number: a bool or a float with a fraction."""
+
+
+def _json_int(value) -> int:
+    """int(value) for a JSON value taken as an integral number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise _NonIntegral(value)
+    if not isinstance(value, (int, float)):
+        raise _NotNumber(value)
+    return int(value)
+
+
+def _json_float(value) -> float:
+    """float(value) for a JSON value taken as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _NotNumber(value)
+    return float(value)
+
+
+def _json_percentile(value) -> float | None:
+    """_json_float(value), or None for a null or absent percentile."""
+    return None if value is None or value is _ABSENT else _json_float(value)
+
+
+def validate_record(rec: PublicationRecord, census_year: int) -> None:
+    """Raise CorpusValidationError naming the record on any invariant violation."""
+    tag = f"record {rec.pub_id!r}"
+    if rec.citations < 0:
+        raise CorpusValidationError(f"{tag}: negative citations {rec.citations}")
+    if rec.citations > MAX_CITATIONS:
+        raise CorpusValidationError(f"{tag}: citations {rec.citations} above 2**53")
+    if not rec.category_weights:
+        raise CorpusValidationError(f"{tag}: empty category weights")
+    total = sum(rec.category_weights.values())
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise CorpusValidationError(f"{tag}: weights sum {total:g}")
+    for label, w in rec.category_weights.items():
+        if not (0.0 < w <= 1.0):
+            raise CorpusValidationError(f"{tag}: weight {label}={w:g} outside (0,1]")
+    if rec.year > census_year:
+        raise CorpusValidationError(f"{tag}: year {rec.year} after census year {census_year}")
+    # abs() lets one sum catch a nan or infinite weight and a positive
+    # total that overflows, either of which breaks the reassignment.
+    if rec.ref_category_weights and not math.isfinite(sum(map(abs, rec.ref_category_weights.values()))):
+        raise CorpusValidationError(f"{tag}: reference weights not finite")
+    for name, score in (("review_a", rec.review_a), ("review_b", rec.review_b)):
+        if score is None:
+            continue
+        for crit in _CRITERIA:
+            v = getattr(score, crit)
+            if not (1 <= v <= 10):
+                raise CorpusValidationError(f"{tag}: {name}.{crit}={v} outside 1..10")
+    for name, pct in (
+        ("ext_citation_percentile", rec.ext_citation_percentile),
+        ("ext_journal_percentile", rec.ext_journal_percentile),
+    ):
+        if pct is not None and not (0.0 <= pct <= 100.0):
+            raise CorpusValidationError(f"{tag}: {name}={pct:g} outside [0,100]")
+
+
+def _bad_id(ids: list, where: str) -> CorpusParseError:
+    name, value = next((n, v) for n, v in zip(_ID_COLUMNS, ids) if not (isinstance(v, str) and v))
+    return CorpusParseError(f"{where}: {name} must be a non-empty string, got {value!r}")
+
+
+def _record_from_row(row: dict, where: str) -> PublicationRecord:
+    try:
+        year = int(str(row["year"]).strip())
+        citations = int(str(row["citations"]).strip())
+    except (KeyError, ValueError) as exc:
+        raise CorpusParseError(f"{where}: bad year/citations") from exc
+    ids = [row[k].strip() for k in _ID_COLUMNS]
+    if "" in ids:
+        raise _bad_id(ids, where)
+    pub_id, institution_id, area_id, journal_id = ids
+    refs = _parse_weights(str(row.get("ref_category_weights") or ""), where)
+    return PublicationRecord(
+        pub_id=pub_id,
+        institution_id=institution_id,
+        area_id=area_id,
+        year=year,
+        citations=citations,
+        journal_id=journal_id,
+        category_weights=_parse_weights(str(row["category_weights"]), where),
+        ref_category_weights=refs or None,
+        review_a=_parse_score(row, "rev_a", where),
+        review_b=_parse_score(row, "rev_b", where),
+        ext_citation_percentile=_opt_float(row.get("ext_citation_percentile"), where),
+        ext_journal_percentile=_opt_float(row.get("ext_journal_percentile"), where),
+    )
+
+
+def _record_from_json(obj: dict, where: str) -> PublicationRecord:
+    def number(value, name, convert=_json_int):
+        try:
+            return convert(value)
+        except _NotNumber:
+            raise CorpusParseError(f"{where}: {name} must be a number, got {value!r}") from None
+        except _NonIntegral:
+            raise CorpusParseError(f"{where}: non-integral {name} {value!r}") from None
+
+    def weights(key):
+        return {str(k): number(v, f"{key}.{k}", _json_float) for k, v in obj[key].items()}
+
+    def score(key):
+        sub = obj.get(key)
+        if sub is None:
+            return None
+        try:
+            return ReviewerScore(*(number(sub[c], f"{key}.{c}") for c in _CRITERIA))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusParseError(f"{where}: bad {key} object") from exc
+
+    try:
+        ids = [obj[k] for k in _ID_COLUMNS]
+        if not all(isinstance(v, str) and v for v in ids):
+            raise _bad_id(ids, where)
+        pub_id, institution_id, area_id, journal_id = ids
+        category_weights = weights("category_weights")
+        refs = weights("ref_category_weights") if obj.get("ref_category_weights") else None
+        return PublicationRecord(
+            pub_id=pub_id,
+            institution_id=institution_id,
+            area_id=area_id,
+            year=number(obj["year"], "year"),
+            citations=number(obj["citations"], "citations"),
+            journal_id=journal_id,
+            category_weights=category_weights,
+            ref_category_weights=refs,
+            review_a=score("review_a"),
+            review_b=score("review_b"),
+            **{name: number(obj.get(name), name, _json_percentile) for name in _EXT_COLUMNS},
+        )
+    # AttributeError: a weight map that is not an object; OverflowError: a
+    # weight or percentile too large for a float.
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise CorpusParseError(f"{where}: {exc}") from exc
 
 
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
