@@ -7,18 +7,25 @@ in the sorted order of what they code. A run reads, screens and transforms
 these columns and never builds a ``PublicationRecord``; ``Corpus.records``
 is a view, built on first access.
 
+``_FIELDS`` is the one place a field's rule is written: its CSV/TSV
+columns and JSON key, its kind, whether a record must have it, and its
+range. Beside it stand the orders in which a row's fields are checked by
+the CSV/TSV parse, the JSON Lines parse and validation. The converters of
+each kind (``_TABLE_READ``, ``_JSON_READ``), the screens of ``_Coder``,
+both row parses and ``validate_record`` read them from there.
+
 ``load_corpus`` reads a file a chunk of rows at a time (``_Coder``). Each
 cell of the id, year, citation and criterion columns, whose values repeat
 across a file, becomes a code into a table of the distinct values of its
 column for the whole file, so each is converted and screened once; the
 weight maps and percentiles, which seldom repeat, are converted a chunk
 at a time. ``Columns.from_records`` builds its columns the same way. The
-row-by-row functions ``_record_from_row``, ``_record_from_json`` and
-``validate_record`` define a valid row and word every error: a chunk with
-a row that does not parse is parsed row by row, in file order, up to that
-row, and only the rows the screen flags keep their row parse, to be
-validated one by one once the whole file is read. So the message, the row
-it names and the fault that wins are theirs.
+row parses ``_record_from_row`` and ``_record_from_json`` and
+``validate_record`` word every error: a chunk with a row that does not
+convert is parsed row by row, in file order, up to that row, and only the
+rows the screen flags keep their row parse, to be validated one by one
+once the whole file is read. So the message, the row it names and the
+fault that wins are theirs.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
+
 WEIGHT_TOL = 1e-9
 # The catch-all category whose weight a run spreads over a record's
 # reference profile.
@@ -45,35 +53,67 @@ MULTIDISCIPLINARY_LABEL = "MULTI"
 # The largest citation count a float64 holds exactly; the publication table
 # computes in float64, and a larger count could overflow a field-year sum.
 MAX_CITATIONS = 2**53
-
-CSV_COLUMNS = [
-    "pub_id",
-    "institution_id",
-    "area_id",
-    "year",
-    "citations",
-    "journal_id",
-    "category_weights",
-    "ref_category_weights",
-    "rev_a_originality",
-    "rev_a_rigour",
-    "rev_a_impact",
-    "rev_b_originality",
-    "rev_b_rigour",
-    "rev_b_impact",
-    "ext_citation_percentile",
-    "ext_journal_percentile",
-]
-
-
-_ID_COLUMNS = ("pub_id", "institution_id", "area_id", "journal_id")
-# The id columns that Columns holds as codes over their sorted distinct ids.
-_CODED_IDS = ("institution_id", "area_id", "journal_id")
 _CRITERIA = ("originality", "rigour", "impact")
-_SCORE_COLUMNS = {prefix: tuple(f"{prefix}_{c}" for c in _CRITERIA) for prefix in ("rev_a", "rev_b")}
 # A review's scores in _CRITERIA order. Attribute reads, where vars(score)
 # would give each score a __dict__ of its own that outlives the write.
 _criterion_scores = operator.attrgetter(*_CRITERIA)
+# The census year as the bound of a range; a load knows its value.
+_CENSUS = "census year"
+
+
+class _Field(NamedTuple):
+    """A field of a record as a corpus file holds it.
+
+    low and high bound the value, each criterion score of a review, or each
+    weight of a required weight map, whose low end is open; None is no
+    bound. A required weight map must also sum to 1; an optional one has
+    only to be finite.
+    """
+
+    name: str  # the PublicationRecord attribute, which is also the JSON key
+    columns: tuple[str, ...]  # the CSV/TSV columns, one per criterion for a review
+    kind: str  # "id", "integer", "weights", "review" or "percentile"
+    required: bool
+    low: float | None = None
+    high: float | str | None = None
+
+
+_FIELDS = {
+    field.name: field
+    for field in (
+        _Field("pub_id", ("pub_id",), "id", True),
+        _Field("institution_id", ("institution_id",), "id", True),
+        _Field("area_id", ("area_id",), "id", True),
+        _Field("year", ("year",), "integer", True, high=_CENSUS),
+        _Field("citations", ("citations",), "integer", True, low=0, high=MAX_CITATIONS),
+        _Field("journal_id", ("journal_id",), "id", True),
+        _Field("category_weights", ("category_weights",), "weights", True, low=0.0, high=1.0),
+        _Field("ref_category_weights", ("ref_category_weights",), "weights", False),
+        _Field("review_a", tuple(f"rev_a_{c}" for c in _CRITERIA), "review", False, low=1, high=10),
+        _Field("review_b", tuple(f"rev_b_{c}" for c in _CRITERIA), "review", False, low=1, high=10),
+        _Field("ext_citation_percentile", ("ext_citation_percentile",), "percentile", False, low=0.0, high=100.0),
+        _Field("ext_journal_percentile", ("ext_journal_percentile",), "percentile", False, low=0.0, high=100.0),
+    )
+}
+CSV_COLUMNS = [column for field in _FIELDS.values() for column in field.columns]
+_IDS = ("pub_id", "institution_id", "area_id", "journal_id")
+# The id columns that Columns holds as codes over their sorted distinct ids.
+_CODED_IDS = _IDS[1:]
+_PERCENTILES = ("ext_citation_percentile", "ext_journal_percentile")
+# The orders in which a row's fields are checked; the first fault found is
+# the one reported. A parse reads the fields of a step, then converts each.
+_TABLE_ORDER = (
+    ("year", "citations"),
+    _IDS,
+    *[(name,) for name in ("ref_category_weights", "category_weights", "review_a", "review_b", *_PERCENTILES)],
+)
+_JSON_ORDER = (
+    _IDS,
+    *[(name,) for name in ("category_weights", "ref_category_weights", "year", "citations", "review_a", "review_b", *_PERCENTILES)],
+)
+# Validation, which comes after the scan for a repeated pub_id.
+_CHECK_ORDER = ("citations", "category_weights", "year", "ref_category_weights", "review_a", "review_b", *_PERCENTILES)
+
 
 
 class CorpusError(Exception):
@@ -183,13 +223,15 @@ class Columns:
 
     @staticmethod
     def from_records(records: Sequence[PublicationRecord]) -> Columns:
-        coder = _Coder(_RECORD_PARSE, None)
-        keys = {name: [[getattr(r, name) for r in records]] for name in _ONE_FIELD}
-        reviews = ([r.review_a for r in records], [r.review_b for r in records])
-        keys["review"] = _criterion_columns([[_criterion_scores(s) if s else _NO_REVIEW for s in column] for column in reviews])
-        maps = [[r.category_weights for r in records], [r.ref_category_weights or {} for r in records]]
-        pct = [_percentiles([getattr(r, name) for r in records]) for name in _EXT_COLUMNS]
-        coder.add(keys, [r.pub_id for r in records], maps, pct)
+        columns = {}
+        for name, field in _FIELDS.items():
+            values = [getattr(r, name) for r in records]
+            if field.kind == "review":
+                columns[name] = _criteria([_criterion_scores(s) if s else (None,) * 3 for s in values])
+            else:
+                columns[name] = [[m or {} for m in values] if field.kind == "weights" else values]
+        coder = _Coder(_RECORD_READ, None)
+        coder.add(columns)
         return coder.columns()
 
     def records(self, rows: Sequence[int] | None = None) -> tuple[PublicationRecord, ...]:
@@ -296,191 +338,213 @@ def _detect_format(path: Path) -> str:
     return "csv"
 
 
-def _parse_weights(text: str, where: str) -> dict[str, float]:
+def _format_weights(weights: dict[str, float]) -> str:
+    return ";".join(f"{k}:{v!r}" for k, v in sorted(weights.items()))
+
+
+# A JSON Lines field that a line leaves out.
+_ABSENT = object()
+# A criterion of an absent review in JSON Lines.
+_NO_SCORE = object()
+
+
+def _bounds(field: _Field, census_year: int | None = None) -> tuple:
+    """A field's range as numbers, an end without a bound infinite."""
+    high = census_year if field.high is _CENSUS else field.high
+    return (-math.inf if field.low is None else field.low, math.inf if high is None else high)
+
+
+# The converters of each kind of field, one value at a time: a CSV or TSV
+# cell, a JSON value, and a criterion score of a review. One that does not
+# convert raises ValueError worded for its row, or an error that Python
+# words, such as a JSON weight map without items().
+
+
+def _text_id(text: str, field: _Field) -> str:
+    value = text.strip()
+    if not value:
+        raise ValueError(f"{field.name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _text_int(text: str, field: _Field) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise ValueError("bad year/citations") from None
+
+
+def _parse_weights(text: str, field: _Field) -> dict[str, float]:
     out: dict[str, float] = {}
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         if ":" not in part:
-            raise CorpusParseError(f"{where}: bad weight entry {part!r}")
+            raise ValueError(f"bad weight entry {part!r}")
         label, _, val = part.rpartition(":")
         try:
             out[label] = float(val)
-        except ValueError as exc:
-            raise CorpusParseError(f"{where}: bad weight value {val!r}") from exc
+        except ValueError:
+            raise ValueError(f"bad weight value {val!r}") from None
     return out
 
 
-def _format_weights(weights: dict[str, float]) -> str:
-    return ";".join(f"{k}:{v!r}" for k, v in sorted(weights.items()))
-
-
-def _parse_score(row: dict, prefix: str, where: str) -> ReviewerScore | None:
-    vals = [(row.get(col) or "").strip() for col in _SCORE_COLUMNS[prefix]]
-    if not any(vals):
-        return None
-    if not all(vals):
-        raise CorpusParseError(f"{where}: incomplete reviewer score for {prefix}")
+def _text_score(text: str, field: _Field) -> int | None:
+    """A criterion score, or None for a blank cell."""
     try:
-        return ReviewerScore(*map(int, vals))
-    except ValueError as exc:
-        raise CorpusParseError(f"{where}: non-integer criterion score") from exc
+        return int(text.strip()) if text.strip() else None
+    except ValueError:
+        raise ValueError("non-integer criterion score") from None
 
 
-def _opt_float(value, where: str) -> float | None:
-    """float(value), or None for a missing or blank cell."""
-    if value is None or str(value).strip() == "":
-        return None
+def _text_real(text: str, field: _Field) -> float | None:
+    """A percentile, or None for a blank cell."""
     try:
-        return float(value)
-    except ValueError as exc:
-        raise CorpusParseError(f"{where}: bad numeric value {value!r}") from exc
+        return float(text) if text.strip() else None
+    except ValueError:
+        raise ValueError(f"bad numeric value {text!r}") from None
 
 
-class _NotNumber(ValueError):
-    """A JSON value where a number belongs that is not one: a string, null,
-    a list or an object, and a bool where any number belongs."""
+def _json_id(value, field: _Field) -> str:
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{field.name} must be a non-empty string, got {value!r}")
+    return value
 
 
-class _NonIntegral(ValueError):
-    """A JSON value that is not an integral number: a bool or a float with a fraction."""
-
-
-def _json_int(value) -> int:
-    """int(value) for a JSON value taken as an integral number."""
+def _json_int(value, field: _Field, part: str | None = None) -> int:
+    """An integral JSON number; part, if any, names a criterion of a review."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise _NonIntegral(value)
+        raise ValueError(f"non-integral {_named(field, part)} {value!r}")
     if not isinstance(value, (int, float)):
-        raise _NotNumber(value)
+        raise ValueError(f"{_named(field, part)} must be a number, got {value!r}")
     return int(value)
 
 
-def _json_float(value) -> float:
-    """float(value) for a JSON value taken as a number."""
+def _json_float(value, field: _Field, part: str | None = None) -> float:
+    """A JSON number; part, if any, names the label of a weight."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _NotNumber(value)
+        raise ValueError(f"{_named(field, part)} must be a number, got {value!r}")
     return float(value)
 
 
-def _json_percentile(value) -> float | None:
-    """_json_float(value), or None for a null or absent percentile."""
-    return None if value is None or value is _ABSENT else _json_float(value)
+def _named(field: _Field, part: str | None) -> str:
+    return field.name if part is None else f"{field.name}.{part}"
+
+
+def _json_map(value, field: _Field) -> dict[str, float]:
+    """A JSON weight map; an optional one that is absent, null or empty is {}."""
+    if not (field.required or (value is not _ABSENT and value)):
+        return {}
+    return {label: _json_float(weight, field, label) for label, weight in value.items()}
+
+
+def _json_score(value, field: _Field) -> int | None:
+    """A criterion score as _json_chunks reads it; None for one of an absent review."""
+    return None if value is _NO_SCORE else _json_int(value, field)
+
+
+def _json_percentile(value, field: _Field) -> float | None:
+    return None if value is None or value is _ABSENT else _json_float(value, field)
+
+
+_TABLE_READ = {"id": _text_id, "integer": _text_int, "weights": _parse_weights, "review": _text_score, "percentile": _text_real}
+_JSON_READ = {"id": _json_id, "integer": _json_int, "weights": _json_map, "review": _json_score, "percentile": _json_percentile}
+# A record's values are converted already; an absent review's criteria are None.
+_RECORD_READ = dict.fromkeys(_TABLE_READ, lambda value, field: value)
+
+
+def _record(order: tuple, fetch: Callable, convert: Callable, where: str) -> PublicationRecord:
+    """The record whose fields fetch(field) reads and convert(field, what
+    was read) converts, a step of order at a time; the first field that
+    does not convert is a parse fault naming where."""
+    values = {}
+    try:
+        for step in order:
+            fields = [_FIELDS[name] for name in step]
+            for field, read in zip(fields, list(map(fetch, fields))):
+                value = convert(field, read)
+                # An optional weight map that is empty is absent.
+                values[field.name] = value or None if field.kind == "weights" and not field.required else value
+    # KeyError: a JSON key a line lacks; TypeError: a JSON value that is not
+    # an object; OverflowError: a weight or percentile too large for a float.
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise CorpusParseError(f"{where}: {exc}") from exc
+    return PublicationRecord(**values)
+
+
+def _table_value(field: _Field, cells: list[str]):
+    """A field's value from its cells of a CSV or TSV row."""
+    read = _TABLE_READ[field.kind]
+    if field.kind != "review":
+        return read(cells[0], field)
+    if not any(map(str.strip, cells)):
+        return None
+    if not all(map(str.strip, cells)):
+        raise ValueError(f"incomplete reviewer score for {field.columns[0].rsplit('_', 1)[0]}")
+    return ReviewerScore(*[read(cell, field) for cell in cells])
+
+
+def _json_value(field: _Field, value):
+    """A field's value from a JSON Lines line."""
+    if field.kind != "review":
+        return _JSON_READ[field.kind](value, field)
+    if value is None:
+        return None
+    scores = []
+    for criterion in _CRITERIA:
+        try:
+            score = value[criterion]
+        except (KeyError, TypeError):
+            raise ValueError(f"bad {field.name} object") from None
+        scores.append(_json_int(score, field, criterion))
+    return ReviewerScore(*scores)
+
+
+def _record_from_row(row: dict, where: str) -> PublicationRecord:
+    """The record of a CSV or TSV row, its cells by column."""
+    return _record(_TABLE_ORDER, lambda field: [row[column] for column in field.columns], _table_value, where)
+
+
+def _record_from_json(obj, where: str) -> PublicationRecord:
+    """The record of a JSON Lines line, the JSON value it holds."""
+    return _record(_JSON_ORDER, lambda field: obj[field.name] if field.required else obj.get(field.name), _json_value, where)
 
 
 def validate_record(rec: PublicationRecord, census_year: int) -> None:
     """Raise CorpusValidationError naming the record on any invariant violation."""
-    tag = f"record {rec.pub_id!r}"
-    if rec.citations < 0:
-        raise CorpusValidationError(f"{tag}: negative citations {rec.citations}")
-    if rec.citations > MAX_CITATIONS:
-        raise CorpusValidationError(f"{tag}: citations {rec.citations} above 2**53")
-    if not rec.category_weights:
-        raise CorpusValidationError(f"{tag}: empty category weights")
-    total = sum(rec.category_weights.values())
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise CorpusValidationError(f"{tag}: weights sum {total:g}")
-    for label, w in rec.category_weights.items():
-        if not (0.0 < w <= 1.0):
-            raise CorpusValidationError(f"{tag}: weight {label}={w:g} outside (0,1]")
-    if rec.year > census_year:
-        raise CorpusValidationError(f"{tag}: year {rec.year} after census year {census_year}")
-    # abs() lets one sum catch a nan or infinite weight and a positive
-    # total that overflows, either of which breaks the reassignment.
-    if rec.ref_category_weights and not math.isfinite(sum(map(abs, rec.ref_category_weights.values()))):
-        raise CorpusValidationError(f"{tag}: reference weights not finite")
-    for name, score in (("review_a", rec.review_a), ("review_b", rec.review_b)):
-        if score is None:
-            continue
-        for crit in _CRITERIA:
-            v = getattr(score, crit)
-            if not (1 <= v <= 10):
-                raise CorpusValidationError(f"{tag}: {name}.{crit}={v} outside 1..10")
-    for name, pct in (
-        ("ext_citation_percentile", rec.ext_citation_percentile),
-        ("ext_journal_percentile", rec.ext_journal_percentile),
-    ):
-        if pct is not None and not (0.0 <= pct <= 100.0):
-            raise CorpusValidationError(f"{tag}: {name}={pct:g} outside [0,100]")
+    for name in _CHECK_ORDER:
+        fault = _fault(_FIELDS[name], getattr(rec, name), census_year)
+        if fault:
+            raise CorpusValidationError(f"record {rec.pub_id!r}: {fault}")
 
 
-def _bad_id(ids: list, where: str) -> CorpusParseError:
-    name, value = next((n, v) for n, v in zip(_ID_COLUMNS, ids) if not (isinstance(v, str) and v))
-    return CorpusParseError(f"{where}: {name} must be a non-empty string, got {value!r}")
-
-
-def _record_from_row(row: dict, where: str) -> PublicationRecord:
-    try:
-        year = int(str(row["year"]).strip())
-        citations = int(str(row["citations"]).strip())
-    except (KeyError, ValueError) as exc:
-        raise CorpusParseError(f"{where}: bad year/citations") from exc
-    ids = [row[k].strip() for k in _ID_COLUMNS]
-    if "" in ids:
-        raise _bad_id(ids, where)
-    pub_id, institution_id, area_id, journal_id = ids
-    refs = _parse_weights(str(row.get("ref_category_weights") or ""), where)
-    return PublicationRecord(
-        pub_id=pub_id,
-        institution_id=institution_id,
-        area_id=area_id,
-        year=year,
-        citations=citations,
-        journal_id=journal_id,
-        category_weights=_parse_weights(str(row["category_weights"]), where),
-        ref_category_weights=refs or None,
-        review_a=_parse_score(row, "rev_a", where),
-        review_b=_parse_score(row, "rev_b", where),
-        ext_citation_percentile=_opt_float(row.get("ext_citation_percentile"), where),
-        ext_journal_percentile=_opt_float(row.get("ext_journal_percentile"), where),
-    )
-
-
-def _record_from_json(obj: dict, where: str) -> PublicationRecord:
-    def number(value, name, convert=_json_int):
-        try:
-            return convert(value)
-        except _NotNumber:
-            raise CorpusParseError(f"{where}: {name} must be a number, got {value!r}") from None
-        except _NonIntegral:
-            raise CorpusParseError(f"{where}: non-integral {name} {value!r}") from None
-
-    def weights(key):
-        return {str(k): number(v, f"{key}.{k}", _json_float) for k, v in obj[key].items()}
-
-    def score(key):
-        sub = obj.get(key)
-        if sub is None:
-            return None
-        try:
-            return ReviewerScore(*(number(sub[c], f"{key}.{c}") for c in _CRITERIA))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusParseError(f"{where}: bad {key} object") from exc
-
-    try:
-        ids = [obj[k] for k in _ID_COLUMNS]
-        if not all(isinstance(v, str) and v for v in ids):
-            raise _bad_id(ids, where)
-        pub_id, institution_id, area_id, journal_id = ids
-        category_weights = weights("category_weights")
-        refs = weights("ref_category_weights") if obj.get("ref_category_weights") else None
-        return PublicationRecord(
-            pub_id=pub_id,
-            institution_id=institution_id,
-            area_id=area_id,
-            year=number(obj["year"], "year"),
-            citations=number(obj["citations"], "citations"),
-            journal_id=journal_id,
-            category_weights=category_weights,
-            ref_category_weights=refs,
-            review_a=score("review_a"),
-            review_b=score("review_b"),
-            **{name: number(obj.get(name), name, _json_percentile) for name in _EXT_COLUMNS},
-        )
-    # AttributeError: a weight map that is not an object; OverflowError: a
-    # weight or percentile too large for a float.
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise CorpusParseError(f"{where}: {exc}") from exc
+def _fault(field: _Field, value, census_year: int) -> str | None:
+    """What is wrong with a field's value, or None."""
+    name, (low, high) = field.name, _bounds(field, census_year)
+    if field.kind == "integer":
+        if value < low:
+            return f"negative {name} {value}"
+        if value > high:
+            return f"{name} {value} after census year {high}" if field.high is _CENSUS else f"{name} {value} above 2**53"
+    elif field.kind == "weights" and field.required:
+        if not value:
+            return "empty category weights"
+        total = sum(value.values())
+        if abs(total - 1.0) > WEIGHT_TOL:
+            return f"weights sum {total:g}"
+        return next((f"weight {k}={w:g} outside ({low:g},{high:g}]" for k, w in value.items() if not low < w <= high), None)
+    elif field.kind == "weights":
+        # abs() lets one sum catch a nan or infinite weight and a positive
+        # total that overflows, either of which breaks the reassignment.
+        if value and not math.isfinite(sum(map(abs, value.values()))):
+            return "reference weights not finite"
+    elif field.kind == "review" and value is not None:
+        scores = zip(_CRITERIA, _criterion_scores(value))
+        return next((f"{name}.{c}={v} outside {low}..{high}" for c, v in scores if not low <= v <= high), None)
+    elif field.kind == "percentile" and value is not None and not low <= value <= high:
+        return f"{name}={value:g} outside [{low:g},{high:g}]"
+    return None
 
 
 def _not_utf8(path: str | Path, name: str) -> CorpusParseError:
@@ -540,60 +604,14 @@ def save_population_counts(counts: dict[str, int], path: str | Path) -> None:
         writer.writerows(sorted(counts.items()))
 
 
-# A JSON Lines field that a line leaves out.
-_ABSENT = object()
-
 _CHUNK_ROWS = 256  # rows read and converted at a time
-_EXT_COLUMNS = ("ext_citation_percentile", "ext_journal_percentile")
-_WEIGHT_COLUMNS = ("category_weights", "ref_category_weights")
-_JSON_FIELDS = (*_ID_COLUMNS, "year", "citations", *_WEIGHT_COLUMNS, "review_a", "review_b", *_EXT_COLUMNS)
-_REVIEW_AT = (_JSON_FIELDS.index("review_a"), _JSON_FIELDS.index("review_b"))
-# The coded columns of one field each; the six criterion scores are coded
-# as one more, "review".
-_ONE_FIELD = (*_CODED_IDS, "year", "citations")
-# The six criterion cells of a CSV or TSV row, review a's then review b's.
-_CRITERION_CELLS = (*_SCORE_COLUMNS["rev_a"], *_SCORE_COLUMNS["rev_b"])
+# The fields of a JSON Lines file in the order _json_chunks reads them, and
+# where the reviews are.
+_JSON_FIELDS = tuple(_FIELDS)
+_REVIEW_AT = tuple(i for i, field in enumerate(_FIELDS.values()) if field.kind == "review")
 # The flags of a distinct value: it may break an invariant of
 # validate_record, or it is a blank criterion.
 _SUSPECT, _BLANK = 1, 2
-# A criterion of an absent review in JSON Lines and records; the criteria
-# of an absent review, and of a JSON review that is not an object.
-_NO_SCORE = object()
-_NO_REVIEW, _NOT_REVIEW = (_NO_SCORE,) * 3, (_ABSENT,) * 3
-
-
-def _int_text(text: str) -> int:
-    return int(text.strip())
-
-
-def _id(value) -> str:
-    if not (isinstance(value, str) and value):
-        raise ValueError("an id that is not a non-empty string")
-    return value
-
-
-def _json_map(value) -> dict[str, float]:
-    return {label: _json_float(w) for label, w in value.items()}
-
-
-# How each coded column reads a value of a CSV or TSV file, of a JSON Lines
-# file and of records; None is a blank criterion.
-_TABLE_PARSE = {
-    **dict.fromkeys(_CODED_IDS, lambda text: _id(text.strip())),
-    "year": _int_text,
-    "citations": _int_text,
-    "review": lambda text: _int_text(text) if text.strip() else None,
-}
-_JSON_PARSE = {
-    **dict.fromkeys(_CODED_IDS, _id),
-    "year": _json_int,
-    "citations": _json_int,
-    "review": lambda score: None if score is _NO_SCORE else _json_int(score),
-}
-_RECORD_PARSE = {
-    **dict.fromkeys((*_CODED_IDS, "year", "citations"), lambda value: value),
-    "review": lambda score: None if score is _NO_SCORE else score,
-}
 
 
 class _Texts(dict):
@@ -632,6 +650,14 @@ class _Texts(dict):
         return np.concatenate(self.chunks, axis=1)
 
 
+def _screen(field: _Field, census_year: int | None) -> Callable[..., int]:
+    """The flags of a converted value of a coded field."""
+    if field.kind == "id":
+        return lambda value: 0
+    low, high = _bounds(field, census_year)
+    return lambda value: _BLANK if value is None else _SUSPECT * (not low <= value <= high)
+
+
 def _sorted_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
     """The sorted distinct strings of values, and each value's index among them."""
     names = sorted(set(values))
@@ -639,9 +665,14 @@ def _sorted_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
     return names, np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
 
 
-def _each_distinct(convert: Callable, texts: Sequence[str]) -> list:
-    """convert(text) of each text, called once per distinct text."""
-    converted = {text: convert(text) for text in dict.fromkeys(texts)}
+def _each(read: Callable, field: _Field, values: Sequence) -> list:
+    """read(value, field) of each value."""
+    return [read(value, field) for value in values]
+
+
+def _each_distinct(read: Callable, field: _Field, texts: Sequence[str]) -> list:
+    """read(text, field) of each text, called once per distinct text."""
+    converted = {text: read(text, field) for text in dict.fromkeys(texts)}
     return list(map(converted.__getitem__, texts))
 
 
@@ -655,9 +686,9 @@ def _entries(maps: Sequence[dict], labels: _Texts) -> Entries:
     )
 
 
-def _criterion_columns(reviews: Sequence[Sequence[tuple]]) -> list[list]:
-    """The six criterion columns of the review a and b columns, each review the tuple of its scores."""
-    return [[review[k] for review in column] for column in reviews for k in range(3)]
+def _criteria(reviews: Sequence[tuple]) -> list[list]:
+    """The three criterion columns of a review column, each review the tuple of its scores."""
+    return [[review[k] for review in reviews] for k in range(len(_CRITERIA))]
 
 
 def _percentiles(values: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
@@ -670,78 +701,83 @@ def _percentiles(values: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray
 
 
 class _Coder:
-    """Columns built a chunk at a time. The institution, area and journal
-    ids, years, citation counts and the six criterion scores, which repeat
-    across a file, become codes into a _Texts each, which reads and screens
-    each distinct value once; they are decoded once every chunk is added.
-    The weight maps, percentiles and pub_ids, which seldom repeat, come
-    converted a chunk at a time."""
+    """Columns built a chunk at a time, each field's values read by the
+    converter of its kind. The institution, area and journal ids, the
+    integers and the criterion scores, which repeat across a file, become
+    codes into a _Texts per field, which reads and screens each distinct
+    value once; they are decoded once every chunk is added. The pub_ids,
+    weight maps and percentiles, which seldom repeat, are read a chunk at a
+    time, each chunk's with each(read, field, values)."""
 
-    def __init__(self, parse: dict[str, Callable], census_year: int | None):
-        screen = {
-            "year": lambda year: _SUSPECT * (census_year is not None and year > census_year),
-            "citations": lambda n: _SUSPECT * (not 0 <= n <= MAX_CITATIONS),
-            "review": lambda score: _BLANK if score is None else _SUSPECT * (not 1 <= score <= 10),
+    def __init__(self, read: dict[str, Callable], census_year: int | None, each: Callable = _each):
+        self.read, self.each, self.pub_id = read, each, []
+        self.texts = {
+            name: _Texts(partial(read[field.kind], field=field), _screen(field, census_year))
+            for name, field in _FIELDS.items()
+            if name in _CODED_IDS or field.kind in ("integer", "review")
         }
-        self.texts = {name: _Texts(read, screen.get(name, lambda value: 0)) for name, read in parse.items()}
-        self.labels = _Texts(lambda label: label, lambda label: 0)  # of both weight maps
-        self.chunks: dict[str, list] = {name: [] for name in (*_WEIGHT_COLUMNS, *_EXT_COLUMNS)}
-        self.pub_id: list[str] = []
+        self.labels = _Texts(lambda label: label, lambda label: 0)  # of every weight map
+        self.chunks: dict[str, list] = {name: [] for name in _FIELDS if name not in self.texts and name != "pub_id"}
 
-    def add(self, keys: dict[str, list[Sequence]], pub_id: list[str], maps: list[list[dict]], pct: list[tuple]) -> np.ndarray:
-        """Add a chunk: the values of its coded columns by _Texts, its
-        pub_ids, its category and reference weight maps, and each percentile
-        column as (values, NaN where absent, which are present). Return which
-        rows the screen flags; raise where a row does not parse."""
-        n = len(pub_id)
-        codes = {name: texts.code(keys[name]) for name, texts in self.texts.items()}
+    def add(self, columns: dict[str, list[Sequence]]) -> np.ndarray:
+        """Add a chunk, the values of each field as its columns: three for a
+        review, one per criterion, and one for any other field. Return which
+        rows the screen flags; raise where a row does not convert."""
+        start, n = len(self.pub_id), len(columns["pub_id"][0])
         flags = np.zeros(n, dtype=np.uint8)
         for name, texts in self.texts.items():
+            codes = texts.code(columns[name])
             if texts.flagged:
-                flags |= np.bitwise_or.reduce(texts.flags_of(codes[name]), axis=0)
-        if (flags & _BLANK).any():
-            blank = (self.texts["review"].flags_of(codes["review"]) & _BLANK).reshape(2, 3, n) > 0
-            if (blank.any(axis=1) != blank.all(axis=1)).any():
-                raise ValueError("a review with some but not all of its cells blank")
-        w, refs = entries = [_entries(column, self.labels) for column in maps]
-        total = np.bincount(w.row, weights=w.weight, minlength=n)
-        outside = np.bincount(w.row, weights=~((w.weight > 0.0) & (w.weight <= 1.0)), minlength=n) > 0
-        ref_mass = np.bincount(refs.row, weights=np.abs(refs.weight), minlength=n)
-        suspect = (
-            (flags & _SUSPECT).astype(bool)
-            | (np.bincount(w.row, minlength=n) == 0)
-            # validate_record sums the weights with sum(), which compensates
-            # rounding from Python 3.12 on; a total within half the tolerance
-            # here is within the tolerance there.
-            | ~(np.abs(total - 1.0) <= WEIGHT_TOL / 2)
-            | outside
-            # Likewise a sum of absolute reference weights below 1e308 is finite both ways.
-            | ~(ref_mass < 1e308)
-        )
-        for name, (values, present) in zip(_EXT_COLUMNS, pct):
-            suspect |= present & ~((values >= 0.0) & (values <= 100.0))
-            self.chunks[name].append(values)
-        for name, e in zip(_WEIGHT_COLUMNS, entries):
-            self.chunks[name].append(e._replace(row=e.row + len(self.pub_id)))
-        self.pub_id += pub_id
+                flagged = texts.flags_of(codes)
+                blank = (flagged & _BLANK) > 0
+                if (blank.any(axis=0) != blank.all(axis=0)).any():
+                    raise ValueError("a review with some but not all of its cells blank")
+                flags |= np.bitwise_or.reduce(flagged, axis=0)
+        suspect = (flags & _SUSPECT) > 0
+        for name, chunks in self.chunks.items():
+            field = _FIELDS[name]
+            values = self.each(self.read[field.kind], field, columns[name][0])
+            low, high = _bounds(field)
+            if field.kind == "percentile":
+                pct, present = _percentiles(values)
+                suspect |= present & ~((pct >= low) & (pct <= high))
+                chunks.append(pct)
+                continue
+            e = _entries(values, self.labels)
+            if field.required:
+                total = np.bincount(e.row, weights=e.weight, minlength=n)
+                outside = np.bincount(e.row, weights=~((e.weight > low) & (e.weight <= high)), minlength=n) > 0
+                # validate_record sums the weights with sum(), which
+                # compensates rounding from Python 3.12 on; a total within
+                # half the tolerance here is within the tolerance there.
+                suspect |= (np.bincount(e.row, minlength=n) == 0) | ~(np.abs(total - 1.0) <= WEIGHT_TOL / 2) | outside
+            else:
+                # Likewise a sum of absolute weights below 1e308 is finite both ways.
+                suspect |= ~(np.bincount(e.row, weights=np.abs(e.weight), minlength=n) < 1e308)
+            chunks.append(e._replace(row=e.row + start))
+        self.pub_id += _each(self.read["id"], _FIELDS["pub_id"], columns["pub_id"][0])
         return suspect
 
     def columns(self) -> Columns:
         """The columns of every row added, each _Texts dropped as its column is decoded."""
-        texts, n = self.texts, len(self.pub_id)
+        texts, chunks, n = self.texts, self.chunks, len(self.pub_id)
         values: dict = {"pub_id": self.pub_id}
         values["labels"], sorted_label = _sorted_codes(self.labels.values)
-        for field, name in zip(("weights", "refs"), _WEIGHT_COLUMNS):
-            row, label, weight = map(np.concatenate, zip(*self.chunks.pop(name)))
-            values[field] = Entries(row, sorted_label[label], weight)
-        review = texts.pop("review")
-        codes, score = review.joined(), _int_array([value or 0 for value in review.values])
-        values["review"] = np.empty((n, 2, 3), dtype=score.dtype)
-        for k, criterion in enumerate(codes):
-            values["review"].reshape(n, 6)[:, k] = score[criterion]
-        # Once every row parses, a review is present where its first criterion is not blank.
-        values["has_review"] = np.ascontiguousarray(((review.flags_of(codes[::3]) & _BLANK) == 0).T)
-        del codes, review
+        for name, attr in (("category_weights", "weights"), ("ref_category_weights", "refs")):
+            row, label, weight = map(np.concatenate, zip(*chunks.pop(name)))
+            values[attr] = Entries(row, sorted_label[label], weight)
+        reviews = [texts.pop(name) for name in ("review_a", "review_b")]
+        scores = [_int_array([value or 0 for value in review.values]) for review in reviews]
+        values["review"] = np.empty((n, 2, len(_CRITERIA)), dtype=np.result_type(*scores))
+        has_review = []
+        for k, (review, score) in enumerate(zip(reviews, scores)):
+            codes = review.joined()
+            for c, criterion in enumerate(codes):
+                values["review"][:, k, c] = score[criterion]
+            # Once every row parses, a review is present where its first criterion is not blank.
+            has_review.append((review.flags_of(codes[0]) & _BLANK) == 0)
+        values["has_review"] = np.stack(has_review, axis=1)
+        del codes, reviews, has_review
         for name in _CODED_IDS:
             ids = texts.pop(name)
             values[name + "s"], sorted_code = _sorted_codes(ids.values)
@@ -749,8 +785,8 @@ class _Coder:
         for name in ("year", "citations"):
             ints = texts.pop(name)
             values[name] = _int_array(ints.values)[ints.joined()[0]]
-        for name in _EXT_COLUMNS:
-            values[name] = np.concatenate(self.chunks.pop(name))
+        for name in _PERCENTILES:
+            values[name] = np.concatenate(chunks.pop(name))
         return Columns(**values)
 
 
@@ -838,36 +874,26 @@ def _json_chunks(fh: TextIO, file_name: str, numbers: array) -> Iterator[dict[st
         yield _by_column(_JSON_FIELDS, chunk)
 
 
-def _table_keys(cells: dict[str, Sequence[str]]) -> tuple:
-    """_Coder.add's arguments for a chunk of a CSV or TSV file, from its cells."""
-    keys = {name: [cells[name]] for name in _ONE_FIELD}
-    keys["review"] = [cells[column] for column in _CRITERION_CELLS]
-    pub_id = list(map(str.strip, cells["pub_id"]))
-    if "" in pub_id:
-        raise ValueError("a blank pub_id")
-    maps = [_each_distinct(lambda text: _parse_weights(text, ""), cells[name]) for name in _WEIGHT_COLUMNS]
-    # A blank percentile is absent, as _opt_float reads it.
-    pct = [_each_distinct(lambda text: float(text) if text.strip() else None, cells[name]) for name in _EXT_COLUMNS]
-    return keys, pub_id, maps, list(map(_percentiles, pct))
+
+def _table_keys(cells: dict[str, Sequence[str]]) -> dict[str, list[Sequence[str]]]:
+    """_Coder.add's columns of a chunk of a CSV or TSV file, from its cells by column."""
+    return {name: [cells[column] for column in field.columns] for name, field in _FIELDS.items()}
 
 
-def _json_keys(fields: dict[str, Sequence]) -> tuple:
-    """_Coder.add's arguments for a chunk of a JSON Lines file, from its values."""
-    keys = {name: [fields[name]] for name in _ONE_FIELD}
-    keys["review"] = _criterion_columns(
-        [
-            [sub if type(sub) is tuple else _NO_REVIEW if sub is None or sub is _ABSENT else _NOT_REVIEW for sub in fields[key]]
-            for key in ("review_a", "review_b")
-        ]
-    )
+def _json_keys(fields: dict[str, Sequence]) -> dict[str, list[Sequence]]:
+    """_Coder.add's columns of a chunk of a JSON Lines file, from its values
+    by field. A criterion of a review that is absent or null is _NO_SCORE,
+    and one of a review that is not an object is _ABSENT, like one it lacks."""
+    columns = {name: [fields[name]] for name in _FIELDS}
+    for name, field in _FIELDS.items():
+        if field.kind == "review":
+            none, other = (_NO_SCORE,) * 3, (_ABSENT,) * 3
+            columns[name] = _criteria([s if type(s) is tuple else none if s is None or s is _ABSENT else other for s in fields[name]])
     # A bool is no number, but as a key it equals 0 or 1.
-    if bool in set(map(type, chain(fields["year"], fields["citations"], *keys["review"]))):
+    numbers = [columns[name] for name, field in _FIELDS.items() if field.kind in ("integer", "review")]
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(numbers)))):
         raise ValueError("a bool where a number belongs")
-    # An absent or empty reference map is no map.
-    maps = [list(map(_json_map, fields["category_weights"]))]
-    maps.append([_json_map(m) if m is not _ABSENT and m else {} for m in fields["ref_category_weights"]])
-    pct = [list(map(_json_percentile, fields[name])) for name in _EXT_COLUMNS]
-    return keys, list(map(_id, fields["pub_id"])), maps, list(map(_percentiles, pct))
+    return columns
 
 
 def _json_record(row: dict, where: str) -> PublicationRecord:
@@ -889,7 +915,7 @@ def _read(path: Path, census_year: int | None, numbers: array) -> tuple[Columns,
     """The columns of a corpus file, read a chunk of rows at a time, each
     row's number in the file appended to numbers, and (row, its parse) of
     each row the screen flags. The file's format gives a chunk reader, the
-    arguments of _Coder.add for a chunk and a row parse, looked up at each
+    columns of _Coder.add for a chunk and a row parse, looked up at each
     call. A chunk that does not convert is parsed row by row instead: the
     first row that does not parse raises, and a conversion that fails
     although every row parses raises AssertionError. A fault that stops
@@ -897,10 +923,10 @@ def _read(path: Path, census_year: int | None, numbers: array) -> tuple[Columns,
     row that does not parse wins."""
     fmt = _detect_format(path)
     if fmt == "jsonl":
-        read, keys, parse, coder = _json_chunks, _json_keys, _json_record, _Coder(_JSON_PARSE, census_year)
+        read, keys, parse, coder = _json_chunks, _json_keys, _json_record, _Coder(_JSON_READ, census_year)
     else:
         read = partial(_table_chunks, delimiter="\t" if fmt == "tsv" else ",")
-        keys, parse, coder = _table_keys, _record_from_row, _Coder(_TABLE_PARSE, census_year)
+        keys, parse, coder = _table_keys, _record_from_row, _Coder(_TABLE_READ, census_year, _each_distinct)
     flagged, start = [], 0  # start: the chunk's first row
     with _open_text(path, "corpus") as fh:
         try:
@@ -910,7 +936,7 @@ def _read(path: Path, census_year: int | None, numbers: array) -> tuple[Columns,
                     return parse({name: column[i] for name, column in cells.items()}, _row_name(path, numbers[start + i]))
 
                 try:
-                    suspects = coder.add(*keys(cells))
+                    suspects = coder.add(keys(cells))
                 except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
                     for i in range(len(numbers) - start):
                         parse_row(i)
@@ -1055,4 +1081,5 @@ def assign_reviewer_roles(corpus: Corpus, seed: int) -> Corpus:
     swap = np.array([sha256((prefix + p).encode()).digest()[0] & 1 for p in columns.pub_id], dtype=bool)
     review = np.where(swap[:, None, None], columns.review[:, ::-1], columns.review)
     return Corpus.from_columns(replace(columns, review=review), corpus.census_year, corpus.population_counts)
+
 

@@ -668,13 +668,13 @@ def test_each_distinct_weight_text_of_a_chunk_is_parsed_once(tmp_path, monkeypat
     rows = list(csv.DictReader(io.StringIO(path.read_text())))
     assert len(rows) > 2 * corpus_module._CHUNK_ROWS
     parsed = []
-    parse_weights = corpus_module._parse_weights
+    parse_weights = corpus_module._TABLE_READ["weights"]
 
-    def counted(text, where):
+    def counted(text, field):
         parsed.append(text)
-        return parse_weights(text, where)
+        return parse_weights(text, field)
 
-    monkeypatch.setattr("bibagree.corpus._parse_weights", counted)
+    monkeypatch.setitem(corpus_module._TABLE_READ, "weights", counted)
     load_corpus(path)
     size = corpus_module._CHUNK_ROWS
     chunks = [rows[start : start + size] for start in range(0, len(rows), size)]
@@ -689,13 +689,14 @@ def test_each_distinct_year_text_of_a_file_is_converted_once(tmp_path, monkeypat
     rows = list(csv.DictReader(io.StringIO(path.read_text())))
     assert len(rows) > 2 * corpus_module._CHUNK_ROWS
     converted = []
-    convert = corpus_module._TABLE_PARSE["year"]
+    convert = corpus_module._TABLE_READ["integer"]
 
-    def counted(text):
-        converted.append(text)
-        return convert(text)
+    def counted(text, field):
+        if field.name == "year":
+            converted.append(text)
+        return convert(text, field)
 
-    monkeypatch.setitem(corpus_module._TABLE_PARSE, "year", counted)
+    monkeypatch.setitem(corpus_module._TABLE_READ, "integer", counted)
     load_corpus(path)
     assert sorted(converted) == sorted(set(row["year"] for row in rows))
 
