@@ -8,24 +8,12 @@ these columns and never builds a ``PublicationRecord``; ``Corpus.records``
 is a view, built on first access.
 
 ``_FIELDS`` is the one place a field's rule is written: its CSV/TSV
-columns and JSON key, its kind, whether a record must have it, and its
-range. Beside it stand the orders in which a row's fields are checked by
-the CSV/TSV parse, the JSON Lines parse and validation. The converters of
-each kind (``_TABLE_READ``, ``_JSON_READ``), the screens of ``_Coder``,
-both row parses and ``validate_record`` read them from there.
-
-``load_corpus`` reads a file a chunk of rows at a time (``_Coder``). Each
-cell of the id, year, citation and criterion columns, whose values repeat
-across a file, becomes a code into a table of the distinct values of its
-column for the whole file, so each is converted and screened once; the
-weight maps and percentiles, which seldom repeat, are converted a chunk
-at a time. ``Columns.from_records`` builds its columns the same way. The
-row parses ``_record_from_row`` and ``_record_from_json`` and
-``validate_record`` word every error: a chunk with a row that does not
-convert is parsed row by row, in file order, up to that row, and only the
-rows the screen flags keep their row parse, to be validated one by one
-once the whole file is read. So the message, the row it names and the
-fault that wins are theirs.
+columns and JSON key, its kind, whether a record must have it and its
+range, with the orders in which the CSV/TSV parse, the JSON Lines parse
+and validation check a row's fields beside it. The converters of each
+kind, the load's screens (``_Coder``), both row parses and
+``validate_record`` read them from there. ``load_corpus`` says how a file
+is read and which fault wins.
 """
 
 from __future__ import annotations
@@ -44,7 +32,6 @@ from pathlib import Path
 from typing import NamedTuple, TextIO
 
 import numpy as np
-
 
 WEIGHT_TOL = 1e-9
 # The catch-all category whose weight a run spreads over a record's
@@ -113,7 +100,6 @@ _JSON_ORDER = (
 )
 # Validation, which comes after the scan for a repeated pub_id.
 _CHECK_ORDER = ("citations", "category_weights", "year", "ref_category_weights", "review_a", "review_b", *_PERCENTILES)
-
 
 
 class CorpusError(Exception):
@@ -223,53 +209,33 @@ class Columns:
 
     @staticmethod
     def from_records(records: Sequence[PublicationRecord]) -> Columns:
-        columns = {}
-        for name, field in _FIELDS.items():
-            values = [getattr(r, name) for r in records]
-            if field.kind == "review":
-                columns[name] = _criteria([_criterion_scores(s) if s else (None,) * 3 for s in values])
-            else:
-                columns[name] = [[m or {} for m in values] if field.kind == "weights" else values]
+        cells = {name: [getattr(r, name) for r in records] for name in _FIELDS}
+        cells["ref_category_weights"] = [refs or {} for refs in cells["ref_category_weights"]]
+        for name in _REVIEWS:
+            reviews = cells.pop(name)
+            cells.update((column, [getattr(s, c) if s else None for s in reviews]) for column, c in zip(_FIELDS[name].columns, _CRITERIA))
         coder = _Coder(_RECORD_READ, None)
-        coder.add(columns)
+        coder.add(cells)
         return coder.columns()
 
     def records(self, rows: Sequence[int] | None = None) -> tuple[PublicationRecord, ...]:
         """The record of each of the given rows, in that order; of every row
         when rows is None."""
         n = len(self)
-        institution, area, journal = (
-            list(map(getattr(self, name + "s").__getitem__, getattr(self, name).tolist())) for name in _CODED_IDS
-        )
-        year, citations = self.year.tolist(), self.citations.tolist()
+        values = {name: list(map(getattr(self, name + "s").__getitem__, getattr(self, name).tolist())) for name in _CODED_IDS}
+        values.update(pub_id=self.pub_id, year=self.year.tolist(), citations=self.citations.tolist())
+        values["category_weights"] = _maps(self.weights, self.labels, n)
+        values["ref_category_weights"] = [refs or None for refs in _maps(self.refs, self.labels, n)]
         review, has_review = self.review.tolist(), self.has_review.tolist()
-        weights, refs = _maps(self.weights, self.labels, n), _maps(self.refs, self.labels, n)
-        # NaN marks an absent percentile.
-        ext_cit, ext_jou = (
-            [None if v != v else v for v in column.tolist()]
-            for column in (self.ext_citation_percentile, self.ext_journal_percentile)
-        )
-
-        def score(i: int, k: int) -> ReviewerScore | None:
-            return ReviewerScore(*review[i][k]) if has_review[i][k] else None
-
-        return tuple(
-            PublicationRecord(
-                pub_id=self.pub_id[i],
-                institution_id=institution[i],
-                area_id=area[i],
-                year=year[i],
-                citations=citations[i],
-                journal_id=journal[i],
-                category_weights=weights[i],
-                ref_category_weights=refs[i] or None,
-                review_a=score(i, 0),
-                review_b=score(i, 1),
-                ext_citation_percentile=ext_cit[i],
-                ext_journal_percentile=ext_jou[i],
-            )
-            for i in (range(n) if rows is None else rows)
-        )
+        for k, name in enumerate(_REVIEWS):
+            values[name] = [ReviewerScore(*scores[k]) if has[k] else None for scores, has in zip(review, has_review)]
+        for name in _PERCENTILES:
+            # NaN marks an absent percentile.
+            values[name] = [None if v != v else v for v in getattr(self, name).tolist()]
+        columns = [values[name] for name in _RECORD_FIELDS]
+        if rows is not None:
+            columns = [list(map(column.__getitem__, rows)) for column in columns]
+        return tuple(map(PublicationRecord, *columns))
 
 
 @dataclass(frozen=True)
@@ -342,9 +308,10 @@ def _format_weights(weights: dict[str, float]) -> str:
     return ";".join(f"{k}:{v!r}" for k, v in sorted(weights.items()))
 
 
-# A JSON Lines field that a line leaves out.
+# A JSON Lines field that a line leaves out, and a criterion of a review
+# that is not an object.
 _ABSENT = object()
-# A criterion of an absent review in JSON Lines.
+# A criterion of an absent or null JSON Lines review.
 _NO_SCORE = object()
 
 
@@ -354,10 +321,9 @@ def _bounds(field: _Field, census_year: int | None = None) -> tuple:
     return (-math.inf if field.low is None else field.low, math.inf if high is None else high)
 
 
-# The converters of each kind of field, one value at a time: a CSV or TSV
-# cell, a JSON value, and a criterion score of a review. One that does not
-# convert raises ValueError worded for its row, or an error that Python
-# words, such as a JSON weight map without items().
+# The converters of each kind of field, of a CSV or TSV cell and of a JSON
+# value, a review's of the tuple of its criteria's. A value that does not
+# convert raises ValueError worded for its row, or an error Python words.
 
 
 def _text_id(text: str, field: _Field) -> str:
@@ -367,11 +333,18 @@ def _text_id(text: str, field: _Field) -> str:
     return value
 
 
-def _text_int(text: str, field: _Field) -> int:
+def _text_number(text: str, field: _Field) -> float | None:
+    """An integer, a criterion score or a percentile; None for a blank cell
+    of an optional field."""
+    if not (field.required or text.strip()):
+        return None
     try:
-        return int(text.strip())
+        return float(text) if field.kind == "percentile" else int(text.strip())
     except ValueError:
-        raise ValueError("bad year/citations") from None
+        raise ValueError(_TEXT_FAULTS[field.kind].format(text)) from None
+
+
+_TEXT_FAULTS = {"integer": "bad year/citations", "review": "non-integer criterion score", "percentile": "bad numeric value {!r}"}
 
 
 def _parse_weights(text: str, field: _Field) -> dict[str, float]:
@@ -390,20 +363,13 @@ def _parse_weights(text: str, field: _Field) -> dict[str, float]:
     return out
 
 
-def _text_score(text: str, field: _Field) -> int | None:
-    """A criterion score, or None for a blank cell."""
-    try:
-        return int(text.strip()) if text.strip() else None
-    except ValueError:
-        raise ValueError("non-integer criterion score") from None
-
-
-def _text_real(text: str, field: _Field) -> float | None:
-    """A percentile, or None for a blank cell."""
-    try:
-        return float(text) if text.strip() else None
-    except ValueError:
-        raise ValueError(f"bad numeric value {text!r}") from None
+def _text_review(cells: tuple[str, ...], field: _Field) -> ReviewerScore | None:
+    """A review, or None where its cells are blank."""
+    if not all(map(str.strip, cells)):
+        if any(map(str.strip, cells)):
+            raise ValueError(f"incomplete reviewer score for {field.columns[0].rsplit('_', 1)[0]}")
+        return None
+    return ReviewerScore(*[_text_number(cell, field) for cell in cells])
 
 
 def _json_id(value, field: _Field) -> str:
@@ -412,103 +378,75 @@ def _json_id(value, field: _Field) -> str:
     return value
 
 
-def _json_int(value, field: _Field, part: str | None = None) -> int:
-    """An integral JSON number; part, if any, names a criterion of a review."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"non-integral {_named(field, part)} {value!r}")
-    if not isinstance(value, (int, float)):
-        raise ValueError(f"{_named(field, part)} must be a number, got {value!r}")
-    return int(value)
-
-
-def _json_float(value, field: _Field, part: str | None = None) -> float:
-    """A JSON number; part, if any, names the label of a weight."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{_named(field, part)} must be a number, got {value!r}")
-    return float(value)
-
-
-def _named(field: _Field, part: str | None) -> str:
-    return field.name if part is None else f"{field.name}.{part}"
+def _json_number(value, field: _Field, part: str | None = None) -> float | None:
+    """A JSON number, an integral one for an integer or a criterion score;
+    part, if any, names the label of a weight or a criterion. An absent or
+    null percentile, and a criterion of an absent review, is None."""
+    integral = field.kind in ("integer", "review")
+    if type(value) in (int, float):  # not a bool
+        if not integral:
+            return float(value)
+        if type(value) is int or value.is_integer():
+            return int(value)
+    elif value is _NO_SCORE or (field.kind == "percentile" and (value is None or value is _ABSENT)):
+        return None
+    elif value is _ABSENT:  # a criterion that a review lacks, or of a review that is not an object
+        raise ValueError(f"bad {field.name} object")
+    name = field.name if part is None else f"{field.name}.{part}"
+    if integral and type(value) in (bool, float):
+        raise ValueError(f"non-integral {name} {value!r}")
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _json_map(value, field: _Field) -> dict[str, float]:
     """A JSON weight map; an optional one that is absent, null or empty is {}."""
     if not (field.required or (value is not _ABSENT and value)):
         return {}
-    return {label: _json_float(weight, field, label) for label, weight in value.items()}
+    return {label: _json_number(weight, field, label) for label, weight in value.items()}
 
 
-def _json_score(value, field: _Field) -> int | None:
-    """A criterion score as _json_chunks reads it; None for one of an absent review."""
-    return None if value is _NO_SCORE else _json_int(value, field)
+def _json_review(criteria: tuple, field: _Field) -> ReviewerScore | None:
+    """A review from its criteria as _json_chunks reads them."""
+    if criteria[0] is _NO_SCORE:
+        return None
+    return ReviewerScore(*[_json_number(score, field, name) for name, score in zip(_CRITERIA, criteria)])
 
 
-def _json_percentile(value, field: _Field) -> float | None:
-    return None if value is None or value is _ABSENT else _json_float(value, field)
-
-
-_TABLE_READ = {"id": _text_id, "integer": _text_int, "weights": _parse_weights, "review": _text_score, "percentile": _text_real}
-_JSON_READ = {"id": _json_id, "integer": _json_int, "weights": _json_map, "review": _json_score, "percentile": _json_percentile}
+_TABLE_READ = {"id": _text_id, "integer": _text_number, "weights": _parse_weights, "review": _text_review, "percentile": _text_number}
+_JSON_READ = {"id": _json_id, "integer": _json_number, "weights": _json_map, "review": _json_review, "percentile": _json_number}
 # A record's values are converted already; an absent review's criteria are None.
 _RECORD_READ = dict.fromkeys(_TABLE_READ, lambda value, field: value)
 
 
-def _record(order: tuple, fetch: Callable, convert: Callable, where: str) -> PublicationRecord:
-    """The record whose fields fetch(field) reads and convert(field, what
-    was read) converts, a step of order at a time; the first field that
-    does not convert is a parse fault naming where."""
+def _record(row: dict, where: str, read: dict[str, Callable], order: tuple) -> PublicationRecord:
+    """The record of a row of cells by column: each field's value, its cell
+    or for a review the tuple of its criteria's, converted by read of its
+    kind, a step of order at a time. The first field that does not convert
+    is a parse fault naming where; so is a required field that a JSON line
+    lacks, looked for in every field of a step before any is converted."""
     values = {}
     try:
         for step in order:
             fields = [_FIELDS[name] for name in step]
-            for field, read in zip(fields, list(map(fetch, fields))):
-                value = convert(field, read)
+            raw = [tuple(map(row.__getitem__, f.columns)) if f.kind == "review" else row[f.name] for f in fields]
+            absent = [f.name for f, value in zip(fields, raw) if value is _ABSENT and f.required]
+            if absent:
+                raise KeyError(absent[0])
+            for field, value in zip(fields, raw):
+                value = read[field.kind](value, field)
                 # An optional weight map that is empty is absent.
                 values[field.name] = value or None if field.kind == "weights" and not field.required else value
-    # KeyError: a JSON key a line lacks; TypeError: a JSON value that is not
-    # an object; OverflowError: a weight or percentile too large for a float.
+    # TypeError: a JSON value that is not an object; OverflowError: a weight
+    # or percentile too large for a float.
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CorpusParseError(f"{where}: {exc}") from exc
     return PublicationRecord(**values)
 
 
-def _table_value(field: _Field, cells: list[str]):
-    """A field's value from its cells of a CSV or TSV row."""
-    read = _TABLE_READ[field.kind]
-    if field.kind != "review":
-        return read(cells[0], field)
-    if not any(map(str.strip, cells)):
-        return None
-    if not all(map(str.strip, cells)):
-        raise ValueError(f"incomplete reviewer score for {field.columns[0].rsplit('_', 1)[0]}")
-    return ReviewerScore(*[read(cell, field) for cell in cells])
-
-
-def _json_value(field: _Field, value):
-    """A field's value from a JSON Lines line."""
-    if field.kind != "review":
-        return _JSON_READ[field.kind](value, field)
-    if value is None:
-        return None
-    scores = []
-    for criterion in _CRITERIA:
-        try:
-            score = value[criterion]
-        except (KeyError, TypeError):
-            raise ValueError(f"bad {field.name} object") from None
-        scores.append(_json_int(score, field, criterion))
-    return ReviewerScore(*scores)
-
-
-def _record_from_row(row: dict, where: str) -> PublicationRecord:
-    """The record of a CSV or TSV row, its cells by column."""
-    return _record(_TABLE_ORDER, lambda field: [row[column] for column in field.columns], _table_value, where)
-
-
-def _record_from_json(obj, where: str) -> PublicationRecord:
-    """The record of a JSON Lines line, the JSON value it holds."""
-    return _record(_JSON_ORDER, lambda field: obj[field.name] if field.required else obj.get(field.name), _json_value, where)
+# The record of a CSV or TSV row, and of a JSON line or a JSON value that is
+# not an object: _record(row, where).
+_record_from_row = partial(_record, read=_TABLE_READ, order=_TABLE_ORDER)
+_record_from_json = partial(_record, read=_JSON_READ, order=_JSON_ORDER)
 
 
 def validate_record(rec: PublicationRecord, census_year: int) -> None:
@@ -605,10 +543,15 @@ def save_population_counts(counts: dict[str, int], path: str | Path) -> None:
 
 
 _CHUNK_ROWS = 256  # rows read and converted at a time
-# The fields of a JSON Lines file in the order _json_chunks reads them, and
-# where the reviews are.
-_JSON_FIELDS = tuple(_FIELDS)
-_REVIEW_AT = tuple(i for i, field in enumerate(_FIELDS.values()) if field.kind == "review")
+_REVIEWS = tuple(name for name, field in _FIELDS.items() if field.kind == "review")
+# The columns of a JSON line in the order _json_chunks reads them: its
+# keys but the reviews', then the criteria of each review.
+_JSON_KEYS = tuple(name for name in _FIELDS if name not in _REVIEWS)
+_JSON_COLUMNS = (*_JSON_KEYS, *(column for name in _REVIEWS for column in _FIELDS[name].columns))
+_NO_REVIEW, _NOT_REVIEW = (_NO_SCORE,) * len(_CRITERIA), (_ABSENT,) * len(_CRITERIA)
+# The fields coded through a table of their distinct values: these repeat
+# across a file.
+_CODED = (*_CODED_IDS, *(name for name, field in _FIELDS.items() if field.kind in ("integer", "review")))
 # The flags of a distinct value: it may break an invariant of
 # validate_record, or it is a blank criterion.
 _SUSPECT, _BLANK = 1, 2
@@ -651,7 +594,7 @@ class _Texts(dict):
 
 
 def _screen(field: _Field, census_year: int | None) -> Callable[..., int]:
-    """The flags of a converted value of a coded field."""
+    """The flags of a converted value of a coded field, or of a criterion of a review."""
     if field.kind == "id":
         return lambda value: 0
     low, high = _bounds(field, census_year)
@@ -686,11 +629,6 @@ def _entries(maps: Sequence[dict], labels: _Texts) -> Entries:
     )
 
 
-def _criteria(reviews: Sequence[tuple]) -> list[list]:
-    """The three criterion columns of a review column, each review the tuple of its scores."""
-    return [[review[k] for review in reviews] for k in range(len(_CRITERIA))]
-
-
 def _percentiles(values: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
     """A percentile column: the values, NaN where absent (None), and which are present."""
     present = np.fromiter(map(operator.is_not, values, repeat(None)), dtype=bool, count=len(values))
@@ -701,29 +639,35 @@ def _percentiles(values: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray
 
 
 class _Coder:
-    """Columns built a chunk at a time, each field's values read by the
-    converter of its kind. The institution, area and journal ids, the
-    integers and the criterion scores, which repeat across a file, become
-    codes into a _Texts per field, which reads and screens each distinct
-    value once; they are decoded once every chunk is added. The pub_ids,
-    weight maps and percentiles, which seldom repeat, are read a chunk at a
-    time, each chunk's with each(read, field, values)."""
+    """Columns built a chunk at a time, each field's values converted by
+    read of its kind, a review's one criterion at a time as integers. The
+    ids but pub_id, the integers and the criterion scores, which repeat
+    across a file, become codes into a _Texts per field, which converts and
+    screens each distinct value once; they are decoded once every chunk is
+    added. The pub_ids, weight maps and percentiles, which seldom repeat,
+    are converted a chunk at a time, with each(read, field, values), and
+    screened with numpy."""
 
     def __init__(self, read: dict[str, Callable], census_year: int | None, each: Callable = _each):
         self.read, self.each, self.pub_id = read, each, []
         self.texts = {
-            name: _Texts(partial(read[field.kind], field=field), _screen(field, census_year))
+            name: _Texts(partial(read["integer" if name in _REVIEWS else field.kind], field=field), _screen(field, census_year))
             for name, field in _FIELDS.items()
-            if name in _CODED_IDS or field.kind in ("integer", "review")
+            if name in _CODED
         }
         self.labels = _Texts(lambda label: label, lambda label: 0)  # of every weight map
-        self.chunks: dict[str, list] = {name: [] for name in _FIELDS if name not in self.texts and name != "pub_id"}
+        self.chunks: dict[str, list] = {name: [] for name in _FIELDS if name not in _CODED and name != "pub_id"}
 
-    def add(self, columns: dict[str, list[Sequence]]) -> np.ndarray:
-        """Add a chunk, the values of each field as its columns: three for a
-        review, one per criterion, and one for any other field. Return which
-        rows the screen flags; raise where a row does not convert."""
-        start, n = len(self.pub_id), len(columns["pub_id"][0])
+    def add(self, cells: dict[str, Sequence]) -> np.ndarray:
+        """Add a chunk, its cells by column. Return which rows the screen
+        flags; raise where a row does not convert."""
+        columns = {name: [cells[column] for column in field.columns] for name, field in _FIELDS.items()}
+        if self.read is _JSON_READ:
+            # A bool is no number, but as a key it equals 0 or 1.
+            numbers = chain.from_iterable(columns[name] for name in _CODED if _FIELDS[name].kind != "id")
+            if bool in set(map(type, chain.from_iterable(numbers))):
+                raise ValueError("a bool where a number belongs")
+        start, n = len(self.pub_id), len(cells["pub_id"])
         flags = np.zeros(n, dtype=np.uint8)
         for name, texts in self.texts.items():
             codes = texts.code(columns[name])
@@ -766,18 +710,17 @@ class _Coder:
         for name, attr in (("category_weights", "weights"), ("ref_category_weights", "refs")):
             row, label, weight = map(np.concatenate, zip(*chunks.pop(name)))
             values[attr] = Entries(row, sorted_label[label], weight)
-        reviews = [texts.pop(name) for name in ("review_a", "review_b")]
+        reviews = list(map(texts.pop, _REVIEWS))
         scores = [_int_array([value or 0 for value in review.values]) for review in reviews]
-        values["review"] = np.empty((n, 2, len(_CRITERIA)), dtype=np.result_type(*scores))
-        has_review = []
+        values["review"] = np.empty((n, len(reviews), len(_CRITERIA)), dtype=np.result_type(*scores))
+        values["has_review"] = np.empty((n, len(reviews)), dtype=bool)
         for k, (review, score) in enumerate(zip(reviews, scores)):
             codes = review.joined()
             for c, criterion in enumerate(codes):
                 values["review"][:, k, c] = score[criterion]
             # Once every row parses, a review is present where its first criterion is not blank.
-            has_review.append((review.flags_of(codes[0]) & _BLANK) == 0)
-        values["has_review"] = np.stack(has_review, axis=1)
-        del codes, reviews, has_review
+            values["has_review"][:, k] = (review.flags_of(codes[0]) & _BLANK) == 0
+        del codes, reviews, scores
         for name in _CODED_IDS:
             ids = texts.pop(name)
             values[name + "s"], sorted_code = _sorted_codes(ids.values)
@@ -836,11 +779,12 @@ def _table_chunks(fh: TextIO, file_name: str, numbers: array, delimiter: str) ->
 
 def _json_chunks(fh: TextIO, file_name: str, numbers: array) -> Iterator[dict[str, tuple]]:
     """Each chunk of the lines of a JSON Lines file that are not blank as
-    their values of _JSON_FIELDS by field, each line's number appended to
-    numbers. A field a line leaves out is _ABSENT, and a review object the
-    tuple of its criterion scores (a JSON value is never a tuple), so that
-    no key outlives its line. A line that is not a JSON object, or text
-    that is not UTF-8, raises once the lines before it are yielded."""
+    their cells by column, each line's number appended to numbers. A field
+    a line leaves out is _ABSENT. A review object gives the criteria of its
+    columns, each _ABSENT that it lacks; an absent or null review gives
+    _NO_SCORE for each, and any other value _ABSENT, so that no key outlives
+    its line. A line that is not a JSON object, or text that is not UTF-8,
+    raises once the lines before it are yielded."""
     chunk: list[list] = []
     try:
         for number, line in enumerate(fh, start=1):
@@ -855,100 +799,23 @@ def _json_chunks(fh: TextIO, file_name: str, numbers: array) -> Iterator[dict[st
             if not isinstance(obj, dict):
                 # Raises: a value that is not an object has no fields.
                 _record_from_json(obj, f"{file_name} line {number}")
-            row = list(map(obj.get, _JSON_FIELDS, repeat(_ABSENT)))
-            for k in _REVIEW_AT:
-                if type(row[k]) is dict:
-                    # Built from a list: a tuple built from map() starts at a
-                    # guessed size and is shrunk, and the free list then keeps
-                    # such tuples after they are freed.
-                    row[k] = tuple(list(map(row[k].get, _CRITERIA, repeat(_ABSENT))))
+            row = list(map(obj.get, _JSON_KEYS, repeat(_ABSENT)))
+            for key in _REVIEWS:
+                review = obj.get(key)
+                if type(review) is dict:
+                    row += map(review.get, _CRITERIA, repeat(_ABSENT))
+                else:
+                    row += _NO_REVIEW if review is None else _NOT_REVIEW
             numbers.append(number)
             chunk.append(row)
             if len(chunk) == _CHUNK_ROWS:
-                yield _by_column(_JSON_FIELDS, chunk)
+                yield _by_column(_JSON_COLUMNS, chunk)
     except (CorpusParseError, UnicodeDecodeError):
         if chunk:
-            yield _by_column(_JSON_FIELDS, chunk)
+            yield _by_column(_JSON_COLUMNS, chunk)
         raise
     if chunk:
-        yield _by_column(_JSON_FIELDS, chunk)
-
-
-
-def _table_keys(cells: dict[str, Sequence[str]]) -> dict[str, list[Sequence[str]]]:
-    """_Coder.add's columns of a chunk of a CSV or TSV file, from its cells by column."""
-    return {name: [cells[column] for column in field.columns] for name, field in _FIELDS.items()}
-
-
-def _json_keys(fields: dict[str, Sequence]) -> dict[str, list[Sequence]]:
-    """_Coder.add's columns of a chunk of a JSON Lines file, from its values
-    by field. A criterion of a review that is absent or null is _NO_SCORE,
-    and one of a review that is not an object is _ABSENT, like one it lacks."""
-    columns = {name: [fields[name]] for name in _FIELDS}
-    for name, field in _FIELDS.items():
-        if field.kind == "review":
-            none, other = (_NO_SCORE,) * 3, (_ABSENT,) * 3
-            columns[name] = _criteria([s if type(s) is tuple else none if s is None or s is _ABSENT else other for s in fields[name]])
-    # A bool is no number, but as a key it equals 0 or 1.
-    numbers = [columns[name] for name, field in _FIELDS.items() if field.kind in ("integer", "review")]
-    if bool in set(map(type, chain.from_iterable(chain.from_iterable(numbers)))):
-        raise ValueError("a bool where a number belongs")
-    return columns
-
-
-def _json_record(row: dict, where: str) -> PublicationRecord:
-    """_record_from_json of a line's fields as _json_chunks reads them."""
-    obj = {name: value for name, value in row.items() if value is not _ABSENT}
-    for key in ("review_a", "review_b"):
-        if type(obj.get(key)) is tuple:
-            obj[key] = {c: v for c, v in zip(_CRITERIA, obj[key]) if v is not _ABSENT}
-    return _record_from_json(obj, where)
-
-
-def _row_name(path: Path, number: int) -> str:
-    """The row of the given number in a corpus file as messages name it,
-    such as "c.csv row 3" or "c.jsonl line 2"."""
-    return f"{path.name} {'line' if _detect_format(path) == 'jsonl' else 'row'} {number}"
-
-
-def _read(path: Path, census_year: int | None, numbers: array) -> tuple[Columns, list[tuple[int, PublicationRecord]]]:
-    """The columns of a corpus file, read a chunk of rows at a time, each
-    row's number in the file appended to numbers, and (row, its parse) of
-    each row the screen flags. The file's format gives a chunk reader, the
-    columns of _Coder.add for a chunk and a row parse, looked up at each
-    call. A chunk that does not convert is parsed row by row instead: the
-    first row that does not parse raises, and a conversion that fails
-    although every row parses raises AssertionError. A fault that stops
-    reading is raised once the rows before it are converted, so an earlier
-    row that does not parse wins."""
-    fmt = _detect_format(path)
-    if fmt == "jsonl":
-        read, keys, parse, coder = _json_chunks, _json_keys, _json_record, _Coder(_JSON_READ, census_year)
-    else:
-        read = partial(_table_chunks, delimiter="\t" if fmt == "tsv" else ",")
-        keys, parse, coder = _table_keys, _record_from_row, _Coder(_TABLE_READ, census_year, _each_distinct)
-    flagged, start = [], 0  # start: the chunk's first row
-    with _open_text(path, "corpus") as fh:
-        try:
-            for cells in read(fh, path.name, numbers):
-
-                def parse_row(i: int) -> PublicationRecord:
-                    return parse({name: column[i] for name, column in cells.items()}, _row_name(path, numbers[start + i]))
-
-                try:
-                    suspects = coder.add(keys(cells))
-                except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
-                    for i in range(len(numbers) - start):
-                        parse_row(i)
-                    raise AssertionError("a column conversion failed but every row parses") from exc
-                flagged += [(start + i, parse_row(i)) for i in np.flatnonzero(suspects).tolist()]
-                del cells  # the next chunk is read without them
-                start = len(numbers)
-        except UnicodeDecodeError:
-            raise _not_utf8(path, path.name) from None
-    if not numbers:
-        raise CorpusParseError(f"{path.name}: no records")
-    return coder.columns(), flagged
+        yield _by_column(_JSON_COLUMNS, chunk)
 
 
 def _first_clash(ids: list[str]) -> tuple[int, int] | None:
@@ -967,23 +834,57 @@ def _first_clash(ids: list[str]) -> tuple[int, int] | None:
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
     """Read and validate a corpus file (CSV/TSV or JSONL) into columns.
 
-    The file is read a chunk of rows at a time (_read). Each id, year,
-    citation and criterion cell becomes a code into a table of the distinct
-    values of its column that lasts the whole load (_Coder), each value
-    converted and screened once; the weight maps and percentiles are
-    converted, and screened with numpy, a chunk at a time. Only the rows
-    the screen flags keep their row parse. A 3,000-record file peaks at
-    about 1.36 (CSV) and 1.40 (JSON Lines) times the memory of the corpus
-    returned, and 1.33 and 1.36 when each record has weight maps of its
-    own. The earliest faulty row is named: parse faults come first, in row
-    order, then validation faults, in row order with the scan for a repeated
-    pub_id ahead of validate_record within a row. Each row's number in the
-    file is kept once, in one array, to name a repeat and its first row.
+    The file is read a chunk of rows at a time. Each id, year, citation and
+    criterion cell becomes a code into a table of the distinct values of its
+    column that lasts the whole load (_Coder), each value converted and
+    screened once; the weight maps and percentiles are converted, and
+    screened with numpy, a chunk at a time. A chunk that does not convert is
+    parsed row by row instead: the first row that does not parse raises, and
+    a conversion that fails although every row parses raises AssertionError.
+    A fault that stops reading is raised once the rows before it are
+    converted, so an earlier row that does not parse wins. Only the rows the
+    screen flags keep their row parse, to be validated once the whole file
+    is read. So the earliest faulty row is named: parse faults come first,
+    in row order, then validation faults, in row order with the scan for a
+    repeated pub_id ahead of validate_record within a row. Each row's number
+    in the file is kept once, in one array, to name a row.
+
+    A 3,000-record file peaks at about 1.36 (CSV) and 1.40 (JSON Lines)
+    times the memory of the corpus returned, and 1.33 and 1.36 when each
+    record has weight maps of its own. At 20,000 records the peak comes from
+    _first_clash's set(ids), not from the chunked read: 7.01 MB against
+    4.24 MB held (1.67 times).
     """
-    path = Path(path)
-    numbers = array("q")  # row -> its number in the file
-    columns, flagged = _read(path, options.census_year, numbers)
-    census_year = options.census_year
+    path, census_year = Path(path), options.census_year
+    fmt, numbers = _detect_format(path), array("q")  # numbers: row -> its number in the file
+    kind = "line" if fmt == "jsonl" else "row"  # as messages name a row
+    if fmt == "jsonl":
+        read, parse, coder = _json_chunks, _record_from_json, _Coder(_JSON_READ, census_year)
+    else:
+        read = partial(_table_chunks, delimiter="\t" if fmt == "tsv" else ",")
+        parse, coder = _record_from_row, _Coder(_TABLE_READ, census_year, _each_distinct)
+    flagged, start = [], 0  # flagged: (row, its parse) of each row the screen flags; start: the chunk's first row
+    with _open_text(path, "corpus") as fh:
+        try:
+            for cells in read(fh, path.name, numbers):
+
+                def parse_row(i: int) -> PublicationRecord:
+                    return parse({name: column[i] for name, column in cells.items()}, f"{path.name} {kind} {numbers[start + i]}")
+
+                try:
+                    suspects = coder.add(cells)
+                except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
+                    for i in range(len(numbers) - start):
+                        parse_row(i)
+                    raise AssertionError("a column conversion failed but every row parses") from exc
+                flagged += [(start + i, parse_row(i)) for i in np.flatnonzero(suspects).tolist()]
+                del cells  # the next chunk is read without them
+                start = len(numbers)
+        except UnicodeDecodeError:
+            raise _not_utf8(path, path.name) from None
+    if not numbers:
+        raise CorpusParseError(f"{path.name}: no records")
+    columns = coder.columns()
     if census_year is None:
         census_year = int(columns.year.max())
     clash = _first_clash(columns.pub_id)
@@ -993,10 +894,8 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
         validate_record(record, census_year)
     if clash is not None:
         row, first = clash
-        where = _row_name(path, numbers[row])
-        kind = where.rsplit(" ", 2)[1]  # "row" or "line"
         raise CorpusValidationError(
-            f"{where}: duplicate pub_id {columns.pub_id[row]!r}, first on {kind} {numbers[first]}"
+            f"{path.name} {kind} {numbers[row]}: duplicate pub_id {columns.pub_id[row]!r}, first on {kind} {numbers[first]}"
         )
 
     population = None

@@ -354,7 +354,7 @@ def assert_every_pair_of_faults_raises_as_row_by_row(tmp_path, fmt):
         assert got[0] == "loaded" or not a[0] == b[0] == "tilde", got
 
 
-@pytest.mark.parametrize("fmt, converter", [("csv", "_table_keys"), ("jsonl", "_json_keys")])
+@pytest.mark.parametrize("fmt, converter", [("csv", "_Coder.add"), ("jsonl", "_Coder.add")])
 def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, monkeypatch, capsys, fmt, converter):
     # Only the row parse words a faulty row. A conversion that fails when
     # every row parses is a converter fault: it surfaces, exiting 2, not 1.
