@@ -849,11 +849,11 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     repeated pub_id ahead of validate_record within a row. Each row's number
     in the file is kept once, in one array, to name a row.
 
-    A 3,000-record file peaks at about 1.36 (CSV) and 1.40 (JSON Lines)
-    times the memory of the corpus returned, and 1.33 and 1.36 when each
-    record has weight maps of its own. At 20,000 records the peak comes from
-    _first_clash's set(ids), not from the chunked read: 7.01 MB against
-    4.24 MB held (1.67 times).
+    A 3,000-record file, CSV or JSON Lines, peaks at about 1.34 times the
+    memory of the corpus returned, and 1.32 when each record has weight
+    maps of its own. At 20,000 records the peak is 1.67 times (7.02 MB
+    against 4.19 MB held) and comes from _first_clash's set of the pub_ids,
+    not from the chunked read (1.27 times without it).
     """
     path, census_year = Path(path), options.census_year
     fmt, numbers = _detect_format(path), array("q")  # numbers: row -> its number in the file

@@ -26,6 +26,7 @@ from bibagree import (
     overall_score,
     save_corpus,
 )
+from bibagree import corpus as corpus_module
 from bibagree.corpus import CSV_COLUMNS, _first_clash, load_population_counts, save_population_counts
 
 CORPUS_FORMAT_DOC = Path(__file__).resolve().parents[1] / "docs" / "corpus_format.md"
@@ -425,6 +426,43 @@ def test_doc_column_table_matches_csv_columns():
     doc = CORPUS_FORMAT_DOC.read_text()
     section = doc.split("## Columns", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\| `(\w+)` \|", section, flags=re.M) == CSV_COLUMNS
+
+
+def doc_type(field) -> str:
+    """A field's type and range as the "Columns" table of the format document writes them."""
+    bound = {2**53: "2⁵³"}.get
+    if field.kind == "id":
+        return "string"
+    if field.high is corpus_module._CENSUS:
+        return "integer ≤ census year"
+    if field.kind == "weights":
+        return f"weight map, weights in ({field.low:g}, {field.high:g}]" if field.required else "weight map"
+    word = "real" if field.kind == "percentile" else "integer"
+    return f"{word} {bound(field.low, f'{field.low:g}')}–{bound(field.high, f'{field.high:g}')}"
+
+
+def test_doc_column_table_matches_the_field_table():
+    doc = CORPUS_FORMAT_DOC.read_text()
+    section = doc.split("## Columns", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|", section, flags=re.M)
+    expected = [
+        (column, doc_type(field), "no*" if field.kind == "review" else "yes" if field.required else "no")
+        for field in corpus_module._FIELDS.values()
+        for column in field.columns
+    ]
+    assert [(column, kind.strip(), required.strip()) for column, kind, required in rows] == expected
+
+
+def test_doc_within_row_orders_match_the_field_table():
+    doc = CORPUS_FORMAT_DOC.read_text()
+    section = doc.split("## Error precedence", 1)[1].split("\n## ", 1)[0]
+    bullets = dict(re.findall(r"^- (CSV/TSV parse|JSONL parse|Validation): (.*?)(?=^- |^$)", section, flags=re.M | re.S))
+    named = {key: re.findall(r"`(\w+)`", text) for key, text in bullets.items()}
+    assert named["CSV/TSV parse"] == [name for step in corpus_module._TABLE_ORDER for name in step]
+    assert named["JSONL parse"] == [name for step in corpus_module._JSON_ORDER for name in step]
+    # A repeated pub_id is found before validate_record checks the row.
+    assert named["Validation"] == ["pub_id", *corpus_module._CHECK_ORDER]
+    assert sorted(named["CSV/TSV parse"]) == sorted(named["JSONL parse"]) == sorted(corpus_module._FIELDS)
 
 
 def test_doc_example_csv_loads(tmp_path):
