@@ -980,5 +980,3 @@ def assign_reviewer_roles(corpus: Corpus, seed: int) -> Corpus:
     swap = np.array([sha256((prefix + p).encode()).digest()[0] & 1 for p in columns.pub_id], dtype=bool)
     review = np.where(swap[:, None, None], columns.review[:, ::-1], columns.review)
     return Corpus.from_columns(replace(columns, review=review), corpus.census_year, corpus.population_counts)
-
-

@@ -235,7 +235,7 @@ def assert_loads_as_row_by_row(tmp_path_factory, fmt, seed, faults, census_year,
 # tilde row 1 and a repeat of it on row 0 make row 1 repeat row 0 while
 # extending row 2's id by "~".
 TABLE_FAULTS = [
-    ("pub_id", ""), ("area_id", " "), ("year", "x"), ("year", "2016"), ("citations", "-1"),
+    ("pub_id", ""), ("area_id", " "), ("year", "x"), ("year", ""), ("year", "2016"), ("citations", "-1"),
     ("citations", str(2**53 + 1)),
     ("rev_a_originality", ""), ("rev_a_impact", "x"), ("rev_b_rigour", ""), ("rev_b_impact", "x"),
     ("rev_a_rigour", "11"), ("category_weights", "A:0.5"), ("category_weights", "A"), ("category_weights", "1.0"),
