@@ -380,15 +380,15 @@ def _json_id(value, field: _Field) -> str:
 
 def _json_number(value, field: _Field, part: str | None = None) -> float | None:
     """A JSON number, an integral one for an integer or a criterion score;
-    part, if any, names the label of a weight or a criterion. An absent or
-    null percentile, and a criterion of an absent review, is None."""
+    part, if any, names the label of a weight or a criterion. A criterion of
+    an absent review is None."""
     integral = field.kind in ("integer", "review")
     if type(value) in (int, float):  # not a bool
         if not integral:
             return float(value)
         if type(value) is int or value.is_integer():
             return int(value)
-    elif value is _NO_SCORE or (field.kind == "percentile" and (value is None or value is _ABSENT)):
+    elif value is _NO_SCORE:
         return None
     elif value is _ABSENT:  # a criterion that a review lacks, or of a review that is not an object
         raise ValueError(f"bad {field.name} object")
@@ -405,6 +405,10 @@ def _json_map(value, field: _Field) -> dict[str, float]:
     return {label: _json_number(weight, field, label) for label, weight in value.items()}
 
 
+def _json_percentile(value, field: _Field) -> float | None:
+    return None if value is None or value is _ABSENT else _json_number(value, field)
+
+
 def _json_review(criteria: tuple, field: _Field) -> ReviewerScore | None:
     """A review from its criteria as _json_chunks reads them."""
     if criteria[0] is _NO_SCORE:
@@ -413,7 +417,7 @@ def _json_review(criteria: tuple, field: _Field) -> ReviewerScore | None:
 
 
 _TABLE_READ = {"id": _text_id, "integer": _text_number, "weights": _parse_weights, "review": _text_review, "percentile": _text_number}
-_JSON_READ = {"id": _json_id, "integer": _json_number, "weights": _json_map, "review": _json_review, "percentile": _json_number}
+_JSON_READ = {"id": _json_id, "integer": _json_number, "weights": _json_map, "review": _json_review, "percentile": _json_percentile}
 # A record's values are converted already; an absent review's criteria are None.
 _RECORD_READ = dict.fromkeys(_TABLE_READ, lambda value, field: value)
 
