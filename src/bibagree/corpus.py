@@ -333,6 +333,10 @@ def _text_id(text: str, field: _Field) -> str:
     return value
 
 
+# How _text_number words a cell of each kind that does not convert.
+_TEXT_FAULTS = {"integer": "bad year/citations", "review": "non-integer criterion score", "percentile": "bad numeric value {!r}"}
+
+
 def _text_number(text: str, field: _Field) -> float | None:
     """An integer, a criterion score or a percentile; None for a blank cell
     of an optional field."""
@@ -342,9 +346,6 @@ def _text_number(text: str, field: _Field) -> float | None:
         return float(text) if field.kind == "percentile" else int(text.strip())
     except ValueError:
         raise ValueError(_TEXT_FAULTS[field.kind].format(text)) from None
-
-
-_TEXT_FAULTS = {"integer": "bad year/citations", "review": "non-integer criterion score", "percentile": "bad numeric value {!r}"}
 
 
 def _parse_weights(text: str, field: _Field) -> dict[str, float]:
