@@ -704,7 +704,14 @@ class _Coder:
                 # Likewise a sum of absolute weights below 1e308 is finite both ways.
                 suspect |= ~(np.bincount(e.row, weights=np.abs(e.weight), minlength=n) < 1e308)
             chunks.append(e._replace(row=e.row + start))
-        self.pub_id += _each(self.read["id"], _FIELDS["pub_id"], columns["pub_id"][0])
+        if self.read is _TABLE_READ:
+            # _text_id of each pub_id, stripped at C speed: pub_ids do not repeat.
+            pub_id = list(map(str.strip, cells["pub_id"]))
+            if "" in pub_id:
+                raise ValueError("a blank pub_id")
+        else:
+            pub_id = _each(self.read["id"], _FIELDS["pub_id"], cells["pub_id"])
+        self.pub_id += pub_id
         return suspect
 
     def columns(self) -> Columns:
