@@ -229,13 +229,14 @@ def assert_loads_as_row_by_row(tmp_path_factory, fmt, seed, faults, census_year,
 
 
 # One representative of each fault, for the pairwise test: (field, value),
-# or a fault that is not a field value. ("tilde", k) is no fault: it makes
+# or a fault that is not a field value. A pub_id padded with spaces is no
+# fault: it loads stripped. ("tilde", k) is no fault either: it makes
 # a row's pub_id the pub_id of the row k rows on, plus "~1", which both
 # loaders load, alone or beside any fault. Paired with "duplicate", a
 # tilde row 1 and a repeat of it on row 0 make row 1 repeat row 0 while
 # extending row 2's id by "~".
 TABLE_FAULTS = [
-    ("pub_id", ""), ("area_id", " "), ("year", "x"), ("year", ""), ("year", "2016"), ("citations", "-1"),
+    ("pub_id", ""), ("pub_id", " x "), ("area_id", " "), ("year", "x"), ("year", ""), ("year", "2016"), ("citations", "-1"),
     ("citations", str(2**53 + 1)),
     ("rev_a_originality", ""), ("rev_a_impact", "x"), ("rev_b_rigour", ""), ("rev_b_impact", "x"),
     ("rev_a_rigour", "11"), ("category_weights", "A:0.5"), ("category_weights", "A"), ("category_weights", "1.0"),
