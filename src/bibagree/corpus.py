@@ -650,8 +650,8 @@ class _Coder:
     across a file, become codes into a _Texts per field, which converts and
     screens each distinct value once; they are decoded once every chunk is
     added. The pub_ids, weight maps and percentiles, which seldom repeat,
-    are converted a chunk at a time, with each(read, field, values), and
-    screened with numpy."""
+    are converted a chunk at a time, the maps and percentiles with
+    each(read, field, values), and screened with numpy."""
 
     def __init__(self, read: dict[str, Callable], census_year: int | None, each: Callable = _each):
         self.read, self.each, self.pub_id = read, each, []
