@@ -7,13 +7,13 @@ in the sorted order of what they code. A run reads, screens and transforms
 these columns and never builds a ``PublicationRecord``; ``Corpus.records``
 is a view, built on first access.
 
-``_FIELDS`` is the one place a field's rule is written: its CSV/TSV
-columns and JSON key, its kind, whether a record must have it and its
-range, with the orders in which the CSV/TSV parse, the JSON Lines parse
-and validation check a row's fields beside it. The converters of each
-kind, the load's screens (``_Coder``), both row parses and
-``validate_record`` read them from there. ``load_corpus`` says how a file
-is read and which fault wins.
+``_FIELDS`` gives each field's CSV/TSV columns, JSON key, kind, required
+flag and range, and how validation words a value out of range; beside it
+stand the three within-row orders. The converters of each kind, the
+load's screens (``_Coder``), both row parses and ``validate_record`` read
+them from there. The weight-map rules (a required map sums to 1, an
+optional one is finite) are rules of the kind, written in ``_fault`` and
+screened with numpy in ``_Coder.add``.
 """
 
 from __future__ import annotations
@@ -53,40 +53,43 @@ class _Field(NamedTuple):
 
     low and high bound the value, each criterion score of a review, or each
     weight of a required weight map, whose low end is open; None is no
-    bound. A required weight map must also sum to 1; an optional one has
-    only to be finite.
+    bound. outside words a value out of range for validate_record, below
+    instead one under the range where it is given; each is formatted with
+    name, value, low, high and part, the criterion or label of a value.
     """
 
     name: str  # the PublicationRecord attribute, which is also the JSON key
-    columns: tuple[str, ...]  # the CSV/TSV columns, one per criterion for a review
     kind: str  # "id", "integer", "weights", "review" or "percentile"
     required: bool
     low: float | None = None
-    high: float | str | None = None
+    high: float | str | None = None  # _CENSUS: the census year
+    outside: str = ""
+    below: str = ""
+    columns: tuple[str, ...] = ()  # the CSV/TSV columns: one per criterion for a review, else (name,)
 
 
+_REVIEW_OUTSIDE, _PERCENTILE_OUTSIDE = "{name}.{part}={value} outside {low}..{high}", "{name}={value:g} outside [{low:g},{high:g}]"
 _FIELDS = {
-    field.name: field
+    field.name: field._replace(columns=field.columns or (field.name,))
     for field in (
-        _Field("pub_id", ("pub_id",), "id", True),
-        _Field("institution_id", ("institution_id",), "id", True),
-        _Field("area_id", ("area_id",), "id", True),
-        _Field("year", ("year",), "integer", True, high=_CENSUS),
-        _Field("citations", ("citations",), "integer", True, low=0, high=MAX_CITATIONS),
-        _Field("journal_id", ("journal_id",), "id", True),
-        _Field("category_weights", ("category_weights",), "weights", True, low=0.0, high=1.0),
-        _Field("ref_category_weights", ("ref_category_weights",), "weights", False),
-        _Field("review_a", tuple(f"rev_a_{c}" for c in _CRITERIA), "review", False, low=1, high=10),
-        _Field("review_b", tuple(f"rev_b_{c}" for c in _CRITERIA), "review", False, low=1, high=10),
-        _Field("ext_citation_percentile", ("ext_citation_percentile",), "percentile", False, low=0.0, high=100.0),
-        _Field("ext_journal_percentile", ("ext_journal_percentile",), "percentile", False, low=0.0, high=100.0),
+        _Field("pub_id", "id", True),
+        _Field("institution_id", "id", True),
+        _Field("area_id", "id", True),
+        _Field("year", "integer", True, high=_CENSUS, outside="{name} {value} after census year {high}"),
+        _Field("citations", "integer", True, 0, MAX_CITATIONS, "{name} {value} above 2**53", "negative {name} {value}"),
+        _Field("journal_id", "id", True),
+        _Field("category_weights", "weights", True, 0.0, 1.0, "weight {part}={value:g} outside ({low:g},{high:g}]"),
+        _Field("ref_category_weights", "weights", False),
+        _Field("review_a", "review", False, 1, 10, _REVIEW_OUTSIDE, columns=tuple(f"rev_a_{c}" for c in _CRITERIA)),
+        _Field("review_b", "review", False, 1, 10, _REVIEW_OUTSIDE, columns=tuple(f"rev_b_{c}" for c in _CRITERIA)),
+        _Field("ext_citation_percentile", "percentile", False, 0.0, 100.0, _PERCENTILE_OUTSIDE),
+        _Field("ext_journal_percentile", "percentile", False, 0.0, 100.0, _PERCENTILE_OUTSIDE),
     )
 }
 CSV_COLUMNS = [column for field in _FIELDS.values() for column in field.columns]
-_IDS = ("pub_id", "institution_id", "area_id", "journal_id")
+_IDS, _REVIEWS, _PERCENTILES = (tuple(name for name, field in _FIELDS.items() if field.kind == kind) for kind in ("id", "review", "percentile"))
 # The id columns that Columns holds as codes over their sorted distinct ids.
 _CODED_IDS = _IDS[1:]
-_PERCENTILES = ("ext_citation_percentile", "ext_journal_percentile")
 # The orders in which a row's fields are checked; the first fault found is
 # the one reported. A parse reads the fields of a step, then converts each.
 _TABLE_ORDER = (
@@ -145,10 +148,8 @@ class PublicationRecord:
     ext_journal_percentile: float | None = None
 
 
-# A record's fields in declaration order, read as attributes for the same
-# reason as _criterion_scores.
+# A record's fields in declaration order.
 _RECORD_FIELDS = tuple(f.name for f in fields(PublicationRecord))
-_record_values = operator.attrgetter(*_RECORD_FIELDS)
 
 
 class Entries(NamedTuple):
@@ -297,11 +298,7 @@ class SchemaOptions:
 
 def _detect_format(path: Path) -> str:
     ext = path.suffix.lower()
-    if ext in (".jsonl", ".ndjson", ".json"):
-        return "jsonl"
-    if ext == ".tsv":
-        return "tsv"
-    return "csv"
+    return "jsonl" if ext in (".jsonl", ".ndjson", ".json") else "tsv" if ext == ".tsv" else "csv"
 
 
 def _format_weights(weights: dict[str, float]) -> str:
@@ -324,8 +321,6 @@ def _bounds(field: _Field, census_year: int | None = None) -> tuple:
 # The converters of each kind of field, of a CSV or TSV cell and of a JSON
 # value, a review's of the tuple of its criteria's. A value that does not
 # convert raises ValueError worded for its row, or an error Python words.
-
-
 def _text_id(text: str, field: _Field) -> str:
     value = text.strip()
     if not value:
@@ -411,10 +406,8 @@ def _json_percentile(value, field: _Field) -> float | None:
 
 
 def _json_review(criteria: tuple, field: _Field) -> ReviewerScore | None:
-    """A review from its criteria as _json_chunks reads them."""
-    if criteria[0] is _NO_SCORE:
-        return None
-    return ReviewerScore(*[_json_number(score, field, name) for name, score in zip(_CRITERIA, criteria)])
+    """A review from its criteria as _json_chunks reads them; None for an absent one."""
+    return None if criteria[0] is _NO_SCORE else ReviewerScore(*[_json_number(v, field, c) for c, v in zip(_CRITERIA, criteria)])
 
 
 _TABLE_READ = {"id": _text_id, "integer": _text_number, "weights": _parse_weights, "review": _text_review, "percentile": _text_number}
@@ -463,30 +456,27 @@ def validate_record(rec: PublicationRecord, census_year: int) -> None:
 
 
 def _fault(field: _Field, value, census_year: int) -> str | None:
-    """What is wrong with a field's value, or None."""
-    name, (low, high) = field.name, _bounds(field, census_year)
-    if field.kind == "integer":
-        if value < low:
-            return f"negative {name} {value}"
-        if value > high:
-            return f"{name} {value} after census year {high}" if field.high is _CENSUS else f"{name} {value} above 2**53"
-    elif field.kind == "weights" and field.required:
+    """What is wrong with a field's value, or None: a weight map's own
+    fault, or the first of the value, a review's criteria or a required
+    map's weights that is out of the field's range, as the field words it."""
+    if field.kind == "weights" and not field.required:
+        # abs() lets one sum catch a nan or infinite weight and a positive
+        # total that overflows, either of which breaks the reassignment.
+        return "reference weights not finite" if value and not math.isfinite(sum(map(abs, value.values()))) else None
+    if field.kind == "weights":
         if not value:
             return "empty category weights"
         total = sum(value.values())
         if abs(total - 1.0) > WEIGHT_TOL:
             return f"weights sum {total:g}"
-        return next((f"weight {k}={w:g} outside ({low:g},{high:g}]" for k, w in value.items() if not low < w <= high), None)
-    elif field.kind == "weights":
-        # abs() lets one sum catch a nan or infinite weight and a positive
-        # total that overflows, either of which breaks the reassignment.
-        if value and not math.isfinite(sum(map(abs, value.values()))):
-            return "reference weights not finite"
-    elif field.kind == "review" and value is not None:
-        scores = zip(_CRITERIA, _criterion_scores(value))
-        return next((f"{name}.{c}={v} outside {low}..{high}" for c, v in scores if not low <= v <= high), None)
-    elif field.kind == "percentile" and value is not None and not low <= value <= high:
-        return f"{name}={value:g} outside [{low:g},{high:g}]"
+    elif value is None:
+        return None
+    parts = value.items() if field.kind == "weights" else zip(_CRITERIA, _criterion_scores(value)) if field.kind == "review" else [(None, value)]
+    low, high = _bounds(field, census_year)
+    for part, v in parts:
+        if not low <= v <= high or (v == low and field.kind == "weights"):
+            words = field.below if field.below and v < low else field.outside
+            return words.format(name=field.name, value=v, low=low, high=high, part=part)
     return None
 
 
@@ -548,7 +538,6 @@ def save_population_counts(counts: dict[str, int], path: str | Path) -> None:
 
 
 _CHUNK_ROWS = 256  # rows read and converted at a time
-_REVIEWS = tuple(name for name, field in _FIELDS.items() if field.kind == "review")
 # The columns of a JSON line in the order _json_chunks reads them: its
 # keys but the reviews', then the criteria of each review.
 _JSON_KEYS = tuple(name for name in _FIELDS if name not in _REVIEWS)
@@ -575,10 +564,9 @@ class _Texts(dict):
 
     def __missing__(self, key) -> int:
         value = self.parse(key)
-        flags = self.screen(value)
         self.values.append(value)
-        self.flags.append(flags)
-        self.flagged = self.flagged or flags != 0
+        self.flags.append(self.screen(value))
+        self.flagged = self.flagged or self.flags[-1] != 0
         code = self[key] = len(self.values) - 1
         return code
 
@@ -634,15 +622,6 @@ def _entries(maps: Sequence[dict], labels: _Texts) -> Entries:
     )
 
 
-def _percentiles(values: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
-    """A percentile column: the values, NaN where absent (None), and which are present."""
-    present = np.fromiter(map(operator.is_not, values, repeat(None)), dtype=bool, count=len(values))
-    pct = np.full(len(values), np.nan)
-    if present.any():
-        pct[present] = list(compress(values, present))
-    return pct, present
-
-
 class _Coder:
     """Columns built a chunk at a time, each field's values converted by
     read of its kind, a review's one criterion at a time as integers. The
@@ -651,7 +630,11 @@ class _Coder:
     screens each distinct value once; they are decoded once every chunk is
     added. The pub_ids, weight maps and percentiles, which seldom repeat,
     are converted a chunk at a time, the maps and percentiles with
-    each(read, field, values), and screened with numpy."""
+    each(read, field, values), and screened with numpy.
+
+    A JSON bool is no number, but as a key of a _Texts it equals 0 or 1 and
+    would take that number's code: so a JSON chunk with a bool among its
+    coded numbers is refused, for its row parse to word."""
 
     def __init__(self, read: dict[str, Callable], census_year: int | None, each: Callable = _each):
         self.read, self.each, self.pub_id = read, each, []
@@ -668,7 +651,6 @@ class _Coder:
         flags; raise where a row does not convert."""
         columns = {name: [cells[column] for column in field.columns] for name, field in _FIELDS.items()}
         if self.read is _JSON_READ:
-            # A bool is no number, but as a key it equals 0 or 1.
             numbers = chain.from_iterable(columns[name] for name in _CODED if _FIELDS[name].kind != "id")
             if bool in set(map(type, chain.from_iterable(numbers))):
                 raise ValueError("a bool where a number belongs")
@@ -688,7 +670,10 @@ class _Coder:
             values = self.each(self.read[field.kind], field, columns[name][0])
             low, high = _bounds(field)
             if field.kind == "percentile":
-                pct, present = _percentiles(values)
+                # NaN where a percentile is absent (None).
+                present = np.fromiter(map(operator.is_not, values, repeat(None)), dtype=bool, count=n)
+                pct = np.full(n, np.nan)
+                pct[present] = list(compress(values, present))
                 suspect |= present & ~((pct >= low) & (pct <= high))
                 chunks.append(pct)
                 continue
@@ -704,14 +689,7 @@ class _Coder:
                 # Likewise a sum of absolute weights below 1e308 is finite both ways.
                 suspect |= ~(np.bincount(e.row, weights=np.abs(e.weight), minlength=n) < 1e308)
             chunks.append(e._replace(row=e.row + start))
-        if self.read is _TABLE_READ:
-            # _text_id of each pub_id, stripped at C speed: pub_ids do not repeat.
-            pub_id = list(map(str.strip, cells["pub_id"]))
-            if "" in pub_id:
-                raise ValueError("a blank pub_id")
-        else:
-            pub_id = _each(self.read["id"], _FIELDS["pub_id"], cells["pub_id"])
-        self.pub_id += pub_id
+        self.pub_id += _each(self.read["id"], _FIELDS["pub_id"], cells["pub_id"])
         return suspect
 
     def columns(self) -> Columns:
@@ -913,16 +891,12 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     population = None
     if options.population_path:
         population = load_population_counts(options.population_path)
-        # A population is never smaller than its sample.
+        # A population is never smaller than its sample; the first institution
+        # in file order whose population is smaller is named.
         sample = np.bincount(columns.institution_id, minlength=len(columns.institution_ids)).tolist()
-        below = [
-            code
-            for code, (inst, n) in enumerate(zip(columns.institution_ids, sample))
-            if inst in population and population[inst] < n
-        ]
-        if below:
-            # The first in file order.
-            code = int(columns.institution_id[np.isin(columns.institution_id, below).argmax()])
+        below = np.array([population.get(inst, math.inf) < n for inst, n in zip(columns.institution_ids, sample)], dtype=bool)
+        if below.any():
+            code = int(columns.institution_id[below[columns.institution_id].argmax()])
             inst = columns.institution_ids[code]
             raise CorpusValidationError(
                 f"{options.population_path}: institution {inst!r} has population count "
@@ -932,43 +906,33 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back out in the canonical column layout."""
+    """Write a corpus back out in the canonical layout: a column per field,
+    or per criterion of a review, and a JSON key per field, in _FIELDS
+    order, each weight map in label order."""
     path = Path(path)
     fmt = _detect_format(path)
-    no_review = ("", "", "")
+    records, columns = corpus.records, []  # columns: the values of each JSON key, or the cells of each column
+    for field in _FIELDS.values():
+        values = list(map(operator.attrgetter(field.name), records))
+        if field.kind == "weights" and fmt == "jsonl":
+            values = [dict(sorted(v.items())) if v or field.required else None for v in values]
+        elif field.kind == "weights":
+            values = [_format_weights(v) if v else "" for v in values]
+        elif field.kind == "review" and fmt == "jsonl":
+            values = [dict(zip(_CRITERIA, _criterion_scores(v))) if v else None for v in values]
+        elif field.kind == "review":
+            columns += ([getattr(v, c) if v else "" for v in values] for c in _CRITERIA)
+            continue
+        elif field.kind == "percentile" and fmt != "jsonl":
+            values = ["" if v is None else repr(v) for v in values]
+        columns.append(values)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "jsonl":
-            for rec in corpus.records:
-                refs = rec.ref_category_weights
-                obj = {
-                    **dict(zip(_RECORD_FIELDS, _record_values(rec))),
-                    "category_weights": dict(sorted(rec.category_weights.items())),
-                    "ref_category_weights": dict(sorted(refs.items())) if refs else None,
-                    "review_a": dict(zip(_CRITERIA, _criterion_scores(rec.review_a))) if rec.review_a else None,
-                    "review_b": dict(zip(_CRITERIA, _criterion_scores(rec.review_b))) if rec.review_b else None,
-                }
-                fh.write(json.dumps(obj) + "\n")
+            fh.writelines(json.dumps(dict(zip(_FIELDS, row))) + "\n" for row in zip(*columns))
             return
         writer = csv.writer(fh, delimiter="\t" if fmt == "tsv" else ",")
         writer.writerow(CSV_COLUMNS)
-        for rec in corpus.records:
-            cit, jou = rec.ext_citation_percentile, rec.ext_journal_percentile
-            writer.writerow(
-                [
-                    rec.pub_id,
-                    rec.institution_id,
-                    rec.area_id,
-                    rec.year,
-                    rec.citations,
-                    rec.journal_id,
-                    _format_weights(rec.category_weights),
-                    _format_weights(rec.ref_category_weights) if rec.ref_category_weights else "",
-                    *(_criterion_scores(rec.review_a) if rec.review_a else no_review),
-                    *(_criterion_scores(rec.review_b) if rec.review_b else no_review),
-                    "" if cit is None else repr(cit),
-                    "" if jou is None else repr(jou),
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
 def check_reviews(columns: Columns) -> None:

@@ -241,7 +241,7 @@ TABLE_FAULTS = [
     ("rev_a_originality", ""), ("rev_a_impact", "x"), ("rev_b_rigour", ""), ("rev_b_impact", "x"),
     ("rev_a_rigour", "11"), ("category_weights", "A:0.5"), ("category_weights", "A"), ("category_weights", "1.0"),
     ("category_weights", "A:x"), ("category_weights", "A:nan"), ("category_weights", "A:0.5;A:0.5"),
-    ("category_weights", "A:0.3;B:0.7000000015"), ("ref_category_weights", "A:inf"), ("ref_category_weights", "A:x"),
+    ("category_weights", "A:0.3;B:0.7000000015"), ("category_weights", "A:1.0;B:0"), ("ref_category_weights", "A:inf"), ("ref_category_weights", "A:x"),
     ("ext_citation_percentile", "155"), ("ext_journal_percentile", "x"), ("duplicate", None), ("tilde", 1),
     ("tilde", -1), ("extra", None), ("missing", None), ("no-review", "rev_b"),
 ]
@@ -252,6 +252,7 @@ JSON_FAULTS = [
     ("review_b", {"originality": "x", "rigour": 7, "impact": 5}), ("review_b", {"originality": None, "rigour": 7, "impact": 5}),
     ("review_a", {"originality": 11, "rigour": 7, "impact": 5}), ("category_weights", {"A": 0.5}),
     ("category_weights", [1]), ("category_weights", {"A": "x"}), ("category_weights", {"A": float("nan")}),
+    ("category_weights", {"A": 1.0, "B": 0}),
     ("ref_category_weights", {"A": float("inf")}), ("ref_category_weights", "x"),
     ("ref_category_weights", {"A": 10**400}), ("ext_citation_percentile", 155), ("ext_journal_percentile", [1]),
     ("ext_citation_percentile", 10**400), ("duplicate", None), ("tilde", 1), ("tilde", -1), ("extra", None),

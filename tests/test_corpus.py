@@ -221,6 +221,15 @@ def test_saved_bytes(tmp_path, fmt):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
+def test_an_empty_reference_map_is_saved_as_an_absent_one(tmp_path, fmt):
+    # A blank cell or null, which loads as no map.
+    absent, empty = tmp_path / f"absent.{fmt}", tmp_path / f"empty.{fmt}"
+    save_corpus(Corpus(SAVED_RECORDS, 2013), absent)
+    save_corpus(Corpus((SAVED_RECORDS[0], replace(SAVED_RECORDS[1], ref_category_weights={})), 2013), empty)
+    assert empty.read_bytes() == absent.read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_save_holds_no_memory_on_the_records(tmp_path, fmt):
     # vars(record) or vars(score) gives each object a __dict__ of its own
