@@ -906,25 +906,25 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back out in the canonical layout: a column per field,
-    or per criterion of a review, and a JSON key per field, in _FIELDS
-    order, each weight map in label order."""
-    path = Path(path)
-    fmt = _detect_format(path)
+    """Write a corpus back out in the canonical layout: a column (one per
+    criterion of a review) and a JSON key per field in _FIELDS order, weight
+    maps in label order, each value converted as its row is written."""
+    fmt = _detect_format(Path(path))
     records, columns = corpus.records, []  # columns: the values of each JSON key, or the cells of each column
     for field in _FIELDS.values():
-        values = list(map(operator.attrgetter(field.name), records))
+        values = map(operator.attrgetter(field.name), records)
         if field.kind == "weights" and fmt == "jsonl":
-            values = [dict(sorted(v.items())) if v or field.required else None for v in values]
+            values = (dict(sorted(v.items())) if v or field.required else None for v in values)
         elif field.kind == "weights":
-            values = [_format_weights(v) if v else "" for v in values]
+            values = (_format_weights(v) if v else "" for v in values)
         elif field.kind == "review" and fmt == "jsonl":
-            values = [dict(zip(_CRITERIA, _criterion_scores(v))) if v else None for v in values]
+            values = (dict(zip(_CRITERIA, _criterion_scores(v))) if v else None for v in values)
         elif field.kind == "review":
-            columns += ([getattr(v, c) if v else "" for v in values] for c in _CRITERIA)
+            # A criterion of an absent review (None) is blank.
+            columns += (map(getattr, map(operator.attrgetter(field.name), records), repeat(c), repeat("")) for c in _CRITERIA)
             continue
         elif field.kind == "percentile" and fmt != "jsonl":
-            values = ["" if v is None else repr(v) for v in values]
+            values = ("" if v is None else repr(v) for v in values)
         columns.append(values)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "jsonl":
