@@ -298,7 +298,11 @@ class SchemaOptions:
 
 def _detect_format(path: Path) -> str:
     ext = path.suffix.lower()
-    return "jsonl" if ext in (".jsonl", ".ndjson", ".json") else "tsv" if ext == ".tsv" else "csv"
+    if ext in (".jsonl", ".ndjson", ".json"):
+        return "jsonl"
+    if ext == ".tsv":
+        return "tsv"
+    return "csv"
 
 
 def _format_weights(weights: dict[str, float]) -> str:
@@ -321,6 +325,8 @@ def _bounds(field: _Field, census_year: int | None = None) -> tuple:
 # The converters of each kind of field, of a CSV or TSV cell and of a JSON
 # value, a review's of the tuple of its criteria's. A value that does not
 # convert raises ValueError worded for its row, or an error Python words.
+
+
 def _text_id(text: str, field: _Field) -> str:
     value = text.strip()
     if not value:
@@ -406,8 +412,10 @@ def _json_percentile(value, field: _Field) -> float | None:
 
 
 def _json_review(criteria: tuple, field: _Field) -> ReviewerScore | None:
-    """A review from its criteria as _json_chunks reads them; None for an absent one."""
-    return None if criteria[0] is _NO_SCORE else ReviewerScore(*[_json_number(v, field, c) for c, v in zip(_CRITERIA, criteria)])
+    """A review from its criteria as _json_chunks reads them."""
+    if criteria[0] is _NO_SCORE:
+        return None
+    return ReviewerScore(*[_json_number(score, field, name) for name, score in zip(_CRITERIA, criteria)])
 
 
 _TABLE_READ = {"id": _text_id, "integer": _text_number, "weights": _parse_weights, "review": _text_review, "percentile": _text_number}
@@ -564,9 +572,10 @@ class _Texts(dict):
 
     def __missing__(self, key) -> int:
         value = self.parse(key)
+        flags = self.screen(value)
         self.values.append(value)
-        self.flags.append(self.screen(value))
-        self.flagged = self.flagged or self.flags[-1] != 0
+        self.flags.append(flags)
+        self.flagged = self.flagged or flags != 0
         code = self[key] = len(self.values) - 1
         return code
 
@@ -891,12 +900,16 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
     population = None
     if options.population_path:
         population = load_population_counts(options.population_path)
-        # A population is never smaller than its sample; the first institution
-        # in file order whose population is smaller is named.
+        # A population is never smaller than its sample.
         sample = np.bincount(columns.institution_id, minlength=len(columns.institution_ids)).tolist()
-        below = np.array([population.get(inst, math.inf) < n for inst, n in zip(columns.institution_ids, sample)], dtype=bool)
-        if below.any():
-            code = int(columns.institution_id[below[columns.institution_id].argmax()])
+        below = [
+            code
+            for code, (inst, n) in enumerate(zip(columns.institution_ids, sample))
+            if inst in population and population[inst] < n
+        ]
+        if below:
+            # The first in file order.
+            code = int(columns.institution_id[np.isin(columns.institution_id, below).argmax()])
             inst = columns.institution_ids[code]
             raise CorpusValidationError(
                 f"{options.population_path}: institution {inst!r} has population count "
