@@ -21,16 +21,7 @@ from .corpus import (
     overall_score,
     save_corpus,
 )
-from .indicators import (
-    FieldYearBaseline,
-    IndicatorTable,
-    build_indicator_table,
-    compute_baselines,
-    compute_ncs,
-    compute_njs,
-    percentile_normalize,
-    reassign_multidisciplinary,
-)
+from .indicators import reassign_multidisciplinary
 from .pipeline import PipelineConfig, RunReport, run, run_bootstrap
 from .resampling import (
     BootstrapResult,

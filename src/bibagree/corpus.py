@@ -277,9 +277,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.records) if "records" in self.__dict__ else len(self.columns)
 
-    def by_id(self) -> dict[str, PublicationRecord]:
-        return {r.pub_id: r for r in self.records}
-
     def area_ids(self) -> list[str]:
         return list(self.columns.area_ids)
 

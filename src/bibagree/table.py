@@ -592,6 +592,18 @@ def table_statistics(
                             row[j] = v
 
 
+def point_scores(table: PublicationTable) -> tuple[_Scores, np.ndarray, np.ndarray]:
+    """The scores of the corpus itself; its flagged rows, ascending; and for
+    each whether it is flagged for an undefined baseline rather than a zero
+    mean. A row is flagged for the first of its sorted fields whose cell has
+    no baseline or a zero mean, as the reference compute_ncs raises."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = _scores(table, np.ones(len(table.area), dtype=np.intp), point=True)
+    bad = np.flatnonzero(scores.entry_undefined | scores.entry_zero)
+    flagged, first = np.unique(table.entry_row[bad], return_index=True)
+    return scores, flagged, scores.entry_undefined[bad[first]]
+
+
 def point_statistics(table: PublicationTable, config: "PipelineConfig") -> PipelineStats:
     """The statistics of the corpus itself, summed in ascending pub_id order.
 
@@ -599,9 +611,8 @@ def point_statistics(table: PublicationTable, config: "PipelineConfig") -> Pipel
     publications, in unit code order, which is (area, institution) order;
     the units with fewer are excluded, listed in (institution, area) order.
     """
-    ones = np.ones(len(table.area), dtype=np.intp)
+    scores, flagged_rows, undefined = point_scores(table)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = _scores(table, ones, point=True)
         result = _agreement(table, scores, config)
 
     copies = scores.unit_copies
@@ -622,13 +633,9 @@ def point_statistics(table: PublicationTable, config: "PipelineConfig") -> Pipel
         for u in np.flatnonzero((copies > 0) & (copies < config.min_pubs)).tolist()
     )
 
-    # A record is flagged for the first of its sorted fields whose cell has
-    # no baseline or a zero mean, as indicators.compute_ncs raises.
-    bad = np.flatnonzero(scores.entry_undefined | scores.entry_zero)
-    _, first = np.unique(table.entry_row[bad], return_index=True)
-    n_undefined = int(scores.entry_undefined[bad[first]].sum())
+    n_undefined = int(undefined.sum())
     flagged = {
-        "zero_mean_cell": len(first) - n_undefined,
+        "zero_mean_cell": len(flagged_rows) - n_undefined,
         "undefined_baseline": n_undefined,
         "unredistributable_multidisciplinary": table.n_unredistributable,
         "below_min_pubs": len(excluded),

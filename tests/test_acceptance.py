@@ -23,10 +23,9 @@ from bibagree import (
     PubCountSpec,
     SynthConfig,
     assign_reviewer_roles,
-    compute_baselines,
     generate,
+    indicators,
     overall_score,
-    percentile_normalize,
 )
 from bibagree.agreement import (
     LEVEL_INSTITUTION,
@@ -34,9 +33,8 @@ from bibagree.agreement import (
     VIEW_SIZE_DEPENDENT,
     VIEW_SIZE_INDEPENDENT,
 )
-from bibagree.indicators import build_indicator_table
 from bibagree.pipeline import compute_pipeline_stats, run_bootstrap
-from bibagree.table import SERIES_LABELS
+from bibagree.table import SERIES_LABELS, _midrank_percentiles
 from oracles import (
     oracle_baselines,
     oracle_mad,
@@ -49,7 +47,10 @@ from oracles import (
 )
 from record_pipeline import (
     InstitutionAggregate,
+    build_indicator_table,
+    compute_baselines,
     mapd,
+    percentile_normalize,
     predict,
     resample_within_areas,
     run_agreement,
@@ -187,6 +188,13 @@ def test_criterion_1_oracle_equivalence(verdict):
                 assert close(table.ncs[p], exp_ncs[p])
                 assert close(table.njs[p], exp_njs[p])
 
+            # The point pass's own scores, as a run computes them.
+            view = indicators.build_indicator_table(corpus, indicators.compute_baselines(corpus))
+            assert set(view.ncs) == set(view.njs) == set(exp_ncs)
+            for p in exp_ncs:
+                assert close(view.ncs[p], exp_ncs[p])
+                assert close(view.njs[p], exp_njs[p])
+
             got = compute_pipeline_stats(corpus, PipelineConfig(assign_roles=False))
             exp_stats, exp_fits = oracle_pipeline(corpus)
             assert {st.key() for st in got.statistics} == set(exp_stats)
@@ -259,6 +267,10 @@ def test_criterion_2_normalization_closure_and_cancellation(verdict):
             baselines = compute_baselines(corpus)
             table = build_indicator_table(corpus, baselines)
             for year, mean in weighted_mean_ncs_by_year(corpus, baselines, table.ncs).items():
+                assert abs(mean - 1.0) <= 1e-9, (seed, year, mean)
+            point_table = indicators.compute_baselines(corpus)
+            view = indicators.build_indicator_table(corpus, point_table)
+            for year, mean in weighted_mean_ncs_by_year(corpus, point_table, view.ncs).items():
                 assert abs(mean - 1.0) <= 1e-9, (seed, year, mean)
 
             corpus = assign_reviewer_roles(corpus, seed)
@@ -428,12 +440,23 @@ def test_criterion_6_percentile_and_affine_invariance(verdict):
         values = [(f"p{i}", float(rng.randint(0, 40))) for i in range(120)]  # many ties
         grouping = {p: f"G{i % 3}" for i, (p, _) in enumerate(values)}
         base = percentile_normalize(values, grouping)
+        # The live ranking of a run takes each group's rows contiguously.
+        order = sorted(range(len(values)), key=lambda i: grouping[values[i][0]])
+        group = np.array([int(grouping[values[i][0]][1:]) for i in order])
+        ones = np.ones(len(order), dtype=np.intp)
+
+        def live(vals):
+            return _midrank_percentiles(group, np.array([vals[i][1] for i in order]), ones).tolist()
+
+        live_base = live(values)
+        assert live_base == [base[values[i][0]] for i in order]
         for _ in range(100):
             a = rng.uniform(0.1, 5.0)
             b = rng.uniform(0.1, 5.0)
             c = rng.uniform(-100.0, 100.0)
             mapped = [(p, a * math.atan(v) + b * v + c) for p, v in values]
             assert percentile_normalize(mapped, grouping) == base
+            assert live(mapped) == live_base
 
         rows = []
         pubs = {"reviewer1": {}, "m": {}}

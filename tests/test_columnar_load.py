@@ -186,14 +186,14 @@ LOAD_CASE = (
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(*LOAD_CASE)
 def test_columnar_loader_matches_row_by_row_loader(tmp_path_factory, fmt, seed, faults, census_year, population):
     assert_loads_as_row_by_row(tmp_path_factory, fmt, seed, faults, census_year, population)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 3])
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(*LOAD_CASE)
 def test_columnar_loader_matches_row_by_row_loader_in_small_chunks(
     tmp_path_factory, chunk_rows, fmt, seed, faults, census_year, population

@@ -44,6 +44,10 @@ THREE_ROWS = FIXTURE_HEADER + (
 )
 
 
+def by_id(corpus):
+    return {r.pub_id: r for r in corpus.records}
+
+
 def write(tmp_path, text, name="corpus.csv"):
     path = tmp_path / name
     path.write_text(text)
@@ -54,10 +58,10 @@ def test_load_three_row_fixture(tmp_path):
     corpus = load_corpus(write(tmp_path, THREE_ROWS))
     assert len(corpus.records) == 3
     assert corpus.census_year == 2013
-    rec = corpus.by_id()["p2"]
+    rec = by_id(corpus)["p2"]
     assert rec.category_weights == {"PHY": 0.5, "CHE": 0.5}
     assert rec.ext_citation_percentile is None
-    assert corpus.by_id()["p3"].ref_category_weights == {"PHY": 1.0}
+    assert by_id(corpus)["p3"].ref_category_weights == {"PHY": 1.0}
 
 
 def test_out_of_range_criterion_names_record(tmp_path):
@@ -344,8 +348,8 @@ def test_role_assignment_order_invariant(small_corpus):
     shuffled = list(small_corpus.records)
     random.Random(1).shuffle(shuffled)
     reordered = Corpus(tuple(shuffled), small_corpus.census_year, small_corpus.population_counts)
-    a = assign_reviewer_roles(small_corpus, seed=9).by_id()
-    b = assign_reviewer_roles(reordered, seed=9).by_id()
+    a = by_id(assign_reviewer_roles(small_corpus, seed=9))
+    b = by_id(assign_reviewer_roles(reordered, seed=9))
     assert a == b
 
 
@@ -359,7 +363,7 @@ def test_swap_fraction_near_half():
     )
     assert len(corpus.records) == 10_000
     assigned = assign_reviewer_roles(corpus, seed=123)
-    before = corpus.by_id()
+    before = by_id(corpus)
     swapped = sum(
         1 for rec in assigned.records if rec.review_a != before[rec.pub_id].review_a
     )

@@ -12,17 +12,21 @@ from bibagree import (
     PublicationRecord,
     ReviewerScore,
     SynthConfig,
+    generate,
+    reassign_multidisciplinary,
+)
+from oracles import oracle_baselines, oracle_ncs, oracle_njs, oracle_percentiles
+import record_pipeline
+from record_pipeline import (
+    FieldYearBaseline,
+    ZeroMeanCellError,
+    build_indicator_table,
     compute_baselines,
     compute_ncs,
     compute_njs,
-    generate,
     percentile_normalize,
-    reassign_multidisciplinary,
+    weighted_mean_ncs_by_year,
 )
-from bibagree.indicators import FieldYearBaseline, ZeroMeanCellError, build_indicator_table
-from oracles import oracle_baselines, oracle_ncs, oracle_njs, oracle_percentiles
-import record_pipeline
-from record_pipeline import weighted_mean_ncs_by_year
 
 
 def rec(pub_id, weights, citations, year=2012, journal="J1", refs=None, inst="U1", area="A"):

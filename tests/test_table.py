@@ -21,6 +21,7 @@ from bibagree import (
     SchemaOptions,
     SynthConfig,
     generate,
+    indicators,
     load_corpus,
     run_bootstrap,
     save_corpus,
@@ -34,7 +35,7 @@ from bibagree.agreement import (
     CalibrationFit,
     SkipEntry,
 )
-from bibagree.indicators import build_indicator_table, compute_baselines, reassign_multidisciplinary
+from bibagree.indicators import reassign_multidisciplinary
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats, run
 from bibagree.resampling import replicate_counts
 from bibagree.table import (
@@ -47,7 +48,14 @@ from bibagree.table import (
     table_statistics,
 )
 from oracles import oracle_percentiles
-from record_pipeline import record_pipeline_stats, record_statistic_values, resample_within_areas, unit_rows
+from record_pipeline import (
+    build_indicator_table,
+    compute_baselines,
+    record_pipeline_stats,
+    record_statistic_values,
+    resample_within_areas,
+    unit_rows,
+)
 
 METRICS_R1 = ("reviewer2", "ncs", "njs", "citation_percentile", "journal_percentile")
 METRICS_NCS = ("reviewer1", "reviewer2", "njs", "citation_percentile", "journal_percentile")
@@ -241,6 +249,28 @@ def test_point_pass_equals_record_pipeline_under_compensated_sum(monkeypatch):
     corpus = Corpus(records=tuple(records), census_year=2015)
     config = PipelineConfig(metric_labels=(), assign_roles=False)
     assert_equals_record_pipeline(corpus, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(), st.lists(st.sampled_from(["", "E", "G"]), max_size=40), st.booleans())
+def test_indicator_view_equals_the_record_reference(corpus, zero_fields, reassign):
+    # The four series and flag reasons by pub_id, on the corpus as it stands
+    # and after reassignment, which moves entries and leaves MULTI ones. A
+    # zero weight on field E or G, which no record weighs, leaves a cell
+    # without a baseline; E sorts before the F fields, G after them, so a
+    # record can have a zero-mean cell before or after an undefined one.
+    zero_fields += [""] * len(corpus.records)
+    records = [
+        replace(r, category_weights={**r.category_weights, z: 0.0}) if z else r
+        for r, z in zip(corpus.records, zero_fields)
+    ]
+    corpus = Corpus(tuple(records), corpus.census_year)
+    if reassign:
+        corpus, _ = reassign_multidisciplinary(corpus, "MULTI")
+    got = indicators.build_indicator_table(corpus, indicators.compute_baselines(corpus))
+    ref = build_indicator_table(corpus, compute_baselines(corpus))
+    for name in ("ncs", "njs", "citation_percentile", "journal_percentile", "flagged"):
+        assert getattr(got, name) == getattr(ref, name), name
 
 
 @settings(max_examples=200, deadline=None)
@@ -550,6 +580,9 @@ def test_run_builds_no_record(tmp_path, monkeypatch):
         corpus_path, tmp_path / "out", PipelineConfig(seed=7, n_replicates=3), SchemaOptions(population_path=str(population_path))
     )
     assert report.coverage and report.statistics
+    # Nor does the point pass's per-publication view.
+    loaded = load_corpus(corpus_path)
+    assert indicators.build_indicator_table(loaded, indicators.compute_baselines(loaded)).ncs
     assert built == 0
 
 
