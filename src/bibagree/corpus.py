@@ -13,7 +13,8 @@ stand the three within-row orders. The converters of each kind, the
 load's screens (``_Coder``), both row parses and ``validate_record`` read
 them from there. The weight-map rules (a required map sums to 1, an
 optional one is finite) are rules of the kind, written in ``_fault`` and
-screened with numpy in ``_Coder.add``.
+screened with numpy in ``_Coder.add``, both on the map's weights folded
+left from 0.0.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import operator
 from array import array
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -463,15 +464,19 @@ def validate_record(rec: PublicationRecord, census_year: int) -> None:
 def _fault(field: _Field, value, census_year: int) -> str | None:
     """What is wrong with a field's value, or None: a weight map's own
     fault, or the first of the value, a review's criteria or a required
-    map's weights that is out of the field's range, as the field words it."""
+    map's weights that is out of the field's range, as the field words it.
+
+    A map's weights are folded left from 0.0, as the coder's screen sums
+    them with np.bincount: sum() compensates rounding from Python 3.12 on,
+    and the verdict must not depend on the Python."""
     if field.kind == "weights" and not field.required:
         # abs() lets one sum catch a nan or infinite weight and a positive
         # total that overflows, either of which breaks the reassignment.
-        return "reference weights not finite" if value and not math.isfinite(sum(map(abs, value.values()))) else None
+        return "reference weights not finite" if value and not math.isfinite(reduce(operator.add, map(abs, value.values()), 0.0)) else None
     if field.kind == "weights":
         if not value:
             return "empty category weights"
-        total = sum(value.values())
+        total = reduce(operator.add, value.values(), 0.0)
         if abs(total - 1.0) > WEIGHT_TOL:
             return f"weights sum {total:g}"
     elif value is None:
@@ -687,13 +692,9 @@ class _Coder:
             if field.required:
                 total = np.bincount(e.row, weights=e.weight, minlength=n)
                 outside = np.bincount(e.row, weights=~((e.weight > low) & (e.weight <= high)), minlength=n) > 0
-                # validate_record sums the weights with sum(), which
-                # compensates rounding from Python 3.12 on; a total within
-                # half the tolerance here is within the tolerance there.
-                suspect |= (np.bincount(e.row, minlength=n) == 0) | ~(np.abs(total - 1.0) <= WEIGHT_TOL / 2) | outside
+                suspect |= (np.bincount(e.row, minlength=n) == 0) | ~(np.abs(total - 1.0) <= WEIGHT_TOL) | outside
             else:
-                # Likewise a sum of absolute weights below 1e308 is finite both ways.
-                suspect |= ~(np.bincount(e.row, weights=np.abs(e.weight), minlength=n) < 1e308)
+                suspect |= ~np.isfinite(np.bincount(e.row, weights=np.abs(e.weight), minlength=n))
             chunks.append(e._replace(row=e.row + start))
         self.pub_id += _each(self.read["id"], _FIELDS["pub_id"], cells["pub_id"])
         return suspect

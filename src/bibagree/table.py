@@ -48,10 +48,12 @@ level) take the one or two middle order statistics from a single in-place
 partition per row. The agreement pass fits the lines of all metrics of an
 area at once, one row per metric, with the arithmetic of the reference
 ``fit_lines`` of ``tests/record_pipeline.py`` in one buffer per fit; each area's copies are a
-slice of the kept copies grouped by area. The point pass and a replicate
-share the fits and medians: the point pass builds the statistic,
-calibration and skip objects, a replicate only writes its values into a
-row of the bootstrap's replicate matrix.
+slice of the kept copies grouped by area. The point pass is the replicate
+whose counts are all 1: the two share ``_scores`` and ``_statistics``,
+which alone decides whether a statistic exists and why not, and differ
+only in what they keep. The point pass builds the statistic, calibration
+and skip objects; a replicate only writes its values into a row of the
+bootstrap's replicate matrix.
 """
 
 from __future__ import annotations
@@ -223,17 +225,12 @@ def reassign_codes(
     weight[same[by_key[at[found]]]] += share[found]
 
     # The new entries go after their row's kept entries, in reference order.
-    keep = ~drop
-    new_row = ref_row[~found]
-    new = np.zeros(int(keep.sum()) + len(new_row), dtype=bool)
-    new[np.searchsorted(row[keep], new_row, side="right") + np.arange(len(new_row))] = True
-    out = []
-    for kept, added in ((row, new_row), (entry_code, ref_code[~found]), (weight, share[~found])):
-        merged = np.empty(len(new), dtype=kept.dtype)
-        merged[new] = added
-        merged[~new] = kept[keep]
-        out.append(merged)
-    out_row, out_code, out_weight = out
+    keep, new = ~drop, ~found
+    order = np.argsort(np.concatenate((row[keep], ref_row[new])), kind="stable")
+    out_row, out_code, out_weight = (
+        np.concatenate((kept[keep], added[new]))[order]
+        for kept, added in ((row, ref_row), (entry_code, ref_code), (weight, share))
+    )
     total = np.bincount(out_row, weights=out_weight, minlength=n_rows)[redo]
     assert (np.abs(total - 1.0) <= 1e-6).all()
     return out_row, out_code, out_weight, flagged
@@ -434,13 +431,12 @@ class _Scores(NamedTuple):
     entry_zero: np.ndarray  # the entry's cell has mean citations 0
 
 
-def _scores(table: PublicationTable, counts: np.ndarray, point: bool) -> _Scores:
+def _scores(table: PublicationTable, counts: np.ndarray) -> _Scores:
     """Scores of the corpus holding counts[row] copies of each row, summed
-    over the copies in ascending pub_id order, a row's copies together.
-    point says that every count is 1."""
+    over the copies in ascending pub_id order, a row's copies together."""
     n_rows = len(counts)
     copies, entries = table.pub_order, table.pub_entries
-    if not point:
+    if (counts != 1).any():
         copies = np.repeat(copies, counts[copies])
         entries = np.repeat(entries, counts[table.entry_row[entries]])
 
@@ -498,16 +494,20 @@ def _scores(table: PublicationTable, counts: np.ndarray, point: bool) -> _Scores
     )
 
 
-def _area_lines(table: PublicationTable, scores: _Scores, config: "PipelineConfig"):
-    """For each area with kept copies, in area order: its id, the observed
-    scores of its units, and the lines of its units and of its copies, each
-    None with fewer than MIN_POINTS points.
+def _statistics(table: PublicationTable, scores: _Scores, config: "PipelineConfig"):
+    """Every agreement statistic of the scores, in the order of the
+    record-by-record reference, as (key, n, value, skip, line): key is
+    (area, metric, level, view), n the number of points, and either value
+    and, for a MAD, the calibration line (intercept, slope), or the reason
+    the statistic is skipped, whose key is the first view it skips.
 
-    Institutions count as units when they have at least min_pubs copies; a
-    replicate's copies of one publication count once each at the
-    publication level. All metrics of an area are fitted at once, each
-    level's scores stacked one row per metric. MAPD is taken when every
-    observed unit score is positive.
+    Areas without kept copies have none. Institutions count as units when
+    they have at least min_pubs copies; a replicate's copies of one
+    publication count once each at the publication level. A line needs
+    MIN_POINTS points and a predictor variance other than 0; MAPD is taken
+    at the institution level only, when every observed unit score is
+    positive. All metrics of an area are fitted at once, each level's
+    scores stacked one row per metric.
     """
     if not config.metric_labels:
         return
@@ -524,39 +524,40 @@ def _area_lines(table: PublicationTable, scores: _Scores, config: "PipelineConfi
         # np.take gathers into C order; z[:, units] is Fortran-ordered, which _fit would copy.
         z_unit = np.take(unit_all, (unit_ok & (table.unit_area == a)).nonzero()[0], axis=1)
         y_unit = z_unit[-1]
-        unit_lines = pub_lines = None
-        if len(y_unit) >= MIN_POINTS:
-            unit_lines = _fit(z_unit, not (y_unit <= 0).any())
-        if len(copies) >= MIN_POINTS:
-            pub_lines = _fit(np.take(pub_all, copies, axis=1), False)
-        yield area_id, y_unit, unit_lines, len(copies), pub_lines
+        nonpositive = y_unit[y_unit <= 0]
+        n_unit, n_pub = len(y_unit), len(copies)
+        unit_lines = _fit(z_unit, not len(nonpositive)) if n_unit >= MIN_POINTS else None
+        pub_lines = _fit(np.take(pub_all, copies, axis=1), False) if n_pub >= MIN_POINTS else None
+        for i, metric in enumerate(config.metric_labels):
+            for level, n, lines in ((LEVEL_INSTITUTION, n_unit, unit_lines), (LEVEL_PUBLICATION, n_pub, pub_lines)):
+                key = (area_id, metric, level, VIEW_SIZE_INDEPENDENT)
+                if lines is None:
+                    yield key, n, None, too_few_points(area_id, metric, n), None
+                elif lines.var[i] == 0.0:
+                    yield key, n, None, zero_variance(area_id, metric), None
+                else:
+                    yield key, n, float(lines.mad[i]), None, (float(lines.intercept[i]), float(lines.slope[i]))
+                    if level != LEVEL_INSTITUTION:
+                        continue
+                    key = (area_id, metric, level, VIEW_SIZE_DEPENDENT)
+                    if lines.mapd is None:
+                        yield key, n, None, nonpositive_score(float(nonpositive[0])), None
+                    else:
+                        yield key, n, float(lines.mapd[i]), None, None
 
 
 def _agreement(table: PublicationTable, scores: _Scores, config: "PipelineConfig") -> AgreementResult:
-    """MAD and MAPD per (area, metric) at both levels, in the order and
-    with the skip reasons of the record-by-record reference."""
+    """MAD and MAPD per (area, metric) at both levels, with their
+    calibrations and skip reasons, as the point pass reports them."""
     result = AgreementResult(statistics=[], calibrations=[], skips=[])
-    for area_id, y_unit, unit_lines, n_copies, pub_lines in _area_lines(table, scores, config):
-        levels = ((LEVEL_INSTITUTION, unit_lines, len(y_unit)), (LEVEL_PUBLICATION, pub_lines, n_copies))
-        for i, metric in enumerate(config.metric_labels):
-            for level, lines, n in levels:
-                if lines is None or lines.var[i] == 0.0:
-                    reason = too_few_points(area_id, metric, n) if lines is None else zero_variance(area_id, metric)
-                    result.skips.append(SkipEntry(area_id, metric, level, reason))
-                    continue
-                result.calibrations.append(
-                    CalibrationFit(area_id, metric, float(lines.intercept[i]), float(lines.slope[i]), n)
-                )
-                mad = AgreementStatistic(area_id, metric, level, VIEW_SIZE_INDEPENDENT, float(lines.mad[i]), n)
-                result.statistics.append(mad)
-                if level == LEVEL_PUBLICATION:
-                    continue
-                if lines.mapd is None:
-                    reason = nonpositive_score(float(y_unit[y_unit <= 0][0]))
-                    result.skips.append(SkipEntry(area_id, metric, level, reason))
-                else:
-                    mapd = AgreementStatistic(area_id, metric, level, VIEW_SIZE_DEPENDENT, float(lines.mapd[i]), n)
-                    result.statistics.append(mapd)
+    for key, n, value, skip, line in _statistics(table, scores, config):
+        area_id, metric, level, _ = key
+        if skip is not None:
+            result.skips.append(SkipEntry(area_id, metric, level, skip))
+            continue
+        if line is not None:
+            result.calibrations.append(CalibrationFit(area_id, metric, *line, n))
+        result.statistics.append(AgreementStatistic(*key, value, n))
     return result
 
 
@@ -573,23 +574,14 @@ def table_statistics(
     column, leaves row as it is.
 
     The values are those of the point pass's statistics, built without its
-    result objects or skip reasons.
+    result objects.
     """
-    metrics = config.metric_labels
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = _scores(table, counts, point=False)
-        for area_id, _, unit_lines, _, pub_lines in _area_lines(table, scores, config):
-            for level, lines in ((LEVEL_INSTITUTION, unit_lines), (LEVEL_PUBLICATION, pub_lines)):
-                if lines is None:
-                    continue
-                fitted = (lines.var != 0.0).tolist()
-                for view, medians in ((VIEW_SIZE_INDEPENDENT, lines.mad), (VIEW_SIZE_DEPENDENT, lines.mapd)):
-                    if medians is None:
-                        continue
-                    for m, ok, v in zip(metrics, fitted, medians.tolist()):
-                        j = columns.get((area_id, m, level, view))
-                        if ok and j is not None:
-                            row[j] = v
+        scores = _scores(table, counts)
+        for key, _, value, skip, _ in _statistics(table, scores, config):
+            j = columns.get(key)
+            if skip is None and j is not None:
+                row[j] = value
 
 
 def point_scores(table: PublicationTable) -> tuple[_Scores, np.ndarray, np.ndarray]:
@@ -598,7 +590,7 @@ def point_scores(table: PublicationTable) -> tuple[_Scores, np.ndarray, np.ndarr
     mean. A row is flagged for the first of its sorted fields whose cell has
     no baseline or a zero mean, as the reference compute_ncs raises."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = _scores(table, np.ones(len(table.area), dtype=np.intp), point=True)
+        scores = _scores(table, np.ones(len(table.area), dtype=np.intp))
     bad = np.flatnonzero(scores.entry_undefined | scores.entry_zero)
     flagged, first = np.unique(table.entry_row[bad], return_index=True)
     return scores, flagged, scores.entry_undefined[bad[first]]

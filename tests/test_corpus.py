@@ -1,5 +1,6 @@
 """Corpus loading, validation, serialization and reviewer role assignment."""
 
+import builtins
 import gc
 import json
 import random
@@ -28,6 +29,7 @@ from bibagree import (
 )
 from bibagree import corpus as corpus_module
 from bibagree.corpus import CSV_COLUMNS, _first_clash, load_population_counts, save_population_counts
+from test_table import compensated_sum
 
 CORPUS_FORMAT_DOC = Path(__file__).resolve().parents[1] / "docs" / "corpus_format.md"
 
@@ -74,6 +76,26 @@ def test_weights_not_summing_rejected(tmp_path):
     bad = THREE_ROWS.replace("PHY:0.5;CHE:0.5", "PHY:0.5;CHE:0.4")
     with pytest.raises(CorpusValidationError, match="weights sum 0.9"):
         load_corpus(write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_cancelling_weights_give_the_same_fault_on_every_python(tmp_path, monkeypatch, fmt):
+    # Folded left, 1e16 + 1.0 rounds to 1e16 and the map sums to 0, as the
+    # load's screen sums it; sum() compensates from Python 3.12 on, sums it
+    # to 1 and would fault the weight A=1e16 instead.
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    if fmt == "csv":
+        path = write(tmp_path, THREE_ROWS.replace("PHY:0.5;CHE:0.5", "A:1e16;B:1.0;C:-1e16"))
+    else:
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(load_corpus(write(tmp_path, THREE_ROWS)), path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["category_weights"] = {"A": 1e16, "B": 1.0, "C": -1e16}
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusValidationError, match=r"record 'p2': weights sum 0$"):
+        load_corpus(path)
 
 
 def test_negative_citations_rejected(tmp_path):

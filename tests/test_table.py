@@ -102,7 +102,11 @@ def _weights(layout, field):
         return {own: 0.6, "MULTI": 0.4}, {other: 1.0}
     if layout == 5:
         return {own: 0.6, "MULTI": 0.4}, {own: 0.5, other: 0.5}  # own field gains a share
-    return {"MULTI": 1.0}, {"MULTI": 1.0}  # only itself to redistribute over
+    if layout == 6:
+        return {"MULTI": 1.0}, {"MULTI": 1.0}  # only itself to redistribute over
+    # A zero weight on field E or G, which no record weighs, leaves a cell
+    # without a baseline; E sorts before the F fields, G after them.
+    return {own: 1.0, "EG"[layout - 7]: 0.0}, None
 
 
 RECORD = st.tuples(
@@ -110,7 +114,7 @@ RECORD = st.tuples(
     st.integers(0, 4),  # institution
     st.sampled_from([2011, 2012]),
     st.integers(0, 4),  # citations, zero often
-    st.integers(0, 6),  # category layout
+    st.integers(0, 8),  # category layout
     st.integers(0, 2),  # main field; fields are shared across areas
     st.integers(0, 2),  # journal
     st.lists(st.integers(1, 10), min_size=6, max_size=6),  # both reviews
@@ -334,7 +338,7 @@ def assert_replicate_values_equal_objects(corpus, config, counts):
     the same replicate scores; returns the objects."""
     table = build_table(corpus, config.multidisciplinary_label)
     with np.errstate(divide="ignore", invalid="ignore"):
-        result = _agreement(table, _scores(table, counts, False), config)
+        result = _agreement(table, _scores(table, counts), config)
     expected = {s.key(): s.value for s in result.statistics}
     got = replicate_values(table, counts, config)
     assert got.keys() == expected.keys()
@@ -642,7 +646,7 @@ def test_journal_percentiles_per_cell_equal_row_ranks(corpus, seed, point):
     else:
         counts = replicate_counts(table.area_sizes, seed, 0)
     with np.errstate(divide="ignore", invalid="ignore"):  # as in a pass
-        scores = _scores(table, counts, point)
+        scores = _scores(table, counts)
     w = np.where(scores.keep, counts, 0)
     rows = _midrank_percentiles(table.area, scores.series["njs"], w)
     assert scores.series["journal_percentile"][scores.keep].tobytes() == rows[scores.keep].tobytes()
