@@ -8,13 +8,12 @@ these columns and never builds a ``PublicationRecord``; ``Corpus.records``
 is a view, built on first access.
 
 ``_FIELDS`` gives each field's CSV/TSV columns, JSON key, kind, required
-flag and range, and how validation words a value out of range; beside it
-stand the three within-row orders. The converters of each kind, the
-load's screens (``_Coder``), both row parses and ``validate_record`` read
-them from there. The weight-map rules (a required map sums to 1, an
-optional one is finite) are rules of the kind, written in ``_fault`` and
-screened with numpy in ``_Coder.add``, both on the map's weights folded
-left from 0.0.
+flag and range, and how a value out of range is worded; beside it stand
+the three within-row orders. The converters of each kind and the load's
+coder (``_Coder``), which alone finds and words each faulty row, read them
+from there. The weight-map rules (a required map is not empty and sums to
+1, an optional one is finite) are rules of the kind, screened with numpy
+in ``_Coder.add`` on the map's weights folded left from 0.0.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import operator
 from array import array
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
-from functools import partial, reduce
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -54,9 +53,9 @@ class _Field(NamedTuple):
 
     low and high bound the value, each criterion score of a review, or each
     weight of a required weight map, whose low end is open; None is no
-    bound. outside words a value out of range for validate_record, below
-    instead one under the range where it is given; each is formatted with
-    name, value, low, high and part, the criterion or label of a value.
+    bound. outside words a value out of range, below instead one under the
+    range where it is given; each is formatted with name, value, low, high
+    and part, the criterion or label of a value.
     """
 
     name: str  # the PublicationRecord attribute, which is also the JSON key
@@ -320,9 +319,23 @@ def _bounds(field: _Field, census_year: int | None = None) -> tuple:
     return (-math.inf if field.low is None else field.low, math.inf if high is None else high)
 
 
+def _outside(field: _Field, census_year: int | None, part: str | None, value) -> str | None:
+    """How the field words a value out of its range, or None: the value, a
+    criterion of a review or a weight of a required map, whose low end is
+    open; part names the criterion or the weight's label."""
+    low, high = _bounds(field, census_year)
+    if low <= value <= high and not (value == low and field.kind == "weights"):
+        return None
+    words = field.below if field.below and value < low else field.outside
+    return words.format(name=field.name, value=value, low=low, high=high, part=part)
+
+
 # The converters of each kind of field, of a CSV or TSV cell and of a JSON
-# value, a review's of the tuple of its criteria's. A value that does not
-# convert raises ValueError worded for its row, or an error Python words.
+# value, a review's of one criterion's. A value that does not convert
+# raises one of _PARSE_FAULTS, worded for its row: a ValueError the
+# converter words, or as Python words a JSON map that is not an object
+# (AttributeError) or a number too large for a float (OverflowError).
+_PARSE_FAULTS = (ValueError, AttributeError, OverflowError)
 
 
 def _text_id(text: str, field: _Field) -> str:
@@ -336,9 +349,9 @@ def _text_id(text: str, field: _Field) -> str:
 _TEXT_FAULTS = {"integer": "bad year/citations", "review": "non-integer criterion score", "percentile": "bad numeric value {!r}"}
 
 
-def _text_number(text: str, field: _Field) -> float | None:
+def _text_number(text: str, field: _Field, part: str | None = None) -> float | None:
     """An integer, a criterion score or a percentile; None for a blank cell
-    of an optional field."""
+    of an optional field. A criterion's fault does not name it (part)."""
     if not (field.required or text.strip()):
         return None
     try:
@@ -361,15 +374,6 @@ def _parse_weights(text: str, field: _Field) -> dict[str, float]:
         except ValueError:
             raise ValueError(f"bad weight value {val!r}") from None
     return out
-
-
-def _text_review(cells: tuple[str, ...], field: _Field) -> ReviewerScore | None:
-    """A review, or None where its cells are blank."""
-    if not all(map(str.strip, cells)):
-        if any(map(str.strip, cells)):
-            raise ValueError(f"incomplete reviewer score for {field.columns[0].rsplit('_', 1)[0]}")
-        return None
-    return ReviewerScore(*[_text_number(cell, field) for cell in cells])
 
 
 def _json_id(value, field: _Field) -> str:
@@ -409,85 +413,10 @@ def _json_percentile(value, field: _Field) -> float | None:
     return None if value is None or value is _ABSENT else _json_number(value, field)
 
 
-def _json_review(criteria: tuple, field: _Field) -> ReviewerScore | None:
-    """A review from its criteria as _json_chunks reads them."""
-    if criteria[0] is _NO_SCORE:
-        return None
-    return ReviewerScore(*[_json_number(score, field, name) for name, score in zip(_CRITERIA, criteria)])
-
-
-_TABLE_READ = {"id": _text_id, "integer": _text_number, "weights": _parse_weights, "review": _text_review, "percentile": _text_number}
-_JSON_READ = {"id": _json_id, "integer": _json_number, "weights": _json_map, "review": _json_review, "percentile": _json_percentile}
+_TABLE_READ = {"id": _text_id, "integer": _text_number, "weights": _parse_weights, "review": _text_number, "percentile": _text_number}
+_JSON_READ = {"id": _json_id, "integer": _json_number, "weights": _json_map, "review": _json_number, "percentile": _json_percentile}
 # A record's values are converted already; an absent review's criteria are None.
-_RECORD_READ = dict.fromkeys(_TABLE_READ, lambda value, field: value)
-
-
-def _record(row: dict, where: str, read: dict[str, Callable], order: tuple) -> PublicationRecord:
-    """The record of a row of cells by column: each field's value, its cell
-    or for a review the tuple of its criteria's, converted by read of its
-    kind, a step of order at a time. The first field that does not convert
-    is a parse fault naming where; so is a required field that a JSON line
-    lacks, looked for in every field of a step before any is converted."""
-    values = {}
-    try:
-        for step in order:
-            fields = [_FIELDS[name] for name in step]
-            raw = [tuple(map(row.__getitem__, f.columns)) if f.kind == "review" else row[f.name] for f in fields]
-            absent = [f.name for f, value in zip(fields, raw) if value is _ABSENT and f.required]
-            if absent:
-                raise KeyError(absent[0])
-            for field, value in zip(fields, raw):
-                value = read[field.kind](value, field)
-                # An optional weight map that is empty is absent.
-                values[field.name] = value or None if field.kind == "weights" and not field.required else value
-    # TypeError: a JSON value that is not an object; OverflowError: a weight
-    # or percentile too large for a float.
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise CorpusParseError(f"{where}: {exc}") from exc
-    return PublicationRecord(**values)
-
-
-# The record of a CSV or TSV row, and of a JSON line or a JSON value that is
-# not an object: _record(row, where).
-_record_from_row = partial(_record, read=_TABLE_READ, order=_TABLE_ORDER)
-_record_from_json = partial(_record, read=_JSON_READ, order=_JSON_ORDER)
-
-
-def validate_record(rec: PublicationRecord, census_year: int) -> None:
-    """Raise CorpusValidationError naming the record on any invariant violation."""
-    for name in _CHECK_ORDER:
-        fault = _fault(_FIELDS[name], getattr(rec, name), census_year)
-        if fault:
-            raise CorpusValidationError(f"record {rec.pub_id!r}: {fault}")
-
-
-def _fault(field: _Field, value, census_year: int) -> str | None:
-    """What is wrong with a field's value, or None: a weight map's own
-    fault, or the first of the value, a review's criteria or a required
-    map's weights that is out of the field's range, as the field words it.
-
-    A map's weights are folded left from 0.0, as the coder's screen sums
-    them with np.bincount: sum() compensates rounding from Python 3.12 on,
-    and the verdict must not depend on the Python."""
-    if field.kind == "weights" and not field.required:
-        # abs() lets one sum catch a nan or infinite weight and a positive
-        # total that overflows, either of which breaks the reassignment.
-        return "reference weights not finite" if value and not math.isfinite(reduce(operator.add, map(abs, value.values()), 0.0)) else None
-    if field.kind == "weights":
-        if not value:
-            return "empty category weights"
-        total = reduce(operator.add, value.values(), 0.0)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            return f"weights sum {total:g}"
-    elif value is None:
-        return None
-    parts = value.items() if field.kind == "weights" else zip(_CRITERIA, _criterion_scores(value)) if field.kind == "review" else [(None, value)]
-    low, high = _bounds(field, census_year)
-    for part, v in parts:
-        if not low <= v <= high or (v == low and field.kind == "weights"):
-            words = field.below if field.below and v < low else field.outside
-            return words.format(name=field.name, value=v, low=low, high=high, part=part)
-    return None
+_RECORD_READ = dict.fromkeys(_TABLE_READ, lambda value, field, part=None: value)
 
 
 def _not_utf8(path: str | Path, name: str) -> CorpusParseError:
@@ -556,53 +485,64 @@ _NO_REVIEW, _NOT_REVIEW = (_NO_SCORE,) * len(_CRITERIA), (_ABSENT,) * len(_CRITE
 # The fields coded through a table of their distinct values: these repeat
 # across a file.
 _CODED = (*_CODED_IDS, *(name for name, field in _FIELDS.items() if field.kind in ("integer", "review")))
-# The flags of a distinct value: it may break an invariant of
-# validate_record, or it is a blank criterion.
-_SUSPECT, _BLANK = 1, 2
+# The flags of a distinct value: it does not convert, it is out of its
+# field's range, or it is a blank criterion.
+_UNREAD, _OUTSIDE, _BLANK = 1, 2, 4
+# The JSON values that cannot share a code with an equal value: a bool,
+# which equals 0 or 1 as a key but is no number, and a list or an object,
+# which is no key.
+_ODD = frozenset((bool, list, dict))
+
+
+def _converted(convert: Callable, value) -> tuple:
+    """convert(value) and None, or None and the fault of a value that does not convert."""
+    try:
+        return convert(value), None
+    except _PARSE_FAULTS as exc:
+        return None, str(exc)
 
 
 class _Texts(dict):
     """The distinct values of a column for a whole file, each mapped to its
-    code. A value looked up for the first time is read by parse, which may
-    raise, and kept under the next free code with its flags, screen(what
-    parse read)."""
+    code. A value looked up for the first time is converted by convert and
+    kept under the next free code with its flags and its fault, if any: the
+    converter's message, or outside(the converted value)."""
 
-    def __init__(self, parse: Callable, screen: Callable[..., int]):
-        self.parse, self.screen = parse, screen
-        self.values, self.chunks = [], []  # chunks: the codes of each chunk
+    def __init__(self, convert: Callable, outside: Callable):
+        self.convert, self.outside = convert, outside
+        self.values, self.faults, self.chunks = [], [], []  # chunks: the codes of each chunk
         self.flags, self.flagged = bytearray(), False  # flagged: whether any value has a flag
 
     def __missing__(self, key) -> int:
-        value = self.parse(key)
-        flags = self.screen(value)
-        self.values.append(value)
-        self.flags.append(flags)
-        self.flagged = self.flagged or flags != 0
-        code = self[key] = len(self.values) - 1
+        code = self[key] = self.new(key)
         return code
 
-    def code(self, columns: Sequence[Sequence]) -> np.ndarray:
-        """The codes of columns of equally many values, a row per column,
-        kept as a chunk's."""
-        shape = (len(columns), len(columns[0]))
-        codes = np.fromiter(map(self.__getitem__, chain.from_iterable(columns)), dtype=np.int32, count=shape[0] * shape[1])
-        self.chunks.append(codes.reshape(shape))
+    def new(self, key) -> int:
+        """The next free code, given to key's value alone."""
+        value, fault = _converted(self.convert, key)
+        flags = _UNREAD if fault is not None else _BLANK if value is None else 0
+        if not flags:
+            fault = self.outside(value)
+            flags = _OUTSIDE * (fault is not None)
+        self.values.append(value)
+        self.faults.append(fault)
+        self.flags.append(flags)
+        self.flagged = self.flagged or flags != 0
+        return len(self.values) - 1
+
+    def code(self, cells: Sequence, odd: frozenset = frozenset()) -> np.ndarray:
+        """The codes of a chunk's cells, kept as its chunk's; each cell of a
+        type in odd gets a code of its own."""
+        codes = (self.new(key) if type(key) in odd else self[key] for key in cells) if odd else map(self.__getitem__, cells)
+        self.chunks.append(np.fromiter(codes, dtype=np.int32, count=len(cells)))
         return self.chunks[-1]
 
     def flags_of(self, codes: np.ndarray) -> np.ndarray:
         return np.frombuffer(self.flags, dtype=np.uint8)[codes]
 
     def joined(self) -> np.ndarray:
-        """The codes of every chunk side by side."""
-        return np.concatenate(self.chunks, axis=1)
-
-
-def _screen(field: _Field, census_year: int | None) -> Callable[..., int]:
-    """The flags of a converted value of a coded field, or of a criterion of a review."""
-    if field.kind == "id":
-        return lambda value: 0
-    low, high = _bounds(field, census_year)
-    return lambda value: _BLANK if value is None else _SUSPECT * (not low <= value <= high)
+        """The codes of every chunk, in order."""
+        return np.concatenate(self.chunks)
 
 
 def _sorted_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
@@ -612,15 +552,25 @@ def _sorted_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
     return names, np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
 
 
-def _each(read: Callable, field: _Field, values: Sequence) -> list:
-    """read(value, field) of each value."""
-    return [read(value, field) for value in values]
+def _each(read: Callable, field: _Field, values: Sequence) -> tuple[list, dict[int, str]]:
+    """read(value, field) of each value, None for one that does not
+    convert, and the fault of each such value by its index. Only a sequence
+    with such a value is converted a second time, one value at a time."""
+    try:
+        return [read(value, field) for value in values], {}
+    except _PARSE_FAULTS:
+        pass
+    converted = list(map(_converted, repeat(partial(read, field=field)), values))
+    return [value for value, _ in converted], {i: fault for i, (_, fault) in enumerate(converted) if fault is not None}
 
 
-def _each_distinct(read: Callable, field: _Field, texts: Sequence[str]) -> list:
-    """read(text, field) of each text, called once per distinct text."""
-    converted = {text: read(text, field) for text in dict.fromkeys(texts)}
-    return list(map(converted.__getitem__, texts))
+def _each_distinct(read: Callable, field: _Field, texts: Sequence[str]) -> tuple[list, dict[int, str]]:
+    """_each, read called once per distinct text when every text converts."""
+    try:
+        converted = {text: read(text, field) for text in dict.fromkeys(texts)}
+    except _PARSE_FAULTS:
+        return _each(read, field, texts)
+    return list(map(converted.__getitem__, texts)), {}
 
 
 def _entries(maps: Sequence[dict], labels: _Texts) -> Entries:
@@ -635,69 +585,116 @@ def _entries(maps: Sequence[dict], labels: _Texts) -> Entries:
 
 class _Coder:
     """Columns built a chunk at a time, each field's values converted by
-    read of its kind, a review's one criterion at a time as integers. The
-    ids but pub_id, the integers and the criterion scores, which repeat
-    across a file, become codes into a _Texts per field, which converts and
-    screens each distinct value once; they are decoded once every chunk is
-    added. The pub_ids, weight maps and percentiles, which seldom repeat,
+    read of its kind, and each row's faults found and worded.
+
+    The ids but pub_id, the integers and each criterion score, which repeat
+    across a file, become codes into a _Texts per column, which converts
+    and screens each distinct value once; they are decoded once every chunk
+    is added. The pub_ids, weight maps and percentiles, which seldom repeat,
     are converted a chunk at a time, the maps and percentiles with
-    each(read, field, values), and screened with numpy.
+    each(read, field, values), and screened with numpy: np.bincount folds a
+    map's weights left from 0.0, where sum() compensates from Python 3.12
+    on, and the verdict must not depend on the Python.
+    """
 
-    A JSON bool is no number, but as a key of a _Texts it equals 0 or 1 and
-    would take that number's code: so a JSON chunk with a bool among its
-    coded numbers is refused, for its row parse to word."""
-
-    def __init__(self, read: dict[str, Callable], census_year: int | None, each: Callable = _each):
-        self.read, self.each, self.pub_id = read, each, []
-        self.texts = {
-            name: _Texts(partial(read["integer" if name in _REVIEWS else field.kind], field=field), _screen(field, census_year))
-            for name, field in _FIELDS.items()
-            if name in _CODED
-        }
-        self.labels = _Texts(lambda label: label, lambda label: 0)  # of every weight map
+    def __init__(self, read: dict[str, Callable], census_year: int | None, order: tuple = (), each: Callable = _each):
+        self.read, self.order, self.each, self.pub_id, self.texts = read, order, each, [], {}
+        for field in map(_FIELDS.__getitem__, _CODED):
+            # A review's column per criterion, its part.
+            for column, part in zip(field.columns, _CRITERIA if field.kind == "review" else [None]):
+                convert = partial(read[field.kind], field=field)
+                outside = partial(_outside, field, census_year, part) if field.kind != "id" else lambda value: None
+                self.texts[column] = _Texts(partial(convert, part=part) if part else convert, outside)
+        self.labels = _Texts(lambda label: label, lambda label: None)  # of every weight map
         self.chunks: dict[str, list] = {name: [] for name in _FIELDS if name not in _CODED and name != "pub_id"}
 
-    def add(self, cells: dict[str, Sequence]) -> np.ndarray:
-        """Add a chunk, its cells by column. Return which rows the screen
-        flags; raise where a row does not convert."""
-        columns = {name: [cells[column] for column in field.columns] for name, field in _FIELDS.items()}
+    def add(self, cells: dict[str, Sequence]) -> tuple[tuple[int, str] | None, tuple[int, str] | None]:
+        """Add a chunk, its cells by column. Return its first row that does
+        not parse and its first row out of range, each as (row, its fault)
+        or None: the first faulty field of the row in the order of the
+        format's parse (a required JSON field that a line lacks first within
+        its step, worded as Python words a missing key) or of validation."""
+        n, start = len(cells["pub_id"]), len(self.pub_id)
+        unread: dict[str, dict[int, str]] = {}  # field -> {row: its fault}, of the rows that do not parse
+        outside: dict[str, dict[int, str]] = {}  # the same, of the rows out of range
+        odd = frozenset()
         if self.read is _JSON_READ:
-            numbers = chain.from_iterable(columns[name] for name in _CODED if _FIELDS[name].kind != "id")
-            if bool in set(map(type, chain.from_iterable(numbers))):
-                raise ValueError("a bool where a number belongs")
-        start, n = len(self.pub_id), len(cells["pub_id"])
-        flags = np.zeros(n, dtype=np.uint8)
-        for name, texts in self.texts.items():
-            codes = texts.code(columns[name])
-            if texts.flagged:
-                flagged = texts.flags_of(codes)
-                blank = (flagged & _BLANK) > 0
-                if (blank.any(axis=0) != blank.all(axis=0)).any():
-                    raise ValueError("a review with some but not all of its cells blank")
-                flags |= np.bitwise_or.reduce(flagged, axis=0)
-        suspect = (flags & _SUSPECT) > 0
+            odd = _ODD.intersection(map(type, chain.from_iterable(map(cells.__getitem__, self.texts))))
+        codes = {column: texts.code(cells[column], odd) for column, texts in self.texts.items()}
+        for name in _CODED:
+            self._screen(_FIELDS[name], codes, unread, outside)
+        values, unread["pub_id"] = _each(self.read["id"], _FIELDS["pub_id"], cells["pub_id"])
+        self.pub_id += values
         for name, chunks in self.chunks.items():
             field = _FIELDS[name]
-            values = self.each(self.read[field.kind], field, columns[name][0])
+            values, unread[name] = self.each(self.read[field.kind], field, cells[name])
             low, high = _bounds(field)
             if field.kind == "percentile":
                 # NaN where a percentile is absent (None).
                 present = np.fromiter(map(operator.is_not, values, repeat(None)), dtype=bool, count=n)
                 pct = np.full(n, np.nan)
                 pct[present] = list(compress(values, present))
-                suspect |= present & ~((pct >= low) & (pct <= high))
+                bad = present & ~((pct >= low) & (pct <= high))
+                outside[name] = {i: _outside(field, None, None, float(pct[i])) for i in np.flatnonzero(bad).tolist()}
                 chunks.append(pct)
                 continue
-            e = _entries(values, self.labels)
+            e = _entries([value or {} for value in values] if unread[name] else values, self.labels)
             if field.required:
+                count = np.bincount(e.row, minlength=n)
                 total = np.bincount(e.row, weights=e.weight, minlength=n)
-                outside = np.bincount(e.row, weights=~((e.weight > low) & (e.weight <= high)), minlength=n) > 0
-                suspect |= (np.bincount(e.row, minlength=n) == 0) | ~(np.abs(total - 1.0) <= WEIGHT_TOL) | outside
+                out = ~((e.weight > low) & (e.weight <= high))
+                bad = (count == 0) | (np.abs(total - 1.0) > WEIGHT_TOL) | (np.bincount(e.row, weights=out, minlength=n) > 0)
+                outside[name] = {i: self._map_fault(field, e, i, count[i], float(total[i])) for i in np.flatnonzero(bad).tolist()}
             else:
-                suspect |= ~np.isfinite(np.bincount(e.row, weights=np.abs(e.weight), minlength=n))
+                bad = ~np.isfinite(np.bincount(e.row, weights=np.abs(e.weight), minlength=n))
+                outside[name] = dict.fromkeys(np.flatnonzero(bad).tolist(), "reference weights not finite")
             chunks.append(e._replace(row=e.row + start))
-        self.pub_id += _each(self.read["id"], _FIELDS["pub_id"], cells["pub_id"])
-        return suspect
+        first = min(chain.from_iterable(unread.values()), default=None)
+        if first is not None:
+            return (first, self._parse_fault(first, cells, unread)), None
+        first = min(chain.from_iterable(outside.values()), default=None)
+        if first is not None:
+            return None, (first, next(outside[name][first] for name in _CHECK_ORDER if first in outside.get(name, ())))
+        return None, None
+
+    def _screen(self, field: _Field, codes: dict[str, np.ndarray], unread: dict, outside: dict) -> None:
+        """The faults of a coded field by row into unread and outside: its
+        first criterion (the value itself, for another field) that does not
+        convert, or that is out of range; and a review with some but not all
+        of its criteria blank does not parse."""
+        texts = [self.texts[column] for column in field.columns]
+        if not any(t.flagged for t in texts):
+            return
+        columns = [codes[column] for column in field.columns]
+        flags = np.stack([t.flags_of(c) for t, c in zip(texts, columns)])
+        for flag, found in ((_UNREAD, unread), (_OUTSIDE, outside)):
+            hit = (flags & flag) > 0
+            rows = np.flatnonzero(hit.any(axis=0))
+            found[field.name] = {i: texts[k].faults[columns[k][i]] for i, k in zip(rows.tolist(), hit.argmax(axis=0)[rows].tolist())}
+        blank = (flags & _BLANK) > 0
+        some = np.flatnonzero(blank.any(axis=0) & ~blank.all(axis=0)).tolist()
+        unread[field.name].update(dict.fromkeys(some, f"incomplete reviewer score for {field.columns[0].rsplit('_', 1)[0]}"))
+
+    def _map_fault(self, field: _Field, e: Entries, i: int, count: int, total: float) -> str:
+        """The fault of row i's required map, of which e holds the entries."""
+        if not count:
+            return "empty category weights"
+        if abs(total - 1.0) > WEIGHT_TOL:
+            return f"weights sum {total:g}"
+        at = e.row == i
+        labels = map(self.labels.values.__getitem__, e.label[at].tolist())
+        return next(filter(None, map(partial(_outside, field, None), labels, e.weight[at].tolist())))
+
+    def _parse_fault(self, i: int, cells: dict[str, Sequence], unread: dict[str, dict[int, str]]) -> str:
+        """The fault of row i, which does not parse: the first in the
+        format's order."""
+        for step in self.order:
+            absent = [name for name in step if _FIELDS[name].required and cells[name][i] is _ABSENT]
+            if absent:
+                return repr(absent[0])
+            fault = next((unread[name][i] for name in step if i in unread.get(name, ())), None)
+            if fault is not None:
+                return fault
 
     def columns(self) -> Columns:
         """The columns of every row added, each _Texts dropped as its column is decoded."""
@@ -707,24 +704,23 @@ class _Coder:
         for name, attr in (("category_weights", "weights"), ("ref_category_weights", "refs")):
             row, label, weight = map(np.concatenate, zip(*chunks.pop(name)))
             values[attr] = Entries(row, sorted_label[label], weight)
-        reviews = list(map(texts.pop, _REVIEWS))
-        scores = [_int_array([value or 0 for value in review.values]) for review in reviews]
-        values["review"] = np.empty((n, len(reviews), len(_CRITERIA)), dtype=np.result_type(*scores))
+        reviews = [[texts.pop(column) for column in _FIELDS[name].columns] for name in _REVIEWS]
+        scores = [[_int_array([value or 0 for value in t.values]) for t in review] for review in reviews]
+        values["review"] = np.empty((n, len(reviews), len(_CRITERIA)), dtype=np.result_type(*chain.from_iterable(scores)))
         values["has_review"] = np.empty((n, len(reviews)), dtype=bool)
         for k, (review, score) in enumerate(zip(reviews, scores)):
-            codes = review.joined()
-            for c, criterion in enumerate(codes):
-                values["review"][:, k, c] = score[criterion]
+            for c, (criterion, s) in enumerate(zip(review, score)):
+                values["review"][:, k, c] = s[criterion.joined()]
             # Once every row parses, a review is present where its first criterion is not blank.
-            values["has_review"][:, k] = (review.flags_of(codes[0]) & _BLANK) == 0
-        del codes, reviews, scores
+            values["has_review"][:, k] = (review[0].flags_of(review[0].joined()) & _BLANK) == 0
+        del reviews, scores
         for name in _CODED_IDS:
             ids = texts.pop(name)
             values[name + "s"], sorted_code = _sorted_codes(ids.values)
-            values[name] = sorted_code[ids.joined()[0]]
+            values[name] = sorted_code[ids.joined()]
         for name in ("year", "citations"):
             ints = texts.pop(name)
-            values[name] = _int_array(ints.values)[ints.joined()[0]]
+            values[name] = _int_array(ints.values)[ints.joined()]
         for name in _PERCENTILES:
             values[name] = np.concatenate(chunks.pop(name))
         return Columns(**values)
@@ -794,8 +790,10 @@ def _json_chunks(fh: TextIO, file_name: str, numbers: array) -> Iterator[dict[st
                 # A RecursionError is a line nested deeper than the parser goes.
                 raise CorpusParseError(f"{file_name} line {number}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
-                # Raises: a value that is not an object has no fields.
-                _record_from_json(obj, f"{file_name} line {number}")
+                try:
+                    obj[_JSON_KEYS[0]]  # a value that is not an object has no fields, as Python words it
+                except TypeError as exc:
+                    raise CorpusParseError(f"{file_name} line {number}: {exc}") from exc
             row = list(map(obj.get, _JSON_KEYS, repeat(_ABSENT)))
             for key in _REVIEWS:
                 review = obj.get(key)
@@ -817,83 +815,72 @@ def _json_chunks(fh: TextIO, file_name: str, numbers: array) -> Iterator[dict[st
 
 def _first_clash(ids: list[str]) -> tuple[int, int] | None:
     """The first row whose id repeats an earlier row's, as (row, the
-    earlier row)."""
-    if len(set(ids)) == len(ids):
-        return None
+    earlier row). One sort tells whether any id repeats: a set of the ids
+    would hold a table about four times their number."""
+    in_order = sorted(ids)
+    repeated = set(compress(islice(in_order, 1, None), map(operator.eq, in_order, islice(in_order, 1, None))))
+    del in_order
     first_row: dict[str, int] = {}
     for row, pub_id in enumerate(ids):
-        earlier = first_row.setdefault(pub_id, row)
-        if earlier != row:
-            return row, earlier
+        if pub_id in repeated:
+            earlier = first_row.setdefault(pub_id, row)
+            if earlier != row:
+                return row, earlier
     return None
 
 
 def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> Corpus:
     """Read and validate a corpus file (CSV/TSV or JSONL) into columns.
 
-    The file is read a chunk of rows at a time. Each id, year, citation and
-    criterion cell becomes a code into a table of the distinct values of its
-    column that lasts the whole load (_Coder), each value converted and
-    screened once; the weight maps and percentiles are converted, and
-    screened with numpy, a chunk at a time. A chunk that does not convert is
-    parsed row by row instead: the first row that does not parse raises, and
-    a conversion that fails although every row parses raises AssertionError.
-    A fault that stops reading is raised once the rows before it are
-    converted, so an earlier row that does not parse wins. Only the rows the
-    screen flags keep their row parse, to be validated once the whole file
-    is read. So the earliest faulty row is named: parse faults come first,
-    in row order, then validation faults, in row order with the scan for a
-    repeated pub_id ahead of validate_record within a row. Each row's number
-    in the file is kept once, in one array, to name a row.
+    The file is read and converted a chunk of rows at a time (_Coder),
+    which alone finds and words each row's first fault. The first row that
+    does not parse raises once its chunk is converted; a fault that stops
+    reading is raised once the rows before it are converted, so an earlier
+    row that does not parse wins. The first row out of range is raised only
+    once the whole file is read, unless the scan for a repeated pub_id
+    names an earlier row or the same one. A year's range is known from the
+    start: the census year given, or by default the largest year, which no
+    year exceeds. Each row's number in the file is kept once, in one array,
+    to name a row.
 
-    A 3,000-record file, CSV or JSON Lines, peaks at about 1.34 times the
+    A 3,000-record file, CSV or JSON Lines, peaks at about 1.28 times the
     memory of the corpus returned, and 1.32 when each record has weight
-    maps of its own. At 20,000 records the peak is 1.67 times (7.02 MB
-    against 4.19 MB held) and comes from _first_clash's set of the pub_ids,
-    not from the chunked read (1.27 times without it).
+    maps of its own; a 20,000-record file at 1.21 times.
     """
     path, census_year = Path(path), options.census_year
     fmt, numbers = _detect_format(path), array("q")  # numbers: row -> its number in the file
     kind = "line" if fmt == "jsonl" else "row"  # as messages name a row
     if fmt == "jsonl":
-        read, parse, coder = _json_chunks, _record_from_json, _Coder(_JSON_READ, census_year)
+        read, coder = _json_chunks, _Coder(_JSON_READ, census_year, _JSON_ORDER)
     else:
         read = partial(_table_chunks, delimiter="\t" if fmt == "tsv" else ",")
-        parse, coder = _record_from_row, _Coder(_TABLE_READ, census_year, _each_distinct)
-    flagged, start = [], 0  # flagged: (row, its parse) of each row the screen flags; start: the chunk's first row
+        coder = _Coder(_TABLE_READ, census_year, _TABLE_ORDER, _each_distinct)
+    invalid, start = None, 0  # invalid: (row, its fault) of the first row out of range; start: the chunk's first row
     with _open_text(path, "corpus") as fh:
         try:
             for cells in read(fh, path.name, numbers):
-
-                def parse_row(i: int) -> PublicationRecord:
-                    return parse({name: column[i] for name, column in cells.items()}, f"{path.name} {kind} {numbers[start + i]}")
-
-                try:
-                    suspects = coder.add(cells)
-                except Exception as exc:  # noqa: BLE001 - the row parse words it, or it is a converter bug
-                    for i in range(len(numbers) - start):
-                        parse_row(i)
-                    raise AssertionError("a column conversion failed but every row parses") from exc
-                flagged += [(start + i, parse_row(i)) for i in np.flatnonzero(suspects).tolist()]
+                unparsed, outside = coder.add(cells)
                 del cells  # the next chunk is read without them
+                if unparsed:
+                    raise CorpusParseError(f"{path.name} {kind} {numbers[start + unparsed[0]]}: {unparsed[1]}")
+                if outside and not invalid:
+                    invalid = start + outside[0], outside[1]
                 start = len(numbers)
         except UnicodeDecodeError:
             raise _not_utf8(path, path.name) from None
     if not numbers:
         raise CorpusParseError(f"{path.name}: no records")
-    columns = coder.columns()
-    if census_year is None:
-        census_year = int(columns.year.max())
-    clash = _first_clash(columns.pub_id)
-    for r, record in flagged:
-        if clash is not None and clash[0] <= r:
-            break
-        validate_record(record, census_year)
+    clash = _first_clash(coder.pub_id)
+    if invalid and (clash is None or invalid[0] < clash[0]):
+        raise CorpusValidationError(f"record {coder.pub_id[invalid[0]]!r}: {invalid[1]}")
     if clash is not None:
         row, first = clash
         raise CorpusValidationError(
-            f"{path.name} {kind} {numbers[row]}: duplicate pub_id {columns.pub_id[row]!r}, first on {kind} {numbers[first]}"
+            f"{path.name} {kind} {numbers[row]}: duplicate pub_id {coder.pub_id[row]!r}, first on {kind} {numbers[first]}"
         )
+    columns = coder.columns()
+    if census_year is None:
+        census_year = int(columns.year.max())
 
     population = None
     if options.population_path:
@@ -914,6 +901,7 @@ def load_corpus(path: str | Path, options: SchemaOptions = SchemaOptions()) -> C
                 f"{population[inst]} below its {sample[code]} records in the corpus"
             )
     return Corpus.from_columns(columns, census_year, population)
+
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -362,8 +362,8 @@ def _median_rows(a: np.ndarray) -> np.ndarray:
     result may be a view of a.
 
     np.median also checks for NaN; the rows here are absolute or relative
-    deviations of finite scores (validate_record rejects non-finite
-    external percentiles), so they hold none.
+    deviations of finite scores (the load rejects non-finite external
+    percentiles), so they hold none.
     """
     half = a.shape[1] // 2
     a.partition(half, axis=1)

@@ -34,7 +34,7 @@ from bibagree.agreement import (
     VIEW_SIZE_INDEPENDENT,
 )
 from bibagree.pipeline import compute_pipeline_stats, run_bootstrap
-from bibagree.table import SERIES_LABELS, _midrank_percentiles
+from bibagree.table import SERIES_LABELS, _fit, _midrank_percentiles
 from oracles import (
     oracle_baselines,
     oracle_mad,
@@ -472,9 +472,19 @@ def test_criterion_6_percentile_and_affine_invariance(verdict):
             pubs["reviewer1"][f"p{j}"] = rng.uniform(3, 30)
             pubs["m"][f"p{j}"] = rng.uniform(0, 4)
         base_res = run_agreement(rows, {"A": pubs}, "reviewer1", ["m"])
+
+        def live_fit(a, b):
+            # A run's fit: the institution level's MAD and MAPD, the publication level's MAD.
+            inst = _fit(np.array([[a * r.mean_score["m"] + b for r in rows], [r.mean_score["reviewer1"] for r in rows]]), True)
+            pub = _fit(np.array([[a * v + b for v in pubs["m"].values()], list(pubs["reviewer1"].values())]), False)
+            return [*inst.mad, *inst.mapd, *pub.mad]
+
+        live_base = live_fit(1.0, 0.0)
         for _ in range(20):
             a = rng.uniform(0.1, 10.0)
             b = rng.uniform(-50.0, 50.0)
+            for v1, v2 in zip(live_base, live_fit(a, b), strict=True):
+                assert abs(v2 - v1) <= 1e-9 * max(1.0, abs(v1))
             rows2 = [
                 InstitutionAggregate(
                     r.institution_id, r.area_id, r.pub_count,

@@ -357,22 +357,23 @@ def assert_every_pair_of_faults_raises_as_row_by_row(tmp_path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_a_conversion_failing_on_rows_that_parse_is_a_runtime_error(tmp_path, monkeypatch, capsys, fmt):
-    # Only the row parse words a faulty row. A conversion that fails when
-    # every row parses is a converter fault: it surfaces, exiting 2, not 1.
+def test_a_converter_raising_an_unexpected_exception_surfaces_it_unreworded(tmp_path, monkeypatch, capsys, fmt):
+    # A converter words a value that does not convert with an exception
+    # that the coder keeps as the value's fault. Any other exception is a
+    # converter fault: it surfaces as raised, exiting 2, not 1.
     path = tmp_path / f"corpus.{fmt}"
     save_corpus(base_corpus(0), path)
     bug = RuntimeError("converter fault")
 
-    def convert(*args):
+    def convert(value, field):
         raise bug
 
-    monkeypatch.setattr("bibagree.corpus._Coder.add", convert)
-    with pytest.raises(AssertionError, match="a column conversion failed but every row parses") as raised:
+    monkeypatch.setitem(corpus_module._JSON_READ if fmt == "jsonl" else corpus_module._TABLE_READ, "integer", convert)
+    with pytest.raises(RuntimeError) as raised:
         load_corpus(path)
-    assert raised.value.__cause__ is bug
+    assert raised.value is bug
     assert main(["validate", "--corpus", str(path)]) == 2
-    assert "a column conversion failed but every row parses" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: converter fault\n"
 
 
 @pytest.mark.parametrize(
@@ -394,6 +395,27 @@ def test_a_parse_fault_in_a_later_chunk_beats_a_validation_fault_in_an_earlier_o
         load_corpus(path)
     assert str(raised.value) == named
     assert outcome(load_corpus, path, SchemaOptions()) == outcome(load_corpus_by_record, path, SchemaOptions())
+
+
+@pytest.mark.parametrize(
+    "fmt, faults, named",
+    [
+        ("csv", [("rev_a_originality", "0"), ("rev_a_rigour", "11")], "review_a.originality=0 outside 1..10"),
+        ("jsonl", [("review_a", {"originality": 0, "rigour": 11, "impact": 5})], "review_a.originality=0 outside 1..10"),
+        ("jsonl", [("review_b", {"originality": 7.5, "rigour": "x", "impact": 5})], "non-integral review_b.originality 7.5"),
+        ("csv", [("category_weights", "A:0.3;B:0.7000000001;C:0")], "weight C=0 outside (0,1]"),
+        ("jsonl", [("category_weights", {"A": 0.3, "B": 0.7000000001, "C": 0})], "weight C=0 outside (0,1]"),
+    ],
+)
+def test_a_field_with_two_faults_is_named_for_its_first(tmp_path, fmt, faults, named):
+    # A review is named for its first faulty criterion, and a category map
+    # whose weights sum to 1 within the tolerance for its first weight out
+    # of range.
+    path = tmp_path / f"corpus.{fmt}"
+    path.write_text(with_faults(four_rows(tmp_path, fmt), fmt, [(1, fault) for fault in faults]))
+    got = outcome(load_corpus, path, SchemaOptions())
+    assert got == outcome(load_corpus_by_record, path, SchemaOptions())
+    assert got[2].endswith(f": {named}"), got
 
 
 @pytest.mark.parametrize(

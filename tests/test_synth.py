@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from bibagree import PubCountSpec, SynthConfig, assign_reviewer_roles, generate, overall_score
-from bibagree.corpus import save_corpus, validate_record
+from bibagree.corpus import save_corpus
 from bibagree.pipeline import PipelineConfig, compute_pipeline_stats
 from bibagree.synth import SynthError
+from record_pipeline import validate_record
 from synth_reference import generate as reference_generate
 
 

@@ -45,6 +45,7 @@ from bibagree.table import (
     _pair_codes,
     _scores,
     build_table,
+    reassign_codes,
     table_statistics,
 )
 from oracles import oracle_percentiles
@@ -504,6 +505,26 @@ def test_replicates_on_unpadded_or_tilde_ids_equal_the_reference(ids):
         counts = replicate_counts(table.area_sizes, config.seed, k)
         resampled = resample_within_areas(corpus, np.random.default_rng([config.seed, k]))
         assert_same_statistics(replicate_values(table, counts, config), record_statistic_values(resampled, config))
+
+
+def test_reassigned_entries_keep_their_order_within_a_row():
+    # A row's new entries follow its kept ones, in reference order. Each of
+    # the six rows merges 41 entries under one row key, so only a stable
+    # merge keeps that order: numpy's default argsort of so many equal
+    # int64 keys does not.
+    labels = [f"F{k:02d}" for k in range(40)][::-1]  # reference order against label order
+    refs = {label: 1.0 + k for k, label in enumerate(labels)}
+    records = [
+        PublicationRecord(f"p{i}", "U", "A", 2012, 1, "J", {"A": 0.5, "MULTI": 0.5}, refs) for i in range(6)
+    ]
+    columns = bibagree.corpus.Columns.from_records(records)
+    row, code, weight, flagged = reassign_codes(columns, "MULTI")
+    total = sum(refs.values())
+    assert row.tolist() == [i for i in range(6) for _ in range(41)]
+    for i in range(6):
+        assert [columns.labels[c] for c in code[row == i].tolist()] == ["A", *labels]
+        assert weight[row == i].tolist() == [0.5, *(0.5 * w / total for w in refs.values())]
+    assert flagged.tolist() == []
 
 
 @pytest.mark.parametrize(
