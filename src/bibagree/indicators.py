@@ -61,12 +61,12 @@ def compute_baselines(corpus: Corpus) -> PublicationTable:
 def build_indicator_table(corpus: Corpus, table: PublicationTable) -> IndicatorTable:
     """The point pass's NCS, NJS and percentiles of each kept publication,
     by pub_id, and the reason each flagged one is flagged."""
-    scores, flagged, undefined = point_scores(table)
-    # Table row -> pub_id: table.pub_order lists the rows in pub_id order.
-    pub_id = dict(zip(table.pub_order.tolist(), sorted(corpus.columns.pub_id)))
+    scores, flagged, reasons = point_scores(table)
+    # Table row -> pub_id: pub_order and by_pub_id list table and corpus rows in pub_id order.
+    columns = corpus.columns
+    pub_id = dict(zip(table.pub_order.tolist(), map(columns.pub_id.__getitem__, columns.by_pub_id.tolist())))
     kept = scores.keep.nonzero()[0].tolist()
     ncs, njs, cit_pct, jou_pct = (
         dict(zip(map(pub_id.__getitem__, kept), scores.series[label][kept].tolist())) for label in SERIES_LABELS[2:]
     )
-    reasons = ("undefined_baseline" if u else "zero_mean_cell" for u in undefined.tolist())
     return IndicatorTable(ncs, njs, cit_pct, jou_pct, dict(zip(map(pub_id.__getitem__, flagged.tolist()), reasons)))

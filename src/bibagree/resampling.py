@@ -243,7 +243,7 @@ def stratified_sample(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpu
     columns = corpus.columns
     by_area: list[list[int]] = [[] for _ in columns.area_ids]
     area_code = columns.area_id.tolist()
-    for row in sorted(range(len(columns)), key=columns.pub_id.__getitem__):
+    for row in columns.by_pub_id.tolist():
         by_area[area_code[row]].append(row)
     skipped: list[str] = []
     chosen: list[int] = []

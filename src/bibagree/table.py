@@ -10,9 +10,9 @@ reassigned on the label codes (``reassign_codes``), and the category
 weight entries are sorted by row and field. A code is a value's rank
 among the distinct values, read off a presence array's running count
 while the values span at most a few times as many integers as they are,
-and taken from ``np.unique`` beyond that. Rows are ranked by pub_id in
-Python's string order, with one sort of the ids, and each row's
-entries are one contiguous slice, taken in that order without a sort.
+and taken from ``np.unique`` beyond that. Rows are ranked by pub_id as the
+corpus columns rank them (``by_pub_id``), and each row's entries are one
+contiguous slice, taken in that order without a sort.
 The stratified bootstrap resamples publications with replacement
 within each area, so a replicate is fully described by a vector of copy
 counts, one per publication: the frequency-weight form of the
@@ -241,11 +241,7 @@ def build_table(corpus: Corpus, multidisciplinary_label: str) -> PublicationTabl
     columns = corpus.columns
     entry_row, field_code, entry_weight, unredistributable = reassign_codes(columns, multidisciplinary_label)
     check_reviews(columns)
-    area_ids, area = columns.area_ids, columns.area_id
-    # Rows ranked by pub_id as Python orders strings, which numpy's fixed-width
-    # strings do not: they drop trailing NULs.
-    pub_ids, n_rows = columns.pub_id, len(columns)
-    by_pub_id = np.fromiter(sorted(range(n_rows), key=pub_ids.__getitem__), dtype=np.intp, count=n_rows)
+    area_ids, area, by_pub_id, n_rows = columns.area_ids, columns.area_id, columns.by_pub_id, len(columns)
     # numpy's stable sort is a radix sort on integers of 16 bits or fewer,
     # several times faster than its timsort on int64 area codes.
     area_dtype = np.min_scalar_type(len(area_ids))
@@ -584,16 +580,20 @@ def table_statistics(
                 row[j] = value
 
 
-def point_scores(table: PublicationTable) -> tuple[_Scores, np.ndarray, np.ndarray]:
-    """The scores of the corpus itself; its flagged rows, ascending; and for
-    each whether it is flagged for an undefined baseline rather than a zero
-    mean. A row is flagged for the first of its sorted fields whose cell has
-    no baseline or a zero mean, as the reference compute_ncs raises."""
+# Why the point pass flags a row: a zero mean, or no baseline, on a cell.
+_FLAG_REASONS = ("zero_mean_cell", "undefined_baseline")
+
+
+def point_scores(table: PublicationTable) -> tuple[_Scores, np.ndarray, list[str]]:
+    """The scores of the corpus itself; its flagged rows, ascending; and the
+    reason each is flagged, from _FLAG_REASONS. A row is flagged for the
+    first of its sorted fields whose cell has no baseline or a zero mean,
+    as the reference compute_ncs raises."""
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = _scores(table, np.ones(len(table.area), dtype=np.intp))
     bad = np.flatnonzero(scores.entry_undefined | scores.entry_zero)
     flagged, first = np.unique(table.entry_row[bad], return_index=True)
-    return scores, flagged, scores.entry_undefined[bad[first]]
+    return scores, flagged, list(map(_FLAG_REASONS.__getitem__, scores.entry_undefined[bad[first]].tolist()))
 
 
 def point_statistics(table: PublicationTable, config: "PipelineConfig") -> PipelineStats:
@@ -603,7 +603,7 @@ def point_statistics(table: PublicationTable, config: "PipelineConfig") -> Pipel
     publications, in unit code order, which is (area, institution) order;
     the units with fewer are excluded, listed in (institution, area) order.
     """
-    scores, flagged_rows, undefined = point_scores(table)
+    scores, _, reasons = point_scores(table)
     with np.errstate(divide="ignore", invalid="ignore"):
         result = _agreement(table, scores, config)
 
@@ -625,13 +625,8 @@ def point_statistics(table: PublicationTable, config: "PipelineConfig") -> Pipel
         for u in np.flatnonzero((copies > 0) & (copies < config.min_pubs)).tolist()
     )
 
-    n_undefined = int(undefined.sum())
-    flagged = {
-        "zero_mean_cell": len(flagged_rows) - n_undefined,
-        "undefined_baseline": n_undefined,
-        "unredistributable_multidisciplinary": table.n_unredistributable,
-        "below_min_pubs": len(excluded),
-    }
+    flagged = {reason: reasons.count(reason) for reason in _FLAG_REASONS}
+    flagged.update(unredistributable_multidisciplinary=table.n_unredistributable, below_min_pubs=len(excluded))
     return PipelineStats(
         statistics=result.statistics,
         skips=result.skips,

@@ -19,6 +19,7 @@ from bibagree import (
     assign_reviewer_roles,
     coverage_report,
     generate,
+    load_corpus,
     midrank_quantile,
     resampling,
     run_bootstrap,
@@ -295,6 +296,30 @@ class TestStratifiedSample:
         assert expected[0].records
         assert stratified_sample(boot_corpus, fraction, seed) == expected
         assert stratified_sample(shuffled, fraction, seed) == expected
+
+    @pytest.mark.parametrize("fraction", [0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_a_shuffled_file_is_sampled_in_pub_id_order_within_each_area(self, tmp_path, fraction, seed):
+        # Unpadded ids (P1, P10, P2, ...), so that pub_id order is not
+        # numeric order, nor file order once the rows are shuffled.
+        corpus = generate(SynthConfig(n_institutions=15, seed=21))
+        records = [replace(r, pub_id=f"P{i}") for i, r in enumerate(corpus.records, 1)]
+        random.Random(seed).shuffle(records)
+        path = tmp_path / "corpus.csv"
+        save_corpus(replace(corpus, records=tuple(records)), path)
+        # Each area in sorted order draws round(fraction * n) of its pub_ids
+        # in sorted order, and keeps them in that order.
+        by_area: dict[str, list[str]] = {}
+        for pub_id, area in sorted((r.pub_id, r.area_id) for r in records):
+            by_area.setdefault(area, []).append(pub_id)
+        expected = []
+        for area, pool in sorted(by_area.items()):
+            k = int(fraction * len(pool) + 0.5)
+            drawn = resampling._area_stream(seed, area).choice(len(pool), size=k, replace=False)
+            expected += [pool[i] for i in sorted(drawn.tolist())]
+        sample, skipped = stratified_sample(load_corpus(path), fraction, seed)
+        assert not skipped
+        assert [r.pub_id for r in sample.records] == expected
 
     def test_bad_fraction_rejected(self, boot_corpus):
         with pytest.raises(ResamplingError):
