@@ -7,14 +7,17 @@ copy, and Tier-1 runs there with -x in one child process whose wall time
 and address space are limited (the limits apply to that child and the
 processes it starts, not to this one). The unedited copy runs first and
 must pass. A mutant is killed when a test fails, survives when every test
-passes, and is stopped when its child meets a limit.
+passes, and is stopped when its child meets a limit (TIMEOUT_S wall
+seconds, or MEMORY_MIB of address space when a test raises MemoryError).
+A child that ends with another pytest status, or by a signal, is an error.
 
     python scripts/mutants.py                      # every mutant
     python scripts/mutants.py --only NAME --repeat 4
     python scripts/mutants.py --check              # each old text occurs once
 
-The exit status is 1 when a mutant survives or an old text does not occur
-exactly once, and 0 otherwise.
+The exit status is 0 when every mutant run is killed (with --check: when
+every old text occurs exactly once), and 1 otherwise: a mutant that
+survives, is stopped or ends in an error is not shown to be caught.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors"]
+TIMEOUT_S = 300  # wall seconds per Tier-1 run
+MEMORY_MIB = 2048  # address space per Tier-1 run
 
 
 class Mutant(NamedTuple):
@@ -118,9 +123,11 @@ def check(mutants: list[Mutant]) -> list[str]:
     return faults
 
 
-def run_tier1(tree: Path, timeout: float, memory_bytes: int) -> tuple[str, float, str]:
+def run_tier1(tree: Path) -> tuple[str, float, str]:
     """Run Tier-1 in tree: its verdict ("passed", "failed", "stopped (time)",
-    "stopped (memory)" or "error N"), its wall time and its first failure."""
+    "stopped (memory)" or "error N", N negative for a signal), its wall time
+    and its first failure."""
+    memory_bytes = MEMORY_MIB * 2**20
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     log_path = tree / "tier1.log"
     start = time.perf_counter()
@@ -133,7 +140,7 @@ def run_tier1(tree: Path, timeout: float, memory_bytes: int) -> tuple[str, float
             start_new_session=True,
         )
         try:
-            code = child.wait(timeout=timeout)
+            code = child.wait(timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             code = None
         finally:
@@ -145,7 +152,7 @@ def run_tier1(tree: Path, timeout: float, memory_bytes: int) -> tuple[str, float
     first = next((line for line in log.splitlines() if line.startswith(("FAILED ", "ERROR "))), "")
     if code is None:
         verdict = "stopped (time)"
-    elif "MemoryError" in log or code < 0:
+    elif "MemoryError" in log:
         verdict = "stopped (memory)"
     else:
         verdict = {0: "passed", 1: "failed"}.get(code, f"error {code}")
@@ -163,9 +170,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true", help="only check that each old text occurs exactly once")
     parser.add_argument("--only", action="append", default=[], help="run the mutant of this name (repeatable)")
     parser.add_argument("--repeat", type=int, default=1, help="runs of each mutant (default 1)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="wall seconds per Tier-1 run (default 300)")
-    parser.add_argument("--memory", type=int, default=2048, help="address space per Tier-1 run, MiB (default 2048)")
-    parser.add_argument("--no-baseline", action="store_true", help="skip the run of the unedited copy")
     args = parser.parse_args(argv)
 
     faults = check(MUTANTS)
@@ -180,28 +184,26 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"no mutant named {sorted(unknown)}")
 
-    memory = args.memory * 2**20
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
-        if not args.no_baseline:
-            verdict, seconds, first = run_tier1(copy_tree(Path(scratch)), args.timeout, memory)
-            print(f"{'unedited':<18} {seconds:7.1f} s  {verdict} {first}", flush=True)
-            if verdict != "passed":
-                print("the unedited copy must pass under the limits", file=sys.stderr)
-                return 1
-            shutil.rmtree(Path(scratch) / "repo")
+        verdict, seconds, first = run_tier1(copy_tree(Path(scratch)))
+        print(f"{'unedited':<18} {seconds:7.1f} s  {verdict} {first}", flush=True)
+        if verdict != "passed":
+            print("the unedited copy must pass under the limits", file=sys.stderr)
+            return 1
+        shutil.rmtree(Path(scratch) / "repo")
         verdicts = []
         for m in chosen:
             for _ in range(args.repeat):
                 tree = copy_tree(Path(scratch))
                 target = tree / m.file
                 target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new), encoding="utf-8")
-                verdict, seconds, first = run_tier1(tree, args.timeout, memory)
+                verdict, seconds, first = run_tier1(tree)
                 shutil.rmtree(tree)
                 outcome = {"failed": "killed", "passed": "survived"}.get(verdict, verdict)
                 verdicts.append(outcome)
                 print(f"{outcome:<18} {seconds:7.1f} s  {m.name}  {first}", flush=True)
     print(", ".join(f"{verdicts.count(v)} {v}" for v in dict.fromkeys(verdicts)))
-    return 1 if "survived" in verdicts else 0
+    return 0 if set(verdicts) == {"killed"} else 1
 
 
 if __name__ == "__main__":
